@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render, render_with_pool, RenderConfig, Stage2Mode};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::{preprocess_prepared_pooled, preprocess_prepared_visible_pooled};
 use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
@@ -49,10 +49,16 @@ fn bench_frame_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_scaling");
     group.sample_size(10);
 
+    let cfg = RenderConfig::default();
     for workers in [1usize, 2, 4, 8] {
-        let cfg = RenderConfig::default().with_workers(workers);
+        let pool = WorkerPool::new(workers);
+        let mut arena = FrameArena::new();
         group.bench_function(format!("full_frame_workers_{workers}"), |b| {
-            b.iter(|| render(&scene, &cam, &cfg));
+            b.iter(|| {
+                render_with_pool(&scene, &cam, &cfg, &mut arena, &pool)
+                    .workload
+                    .recycle_into(&mut arena);
+            });
         });
     }
 
@@ -196,18 +202,22 @@ fn bench_vector_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("vector_modes");
     group.sample_size(10);
     for workers in [1usize, 4] {
+        let pool = WorkerPool::new(workers);
+        let mut arena = FrameArena::new();
         for mode in [
             VectorMode::Scalar,
             VectorMode::ForceSse,
             VectorMode::ForceAvx2,
         ] {
-            let cfg = RenderConfig::default()
-                .with_workers(workers)
-                .with_vector_mode(mode);
+            let cfg = RenderConfig::default().with_vector_mode(mode);
             group.bench_function(
                 format!("full_frame_{mode:?}_workers_{workers}").to_lowercase(),
                 |b| {
-                    b.iter(|| render(&scene, &cam, &cfg));
+                    b.iter(|| {
+                        render_with_pool(&scene, &cam, &cfg, &mut arena, &pool)
+                            .workload
+                            .recycle_into(&mut arena);
+                    });
                 },
             );
         }

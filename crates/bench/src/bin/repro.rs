@@ -7,8 +7,7 @@
 //! ```
 //!
 //! Artifact ids: `tab1 tab2 fig4 fig5 fig8 fig9 fig10 tab3 fig11 sec5c
-//! sec5d ablations quality sweep compare batch scaling culling sort pool
-//! simd`.
+//! sec5d ablations quality sweep compare batch scaling culling sort simd`.
 
 use gaurast::backend::BackendKind;
 use gaurast::engine::EngineBuilder;
@@ -26,7 +25,7 @@ use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
 static ALLOC: gaurast_bench::alloc_counter::CountingAllocator =
     gaurast_bench::alloc_counter::CountingAllocator;
 
-const ALL_IDS: [&str; 21] = [
+const ALL_IDS: [&str; 20] = [
     "tab1",
     "tab2",
     "fig4",
@@ -46,7 +45,6 @@ const ALL_IDS: [&str; 21] = [
     "scaling",
     "culling",
     "sort",
-    "pool",
     "simd",
 ];
 
@@ -214,15 +212,6 @@ fn main() {
                     .expect("BENCH_sort.json must be writable and well-formed");
                 section(&text);
             }
-            "pool" => {
-                // Persistent-pool A/B: one long-lived pool (threads parked
-                // between frames) vs a fresh pool per frame, bit-identity
-                // asserted, plus the machine-readable BENCH_pool.json
-                // artifact with both mode records.
-                let text = gaurast_bench::pool_report::write_artifact(quick)
-                    .expect("BENCH_pool.json must be writable and well-formed");
-                section(&text);
-            }
             "simd" => {
                 // SIMD data-path A/B: scalar vs 4-wide SSE4.1 vs 8-wide
                 // AVX2 Stage-1/Stage-3 kernels, bit-identity asserted,
@@ -309,9 +298,11 @@ fn batch_demo(scale: SceneScale) -> String {
 /// Renders one Garden frame with 1/2/4/8-wide intra-frame worker pools,
 /// checks bit-identity against the serial frame, and reports the
 /// wall-clock speedups — the `scaling` artifact tracked by the benchmark
-/// JSON.
+/// JSON. Each width times its frames through one pool and one recycled
+/// arena built before the clock starts, so no timed frame spawns threads.
 fn scaling_demo(scale: SceneScale) -> String {
-    use gaurast::render::pipeline::{render, RenderConfig};
+    use gaurast::render::pipeline::{render_with_pool, RenderConfig};
+    use gaurast::render::{FrameArena, WorkerPool};
     use std::fmt::Write as _;
     use std::time::Instant;
 
@@ -331,17 +322,24 @@ fn scaling_demo(scale: SceneScale) -> String {
     )
     .unwrap();
 
+    let cfg = RenderConfig::default();
     let time_frame = |workers: usize| {
-        let cfg = RenderConfig::default().with_workers(workers);
-        let _warm = render(&scene, &cam, &cfg);
+        let pool = WorkerPool::new(workers);
+        let mut arena = FrameArena::new();
+        let recycled_frame = |arena: &mut FrameArena| {
+            render_with_pool(&scene, &cam, &cfg, arena, &pool)
+                .workload
+                .recycle_into(arena);
+        };
+        recycled_frame(&mut arena); // warm-up: sizes the arena
         let started = Instant::now();
         let frames = 3;
         for _ in 0..frames {
-            render(&scene, &cam, &cfg);
+            recycled_frame(&mut arena);
         }
         (
             started.elapsed().as_secs_f64() / f64::from(frames),
-            render(&scene, &cam, &cfg),
+            render_with_pool(&scene, &cam, &cfg, &mut arena, &pool),
         )
     };
 

@@ -8,7 +8,9 @@
 //! rewrite.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_with_arena, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{
+    render, render_with_pool, run_frame, RenderConfig, Stage1Input, Stage2Mode,
+};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::rasterize_with_level;
@@ -221,18 +223,21 @@ fn measure_mode(
     }
     let stage1_ms = started.elapsed().as_secs_f64() / f64::from(frames) * 1e3;
 
-    // Stage 3 in isolation: bin one workload, then rasterize it
-    // repeatedly (the pass clears the framebuffer itself each call).
-    let pre = preprocess_pooled_level(scene, camera, &pool, level);
-    let mut arena = FrameArena::new();
-    let mut workload = Stage2Mode::default().bin(
-        pre.splats,
-        camera.width(),
-        camera.height(),
+    // Stage 3 in isolation: build one workload through the frame driver,
+    // then rasterize it repeatedly (the pass clears the framebuffer itself
+    // each call).
+    let mut workload = run_frame(
+        Stage1Input::Raw(scene),
+        camera,
         16,
-        &mut arena,
+        Stage2Mode::default(),
+        level,
         &pool,
-    );
+        &mut FrameArena::new(),
+        None,
+        |_| {},
+    )
+    .workload;
     let mut fb = Framebuffer::new(camera.width(), camera.height());
     let _ = rasterize_with_level(&mut workload, Some(&mut fb), &pool, level); // warm-up
     let started = Instant::now();
@@ -246,17 +251,15 @@ fn measure_mode(
     }
     let stage3_ms = started.elapsed().as_secs_f64() / f64::from(frames) * 1e3;
 
-    // Full-pipeline pacing through the arena-reusing entry point.
-    let cfg = RenderConfig::default()
-        .with_workers(workers)
-        .with_vector_mode(mode);
+    // Full-pipeline pacing through the same pool and a recycled arena.
+    let cfg = RenderConfig::default().with_vector_mode(mode);
     let mut frame_arena = FrameArena::new();
-    render_with_arena(scene, camera, &cfg, &mut frame_arena)
+    render_with_pool(scene, camera, &cfg, &mut frame_arena, &pool)
         .workload
         .recycle_into(&mut frame_arena);
     let started = Instant::now();
     for _ in 0..frames {
-        render_with_arena(scene, camera, &cfg, &mut frame_arena)
+        render_with_pool(scene, camera, &cfg, &mut frame_arena, &pool)
             .workload
             .recycle_into(&mut frame_arena);
     }

@@ -7,7 +7,7 @@
 use crate::alloc_counter::allocation_count;
 use gaurast_hw::dispatch::csr_queue_loads;
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render_with_arena, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render_with_pool, RenderConfig, Stage2Mode};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::preprocess_pooled;
 use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
@@ -205,9 +205,7 @@ fn measure_mode(
     count_allocs: bool,
 ) -> ModeReport {
     let pool = WorkerPool::new(workers);
-    let cfg = RenderConfig::default()
-        .with_workers(workers)
-        .with_stage2(mode);
+    let cfg = RenderConfig::default().with_stage2(mode);
     let mut arena = FrameArena::new();
 
     let bin = |splats: Vec<Splat2D>, arena: &mut FrameArena| {
@@ -230,14 +228,14 @@ fn measure_mode(
         workload.recycle_into(&mut arena);
     }
 
-    // Full-pipeline pacing through the same arena-reusing entry point.
+    // Full-pipeline pacing through the same pool and a recycled arena.
     let mut frame_arena = FrameArena::new();
-    render_with_arena(scene, camera, &cfg, &mut frame_arena)
+    render_with_pool(scene, camera, &cfg, &mut frame_arena, &pool)
         .workload
         .recycle_into(&mut frame_arena);
     let started = Instant::now();
     for _ in 0..frames {
-        render_with_arena(scene, camera, &cfg, &mut frame_arena)
+        render_with_pool(scene, camera, &cfg, &mut frame_arena, &pool)
             .workload
             .recycle_into(&mut frame_arena);
     }

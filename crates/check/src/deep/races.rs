@@ -13,7 +13,7 @@
 //! `unsafe` block that no `race_region!` covers, and any such event
 //! transitively reachable from the hot roots fails here with the full
 //! witness chain, e.g.
-//! `render::graph::execute → render::pipeline::FrameRunner::emit → *… = … (crates/render/src/pipeline.rs:569)`.
+//! `render::pipeline::run_frame → render::tile::bin_splats_pooled → render::sort::RadixSorter::sort_pairs → … → *… = … (crates/render/src/sort.rs:…)`.
 //!
 //! Roots are the hot-marked functions — the same roots as hot-path
 //! purity, because those subtrees are exactly the code the pool runs

@@ -47,7 +47,7 @@ pub const HOT_FILES: &[&str] = &[
     "crates/render/src/sort.rs",
     "crates/render/src/tile.rs",
     "crates/render/src/rasterize.rs",
-    "crates/render/src/graph.rs",
+    "crates/render/src/pipeline.rs",
     "crates/render/src/simd/stage1.rs",
     "crates/render/src/simd/stage3.rs",
 ];
@@ -61,11 +61,11 @@ pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/sort.rs", "sort_pairs_chunked"),
     ("crates/render/src/tile.rs", "bin_splats_pooled"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
-    // The frame-graph executor: marking it puts the whole per-frame
-    // execution subtree (every graph node body, the pool dispatch path)
-    // under the deep no-alloc/no-spawn purity rule, so re-introducing a
-    // per-frame thread spawn or allocation there fails CI.
-    ("crates/render/src/graph.rs", "execute"),
+    // The one frame driver: marking it puts the whole per-frame subtree
+    // (all three stages, the pool dispatch path) of every engine and free
+    // `render` frame under the deep no-alloc/no-spawn purity rule, so
+    // re-introducing a per-frame thread spawn or allocation there fails CI.
+    ("crates/render/src/pipeline.rs", "run_frame"),
     // The SIMD lane-group kernels: Stage 1's projection/conic groups and
     // Stage 3's per-row conic evaluation + blending run per frame in
     // steady state; marking them keeps fresh allocations (and, via the

@@ -46,12 +46,8 @@ use crate::backend::{
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
-use gaurast_render::pipeline::{PreprocessStats, Stage2Mode};
+use gaurast_render::pipeline::{run_frame, Stage1Input, Stage2Mode};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{
-    preprocess_prepared_pooled_level, preprocess_prepared_visible_pooled_level,
-};
-use gaurast_render::rasterize::rasterize_with_level;
 use gaurast_render::{FrameArena, Framebuffer, RasterWorkload, SimdLevel, VectorMode};
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
 use gaurast_sched::{replay, FrameCost, SequenceReport};
@@ -373,9 +369,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs Stages 1–2 into recycled session buffers plus the reference
-    /// Stage-3 pass (record-only unless images are retained), producing the
-    /// finalized workload every backend bills.
+    /// Runs one frame through the render crate's frame driver
+    /// ([`run_frame`]): Stages 1–2 into recycled session buffers plus the
+    /// reference Stage-3 pass (record-only unless images are retained),
+    /// producing the finalized workload every backend bills.
     /// `need_image` requests a reference image in the pass: true only when
     /// images are retained *and* some executing backend reports the
     /// reference image (the enhanced rasterizer renders its own through
@@ -385,72 +382,47 @@ impl Engine {
         camera: &Camera,
         need_image: bool,
     ) -> (RasterWorkload, ReferencePass) {
-        let (pre, cull) = if self.culling {
-            let (visible, cache_hit) = self.vis_cache.get_or_build(&self.scene, camera);
-            let pre = preprocess_prepared_visible_pooled_level(
-                &self.scene,
-                camera,
-                &visible,
-                &self.pool,
-                self.level,
-            );
-            let cull = CullStats {
+        let visible = self
+            .culling
+            .then(|| self.vis_cache.get_or_build(&self.scene, camera));
+        let cull = match &visible {
+            Some((set, cache_hit)) => CullStats {
                 enabled: true,
-                frustum_depth: visible.culled_depth(),
-                frustum_lateral: visible.culled_lateral(),
-                cache_hit,
-            };
-            (pre, cull)
-        } else {
-            (
-                preprocess_prepared_pooled_level(&self.scene, camera, &self.pool, self.level),
-                CullStats::default(),
-            )
+                frustum_depth: set.culled_depth(),
+                frustum_lateral: set.culled_lateral(),
+                cache_hit: *cache_hit,
+            },
+            None => CullStats::default(),
         };
-        let pre_stats = PreprocessStats::from(&pre);
-        // Stage 2 out of the session arena: packed (tile, depth) keys +
-        // one parallel radix sort into the flat CSR workload (or the
-        // legacy per-tile path behind the escape hatch). Timed separately
-        // — the `sort` split every report carries.
+        // The buffer moves into the reference pass (and from there into
+        // the report) instead of being cloned every frame.
+        let mut image = need_image.then(|| Framebuffer::new(camera.width(), camera.height()));
         // gaurast-check: allow(nondet): wall-clock stage timing. The
-        // measured duration is reported *alongside* the frame, never fed
+        // measured durations are reported *alongside* the frame, never fed
         // back into it — the image is a pure function of scene + camera.
-        let sort_started = Instant::now();
-        let mut workload = self.stage2.bin(
-            pre.splats,
-            camera.width(),
-            camera.height(),
+        let mut stage_done = [Instant::now(); 3];
+        let frame = run_frame(
+            Stage1Input::Prepared(&self.scene, visible.as_ref().map(|(set, _)| &**set)),
+            camera,
             self.tile_size,
-            &mut self.scratch.arena,
+            self.stage2,
+            self.level,
             &self.pool,
+            &mut self.scratch.arena,
+            image.as_mut(),
+            // gaurast-check: allow(nondet): the same output-independent
+            // stage clock, read at each stage boundary.
+            |stage| stage_done[stage as usize] = Instant::now(),
         );
-        let sort_wall_s = sort_started.elapsed().as_secs_f64().max(MIN_STAGE_S);
-
-        // gaurast-check: allow(nondet): wall-clock stage timing, output-
-        // independent (same proof as the sort timer above).
-        let started = Instant::now();
-        let (raster, image) = if need_image {
-            // The buffer moves into the reference pass (and from there into
-            // the report) instead of being cloned every frame.
-            let mut fb = Framebuffer::new(camera.width(), camera.height());
-            let raster = rasterize_with_level(&mut workload, Some(&mut fb), &self.pool, self.level);
-            (raster, Some(fb))
-        } else {
-            (
-                rasterize_with_level(&mut workload, None, &self.pool, self.level),
-                None,
-            )
-        };
-        let wall_s = started.elapsed().as_secs_f64().max(MIN_STAGE_S);
-
+        let [stage1_done, stage2_done, stage3_done] = stage_done;
         (
-            workload,
+            frame.workload,
             ReferencePass {
-                preprocess: pre_stats,
+                preprocess: frame.preprocess,
                 cull,
-                raster,
-                wall_s,
-                sort_wall_s,
+                raster: frame.raster,
+                wall_s: (stage3_done - stage2_done).as_secs_f64().max(MIN_STAGE_S),
+                sort_wall_s: (stage2_done - stage1_done).as_secs_f64().max(MIN_STAGE_S),
                 image,
             },
         )

@@ -331,17 +331,6 @@ impl Default for EnhancedRasterizer {
     }
 }
 
-/// Convenience: simulate a Gaussian workload on the paper's scaled
-/// configuration, as used for all scene-level results.
-#[deprecated(
-    since = "0.1.0",
-    note = "go through the session-based engine instead: \
-            `gaurast::engine::EngineBuilder` with `BackendKind::Enhanced`"
-)]
-pub fn simulate_scaled(workload: &RasterWorkload) -> FrameReport {
-    EnhancedRasterizer::new(RasterizerConfig::scaled()).simulate_gaussian(workload)
-}
-
 /// Cycles to switch the PE datapath mode: drain the pipelines, flip the
 /// input muxes, reload mode state. One switch per mode change per frame.
 pub const MODE_SWITCH_CYCLES: u64 = 64;
@@ -433,20 +422,6 @@ mod tests {
         );
         assert_eq!(image.psnr(&reference), f32::INFINITY);
         assert!(report.cycles > 0);
-    }
-
-    /// The deprecated `simulate_scaled` shim has no callers left outside
-    /// this test; the `#[allow(deprecated)]` gate lives here and nowhere
-    /// else, and the shim must keep matching the session-equivalent direct
-    /// path until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_simulate_scaled_shim_matches_direct_path() {
-        let (workload, _) = gaussian_workload(400, 64, 64);
-        let via_shim = simulate_scaled(&workload);
-        let direct =
-            EnhancedRasterizer::new(RasterizerConfig::scaled()).simulate_gaussian(&workload);
-        assert_eq!(via_shim, direct);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //! ([`sort::RADIX_CHUNK`]), and Stage 3 as independent per-tile jobs (each
 //! tile reads its sorted CSR range and writes its own disjoint framebuffer
 //! view) over a persistent [`pool::WorkerPool`] whose threads are spawned
-//! once and parked between dispatches. The stages themselves are scheduled
-//! by a static frame [`graph`] that overlaps Stage-1 chunks with Stage-2
-//! histogramming where the dependency edges allow. Output is bit-identical
-//! for every worker count and either graph mode — `workers = 1` is exactly
-//! the serial reference path; see [`pool`] for the determinism recipe and
-//! [`pipeline::RenderConfig::workers`] for the knob.
+//! once and parked between dispatches. One driver,
+//! [`pipeline::run_frame`], sequences the three stages for every caller —
+//! engine sessions and the free [`pipeline::render`] functions alike.
+//! Output is bit-identical for every worker count — `workers = 1` is
+//! exactly the serial reference path; see [`pool`] for the determinism
+//! recipe and [`pipeline::RenderConfig::workers`] for the knob.
 //!
 //! # Example
 //!
@@ -53,16 +53,15 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
-// The unsafe in this crate is confined to the disjoint-access handouts:
-// the worker pool's job-slot publication (`pool`), the sorter's scatter
-// ranges (`sort`), and the frame runner's per-chunk slots and key ranges
-// (`pipeline`); every unsafe operation must sit in an explicit block with
-// its own SAFETY comment (enforced by `gaurast-check lint`).
+// The unsafe in this crate is confined to the disjoint-access handouts —
+// the worker pool's job-slot publication (`pool`) and the sorter's scatter
+// ranges (`sort`) — and to the SIMD intrinsics (`simd`); every unsafe
+// operation must sit in an explicit block with its own SAFETY comment
+// (enforced by `gaurast-check lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod compose;
 mod framebuffer;
-pub mod graph;
 pub mod ops;
 pub mod pipeline;
 pub mod pool;

@@ -1,20 +1,25 @@
 //! End-to-end orchestration of the three-stage 3DGS pipeline.
+//!
+//! [`run_frame`] is the one frame driver: it runs Stage 1
+//! (preprocessing), Stage 2 ([`Stage2Mode::bin`]) and the reference
+//! Stage-3 pass over a caller-held [`WorkerPool`] and [`FrameArena`], and
+//! reports each stage boundary to the caller. Engine sessions and the free
+//! functions here ([`render`], [`render_with_pool`],
+//! [`render_record_only`], [`build_workload`]) all render through it.
 
 use crate::framebuffer::Framebuffer;
-use crate::graph::{self, frame, GraphMode, GraphRunner, NodeId};
 use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::preprocess::{
-    preprocess_pooled_level, preprocess_range_level, PreprocessOutput, Splat2D, PREPROCESS_CHUNK,
+    preprocess_pooled_level, preprocess_prepared_pooled_level,
+    preprocess_prepared_visible_pooled_level, PreprocessOutput,
 };
 use crate::rasterize::{rasterize_with_level, RasterStats};
 use crate::simd::{SimdLevel, VectorMode};
-use crate::sort::{key_tile, pack_key};
-use crate::tile::{bin_splats_legacy, bin_splats_pooled, tile_range};
+use crate::tile::{bin_splats_legacy, bin_splats_pooled};
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, GaussianScene};
-use std::cell::UnsafeCell;
+use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibleSet};
 
 /// Which Stage-2 implementation a pipeline runs.
 ///
@@ -36,8 +41,7 @@ pub enum Stage2Mode {
 
 impl Stage2Mode {
     /// Runs this mode's Stage 2 out of `arena` — the one dispatch point
-    /// shared by the pipeline, the engine's reference pass, and the
-    /// benchmark harness.
+    /// shared by [`run_frame`] and the benchmark harness.
     pub fn bin(
         self,
         splats: Vec<crate::Splat2D>,
@@ -72,11 +76,6 @@ pub struct RenderConfig {
     pub workers: usize,
     /// Stage-2 implementation (key-sorted radix/CSR by default).
     pub stage2: Stage2Mode,
-    /// Frame-graph scheduling mode ([`GraphMode::Overlapped`] by default;
-    /// [`GraphMode::Sequential`] is the strict one-barrier-per-stage A/B
-    /// reference). Both modes are bit-identical; ignored by the legacy
-    /// Stage-2 path, which predates the graph.
-    pub graph: GraphMode,
     /// Vector data path for the Stage-1/Stage-3 hot loops
     /// ([`VectorMode::Auto`] by default — widest supported SIMD level,
     /// scalar where unsupported). Resolved once per frame; every mode is
@@ -91,7 +90,6 @@ impl Default for RenderConfig {
             tile_size: DEFAULT_TILE_SIZE,
             workers: 0,
             stage2: Stage2Mode::default(),
-            graph: GraphMode::default(),
             vector_mode: VectorMode::default(),
         }
     }
@@ -114,12 +112,6 @@ impl RenderConfig {
     /// mode.
     pub fn with_stage2(self, stage2: Stage2Mode) -> Self {
         Self { stage2, ..self }
-    }
-
-    /// A configuration identical to this one but with an explicit
-    /// frame-graph mode.
-    pub fn with_graph(self, graph: GraphMode) -> Self {
-        Self { graph, ..self }
     }
 
     /// A configuration identical to this one but with an explicit vector
@@ -173,6 +165,109 @@ impl From<&PreprocessOutput> for PreprocessStats {
     }
 }
 
+/// Everything [`run_frame`] produces apart from the image: the workload
+/// with processed counts filled in, plus per-stage statistics —
+/// [`RenderOutput`] minus the image.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WorkloadOutput {
+    /// The Stage-1/2 product consumed by the architecture models, with the
+    /// reference pass's processed counts recorded.
+    pub workload: RasterWorkload,
+    /// Stage-1 statistics (culling, FP ops).
+    pub preprocess: PreprocessStats,
+    /// Stage-3 statistics (pairs, blends, per-subtask ops).
+    pub raster: RasterStats,
+}
+
+/// Where one frame's Stage 1 reads its Gaussians from. Every input renders
+/// bit-identical frames for the same scene and camera.
+#[derive(Clone, Copy, Debug)]
+pub enum Stage1Input<'a> {
+    /// A raw scene: Stage 1 builds each Gaussian's world covariance from
+    /// its rotation and scale, so nothing is prepared up front.
+    Raw(&'a GaussianScene),
+    /// A prepared scene's precomputed covariances, over every Gaussian or,
+    /// with a [`VisibleSet`] built from this scene, over only the set's
+    /// survivors.
+    Prepared(&'a PreparedScene, Option<&'a VisibleSet>),
+}
+
+/// One of the three stages [`run_frame`] runs, in execution order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Stage 1: Gaussians projected to screen-space splats.
+    Preprocess,
+    /// Stage 2: splats binned to tiles and depth-sorted into the CSR
+    /// workload.
+    Bin,
+    /// Stage 3: the reference rasterization pass.
+    Rasterize,
+}
+
+/// Runs one frame: Stage 1 over `input`, Stage 2 in mode `stage2` out of
+/// `arena`, then the reference Stage-3 pass, every stage at SIMD `level`
+/// (obtain it from [`VectorMode::resolve`]) and fanned over `pool`. The
+/// pass writes pixels only when `image` is given; processed counts and
+/// statistics come from the same tile jobs either way, so record-only and
+/// imaged frames agree bit for bit.
+///
+/// `on_stage_done` is called after each stage, in order. The driver reads
+/// no clock: a caller that times stages reads one in the closure, which
+/// keeps wall-clock time out of this deterministic crate.
+///
+/// Over a persistent pool, frames spawn no threads; once `arena` is warm
+/// the Stage-2 data path allocates nothing, provided each workload goes
+/// back through [`RasterWorkload::recycle_into`].
+///
+/// # Panics
+/// Panics when `tile_size` is zero, when `image` does not match the
+/// camera's dimensions, or when the visible set was built from another
+/// prepared scene.
+#[allow(clippy::too_many_arguments)]
+// gaurast-check: hot-path
+pub fn run_frame(
+    input: Stage1Input<'_>,
+    camera: &Camera,
+    tile_size: u32,
+    stage2: Stage2Mode,
+    level: SimdLevel,
+    pool: &WorkerPool,
+    arena: &mut FrameArena,
+    image: Option<&mut Framebuffer>,
+    mut on_stage_done: impl FnMut(Stage),
+) -> WorkloadOutput {
+    let pre = match input {
+        Stage1Input::Raw(scene) => preprocess_pooled_level(scene, camera, pool, level),
+        Stage1Input::Prepared(prepared, None) => {
+            preprocess_prepared_pooled_level(prepared, camera, pool, level)
+        }
+        Stage1Input::Prepared(prepared, Some(visible)) => {
+            preprocess_prepared_visible_pooled_level(prepared, camera, visible, pool, level)
+        }
+    };
+    let preprocess = PreprocessStats::from(&pre);
+    on_stage_done(Stage::Preprocess);
+    // Path-qualified so the call-graph checker cannot resolve a bare
+    // `.bin(` to `TriangleWorkload::bin`.
+    let mut workload = Stage2Mode::bin(
+        stage2,
+        pre.splats,
+        camera.width(),
+        camera.height(),
+        tile_size,
+        arena,
+        pool,
+    );
+    on_stage_done(Stage::Bin);
+    let raster = rasterize_with_level(&mut workload, image, pool, level);
+    on_stage_done(Stage::Rasterize);
+    WorkloadOutput {
+        workload,
+        preprocess,
+        raster,
+    }
+}
+
 /// Runs Stages 1–3 for one frame.
 ///
 /// # Example
@@ -190,38 +285,21 @@ impl From<&PreprocessOutput> for PreprocessStats {
 /// # Ok::<(), gaurast_scene::SceneError>(())
 /// ```
 pub fn render(scene: &GaussianScene, camera: &Camera, config: &RenderConfig) -> RenderOutput {
-    render_with_arena(scene, camera, config, &mut FrameArena::new())
+    render_with_pool(
+        scene,
+        camera,
+        config,
+        &mut FrameArena::new(),
+        &config.worker_pool(),
+    )
 }
 
-/// [`render`] with a caller-held [`FrameArena`] and a pool built from the
-/// config — a convenience over [`render_with_pool`] for callers without a
-/// long-lived pool. Recycle the workload back into the arena after the
-/// frame ([`RasterWorkload::recycle_into`]) and steady-state Stage 2 —
-/// key emission, radix sort, CSR assembly, processed counts — makes no
-/// data-path allocations. Sessions should hold a persistent pool and call
-/// [`render_with_pool`] instead, which is also spawn-free per frame.
-pub fn render_with_arena(
-    scene: &GaussianScene,
-    camera: &Camera,
-    config: &RenderConfig,
-    arena: &mut FrameArena,
-) -> RenderOutput {
-    let pool = config.worker_pool();
-    render_with_pool(scene, camera, config, arena, &pool)
-}
-
-/// [`render`] with a caller-held [`FrameArena`] **and** a caller-held
-/// persistent [`WorkerPool`] — the session hot path the engine uses.
-/// Steady-state frames neither spawn threads (the pool's workers are
-/// parked between dispatches) nor allocate in the Stage-2 data path (the
-/// arena recycles every buffer, including the cached frame-graph plan).
-///
-/// Stages are scheduled by the static frame graph
-/// ([`graph::FrameGraph::standard`]) under [`RenderConfig::graph`]: the
-/// overlapped mode fuses Stage-1 chunk preprocessing with Stage-2 key
-/// histogramming in one dispatch, the sequential mode runs every node as
-/// its own barrier. Output is **bit-identical** across modes, worker
-/// counts, and against the historical staged path.
+/// [`render`] with a caller-held [`FrameArena`] and persistent
+/// [`WorkerPool`] — the form for loops over many frames. `pool` sets the
+/// width (`config.workers` is not consulted). Steady-state frames spawn no
+/// threads, and recycling each workload back into the arena
+/// ([`RasterWorkload::recycle_into`]) keeps the Stage-2 data path
+/// allocation-free.
 pub fn render_with_pool(
     scene: &GaussianScene,
     camera: &Camera,
@@ -230,28 +308,23 @@ pub fn render_with_pool(
     pool: &WorkerPool,
 ) -> RenderOutput {
     let mut image = Framebuffer::new(camera.width(), camera.height());
-    let (workload, preprocess, raster) =
-        run_frame(scene, camera, config, arena, pool, Some(&mut image));
+    let out = run_frame(
+        Stage1Input::Raw(scene),
+        camera,
+        config.tile_size,
+        config.stage2,
+        config.vector_mode.resolve(),
+        pool,
+        arena,
+        Some(&mut image),
+        |_| {},
+    );
     RenderOutput {
         image,
-        workload,
-        preprocess,
-        raster,
+        workload: out.workload,
+        preprocess: out.preprocess,
+        raster: out.raster,
     }
-}
-
-/// Everything one record-only frame produces: the workload with processed
-/// counts filled in, plus per-stage statistics — [`RenderOutput`] minus the
-/// image.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadOutput {
-    /// The Stage-1/2 product consumed by the architecture models, with the
-    /// reference pass's processed counts recorded.
-    pub workload: RasterWorkload,
-    /// Stage-1 statistics (culling, FP ops).
-    pub preprocess: PreprocessStats,
-    /// Stage-3 statistics (pairs, blends, per-subtask ops).
-    pub raster: RasterStats,
 }
 
 /// Runs Stages 1–3 in record-only mode: the reference Stage-3 pass fills
@@ -259,443 +332,25 @@ pub struct WorkloadOutput {
 /// allocated or written. This is the entry point for workload construction
 /// when the image would be discarded (the architecture-model path).
 ///
-/// Record-only frames run the *same* chunked-preprocess and tile-job
-/// decomposition as [`render`] — the only difference is that the tile
-/// jobs get no framebuffer views — so all counts stay bit-identical with
-/// the imaging path at every worker count.
+/// Record-only frames run the *same* driver as [`render`] — the only
+/// difference is that Stage 3 gets no framebuffer — so all counts stay
+/// bit-identical with the imaging path at every worker count.
 pub fn render_record_only(
     scene: &GaussianScene,
     camera: &Camera,
     config: &RenderConfig,
 ) -> WorkloadOutput {
-    let pool = config.worker_pool();
-    render_record_only_with_pool(scene, camera, config, &mut FrameArena::new(), &pool)
-}
-
-/// [`render_record_only`] with a caller-held [`FrameArena`] and persistent
-/// [`WorkerPool`] — the record-only analogue of [`render_with_pool`], with
-/// the same spawn-free, steady-state-allocation-free contract.
-pub fn render_record_only_with_pool(
-    scene: &GaussianScene,
-    camera: &Camera,
-    config: &RenderConfig,
-    arena: &mut FrameArena,
-    pool: &WorkerPool,
-) -> WorkloadOutput {
-    let (workload, preprocess, raster) = run_frame(scene, camera, config, arena, pool, None);
-    WorkloadOutput {
-        workload,
-        preprocess,
-        raster,
-    }
-}
-
-/// Runs one frame — Stage 1 through the reference Stage-3 pass — over the
-/// frame graph (or the staged legacy-Stage-2 path), writing pixels only
-/// when `image` is provided.
-fn run_frame(
-    scene: &GaussianScene,
-    camera: &Camera,
-    config: &RenderConfig,
-    arena: &mut FrameArena,
-    pool: &WorkerPool,
-    image: Option<&mut Framebuffer>,
-) -> (RasterWorkload, PreprocessStats, RasterStats) {
-    // One resolution per frame: CPUID probe and env override are cached
-    // process-wide, so this is a pair of cheap enum reads.
-    let level = config.vector_mode.resolve();
-    if config.stage2 == Stage2Mode::LegacyPerTile {
-        // The escape-hatch path predates the frame graph: classic staged
-        // execution, one barrier per stage.
-        let pre = preprocess_pooled_level(scene, camera, pool, level);
-        let pre_stats = PreprocessStats::from(&pre);
-        let mut workload = config.stage2.bin(
-            pre.splats,
-            camera.width(),
-            camera.height(),
-            config.tile_size,
-            arena,
-            pool,
-        );
-        let raster = rasterize_with_level(&mut workload, image, pool, level);
-        return (workload, pre_stats, raster);
-    }
-
-    // A serial pool gets a single chunk: the graph collapses to exactly
-    // the historical in-thread pass (chunking only exists to feed the
-    // pool, and stitching in index order makes the output independent of
-    // the chunk count anyway).
-    let n_chunks = if pool.is_serial() {
-        1
-    } else {
-        scene.len().div_ceil(PREPROCESS_CHUNK).max(1)
-    };
-    let plan = arena.plan.take(n_chunks, config.graph);
-    let mut runner = FrameRunner::new(
-        scene,
+    run_frame(
+        Stage1Input::Raw(scene),
         camera,
         config.tile_size,
-        pool,
-        arena,
-        image,
-        n_chunks,
-        level,
-    );
-    graph::execute(&plan, pool, &mut runner);
-    let out = runner.finish();
-    arena.plan.restore(n_chunks, config.graph, plan);
-    out
-}
-
-/// Fixed-size per-chunk output slots shared with pool workers.
-///
-/// Each pooled graph job `c` owns slot `c` exclusively (jobs are claimed
-/// exactly once by the pool's cursor protocol), so handing out `&mut`
-/// access through `&self` is race-free by construction — the same
-/// disjointness argument as the sorter's scatter ranges.
-struct ChunkSlots<T> {
-    slots: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: slots are only accessed per-index with exclusive job ownership
-// (see `ChunkSlots::slot`); `T: Send` moves values across the worker
-// threads that fill them.
-unsafe impl<T: Send> Sync for ChunkSlots<T> {}
-
-impl<T: Default> ChunkSlots<T> {
-    fn new(n: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(n, || UnsafeCell::new(T::default()));
-        Self { slots }
-    }
-}
-
-impl<T> ChunkSlots<T> {
-    /// Exclusive access to slot `i` from a pooled job.
-    ///
-    /// # Safety
-    /// The caller must be the sole accessor of slot `i` for the duration
-    /// of the borrow (the frame graph guarantees this: each pooled job
-    /// index is claimed exactly once per dispatch, and the runner only
-    /// touches slot `i` from job `i`).
-    #[allow(clippy::mut_from_ref)]
-    // SAFETY: the caller is slot `i`'s sole accessor (contract above).
-    unsafe fn slot(&self, i: usize) -> &mut T {
-        // SAFETY: exclusivity is the caller's contract, stated above.
-        // gaurast-check: allow(race): every call site sits in a
-        // race_region! that registers this slot's range first
-        unsafe { &mut *self.slots[i].get() }
-    }
-
-    /// Exclusive access through an exclusive borrow (inline nodes).
-    fn get_mut(&mut self, i: usize) -> &mut T {
-        self.slots[i].get_mut()
-    }
-}
-
-/// The [`GraphRunner`] for the standard frame graph: all per-frame state
-/// of one render, with each pooled node confined to per-job disjoint
-/// slices of it.
-struct FrameRunner<'a> {
-    scene: &'a GaussianScene,
-    camera: &'a Camera,
-    tile_size: u32,
-    pool: &'a WorkerPool,
-    arena: &'a mut FrameArena,
-    image: Option<&'a mut Framebuffer>,
-    n_chunks: usize,
-    /// Resolved SIMD level for this frame's Stage-1/Stage-3 kernels.
-    level: SimdLevel,
-    /// Per-chunk Stage-1 outputs (S1 job `c` writes slot `c`).
-    chunks: ChunkSlots<PreprocessOutput>,
-    /// Per-chunk key counts (COUNT job `c` writes slot `c`).
-    counts: ChunkSlots<usize>,
-    /// Stitched-splat index of each chunk's first splat (`n_chunks + 1`
-    /// entries, filled by STITCH).
-    splat_base: Vec<usize>,
-    /// Key-buffer start of each chunk's emission range (`n_chunks + 1`
-    /// entries, filled by PREFIX).
-    key_base: Vec<usize>,
-    /// The stitched splats, in serial-pass order.
-    splats: Vec<Splat2D>,
-    pre_stats: PreprocessStats,
-    /// Raw bases of the arena's key/value buffers, set by PREFIX after
-    /// sizing; EMIT job `c` writes only `key_base[c]..key_base[c + 1]`.
-    keys_ptr: *mut u64,
-    values_ptr: *mut u32,
-    workload: Option<RasterWorkload>,
-    raster: RasterStats,
-}
-
-// SAFETY: pooled jobs (`pooled_job`, taking `&self`) only touch per-job
-// disjoint state — `chunks`/`counts` slot `c` and the half-open key range
-// `key_base[c]..key_base[c + 1]` behind `keys_ptr`/`values_ptr` — while
-// every `&mut`-reachable field (`arena`, `image`, the stat fields) is
-// used exclusively by inline nodes on the calling thread, separated from
-// dispatches by the pool's full barriers.
-unsafe impl Sync for FrameRunner<'_> {}
-
-impl<'a> FrameRunner<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        scene: &'a GaussianScene,
-        camera: &'a Camera,
-        tile_size: u32,
-        pool: &'a WorkerPool,
-        arena: &'a mut FrameArena,
-        image: Option<&'a mut Framebuffer>,
-        n_chunks: usize,
-        level: SimdLevel,
-    ) -> Self {
-        assert!(tile_size > 0, "tile size must be positive");
-        Self {
-            scene,
-            camera,
-            tile_size,
-            pool,
-            arena,
-            image,
-            n_chunks,
-            level,
-            chunks: ChunkSlots::new(n_chunks),
-            counts: ChunkSlots::new(n_chunks),
-            splat_base: Vec::with_capacity(n_chunks + 1),
-            key_base: Vec::with_capacity(n_chunks + 1),
-            splats: Vec::new(),
-            pre_stats: PreprocessStats::default(),
-            keys_ptr: std::ptr::null_mut(),
-            values_ptr: std::ptr::null_mut(),
-            workload: None,
-            raster: RasterStats::default(),
-        }
-    }
-
-    /// The chunk's Gaussian index range (the fixed [`PREPROCESS_CHUNK`]
-    /// decomposition; a single-chunk frame covers the whole scene).
-    fn chunk_range(&self, c: usize) -> std::ops::Range<usize> {
-        if self.n_chunks == 1 {
-            return 0..self.scene.len();
-        }
-        let start = c * PREPROCESS_CHUNK;
-        start..(start + PREPROCESS_CHUNK).min(self.scene.len())
-    }
-
-    /// S1 job `c`: preprocess the chunk's Gaussians into slot `c`.
-    fn stage1(&self, c: usize) {
-        let slot = crate::race_region!("per-chunk S1 slot", {
-            crate::race_write!(self.chunks.slots[c].get(), 1);
-            // SAFETY: job `c` is this slot's sole accessor (pool jobs are
-            // claimed exactly once; only `stage1(c)` touches `chunks[c]`
-            // during the dispatch).
-            unsafe { self.chunks.slot(c) }
-        });
-        *slot = preprocess_range_level(
-            self.scene,
-            self.camera,
-            &|_, g| g.covariance(),
-            self.chunk_range(c),
-            self.level,
-        );
-    }
-
-    /// COUNT job `c`: count the packed keys chunk `c`'s splats will emit
-    /// (its covered-tile total). Element-wise on S1: reads only slot `c`.
-    fn count(&self, c: usize) {
-        let (w, h, ts) = (self.camera.width(), self.camera.height(), self.tile_size);
-        let chunk = crate::race_region!("per-chunk S1 slot readback", {
-            crate::race_read!(self.chunks.slots[c].get(), 1);
-            // SAFETY: job `c` is the sole accessor of both slots during
-            // this dispatch; in the fused dispatch S1's write of
-            // `chunks[c]` happens earlier on this same thread.
-            unsafe { self.chunks.slot(c) }
-        });
-        let mut n = 0usize;
-        for s in &chunk.splats {
-            if let Some((x0, y0, x1, y1)) = tile_range(s, w, h, ts) {
-                n += (x1 - x0 + 1) as usize * (y1 - y0 + 1) as usize;
-            }
-        }
-        crate::race_region!("per-chunk COUNT slot", {
-            crate::race_write!(self.counts.slots[c].get(), 1);
-            // SAFETY: as above — only `count(c)` writes `counts[c]`.
-            *unsafe { self.counts.slot(c) } = n;
-        });
-    }
-
-    /// STITCH: concatenate chunk splats in index order (bit-identical to
-    /// the serial pass) and accumulate the Stage-1 statistics.
-    fn stitch(&mut self) {
-        let mut total = 0;
-        for c in 0..self.n_chunks {
-            total += self.chunks.get_mut(c).splats.len();
-        }
-        self.splats.clear();
-        self.splats.reserve(total);
-        self.splat_base.clear();
-        self.splat_base.push(0);
-        let mut culled = 0;
-        let mut non_finite = 0;
-        let mut ops = OpCounts::default();
-        for c in 0..self.n_chunks {
-            let chunk = self.chunks.get_mut(c);
-            self.splats.append(&mut chunk.splats);
-            self.splat_base.push(self.splats.len());
-            culled += chunk.culled;
-            non_finite += chunk.culled_non_finite;
-            ops += chunk.ops;
-        }
-        self.pre_stats = PreprocessStats {
-            visible: self.splats.len(),
-            culled,
-            non_finite,
-            ops,
-        };
-    }
-
-    /// PREFIX: prefix-sum the per-chunk key counts into emission ranges
-    /// and size the arena's key/value buffers.
-    fn prefix(&mut self) {
-        self.key_base.clear();
-        self.key_base.push(0);
-        let mut total = 0;
-        for c in 0..self.n_chunks {
-            total += *self.counts.get_mut(c);
-            self.key_base.push(total);
-        }
-        let FrameArena { keys, values, .. } = &mut *self.arena;
-        keys.clear();
-        keys.resize(total, 0);
-        values.clear();
-        values.resize(total, 0);
-        self.keys_ptr = keys.as_mut_ptr();
-        self.values_ptr = values.as_mut_ptr();
-    }
-
-    /// EMIT job `c`: write chunk `c`'s packed `(tile, depth)` keys and
-    /// stitched-splat values into its disjoint buffer range, in the same
-    /// splat-major order the serial emission produces — concatenated over
-    /// chunks, the buffers equal the serial pass byte for byte.
-    fn emit(&self, c: usize) {
-        let (w, h, ts) = (self.camera.width(), self.camera.height(), self.tile_size);
-        let tiles_x = w.div_ceil(ts);
-        let mut pos = self.key_base[c];
-        let chunk_len = self.key_base[c + 1] - pos;
-        crate::race_write!(self.keys_ptr.wrapping_add(pos), chunk_len);
-        crate::race_write!(self.values_ptr.wrapping_add(pos), chunk_len);
-        for gi in self.splat_base[c]..self.splat_base[c + 1] {
-            let s = &self.splats[gi];
-            if let Some((x0, y0, x1, y1)) = tile_range(s, w, h, ts) {
-                for ty in y0..=y1 {
-                    for tx in x0..=x1 {
-                        debug_assert!(pos < self.key_base[c + 1]);
-                        crate::race_region!("per-chunk EMIT range", {
-                            // SAFETY: COUNT sized this chunk's range with
-                            // the identical `tile_range` traversal, so
-                            // `pos < key_base[c + 1] <= buffer len`, and
-                            // the per-chunk ranges are disjoint — no other
-                            // job writes these elements.
-                            unsafe {
-                                *self.keys_ptr.add(pos) = pack_key(ty * tiles_x + tx, s.depth);
-                                *self.values_ptr.add(pos) = gi as u32;
-                            }
-                        });
-                        pos += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            pos,
-            self.key_base[c + 1],
-            "COUNT/EMIT disagree on chunk {c}"
-        );
-    }
-
-    /// SORT: the stable parallel LSD radix sort over the emitted pairs.
-    fn sort(&mut self) {
-        let FrameArena {
-            keys,
-            values,
-            sorter,
-            ..
-        } = &mut *self.arena;
-        sorter.sort_pairs(keys, values, self.pool);
-    }
-
-    /// CSR: per-tile offsets from the sorted keys, then assemble the
-    /// workload (the arena keeps the key buffer; values/offsets move into
-    /// the workload exactly as in the staged path).
-    fn csr(&mut self) {
-        let (w, h, ts) = (self.camera.width(), self.camera.height(), self.tile_size);
-        let tile_count = (w.div_ceil(ts) * h.div_ceil(ts)) as usize;
-        let FrameArena {
-            keys,
-            values,
-            offsets,
-            processed,
-            soa,
-            ..
-        } = &mut *self.arena;
-        offsets.clear();
-        offsets.resize(tile_count + 1, 0);
-        for &k in keys.iter() {
-            offsets[key_tile(k) as usize + 1] += 1;
-        }
-        for i in 0..tile_count {
-            offsets[i + 1] += offsets[i];
-        }
-        self.keys_ptr = std::ptr::null_mut();
-        self.values_ptr = std::ptr::null_mut();
-        self.workload = Some(RasterWorkload::from_csr(
-            w,
-            h,
-            ts,
-            std::mem::take(&mut self.splats),
-            std::mem::take(values),
-            std::mem::take(offsets),
-            std::mem::take(processed),
-            std::mem::take(soa),
-        ));
-    }
-
-    /// RASTER: the reference Stage-3 pass over the CSR workload
-    /// (per-tile pool jobs; writes pixels only when an image is held).
-    fn raster(&mut self) {
-        if let Some(workload) = self.workload.as_mut() {
-            self.raster =
-                rasterize_with_level(workload, self.image.as_deref_mut(), self.pool, self.level);
-        }
-    }
-
-    /// Extracts the frame products after the plan ran.
-    fn finish(self) -> (RasterWorkload, PreprocessStats, RasterStats) {
-        let workload = self
-            .workload
-            .expect("frame graph must run the CSR node before finish");
-        (workload, self.pre_stats, self.raster)
-    }
-}
-
-impl GraphRunner for FrameRunner<'_> {
-    fn pooled_job(&self, node: NodeId, job: usize) {
-        match node {
-            frame::S1 => self.stage1(job),
-            frame::COUNT => self.count(job),
-            frame::EMIT => self.emit(job),
-            _ => debug_assert!(false, "node {node} is not pooled"),
-        }
-    }
-
-    fn inline_node(&mut self, node: NodeId) {
-        match node {
-            frame::STITCH => self.stitch(),
-            frame::PREFIX => self.prefix(),
-            frame::SORT => self.sort(),
-            frame::CSR => self.csr(),
-            frame::RASTER => self.raster(),
-            _ => debug_assert!(false, "node {node} is not inline"),
-        }
-    }
+        config.stage2,
+        config.vector_mode.resolve(),
+        &config.worker_pool(),
+        &mut FrameArena::new(),
+        None,
+        |_| {},
+    )
 }
 
 /// Builds only the workload (Stages 1–2 plus a record-only reference

@@ -730,34 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_spawns_no_new_threads() {
-        // The zero-spawns-per-frame contract: all spawning happens at
-        // construction; 100 dispatches add none.
-        let pool = WorkerPool::new(4);
-        let before = spawned_thread_count();
-        for round in 0..100 {
-            let sum = AtomicUsize::new(0);
-            pool.run(32, |i| {
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-            assert_eq!(sum.into_inner(), 31 * 32 / 2, "round {round}");
-        }
-        assert_eq!(
-            spawned_thread_count(),
-            before,
-            "a dispatch spawned a thread"
-        );
-    }
-
-    #[test]
-    fn construction_is_counted() {
-        let before = construction_count();
-        let _p = WorkerPool::new(2);
-        let _q = WorkerPool::new(1);
-        assert_eq!(construction_count(), before + 2);
-    }
-
-    #[test]
     fn try_run_returns_typed_error_and_pool_survives() {
         for workers in [1, 2, 4] {
             let pool = WorkerPool::new(workers);

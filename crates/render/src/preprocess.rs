@@ -259,6 +259,9 @@ pub fn preprocess_prepared_visible_pooled_level(
         preprocess_indices(scene, camera, &covariance_of, idx, level)
     } else {
         let n_chunks = idx.len().div_ceil(PREPROCESS_CHUNK);
+        // gaurast-check: allow(alloc): one output slot per Stage-1 chunk,
+        // O(visible / PREPROCESS_CHUNK) per frame; each chunk owns the
+        // splats it emits until `stitch` merges them into the frame's list.
         let mut chunks: Vec<PreprocessOutput> = vec![PreprocessOutput::default(); n_chunks];
         pool.run_mut(&mut chunks, |c, chunk| {
             let start = c * PREPROCESS_CHUNK;
@@ -289,6 +292,9 @@ fn preprocess_chunked(
         return preprocess_range_level(scene, camera, &covariance_of, 0..scene.len(), level);
     }
     let n_chunks = scene.len().div_ceil(PREPROCESS_CHUNK);
+    // gaurast-check: allow(alloc): one output slot per Stage-1 chunk,
+    // O(Gaussians / PREPROCESS_CHUNK) per frame; each chunk owns the splats
+    // it emits until `stitch` merges them into the frame's list.
     let mut chunks: Vec<PreprocessOutput> = vec![PreprocessOutput::default(); n_chunks];
     pool.run_mut(&mut chunks, |i, chunk| {
         let start = i * PREPROCESS_CHUNK;
@@ -314,9 +320,8 @@ fn stitch(chunks: Vec<PreprocessOutput>) -> PreprocessOutput {
 }
 
 /// The Stage-1 loop over one contiguous Gaussian index range (see
-/// [`preprocess_over`]). Exposed crate-wide as the per-chunk job of the
-/// frame graph's Stage-1 node ([`crate::pipeline::render_with_pool`]).
-pub(crate) fn preprocess_range_level(
+/// [`preprocess_over`]).
+fn preprocess_range_level(
     scene: &GaussianScene,
     camera: &Camera,
     covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),

@@ -12,7 +12,7 @@
 //!
 //! The SIMD kernels are **not** allowed to change a single output bit
 //! relative to the scalar reference (`preprocess_over`, `rasterize_tile`),
-//! at any worker width, in either frame-graph mode. The recipe:
+//! at any worker width. The recipe:
 //!
 //! 1. The scalar kernels were first *restructured* into lane-group form
 //!    (gather inputs, evaluate per lane in the exact original operation

@@ -339,77 +339,6 @@ pub fn is_depth_sorted(indices: &[u32], splats: &[Splat2D]) -> bool {
         .all(|w| splats[w[0] as usize].depth <= splats[w[1] as usize].depth)
 }
 
-/// Statistics of an incremental re-sort.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResortStats {
-    /// Elements whose position changed relative to the previous order.
-    pub moved: usize,
-    /// Elements total.
-    pub total: usize,
-}
-
-impl ResortStats {
-    /// Fraction of elements that kept their position — the temporal
-    /// coherence the incremental sorter exploits.
-    pub fn coherence(&self) -> f64 {
-        if self.total == 0 {
-            return 1.0;
-        }
-        1.0 - self.moved as f64 / self.total as f64
-    }
-}
-
-/// Re-sorts splats of a *new* frame starting from the previous frame's
-/// order — an extension beyond the paper exploiting temporal coherence:
-/// consecutive viewpoints move smoothly, so the previous depth order is
-/// almost sorted and an adaptive pass (insertion-style) finishes in near
-/// linear time instead of `N log N`.
-///
-/// `prev_order` must be a permutation of splat indices of the *same* splat
-/// set (matched by `source` ids in practice; here by index). Splats absent
-/// from `prev_order` are appended before sorting.
-///
-/// Returns the new order plus movement statistics.
-pub fn incremental_depth_order(prev_order: &[u32], splats: &[Splat2D]) -> (Vec<u32>, ResortStats) {
-    let mut order: Vec<u32> = prev_order
-        .iter()
-        .copied()
-        .filter(|&i| (i as usize) < splats.len())
-        .collect();
-    let mut seen = vec![false; splats.len()];
-    for &i in &order {
-        seen[i as usize] = true;
-    }
-    for (i, s) in seen.iter().enumerate() {
-        if !s {
-            order.push(i as u32);
-        }
-    }
-
-    // Adaptive binary-insertion pass: for nearly sorted input this does
-    // O(N) comparisons plus short moves.
-    let before = order.clone();
-    for i in 1..order.len() {
-        let key = order[i];
-        let key_depth = splats[key as usize].depth;
-        // Fast path: already in place (the common, coherent case).
-        if splats[order[i - 1] as usize].depth <= key_depth {
-            continue;
-        }
-        let pos = order[..i].partition_point(|&j| splats[j as usize].depth <= key_depth);
-        order.copy_within(pos..i, pos + 1);
-        order[pos] = key;
-    }
-
-    let moved = before.iter().zip(&order).filter(|(a, b)| a != b).count()
-        + order.len().saturating_sub(before.len());
-    let stats = ResortStats {
-        moved,
-        total: order.len(),
-    };
-    (order, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,51 +391,6 @@ mod tests {
         let mut subset = vec![0u32, 2, 3];
         sort_indices_by_depth(&mut subset, &splats);
         assert_eq!(subset, vec![3, 2, 0]);
-    }
-
-    #[test]
-    fn incremental_sort_from_scratch_matches_full_sort() {
-        let splats: Vec<Splat2D> = (0..50).map(|i| splat(((i * 37) % 50) as f32, i)).collect();
-        let (order, stats) = incremental_depth_order(&[], &splats);
-        assert!(is_depth_sorted(&order, &splats));
-        assert_eq!(order.len(), 50);
-        assert_eq!(stats.total, 50);
-    }
-
-    #[test]
-    fn incremental_sort_exploits_coherence() {
-        // Perturb depths slightly (a small camera move): almost nothing
-        // moves, coherence is high.
-        let mut splats: Vec<Splat2D> = (0..200).map(|i| splat(i as f32, i)).collect();
-        let (prev, _) = incremental_depth_order(&[], &splats);
-        for (i, s) in splats.iter_mut().enumerate() {
-            s.depth += ((i * 7919) % 13) as f32 * 1e-4; // << inter-splat gap
-        }
-        let (order, stats) = incremental_depth_order(&prev, &splats);
-        assert!(is_depth_sorted(&order, &splats));
-        assert!(stats.coherence() > 0.95, "coherence {}", stats.coherence());
-    }
-
-    #[test]
-    fn incremental_sort_handles_large_moves() {
-        let mut splats: Vec<Splat2D> = (0..100).map(|i| splat(i as f32, i)).collect();
-        let (prev, _) = incremental_depth_order(&[], &splats);
-        // One splat jumps from the back to the front.
-        splats[99].depth = -1.0;
-        let (order, stats) = incremental_depth_order(&prev, &splats);
-        assert!(is_depth_sorted(&order, &splats));
-        assert_eq!(order[0], 99);
-        assert!(stats.moved >= 1);
-    }
-
-    #[test]
-    fn incremental_sort_absorbs_new_splats() {
-        let splats: Vec<Splat2D> = (0..30).map(|i| splat((30 - i) as f32, i)).collect();
-        // Previous order only knew the first 10.
-        let (prev, _) = incremental_depth_order(&[], &splats[..10]);
-        let (order, _) = incremental_depth_order(&prev, &splats);
-        assert!(is_depth_sorted(&order, &splats));
-        assert_eq!(order.len(), 30);
     }
 
     #[test]
@@ -609,18 +493,5 @@ mod tests {
         let (mut k, mut v) = (vec![42u64], vec![7u32]);
         sorter.sort_pairs(&mut k, &mut v, &pool);
         assert_eq!((k, v), (vec![42], vec![7]));
-    }
-
-    #[test]
-    fn incremental_sort_drops_stale_indices() {
-        let splats: Vec<Splat2D> = (0..5).map(|i| splat(i as f32, i)).collect();
-        // Previous order references splats that no longer exist.
-        let prev = vec![9u32, 2, 0, 7, 1];
-        let (order, _) = incremental_depth_order(&prev, &splats);
-        assert!(is_depth_sorted(&order, &splats));
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     }
 }

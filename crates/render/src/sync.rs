@@ -40,8 +40,8 @@
 //! # Race instrumentation
 //!
 //! The renderer's `unsafe` disjoint-write sites (radix scatter ranges,
-//! pool job-slot publication, frame-graph `UnsafeCell` slots, framebuffer
-//! tile rows) are annotated with three macros:
+//! pool job-slot publication, framebuffer tile rows) are annotated with
+//! three macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker
 //!   wrapping the unsafe block; the static

@@ -177,6 +177,9 @@ pub fn bin_splats_legacy(
     let tile_count = (tiles_x * tiles_y) as usize;
 
     let mut lists = std::mem::take(&mut arena.lists);
+    // gaurast-check: allow(alloc): `Vec::new` is a capacity-free placeholder
+    // for tiles the recycled list table does not have yet; the legacy
+    // per-tile lists then grow by push, as this escape hatch always has.
     lists.resize(tile_count, Vec::new());
     for list in &mut lists {
         list.clear();

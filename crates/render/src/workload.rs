@@ -542,9 +542,6 @@ pub struct FrameArena {
     pub(crate) lists: Vec<Vec<u32>>,
     /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]).
     pub(crate) soa: SplatSoA,
-    /// Cached frame-graph execution plan, reused while the chunk count and
-    /// graph mode stay put ([`crate::graph::PlanCache`]).
-    pub(crate) plan: crate::graph::PlanCache,
 }
 
 impl FrameArena {

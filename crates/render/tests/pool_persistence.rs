@@ -1,16 +1,10 @@
-//! The persistent-pool and frame-graph contracts: a long-lived
-//! [`WorkerPool`] reused across frames must be **bit-identical** to
-//! constructing a fresh pool per frame at every width 1–8; the overlapped
-//! frame-graph schedule must be bit-identical to the strict sequential
-//! A/B reference; and a panicking job must surface as a typed error
-//! without tearing the pool down.
+//! The persistent-pool contracts: a long-lived [`WorkerPool`] reused
+//! across frames must be **bit-identical** to constructing a fresh pool
+//! per frame at every width 1–8, and a panicking job must surface as a
+//! typed error without tearing the pool down.
 
 use gaurast_math::Vec3;
-use gaurast_render::graph::GraphMode;
-use gaurast_render::pipeline::{
-    render_record_only_with_pool, render_with_arena, render_with_pool, RenderConfig, RenderOutput,
-    Stage2Mode,
-};
+use gaurast_render::pipeline::{render, render_with_pool, RenderConfig, RenderOutput, Stage2Mode};
 use gaurast_render::pool::{JobPanicked, WorkerPool};
 use gaurast_render::FrameArena;
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
@@ -96,8 +90,8 @@ proptest! {
     ) {
         let scene = scene_of(gaussians);
         let config = RenderConfig::default().with_workers(workers);
-        // A/B baseline: a fresh pool constructed for each frame.
-        let fresh = render_with_arena(&scene, &camera, &config, &mut FrameArena::new());
+        // A/B baseline: `render` constructs a fresh pool for its frame.
+        let fresh = render(&scene, &camera, &config);
         // Persistent: one pool, one arena, three consecutive frames.
         let pool = WorkerPool::new(workers);
         let mut arena = FrameArena::new();
@@ -112,82 +106,30 @@ proptest! {
         let persistent = last.expect("three frames ran");
         assert_bit_identical(&fresh, &persistent, "fresh-vs-persistent");
     }
-
-    /// The frame-graph A/B gate: the overlapped schedule (Stage-1 chunks
-    /// fused with Stage-2 histogramming) is bit-identical to the strict
-    /// sequential reference.
-    #[test]
-    fn overlapped_graph_is_bit_identical_to_sequential(
-        gaussians in prop::collection::vec(gaussian_strategy(), 1..400),
-        camera in camera_strategy(),
-        workers in 1usize..9,
-    ) {
-        let scene = scene_of(gaussians);
-        let pool = WorkerPool::new(workers);
-        let base = RenderConfig::default().with_workers(workers);
-        let seq = render_with_pool(
-            &scene, &camera, &base.with_graph(GraphMode::Sequential),
-            &mut FrameArena::new(), &pool,
-        );
-        let ovl = render_with_pool(
-            &scene, &camera, &base.with_graph(GraphMode::Overlapped),
-            &mut FrameArena::new(), &pool,
-        );
-        assert_bit_identical(&seq, &ovl, "sequential-vs-overlapped");
-    }
 }
 
-/// Deterministic sweep: every width 1–8, both graph modes, and the staged
-/// legacy-Stage-2 path all agree bit for bit on a fixed multi-chunk scene
-/// (5000 Gaussians → 5 Stage-1 chunks).
+/// Deterministic sweep: every width 1–8 and both Stage-2 modes agree bit
+/// for bit on a fixed multi-chunk scene (5000 Gaussians → 5 Stage-1
+/// chunks).
 #[test]
-fn all_widths_and_graph_modes_agree_on_fixed_scene() {
+fn all_widths_and_stage2_modes_agree_on_fixed_scene() {
     let scene = fixed_scene(5000);
     let camera = fixed_camera();
-    let reference = render_with_arena(
-        &scene,
-        &camera,
-        &RenderConfig::default().with_workers(1),
-        &mut FrameArena::new(),
-    );
+    let reference = render(&scene, &camera, &RenderConfig::default().with_workers(1));
     for workers in 1..=8 {
         let pool = WorkerPool::new(workers);
         let base = RenderConfig::default().with_workers(workers);
-        for mode in [GraphMode::Overlapped, GraphMode::Sequential] {
+        for stage2 in [Stage2Mode::KeySorted, Stage2Mode::LegacyPerTile] {
             let out = render_with_pool(
                 &scene,
                 &camera,
-                &base.with_graph(mode),
+                &base.with_stage2(stage2),
                 &mut FrameArena::new(),
                 &pool,
             );
-            assert_bit_identical(&reference, &out, "width/mode sweep");
+            assert_bit_identical(&reference, &out, "width/stage-2 sweep");
         }
-        let legacy = render_with_pool(
-            &scene,
-            &camera,
-            &base.with_stage2(Stage2Mode::LegacyPerTile),
-            &mut FrameArena::new(),
-            &pool,
-        );
-        assert_bit_identical(&reference, &legacy, "legacy stage-2");
     }
-}
-
-/// Record-only frames through the persistent-pool entry agree with the
-/// imaging path on every shared observable.
-#[test]
-fn record_only_with_pool_matches_imaging_path() {
-    let scene = fixed_scene(3000);
-    let camera = fixed_camera();
-    let pool = WorkerPool::new(4);
-    let config = RenderConfig::default().with_workers(4);
-    let imaged = render_with_pool(&scene, &camera, &config, &mut FrameArena::new(), &pool);
-    let recorded =
-        render_record_only_with_pool(&scene, &camera, &config, &mut FrameArena::new(), &pool);
-    assert_eq!(imaged.workload, recorded.workload);
-    assert_eq!(imaged.preprocess, recorded.preprocess);
-    assert_eq!(imaged.raster, recorded.raster);
 }
 
 /// A panicking job surfaces as the typed [`JobPanicked`] error — and the

@@ -1,7 +1,7 @@
 //! Scalar ≡ SIMD bit-identity: the [`gaurast_render::simd`] kernels must
 //! reproduce the scalar reference *exactly* — every pixel bit, every
-//! statistic, every FP-op tally — at every worker width, in both
-//! frame-graph modes, for hostile scene content.
+//! statistic, every FP-op tally — at every worker width, for hostile
+//! scene content.
 //!
 //! On hosts without AVX2/SSE4.1 the forced modes resolve downward, so the
 //! comparisons degrade to scalar-vs-scalar and stay trivially green; CI
@@ -83,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random well-formed scenes: full pipeline equality at random worker
-    /// widths in the default (overlapped) graph mode.
+    /// widths.
     #[test]
     fn simd_matches_scalar_on_random_scenes(
         n in 1usize..700,
@@ -135,23 +135,17 @@ proptest! {
     }
 }
 
-/// Every worker width 1..=8 in both graph modes — the full cross-product
-/// the bit-identity contract names.
+/// Every worker width 1..=8 — the full width range the bit-identity
+/// contract names.
 #[test]
-fn all_worker_widths_and_graph_modes_are_bit_identical() {
-    use gaurast_render::graph::GraphMode;
+fn all_worker_widths_are_bit_identical() {
     let scene = SceneParams::new(1500)
         .seed(7)
         .generate()
         .expect("valid scene");
     let cam = camera(128, 96);
-    for graph in [GraphMode::Overlapped, GraphMode::Sequential] {
-        for workers in 1..=8 {
-            let base = RenderConfig::default()
-                .with_workers(workers)
-                .with_graph(graph);
-            assert_modes_identical(&scene, &cam, base);
-        }
+    for workers in 1..=8 {
+        assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(workers));
     }
 }
 

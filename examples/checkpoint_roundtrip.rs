@@ -17,14 +17,16 @@ use std::error::Error;
 fn main() -> Result<(), Box<dyn Error>> {
     let scene = SceneParams::new(5_000).seed(23).sh_degree(3).generate()?;
     let bytes = to_ply(&scene)?;
-    std::fs::write("scene.ply", &bytes)?;
+    let path = gaurast_repro::artifacts::path("scene.ply")?;
+    std::fs::write(&path, &bytes)?;
     println!(
-        "wrote scene.ply: {} gaussians, {} bytes, SH degree 3 (3DGS checkpoint layout)",
+        "wrote {}: {} gaussians, {} bytes, SH degree 3 (3DGS checkpoint layout)",
+        path.display(),
         scene.len(),
         bytes.len()
     );
 
-    let reloaded = from_ply(&std::fs::read("scene.ply")?)?;
+    let reloaded = from_ply(&std::fs::read(&path)?)?;
     println!("reloaded {} gaussians", reloaded.len());
 
     let cam = Camera::look_at(

@@ -3,7 +3,7 @@
 //! This crate simply re-exports the public API of [`gaurast`] so that the
 //! repository-level `examples/` and `tests/` directories can exercise the
 //! whole system through a single dependency. See `crates/core` for the actual
-//! facade implementation and `DESIGN.md` for the system inventory.
+//! facade implementation and `README.md` for the system inventory.
 
 #![forbid(unsafe_code)]
 
