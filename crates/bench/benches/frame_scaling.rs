@@ -1,9 +1,7 @@
 //! Intra-frame scaling: one raster-heavy frame rendered with 1/2/4/8
 //! workers, plus the cost of the up-front `Framebuffer::clear` the
 //! tile-major pass performs once per frame (kept out of the per-tile hot
-//! loop — this measures what that discipline saves), plus the Stage-2
-//! key-sorted-vs-legacy A/B (which also emits the machine-readable
-//! `BENCH_sort.json` artifact).
+//! loop — this measures what that discipline saves).
 //!
 //! On a single-core machine the multi-worker numbers simply converge to
 //! the serial time (the decomposition is the same; there is nothing to
@@ -13,19 +11,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_with_pool, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render, render_with_pool, RenderConfig};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::{preprocess_prepared_pooled, preprocess_prepared_visible_pooled};
-use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
 use gaurast_render::{FrameArena, Framebuffer, VectorMode};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::{Camera, PreparedScene};
-
-/// Counting allocator so `BENCH_sort.json` carries measured steady-state
-/// Stage-2 allocation counts from this bench too.
-#[global_allocator]
-static ALLOC: gaurast_bench::alloc_counter::CountingAllocator =
-    gaurast_bench::alloc_counter::CountingAllocator;
 
 fn camera() -> Camera {
     Camera::look_at(
@@ -69,76 +60,6 @@ fn bench_frame_scaling(c: &mut Criterion) {
     });
 
     group.finish();
-}
-
-/// Stage-2 A/B: packed-key radix/CSR binning against the legacy per-tile
-/// comparison path, serial and 4-wide, on one preprocessed frame. Also
-/// writes the `BENCH_sort.json` perf artifact (frames/s, Stage-2 ms,
-/// steady-state allocation counts for both paths).
-fn bench_stage2_sort(c: &mut Criterion) {
-    let scene = SceneParams::new(20_000)
-        .seed(42)
-        .generate()
-        .expect("valid params");
-    let cam = camera();
-    let pre =
-        preprocess_prepared_pooled(&PreparedScene::prepare(scene), &cam, &WorkerPool::serial());
-
-    let mut group = c.benchmark_group("stage2_sort");
-    group.sample_size(10);
-    for workers in [1usize, 4] {
-        let pool = WorkerPool::new(workers);
-        let mut arena = FrameArena::new();
-        let splats = pre.splats.clone();
-        group.bench_function(format!("key_sorted_workers_{workers}"), |b| {
-            b.iter(|| {
-                bin_splats_pooled(
-                    splats.clone(),
-                    cam.width(),
-                    cam.height(),
-                    16,
-                    &mut arena,
-                    &pool,
-                )
-                .recycle_into(&mut arena);
-            });
-        });
-    }
-    {
-        let mut arena = FrameArena::new();
-        let splats = pre.splats.clone();
-        group.bench_function("legacy_per_tile", |b| {
-            b.iter(|| {
-                bin_splats_legacy(
-                    splats.clone(),
-                    cam.width(),
-                    cam.height(),
-                    16,
-                    &mut arena,
-                    &WorkerPool::serial(),
-                )
-                .recycle_into(&mut arena);
-            });
-        });
-    }
-    group.finish();
-
-    // Both Stage-2 modes through the full pipeline must stay bit-identical
-    // (the cheap always-on guard next to the numbers).
-    let cfg = RenderConfig::default().with_workers(1);
-    let scene = SceneParams::new(4_000).seed(7).generate().expect("valid");
-    let keyed = render(&scene, &cam, &cfg.with_stage2(Stage2Mode::KeySorted));
-    let legacy = render(&scene, &cam, &cfg.with_stage2(Stage2Mode::LegacyPerTile));
-    assert!(
-        keyed.image == legacy.image && keyed.workload == legacy.workload,
-        "stage-2 modes diverged"
-    );
-
-    // The machine-readable artifact rides along with the bench run.
-    match gaurast_bench::sort_report::write_artifact(true) {
-        Ok(summary) => println!("{summary}"),
-        Err(e) => eprintln!("could not write BENCH_sort.json: {e}"),
-    }
 }
 
 /// Stage-1 cost with and without the frustum-culled visible set, for a
@@ -247,7 +168,6 @@ fn bench_vector_modes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_frame_scaling,
-    bench_stage2_sort,
     bench_vector_modes,
     bench_visibility_culling
 );

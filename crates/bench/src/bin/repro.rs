@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Artifact ids: `tab1 tab2 fig4 fig5 fig8 fig9 fig10 tab3 fig11 sec5c
-//! sec5d ablations quality sweep compare batch scaling culling sort simd`.
+//! sec5d ablations quality sweep compare batch scaling culling simd`.
 
 use gaurast::backend::BackendKind;
 use gaurast::engine::EngineBuilder;
@@ -19,13 +19,7 @@ use gaurast::service::{RenderRequest, RenderService};
 use gaurast_gpu::paper;
 use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
 
-/// Counting allocator so the `sort` artifact's steady-state Stage-2
-/// allocation counts are measured, not asserted.
-#[global_allocator]
-static ALLOC: gaurast_bench::alloc_counter::CountingAllocator =
-    gaurast_bench::alloc_counter::CountingAllocator;
-
-const ALL_IDS: [&str; 20] = [
+const ALL_IDS: [&str; 19] = [
     "tab1",
     "tab2",
     "fig4",
@@ -44,7 +38,6 @@ const ALL_IDS: [&str; 20] = [
     "batch",
     "scaling",
     "culling",
-    "sort",
     "simd",
 ];
 
@@ -203,14 +196,6 @@ fn main() {
                     SceneScale::REPRO
                 };
                 section(&scaling_demo(scale));
-            }
-            "sort" => {
-                // Stage-2 A/B: key-sorted radix/CSR vs the legacy per-tile
-                // comparison path, bit-identity asserted, plus the
-                // machine-readable BENCH_sort.json artifact.
-                let text = gaurast_bench::sort_report::write_artifact(quick)
-                    .expect("BENCH_sort.json must be writable and well-formed");
-                section(&text);
             }
             "simd" => {
                 // SIMD data-path A/B: scalar vs 4-wide SSE4.1 vs 8-wide

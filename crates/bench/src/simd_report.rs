@@ -8,9 +8,7 @@
 //! rewrite.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{
-    render, render_with_pool, run_frame, RenderConfig, Stage1Input, Stage2Mode,
-};
+use gaurast_render::pipeline::{render, render_with_pool, run_frame, RenderConfig, Stage1Input};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::rasterize_with_level;
@@ -230,7 +228,6 @@ fn measure_mode(
         Stage1Input::Raw(scene),
         camera,
         16,
-        Stage2Mode::default(),
         level,
         &pool,
         &mut FrameArena::new(),

@@ -1,15 +1,22 @@
-//! Measured (not asserted-by-inspection) zero-allocation contract of the
-//! persistent pool's dispatch path: with the counting allocator installed
-//! as this binary's global allocator, steady-state `WorkerPool::run`
-//! dispatches — the per-frame wakeup/claim/park protocol — must perform
-//! **zero** heap allocations.
+//! Measured (not asserted-by-inspection) zero-allocation contracts, with
+//! the counting allocator installed as this binary's global allocator:
+//! steady-state `WorkerPool::run` dispatches — the per-frame
+//! wakeup/claim/park protocol — and steady-state Stage 2
+//! (`bin_splats_pooled` over a warm arena) must perform **zero** heap
+//! allocations.
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
-//! so the measured window must not race another test's allocations in
+//! so the measured windows must not race another test's allocations in
 //! this binary.
 
 use gaurast_bench::alloc_counter::{allocation_count, CountingAllocator};
+use gaurast_math::Vec3;
 use gaurast_render::pool::{spawned_thread_count, WorkerPool};
+use gaurast_render::preprocess::preprocess_pooled;
+use gaurast_render::tile::{bin_splats_pooled, BIN_CHUNK};
+use gaurast_render::{FrameArena, Splat2D};
+use gaurast_scene::generator::SceneParams;
+use gaurast_scene::Camera;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[global_allocator]
@@ -51,4 +58,42 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
     );
     // 103 dispatches × Σ(0..64) — every job of every dispatch ran.
     assert_eq!(sum.load(Ordering::Relaxed), 103 * (63 * 64 / 2));
+
+    // Steady-state Stage 2 on the same width-4 pool: a multi-chunk frame
+    // (depth sort, count and scatter dispatches) over a warm arena.
+    let scene = SceneParams::new(12_000)
+        .seed(42)
+        .generate()
+        .expect("valid scene");
+    let camera = Camera::look_at(
+        Vec3::new(0.0, 6.0, -28.0),
+        Vec3::zero(),
+        Vec3::new(0.0, 1.0, 0.0),
+        160,
+        104,
+        1.05,
+    )
+    .expect("valid camera");
+    let splats = preprocess_pooled(&scene, &camera, &pool).splats;
+    assert!(
+        splats.len() > BIN_CHUNK,
+        "the frame must span several chunks"
+    );
+    let bin = |splats: Vec<Splat2D>, arena: &mut FrameArena| {
+        bin_splats_pooled(splats, camera.width(), camera.height(), 16, arena, &pool)
+    };
+    // A warm-up frame sizes the arena. Each frame consumes its splats, so
+    // the copies are made outside the measured window.
+    let mut arena = FrameArena::new();
+    bin(splats.clone(), &mut arena).recycle_into(&mut arena);
+    let frames: Vec<Vec<Splat2D>> = (0..8).map(|_| splats.clone()).collect();
+    let allocs_before = allocation_count();
+    for copy in frames {
+        bin(copy, &mut arena).recycle_into(&mut arena);
+    }
+    assert_eq!(
+        allocation_count(),
+        allocs_before,
+        "steady-state Stage 2 must not allocate"
+    );
 }

@@ -19,7 +19,7 @@
 //!
 //! Every violation carries a *witness path* — the call chain from a root
 //! to the offending token, e.g.
-//! `render::tile::bin_splats_pooled → render::sort::RadixSorter::sort_pairs → Vec::with_capacity (crates/render/src/sort.rs:88)`
+//! `render::tile::bin_splats_pooled → render::tile::bin_splats_chunked → Vec::with_capacity (crates/render/src/tile.rs:142)`
 //! — so a failure is a readable story, not a bare line number. The
 //! `// gaurast-check: allow(…): reason` escape hatches are honored at any
 //! depth (the graph records suppressed events separately and the report
@@ -196,7 +196,7 @@ impl DeepReport {
 
     /// Machine-readable `CHECK_report.json` body (hand-rolled — the
     /// workspace builds dependency-free, same approach as
-    /// `BENCH_sort.json`).
+    /// `BENCH_simd.json`).
     pub fn json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -9,7 +9,7 @@
 //! * its **identity** — file, module path derived from the file's place
 //!   in the crate tree, the surrounding `impl`/`trait` type, and name;
 //! * its **call sites** — plain calls (`helper(x)`), qualified calls
-//!   (`RadixSorter::new(…)`, `sort::depth_key_bits(…)`), and method
+//!   (`WorkerPool::new(…)`, `sort::depth_key_bits(…)`), and method
 //!   calls (`.bin_splats(…)`), each with the source line;
 //! * its **effect events** — heap allocation, locking, I/O, determinism
 //!   taint sources, panic constructs, slice-indexing sites, and
@@ -936,7 +936,7 @@ mod inner {
 fn caller() {
     helper(1);
     sort::depth_key_bits(d);
-    RadixSorter::new();
+    WorkerPool::new();
     pool.run(3, |i| inner_in_closure(i));
 }
 fn helper(_x: u32) {}
@@ -949,7 +949,7 @@ fn helper(_x: u32) {}
             .collect();
         assert!(shapes.contains(&("helper".into(), CallKind::Plain)));
         assert!(shapes.contains(&("depth_key_bits".into(), CallKind::Qualified("sort".into()))));
-        assert!(shapes.contains(&("new".into(), CallKind::Qualified("RadixSorter".into()))));
+        assert!(shapes.contains(&("new".into(), CallKind::Qualified("WorkerPool".into()))));
         assert!(shapes.contains(&("run".into(), CallKind::Method)));
         // The closure body's call belongs to `caller`, not a phantom node.
         assert!(shapes.contains(&("inner_in_closure".into(), CallKind::Plain)));

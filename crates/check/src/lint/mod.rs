@@ -2,7 +2,7 @@
 //!
 //! The renderer's correctness story rests on invariants no compiler
 //! checks: `unsafe` disjoint-slice writers must document their argument,
-//! float ordering must be total (radix-compatible), steady-state frames
+//! float ordering must be total (integer-key compatible), steady-state frames
 //! must not allocate, deterministic pipeline code must not read clocks or
 //! the environment, and hot loops must not hide O(n) assertion scans in
 //! release builds. [`lint_source`] checks one file, [`lint_tree`] walks

@@ -58,8 +58,8 @@ pub const HOT_FILES: &[&str] = &[
 /// selection matches the `gaurast_bench::alloc_counter` zero-allocation
 /// measurement: these are the bodies that run per frame in steady state.
 pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
-    ("crates/render/src/sort.rs", "sort_pairs_chunked"),
     ("crates/render/src/tile.rs", "bin_splats_pooled"),
+    ("crates/render/src/tile.rs", "bin_splats_chunked"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
     // The one frame driver: marking it puts the whole per-frame subtree
     // (all three stages, the pool dispatch path) of every engine and free
@@ -232,7 +232,7 @@ fn rule_unsafe_comment(path: &str, lines: &[Line], out: &mut Vec<Finding>) {
 
 /// `partial_cmp` in the renderer orders floats non-totally; depth and key
 /// ordering must go through `f32::total_cmp` or `sort::depth_key_bits`
-/// (which are bit-compatible — the radix/comparison equivalence the
+/// (which are bit-compatible — the integer-key/comparison equivalence the
 /// pipeline's determinism rests on).
 fn rule_float_ord(path: &str, lines: &[Line], out: &mut Vec<Finding>) {
     for (i, line) in lines.iter().enumerate() {
@@ -243,7 +243,7 @@ fn rule_float_ord(path: &str, lines: &[Line], out: &mut Vec<Finding>) {
                 line: i + 1,
                 message: "float ordering via `partial_cmp` in the renderer; use \
                           `f32::total_cmp` (or `sort::depth_key_bits` for keys) so the \
-                          order is total and radix-compatible"
+                          order is total and integer-key compatible"
                     .to_string(),
             });
         }
@@ -591,9 +591,13 @@ fn f() {
 
     #[test]
     fn missing_required_hot_marker_is_flagged() {
-        let src = "pub fn sort_pairs_chunked() {}\n";
+        let src = "\
+// gaurast-check: hot-path
+pub fn bin_splats_pooled() {}
+pub fn bin_splats_chunked() {}
+";
         assert_eq!(
-            rules_of(&lint_source("crates/render/src/sort.rs", src)),
+            rules_of(&lint_source("crates/render/src/tile.rs", src)),
             ["hot-marker"]
         );
     }

@@ -871,11 +871,11 @@ mod tests {
         let g = graph_of(&[
             (
                 "crates/render/src/tile.rs",
-                "fn caller() { sort::depth_key(1.0); RadixSorter::new(); }\n",
+                "fn caller() { sort::depth_key(1.0); DepthSorter::new(); }\n",
             ),
             (
                 "crates/render/src/sort.rs",
-                "pub fn depth_key(_d: f32) {}\nimpl RadixSorter { pub fn new() {} }\n",
+                "pub fn depth_key(_d: f32) {}\nimpl DepthSorter { pub fn new() {} }\n",
             ),
         ]);
         let res = resolve(&g, &CrateDeps::default());

@@ -3,7 +3,7 @@
 //! This suite only compiles under `--cfg gaurast_model_check` (set via
 //! `RUSTFLAGS`), which switches `gaurast_render::sync` from `std`
 //! re-exports to the shadow primitives of `gaurast_check::shadow`. The
-//! tests then drive the *production* `WorkerPool` and `RadixSorter` code
+//! tests then drive the *production* `WorkerPool` and Stage-2 binning code
 //! through sequentially consistent interleavings of their atomic, park and
 //! unpark operations and prove the protocol invariants the renderer's
 //! determinism rests on:
@@ -14,8 +14,8 @@
 //!   generation + park/unpark handoff always completes a dispatch and
 //!   always joins its workers at drop (a lost wakeup shows up as a
 //!   scheduler-detected deadlock);
-//! * **disjoint scatter ranges** — the radix placement table gives every
-//!   (chunk, bucket) an output range no other chunk writes.
+//! * **disjoint scatter ranges** — Stage 2's placement prefix gives every
+//!   (tile, chunk) an output range no other chunk writes.
 //!
 //! Single-dispatch pool lifecycles at width 2 (spawn → dispatch → drop)
 //! are **exhaustively** enumerated — those reports assert `exhaustive`.
@@ -34,10 +34,12 @@
 #![cfg(gaurast_model_check)]
 
 use gaurast_check::model::Model;
+use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::sort::RadixSorter;
 use gaurast_render::sync::atomic::{AtomicUsize, Ordering};
 use gaurast_render::sync::thread;
+use gaurast_render::tile::bin_splats_chunked;
+use gaurast_render::{FrameArena, Splat2D};
 use std::sync::Arc;
 
 // Verification counters use plain `std` atomics on purpose: the scheduler
@@ -248,34 +250,52 @@ fn mutant_missed_generation_bump_is_caught() {
 }
 
 #[test]
-fn radix_sort_is_correct_under_interleavings() {
-    // 16 keys in 4 chunks of 4 on 2 workers; keys stay below 256 so only
-    // digit 0 varies and the sort is a single histogram→prefix→scatter
-    // round. Two dispatches on one persistent pool put the full state
-    // space beyond enumeration, so this checks the DFS prefix plus seeded
-    // samples of the production protocol.
-    let keys: [u64; 16] = [9, 3, 200, 3, 17, 90, 4, 3, 250, 0, 64, 17, 9, 128, 2, 33];
+fn binning_scatter_is_correct_under_interleavings() {
+    // 6 splats in 2 chunks of 3 on 2 workers over a 2×2 tile grid, with
+    // tied depths and boxes spanning several tiles, so both chunks write
+    // into the same tiles' runs. The count and scatter dispatches on one
+    // persistent pool put the full state space beyond enumeration, so
+    // this checks the DFS prefix plus seeded samples of the production
+    // protocol — with the race detector watching every count row and
+    // scatter slot — against the serial result.
+    let splat = |x: f32, y: f32, radius: f32, depth: f32| Splat2D {
+        mean: Vec2::new(x, y),
+        conic: [0.05, 0.0, 0.05],
+        depth,
+        color: Vec3::one(),
+        opacity: 0.5,
+        radius,
+        source: 0,
+    };
+    let splats = vec![
+        splat(16.0, 16.0, 6.0, 2.0),
+        splat(8.0, 8.0, 3.0, 1.0),
+        splat(24.0, 8.0, 10.0, 2.0),
+        splat(16.0, 24.0, 5.0, 0.5),
+        splat(8.0, 24.0, 12.0, 1.0),
+        splat(24.0, 24.0, 3.0, 3.0),
+    ];
+    let bin = |pool: &WorkerPool| {
+        bin_splats_chunked(splats.clone(), 32, 32, 16, &mut FrameArena::new(), pool, 3)
+    };
+    let expected = bin(&WorkerPool::serial());
+    assert!(expected.total_pairs() > 6, "boxes must span several tiles");
     let report = Model::new()
         .max_schedules(3_000)
         .samples(192)
         .check(|| {
-            let pool = WorkerPool::new(2);
-            let mut k: Vec<u64> = keys.to_vec();
-            let mut v: Vec<u32> = (0..16).collect();
-            RadixSorter::new().sort_pairs_chunked(&mut k, &mut v, &pool, 4);
-            let mut expected: Vec<(u64, u32)> = keys.iter().copied().zip(0..16).collect();
-            expected.sort_by_key(|&(key, _)| key); // stable oracle
-            let got: Vec<(u64, u32)> = k.into_iter().zip(v).collect();
-            assert_eq!(got, expected, "sort must be correct and stable");
+            let got = bin(&WorkerPool::new(2));
+            assert_eq!(got, expected, "binning must equal the serial result");
         })
-        .expect("histogram/prefix/scatter holds on every explored schedule");
+        .expect("count/prefix/scatter holds on every explored schedule");
     assert!(report.schedules > 1);
 }
 
 /// Re-derivation of the scatter-disjointness argument with per-slot claim
-/// counters: the exclusive (bucket, chunk) prefix gives every chunk output
-/// ranges no other chunk touches, so every output index is written exactly
-/// once per pass.
+/// counters: an exclusive (bucket, chunk) prefix — Stage 2's (tile,
+/// chunk) placement with tiles as buckets — gives every chunk output
+/// ranges no other chunk touches, so every output index is written
+/// exactly once.
 #[test]
 fn scatter_ranges_are_disjoint_under_interleavings() {
     const BUCKETS: usize = 4; // 2-bit digit keeps the table small
@@ -452,9 +472,4 @@ fn facade_falls_through_to_std_outside_model_runs() {
         sum.fetch_add(i, Relaxed);
     });
     assert_eq!(sum.into_inner(), 99 * 100 / 2);
-
-    let mut keys: Vec<u64> = (0..1000).rev().map(|i| i * 3 % 257).collect();
-    let mut vals: Vec<u32> = (0..1000).collect();
-    RadixSorter::new().sort_pairs(&mut keys, &mut vals, &pool);
-    assert!(keys.windows(2).all(|w| w[0] <= w[1]));
 }

@@ -113,9 +113,8 @@ pub struct ReferencePass {
     pub raster: RasterStats,
     /// Host wall-clock seconds the reference Stage-3 pass took.
     pub wall_s: f64,
-    /// Host wall-clock seconds Stage 2 took (key emission + radix sort +
-    /// CSR assembly, or the legacy per-tile binning/sort when the escape
-    /// hatch is on).
+    /// Host wall-clock seconds Stage 2 took (depth sort + counting scatter
+    /// into the CSR workload).
     pub sort_wall_s: f64,
     /// The reference image, present when the session retains images and a
     /// requested backend reports the reference image (the enhanced
@@ -183,7 +182,7 @@ pub struct FrameStats {
     /// Blends the reference pass committed (identical across backends).
     pub blends_committed: u64,
     /// Host wall-clock seconds of the reference pass's Stage 2 — the
-    /// packed-key sort + CSR binning time split out from the frame (the
+    /// depth sort + counting scatter split out from the frame (the
     /// modeled device-side Stage-2 cost lives in the host model's
     /// radix-sort estimate, [`gaurast_gpu::CudaGpuModel::sort_time`]).
     pub sort_s: f64,

@@ -4,7 +4,6 @@ use super::{Engine, EngineError, ImagePolicy};
 use crate::backend::BackendKind;
 use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::{Precision, RasterizerConfig};
-use gaurast_render::pipeline::Stage2Mode;
 use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
 use gaurast_scene::{GaussianScene, PreparedScene, VisibilityCache};
 use std::sync::Arc;
@@ -45,7 +44,6 @@ pub struct EngineBuilder {
     host: CudaGpuModel,
     image_policy: ImagePolicy,
     culling: bool,
-    stage2: Stage2Mode,
     vector_mode: VectorMode,
     vis_cache: Option<Arc<VisibilityCache>>,
 }
@@ -71,7 +69,6 @@ impl EngineBuilder {
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
             culling: true,
-            stage2: Stage2Mode::default(),
             vector_mode: VectorMode::default(),
             vis_cache: None,
         }
@@ -138,18 +135,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the Stage-2 implementation of the reference pass. The
-    /// default, [`Stage2Mode::KeySorted`], packs `(tile, depth)` keys and
-    /// radix-sorts them into the flat CSR workload;
-    /// [`Stage2Mode::LegacyPerTile`] is the historical per-tile
-    /// comparison-sort path, kept for one release as an escape hatch.
-    /// Frames are **bit-identical** in both modes — the knob only trades
-    /// Stage-2 wall-clock time and allocation behavior.
-    pub fn stage2_mode(mut self, mode: Stage2Mode) -> Self {
-        self.stage2 = mode;
-        self
-    }
-
     /// Selects the vector data path for the reference pass's Stage-1 and
     /// Stage-3 hot loops. The default, [`VectorMode::Auto`], resolves to
     /// the widest SIMD level the host CPU supports (AVX2 → SSE4.1 →
@@ -204,7 +189,6 @@ impl EngineBuilder {
             self.host,
             self.backend,
             self.culling,
-            self.stage2,
             self.vector_mode,
             self.vis_cache
                 .unwrap_or_else(|| Arc::new(VisibilityCache::new())),

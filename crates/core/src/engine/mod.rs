@@ -46,7 +46,7 @@ use crate::backend::{
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
-use gaurast_render::pipeline::{run_frame, Stage1Input, Stage2Mode};
+use gaurast_render::pipeline::{run_frame, Stage1Input};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::{FrameArena, Framebuffer, RasterWorkload, SimdLevel, VectorMode};
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
@@ -93,7 +93,7 @@ const MIN_STAGE_S: f64 = 1e-12;
 /// (no full-framebuffer clone per frame; the caller owns the image).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The Stage-2 frame arena: packed-key, CSR, radix-sorter and
+    /// The Stage-2 frame arena: depth-order, per-chunk count, CSR and
     /// processed-count buffers recycled through
     /// [`gaurast_render::tile::bin_splats_pooled`] /
     /// [`RasterWorkload::recycle_into`], so steady-state frames run
@@ -187,10 +187,6 @@ pub struct Engine {
     /// Whether Stage 1 runs over a frustum-culled visible set (output is
     /// bit-identical either way; culling only trades wall-clock time).
     pub(crate) culling: bool,
-    /// Stage-2 implementation of the reference pass (key-sorted radix/CSR
-    /// by default; output is bit-identical either way — see
-    /// [`Stage2Mode`]).
-    pub(crate) stage2: Stage2Mode,
     /// Requested vector data path for the reference pass (output is
     /// bit-identical at every level — see [`VectorMode`]).
     pub(crate) vector_mode: VectorMode,
@@ -222,7 +218,6 @@ impl Clone for Engine {
             self.host.clone(),
             self.kind,
             self.culling,
-            self.stage2,
             self.vector_mode,
             Arc::clone(&self.vis_cache),
         )
@@ -240,7 +235,6 @@ impl Engine {
         host: CudaGpuModel,
         kind: BackendKind,
         culling: bool,
-        stage2: Stage2Mode,
         vector_mode: VectorMode,
         vis_cache: Arc<VisibilityCache>,
     ) -> Self {
@@ -254,7 +248,6 @@ impl Engine {
             host,
             kind,
             culling,
-            stage2,
             vector_mode,
             level: vector_mode.resolve(),
             vis_cache,
@@ -315,14 +308,6 @@ impl Engine {
     /// [`EngineBuilder::frustum_culling`]).
     pub fn frustum_culling(&self) -> bool {
         self.culling
-    }
-
-    /// The Stage-2 implementation the reference pass runs (see
-    /// [`EngineBuilder::stage2_mode`]). Frames are bit-identical in both
-    /// modes; the knob exists as a one-release escape hatch and A/B
-    /// baseline for the key-sorted path.
-    pub fn stage2_mode(&self) -> Stage2Mode {
-        self.stage2
     }
 
     /// The requested vector data path for the reference pass (see
@@ -405,7 +390,6 @@ impl Engine {
             Stage1Input::Prepared(&self.scene, visible.as_ref().map(|(set, _)| &**set)),
             camera,
             self.tile_size,
-            self.stage2,
             self.level,
             &self.pool,
             &mut self.scratch.arena,
@@ -604,6 +588,8 @@ mod tests {
         assert!(r.stats.blend_work > 0 && r.stats.pairs > 0);
         assert!(r.stats.visible > 0);
         assert!(r.stats.utilization > 0.0 && r.stats.utilization <= 1.0);
+        // The frame carries the measured Stage-2 wall split.
+        assert!(r.stats.sort_s > 0.0);
         assert!(r.image.is_none(), "discard policy must drop images");
         assert_eq!(e.frames_rendered(), 1);
     }
@@ -880,39 +866,6 @@ mod tests {
         // A sequence over one camera keeps hitting the same set.
         let out = e.render_sequence(&vec![cam; 4]);
         assert!(out.reports.iter().all(|r| r.stats.cull.cache_hit));
-    }
-
-    #[test]
-    fn stage2_modes_render_bit_identical_frames() {
-        let scene = SceneParams::new(1200).seed(13).generate().unwrap();
-        let mut keyed = EngineBuilder::new(scene)
-            .backend(BackendKind::Software)
-            .image_policy(ImagePolicy::Retain)
-            .build()
-            .unwrap();
-        assert_eq!(keyed.stage2_mode(), Stage2Mode::KeySorted, "default");
-        let mut legacy = EngineBuilder::shared(Arc::clone(keyed.prepared()))
-            .backend(BackendKind::Software)
-            .image_policy(ImagePolicy::Retain)
-            .stage2_mode(Stage2Mode::LegacyPerTile)
-            .build()
-            .unwrap();
-        assert_eq!(legacy.stage2_mode(), Stage2Mode::LegacyPerTile);
-        let cam = camera(96, 64);
-        let a = keyed.render_frame(&cam);
-        let b = legacy.render_frame(&cam);
-        assert_eq!(
-            a.image.unwrap().mean_abs_diff(&b.image.unwrap()),
-            0.0,
-            "stage-2 modes must render bit-identical frames"
-        );
-        assert_eq!(a.stats.blend_work, b.stats.blend_work);
-        assert_eq!(a.stats.pairs, b.stats.pairs);
-        assert_eq!(a.ops, b.ops);
-        // Both frames carry the measured Stage-2 wall split.
-        assert!(a.stats.sort_s > 0.0 && b.stats.sort_s > 0.0);
-        // The mode survives cloning (fresh session, same policy).
-        assert_eq!(legacy.clone().stage2_mode(), Stage2Mode::LegacyPerTile);
     }
 
     #[test]

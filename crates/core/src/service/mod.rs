@@ -57,7 +57,6 @@ use crate::engine::{Engine, EngineBuilder, ImagePolicy};
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
-use gaurast_render::pipeline::Stage2Mode;
 use gaurast_render::pool::resolve_workers;
 use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
@@ -235,7 +234,6 @@ pub struct RenderServiceBuilder {
     host: CudaGpuModel,
     image_policy: ImagePolicy,
     culling: bool,
-    stage2: Stage2Mode,
     vector_mode: VectorMode,
 }
 
@@ -257,7 +255,6 @@ impl RenderServiceBuilder {
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
             culling: true,
-            stage2: Stage2Mode::default(),
             vector_mode: VectorMode::default(),
         }
     }
@@ -329,14 +326,6 @@ impl RenderServiceBuilder {
         self
     }
 
-    /// Selects the Stage-2 implementation for every session (key-sorted
-    /// radix/CSR by default; see [`EngineBuilder::stage2_mode`]). Frames
-    /// are bit-identical in both modes.
-    pub fn stage2_mode(mut self, mode: Stage2Mode) -> Self {
-        self.stage2 = mode;
-        self
-    }
-
     /// Selects the vector data path for every session's Stage-1 and
     /// Stage-3 hot loops ([`VectorMode::Auto`] by default; see
     /// [`EngineBuilder::vector_mode`]). Frames are bit-identical at every
@@ -391,7 +380,6 @@ impl RenderServiceBuilder {
             host: self.host,
             image_policy: self.image_policy,
             culling: self.culling,
-            stage2: self.stage2,
             vector_mode: self.vector_mode,
             vis_cache: Arc::new(VisibilityCache::new()),
         })
@@ -411,7 +399,6 @@ pub struct RenderService {
     host: CudaGpuModel,
     image_policy: ImagePolicy,
     culling: bool,
-    stage2: Stage2Mode,
     vector_mode: VectorMode,
     /// One visible-set cache shared by *every* session the service opens:
     /// batch requests sharing a scene and (quantized) camera pose build
@@ -684,7 +671,6 @@ impl RenderService {
             .host(self.host.clone())
             .image_policy(self.image_policy)
             .frustum_culling(self.culling)
-            .stage2_mode(self.stage2)
             .vector_mode(self.vector_mode)
             .visibility_cache(Arc::clone(&self.vis_cache))
             .build()

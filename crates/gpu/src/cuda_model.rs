@@ -20,12 +20,13 @@ pub const LANE_OPS_PER_BLEND: f64 = 40.0;
 /// written splat record).
 pub const BYTES_PER_GAUSSIAN_PREPROCESS: f64 = 250.0;
 
-/// Scatter passes of the Stage-2 LSD radix sort: 8-bit digits over the 32
-/// significant bits of the packed `tile << 32 | depth_bits` key (the tile
-/// half fits a handful of active digits; uniform digits are skipped). This
-/// is the sort the software reference now runs verbatim
-/// (`gaurast_render::sort::RadixSorter`), so the billed model and the
-/// measured pass agree on the algorithm — not a comparison sort.
+/// Scatter passes of the reference GPU's Stage-2 LSD radix sort over
+/// (splat, tile) pairs: 8-bit digits over the 32 significant bits of the
+/// packed `tile << 32 | depth_bits` key (the tile half fits a handful of
+/// active digits; uniform digits are skipped). This models the device's
+/// pair sort, not the host reproduction's Stage 2, which sorts splats by
+/// depth once and scatters them by tile (`gaurast_render::tile`) into
+/// the same workload.
 pub const SORT_RADIX_PASSES: f64 = 4.0;
 
 /// Bytes moved per (splat, tile) pair per radix pass (8-byte key/value
@@ -147,12 +148,6 @@ impl CudaGpuModel {
         pairs as f64 * BYTES_PER_PAIR_SORT / self.mem_bw_bytes_per_s
     }
 
-    /// Key-scatter operations the Stage-2 radix sort issues for `pairs`
-    /// keys: one per pair per pass (the histogram reads ride along).
-    pub fn sort_ops(&self, pairs: u64) -> u64 {
-        pairs * SORT_RADIX_PASSES as u64
-    }
-
     /// All three stage times for a workload at its own scale.
     pub fn stage_times(&self, w: &RasterWorkload) -> StageTimes {
         StageTimes {
@@ -251,8 +246,7 @@ mod tests {
     #[test]
     fn sort_model_is_radix_passes_times_pairs() {
         let m = device::orin_nx();
-        assert_eq!(m.sort_ops(1000), 1000 * SORT_RADIX_PASSES as u64);
-        assert_eq!(m.sort_ops(0), 0);
+        assert_eq!(m.sort_time(0), 0.0);
         // The per-pair byte total is exactly passes × bytes-per-pass.
         assert!((BYTES_PER_PAIR_SORT - SORT_RADIX_PASSES * BYTES_PER_PAIR_SORT_PASS).abs() < 1e-12);
         // sort_time bills the same bandwidth-bound total.

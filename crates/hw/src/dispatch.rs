@@ -34,25 +34,6 @@ pub fn issued_pairs(primitives: u32, pixels: u32) -> u64 {
     u64::from(primitives) * u64::from(pixels)
 }
 
-/// Per-instance (splat, tile) key totals of the round-robin schedule,
-/// read directly off a CSR offset table (`tile_count + 1` entries,
-/// [`gaurast_render::RasterWorkload::offsets`]): instance `i` streams the
-/// key ranges of tiles `i, i + instances, …`. This is the load-imbalance
-/// diagnostic of the dispatcher's static schedule over the key-sorted
-/// Stage-2 output.
-///
-/// # Panics
-/// Panics when `instances` is zero or `offsets` is empty.
-pub fn csr_queue_loads(offsets: &[u32], instances: u32) -> Vec<u64> {
-    assert!(instances > 0, "need at least one instance");
-    assert!(!offsets.is_empty(), "offset table must have a terminator");
-    let mut loads = vec![0u64; instances as usize];
-    for t in 0..offsets.len() - 1 {
-        loads[t % instances as usize] += u64::from(offsets[t + 1] - offsets[t]);
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,21 +73,5 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_panics() {
         let _ = assign_tiles(4, 0);
-    }
-
-    #[test]
-    fn csr_queue_loads_follow_round_robin() {
-        // Offsets for 4 tiles with lengths 5, 0, 2, 3.
-        let offsets = [0u32, 5, 5, 7, 10];
-        assert_eq!(csr_queue_loads(&offsets, 2), vec![5 + 2, 3]);
-        assert_eq!(csr_queue_loads(&offsets, 1), vec![10]);
-        let total: u64 = csr_queue_loads(&offsets, 3).iter().sum();
-        assert_eq!(total, 10, "every key assigned exactly once");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    fn csr_queue_loads_zero_instances_panics() {
-        let _ = csr_queue_loads(&[0, 1], 0);
     }
 }

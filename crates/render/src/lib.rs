@@ -8,11 +8,11 @@
 //! 1. **Preprocessing** ([`preprocess`]) — project every 3D Gaussian to a 2D
 //!    splat (EWA covariance projection), convert spherical harmonics to RGB,
 //!    compute depth;
-//! 2. **Sorting** ([`sort`], [`tile`]) — duplicate every splat into one
-//!    packed 64-bit `(tile, depth)` key per covered tile and order the
-//!    whole key array with a single stable LSD radix sort, yielding a flat
-//!    CSR workload (one value buffer + per-tile offsets) whose buffers
-//!    live in a per-session [`FrameArena`];
+//! 2. **Sorting** ([`sort`], [`tile`]) — sort the splats once by depth,
+//!    then scatter each into every tile it covers with one counting pass
+//!    by tile, yielding a flat CSR workload (one value buffer + per-tile
+//!    offsets, each tile front to back) whose buffers live in a
+//!    per-session [`FrameArena`];
 //! 3. **Gaussian rasterization** ([`rasterize`]) — per pixel, front-to-back
 //!    alpha blending of the covering splats, one job per sorted CSR range.
 //!
@@ -26,11 +26,11 @@
 //! `gaurast-gpu` CUDA model), guaranteeing both see identical work.
 //!
 //! The pipeline is data-parallel *within* a frame: Stage 1 runs in fixed
-//! Gaussian chunks, Stage 2's radix sort in fixed key chunks
-//! ([`sort::RADIX_CHUNK`]), and Stage 3 as independent per-tile jobs (each
-//! tile reads its sorted CSR range and writes its own disjoint framebuffer
-//! view) over a persistent [`pool::WorkerPool`] whose threads are spawned
-//! once and parked between dispatches. One driver,
+//! Gaussian chunks, Stage 2's count and scatter in fixed chunks of the
+//! depth order ([`tile::BIN_CHUNK`]), and Stage 3 as independent per-tile
+//! jobs (each tile reads its sorted CSR range and writes its own disjoint
+//! framebuffer view) over a persistent [`pool::WorkerPool`] whose threads
+//! are spawned once and parked between dispatches. One driver,
 //! [`pipeline::run_frame`], sequences the three stages for every caller —
 //! engine sessions and the free [`pipeline::render`] functions alike.
 //! Output is bit-identical for every worker count — `workers = 1` is
@@ -54,10 +54,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 // The unsafe in this crate is confined to the disjoint-access handouts —
-// the worker pool's job-slot publication (`pool`) and the sorter's scatter
-// ranges (`sort`) — and to the SIMD intrinsics (`simd`); every unsafe
-// operation must sit in an explicit block with its own SAFETY comment
-// (enforced by `gaurast-check lint`).
+// the worker pool's job-slot publication (`pool`) and Stage 2's per-chunk
+// rows and scatter ranges (`tile`) — and to the SIMD intrinsics (`simd`);
+// every unsafe operation must sit in an explicit block with its own SAFETY
+// comment (enforced by `gaurast-check lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod compose;

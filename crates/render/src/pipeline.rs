@@ -1,7 +1,7 @@
 //! End-to-end orchestration of the three-stage 3DGS pipeline.
 //!
 //! [`run_frame`] is the one frame driver: it runs Stage 1
-//! (preprocessing), Stage 2 ([`Stage2Mode::bin`]) and the reference
+//! (preprocessing), Stage 2 ([`bin_splats_pooled`]) and the reference
 //! Stage-3 pass over a caller-held [`WorkerPool`] and [`FrameArena`], and
 //! reports each stage boundary to the caller. Engine sessions and the free
 //! functions here ([`render`], [`render_with_pool`],
@@ -16,32 +16,21 @@ use crate::preprocess::{
 };
 use crate::rasterize::{rasterize_with_level, RasterStats};
 use crate::simd::{SimdLevel, VectorMode};
-use crate::tile::{bin_splats_legacy, bin_splats_pooled};
+use crate::tile::bin_splats_pooled;
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibleSet};
 
-/// Which Stage-2 implementation a pipeline runs.
-///
-/// Both modes produce **bit-identical** workloads (proven by proptest in
-/// `tests/keysort.rs`): the stable radix order on packed keys equals the
-/// stable per-tile comparison order. The legacy mode exists for one
-/// release as an escape hatch and A/B baseline, then goes away.
+/// Stage 2 as a method: [`Stage2Mode::bin`] forwards to
+/// [`bin_splats_pooled`], the one Stage 2. The type exists for
+/// `perfbench/src/trace.rs`, whose traced replay calls
+/// `Stage2Mode::default().bin(..)`; everything else calls
+/// [`bin_splats_pooled`] directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Stage2Mode {
-    /// Packed `(tile, depth)` keys + one parallel LSD radix sort into a
-    /// flat CSR workload ([`crate::tile::bin_splats_pooled`]) — the
-    /// default and the architecture the hw/gscore models simulate.
-    #[default]
-    KeySorted,
-    /// The historical per-tile `Vec` lists with a comparison sort per tile
-    /// ([`crate::tile::bin_splats_legacy`]).
-    LegacyPerTile,
-}
+pub struct Stage2Mode;
 
 impl Stage2Mode {
-    /// Runs this mode's Stage 2 out of `arena` — the one dispatch point
-    /// shared by [`run_frame`] and the benchmark harness.
+    /// Runs Stage 2 out of `arena` ([`bin_splats_pooled`]).
     pub fn bin(
         self,
         splats: Vec<crate::Splat2D>,
@@ -51,14 +40,7 @@ impl Stage2Mode {
         arena: &mut FrameArena,
         pool: &WorkerPool,
     ) -> RasterWorkload {
-        match self {
-            Stage2Mode::KeySorted => {
-                bin_splats_pooled(splats, width, height, tile_size, arena, pool)
-            }
-            Stage2Mode::LegacyPerTile => {
-                bin_splats_legacy(splats, width, height, tile_size, arena, pool)
-            }
-        }
+        bin_splats_pooled(splats, width, height, tile_size, arena, pool)
     }
 }
 
@@ -68,14 +50,12 @@ pub struct RenderConfig {
     /// Tile edge in pixels (16 in the reference and in GauRast).
     pub tile_size: u32,
     /// Intra-frame worker threads: Stage 1 runs in Gaussian chunks,
-    /// Stage 2's radix sort in key chunks, and Stage 3 as per-tile jobs
-    /// over a pool this wide. `0` (the default) resolves to the
+    /// Stage 2's count and scatter in chunks of the depth order, and
+    /// Stage 3 as per-tile jobs over a pool this wide. `0` (the default) resolves to the
     /// `GAURAST_WORKERS` environment variable or the machine's available
     /// parallelism ([`crate::pool::resolve_workers`]); `1` is exactly the
     /// historical serial path. Output is bit-identical for every value.
     pub workers: usize,
-    /// Stage-2 implementation (key-sorted radix/CSR by default).
-    pub stage2: Stage2Mode,
     /// Vector data path for the Stage-1/Stage-3 hot loops
     /// ([`VectorMode::Auto`] by default — widest supported SIMD level,
     /// scalar where unsupported). Resolved once per frame; every mode is
@@ -89,7 +69,6 @@ impl Default for RenderConfig {
         Self {
             tile_size: DEFAULT_TILE_SIZE,
             workers: 0,
-            stage2: Stage2Mode::default(),
             vector_mode: VectorMode::default(),
         }
     }
@@ -106,12 +85,6 @@ impl RenderConfig {
     /// count.
     pub fn with_workers(self, workers: usize) -> Self {
         Self { workers, ..self }
-    }
-
-    /// A configuration identical to this one but with an explicit Stage-2
-    /// mode.
-    pub fn with_stage2(self, stage2: Stage2Mode) -> Self {
-        Self { stage2, ..self }
     }
 
     /// A configuration identical to this one but with an explicit vector
@@ -204,8 +177,8 @@ pub enum Stage {
     Rasterize,
 }
 
-/// Runs one frame: Stage 1 over `input`, Stage 2 in mode `stage2` out of
-/// `arena`, then the reference Stage-3 pass, every stage at SIMD `level`
+/// Runs one frame: Stage 1 over `input`, Stage 2 out of `arena`, then the
+/// reference Stage-3 pass, every stage at SIMD `level`
 /// (obtain it from [`VectorMode::resolve`]) and fanned over `pool`. The
 /// pass writes pixels only when `image` is given; processed counts and
 /// statistics come from the same tile jobs either way, so record-only and
@@ -229,7 +202,6 @@ pub fn run_frame(
     input: Stage1Input<'_>,
     camera: &Camera,
     tile_size: u32,
-    stage2: Stage2Mode,
     level: SimdLevel,
     pool: &WorkerPool,
     arena: &mut FrameArena,
@@ -247,10 +219,7 @@ pub fn run_frame(
     };
     let preprocess = PreprocessStats::from(&pre);
     on_stage_done(Stage::Preprocess);
-    // Path-qualified so the call-graph checker cannot resolve a bare
-    // `.bin(` to `TriangleWorkload::bin`.
-    let mut workload = Stage2Mode::bin(
-        stage2,
+    let mut workload = bin_splats_pooled(
         pre.splats,
         camera.width(),
         camera.height(),
@@ -312,7 +281,6 @@ pub fn render_with_pool(
         Stage1Input::Raw(scene),
         camera,
         config.tile_size,
-        config.stage2,
         config.vector_mode.resolve(),
         pool,
         arena,
@@ -344,7 +312,6 @@ pub fn render_record_only(
         Stage1Input::Raw(scene),
         camera,
         config.tile_size,
-        config.stage2,
         config.vector_mode.resolve(),
         &config.worker_pool(),
         &mut FrameArena::new(),

@@ -4,8 +4,8 @@
 //! # Why a facade
 //!
 //! The persistent worker pool's park/wake generation handoff and claim
-//! cursor ([`crate::pool::WorkerPool::run`]) and the radix sorter's
-//! histogram→prefix→scatter protocol ([`crate::sort::RadixSorter`]) are
+//! cursor ([`crate::pool::WorkerPool::run`]) and Stage 2's
+//! count→prefix→scatter protocol ([`crate::tile::bin_splats_chunked`]) are
 //! lock-free by construction; their correctness arguments (exactly-once
 //! claims, no lost wakeups, disjoint scatter ranges) are stated in
 //! comments, not checked by the compiler. Routing every atomic operation,
@@ -24,7 +24,7 @@
 //!   operation becomes a yield point of a virtual scheduler and
 //!   `thread::spawn`/`thread::scope` register shadow threads, letting
 //!   `cargo test -p gaurast-check` (with the cfg) drive the *real*
-//!   `WorkerPool` and `RadixSorter` code through every small interleaving
+//!   `WorkerPool` and binning code through every small interleaving
 //!   — see `crates/check/tests/model.rs`.
 //!
 //! Outside a model run the shadow primitives fall through to plain `std`
@@ -39,9 +39,9 @@
 //!
 //! # Race instrumentation
 //!
-//! The renderer's `unsafe` disjoint-write sites (radix scatter ranges,
-//! pool job-slot publication, framebuffer tile rows) are annotated with
-//! three macros:
+//! The renderer's `unsafe` disjoint-write sites (Stage-2 count rows and
+//! scatter ranges, pool job-slot publication, framebuffer tile rows) are
+//! annotated with three macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker
 //!   wrapping the unsafe block; the static

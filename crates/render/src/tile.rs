@@ -1,21 +1,37 @@
 //! Tile binning: assign splats to the 16×16-pixel tiles they may touch.
 //!
-//! The reference rasterizer duplicates each splat into one packed
-//! `(tile, depth)` key per tile its 3σ bounding square overlaps
-//! ([`crate::sort::pack_key`]), radix-sorts the whole key array once, and
-//! reads the result back as a flat CSR workload. This module reproduces
-//! that exactly and emits the [`RasterWorkload`]; the historical
-//! per-tile-list + comparison-sort path survives as
-//! [`bin_splats_legacy`] (the [`Stage2Mode::LegacyPerTile`] escape hatch
-//! and the proptest oracle).
+//! Stage 2 hands Stage 3 and the hardware models one CSR workload
+//! ([`RasterWorkload`]) in which every tile's splats run front to back.
+//! [`bin_splats_pooled`] builds it in one depth sort and one counting
+//! scatter by tile:
 //!
-//! [`Stage2Mode::LegacyPerTile`]: crate::pipeline::Stage2Mode::LegacyPerTile
+//! 1. **depth order** — the splats are sorted once, in place, by the
+//!    unique key `depth_key_bits(depth) << 32 | index`;
+//! 2. **count** — fixed-size chunks of that order ([`BIN_CHUNK`] splats)
+//!    count their pairs per tile, each chunk into its own row, one pool
+//!    job per chunk;
+//! 3. **placement** — an exclusive prefix over (tile, chunk) on the
+//!    calling thread turns the rows into each chunk's first output slot
+//!    per tile, and the tile totals into the CSR offsets;
+//! 4. **scatter** — each chunk walks its part of the order again and
+//!    writes every splat index into its own slots, one pool job per chunk.
+//!
+//! A splat adds at most one pair per tile, so each tile's run comes out in
+//! the sort order — depth, then splat index — which is exactly what a
+//! stable sort of the `(tile, depth)` pairs in submission order gives. The
+//! chunk boundaries depend only on the data, so the workload is
+//! bit-identical at every worker count.
 
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
-use crate::sort::{key_tile, pack_key, sort_indices_by_depth};
+use crate::sort::depth_key_bits;
 use crate::workload::{FrameArena, RasterWorkload};
 use gaurast_math::{Aabb2, Vec2};
+
+/// Splats per binning chunk. The chunks are *fixed-size* (like
+/// [`crate::preprocess::PREPROCESS_CHUNK`]): they never depend on the
+/// worker count, and the serial pool runs the same chunks in index order.
+pub const BIN_CHUNK: usize = 4096;
 
 /// Tile index range `(x0, y0, x1, y1)` (inclusive bounds) overlapped by a
 /// splat's 3σ square, or `None` when it misses the image entirely.
@@ -58,13 +74,30 @@ pub fn tile_range(
     Some((x0, y0, x1e - 1, y1e - 1))
 }
 
-/// Bins depth-sortable splats into a CSR workload through the key-sorted
-/// path with a fresh arena and the serial pool — the convenience entry for
-/// tests and one-off frames.
+/// Calls `f` with the linear index of every tile `splat` covers (see
+/// [`tile_range`]).
+#[inline]
+fn for_each_tile(
+    splat: &Splat2D,
+    width: u32,
+    height: u32,
+    tile_size: u32,
+    mut f: impl FnMut(usize),
+) {
+    if let Some((x0, y0, x1, y1)) = tile_range(splat, width, height, tile_size) {
+        let tiles_x = width.div_ceil(tile_size);
+        for ty in y0..=y1 {
+            for tx in x0..=x1 {
+                f((ty * tiles_x + tx) as usize);
+            }
+        }
+    }
+}
+
+/// Bins depth-sortable splats into a CSR workload with a fresh arena and
+/// the serial pool — the convenience entry for tests and one-off frames.
 ///
-/// Each tile's CSR range is sorted front-to-back. The input order of
-/// `splats` is irrelevant; determinism comes from the stable radix sort on
-/// packed `(tile, depth)` keys.
+/// Each tile's CSR range is sorted front-to-back, ties by splat index.
 ///
 /// # Panics
 /// Panics when `tile_size` is zero or the image is empty.
@@ -79,21 +112,15 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
     )
 }
 
-/// The key-sorted Stage-2 hot path: emits one packed `(tile, depth)` key
-/// per covered tile, radix-sorts the key/value pairs in one pass over
-/// `pool` ([`crate::sort::RadixSorter`]), and builds the CSR offset table
-/// from the sorted runs. All scratch comes from `arena`, so steady-state
-/// frames make no data-path allocations (and the persistent pool's
-/// workers are parked, not respawned, between `run`s); give the buffers
-/// back with [`RasterWorkload::recycle_into`].
-///
-/// The output is **bit-identical** to [`bin_splats_legacy`] for every
-/// worker count: the stable radix order on
-/// [`crate::sort::depth_key_bits`] equals the stable comparison order on
-/// [`f32::total_cmp`], key for key.
+/// Stage 2: the depth sort plus counting scatter of the module docs, in
+/// [`BIN_CHUNK`]-splat chunks over `pool`. All scratch comes from
+/// `arena`, so steady-state frames make no data-path allocations (and the
+/// persistent pool's workers are parked, not respawned, between `run`s);
+/// give the buffers back with [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
-/// Panics when `tile_size` is zero or the image is empty.
+/// Panics when `tile_size` is zero, the image is empty, or the frame has
+/// more than `u32::MAX` (splat, tile) pairs.
 // gaurast-check: hot-path
 pub fn bin_splats_pooled(
     splats: Vec<Splat2D>,
@@ -103,108 +130,148 @@ pub fn bin_splats_pooled(
     arena: &mut FrameArena,
     pool: &WorkerPool,
 ) -> RasterWorkload {
-    assert!(tile_size > 0 && width > 0 && height > 0);
-    let tiles_x = width.div_ceil(tile_size);
-    let tiles_y = height.div_ceil(tile_size);
-    let tile_count = (tiles_x * tiles_y) as usize;
-
-    // Key emission: one (packed key, splat index) pair per covered tile,
-    // in splat submission order — the order stability preserves for equal
-    // depths.
-    let mut keys = std::mem::take(&mut arena.keys);
-    let mut values = std::mem::take(&mut arena.values);
-    keys.clear();
-    values.clear();
-    for (i, s) in splats.iter().enumerate() {
-        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) {
-            for ty in y0..=y1 {
-                for tx in x0..=x1 {
-                    keys.push(pack_key(ty * tiles_x + tx, s.depth));
-                    values.push(i as u32);
-                }
-            }
-        }
-    }
-
-    // One stable LSD radix sort orders every tile's run front-to-back.
-    arena.sorter.sort_pairs(&mut keys, &mut values, pool);
-
-    // CSR offsets from the sorted keys: count per tile, then prefix-sum.
-    let mut offsets = std::mem::take(&mut arena.offsets);
-    offsets.clear();
-    offsets.resize(tile_count + 1, 0);
-    for &k in &keys {
-        offsets[key_tile(k) as usize + 1] += 1;
-    }
-    for i in 0..tile_count {
-        offsets[i + 1] += offsets[i];
-    }
-
-    arena.keys = keys;
-    RasterWorkload::from_csr(
-        width,
-        height,
-        tile_size,
-        splats,
-        values,
-        offsets,
-        std::mem::take(&mut arena.processed),
-        std::mem::take(&mut arena.soa),
-    )
+    bin_splats_chunked(splats, width, height, tile_size, arena, pool, BIN_CHUNK)
 }
 
-/// The historical Stage-2 path, kept for one release as the
-/// [`Stage2Mode::LegacyPerTile`](crate::pipeline::Stage2Mode) escape hatch
-/// and as the proptest oracle: bins splat indices into per-tile `Vec`s in
-/// submission order, stably comparison-sorts each list by depth
-/// ([`sort_indices_by_depth`]) — one pool job per tile, exactly where the
-/// pre-CSR pipeline ran its in-job sorts — and flattens the lists into the
-/// same CSR workload the key-sorted path produces.
+/// Raw pointer handing the chunk jobs of one dispatch disjoint parts of a
+/// `u32` buffer: their own row of the per-chunk table, or their own
+/// placement ranges of the CSR value buffer.
+struct Disjoint(*mut u32);
+// SAFETY: shared across workers only to reach index sets no other chunk
+// job touches — chunk `c` owns table row `c`, and the exclusive
+// (tile, chunk) prefix gives it value ranges no other chunk receives.
+unsafe impl Sync for Disjoint {}
+
+/// Chunk `c`'s row of the `tiles`-wide per-chunk table behind `table`.
+///
+/// # Safety
+/// The caller must guarantee that `table` points to at least
+/// `(c + 1) * tiles` elements and that nothing else accesses row `c` while
+/// the returned slice lives — the pool's cursor hands each chunk index to
+/// exactly one job per dispatch.
+// SAFETY: an `unsafe fn`; callers uphold the `# Safety` contract above.
+#[allow(clippy::mut_from_ref)]
+unsafe fn chunk_row(table: &Disjoint, c: usize, tiles: usize) -> &mut [u32] {
+    crate::race_region!("per-chunk table row", {
+        crate::race_write!(table.0.wrapping_add(c * tiles), tiles);
+        // SAFETY: in bounds and exclusive, per this function's contract.
+        unsafe { std::slice::from_raw_parts_mut(table.0.add(c * tiles), tiles) }
+    })
+}
+
+/// [`bin_splats_pooled`] with an explicit chunk size.
+///
+/// Production always passes [`BIN_CHUNK`]; the parameter exists so the
+/// `gaurast-check` model tests can shrink the count/scatter protocol to a
+/// handful of chunks and exhaustively interleave the *same code* that runs
+/// in production (`crates/check/tests/model.rs`). The workload is the same
+/// for every chunk size.
 ///
 /// # Panics
-/// Panics when `tile_size` is zero or the image is empty.
-pub fn bin_splats_legacy(
+/// Panics when `tile_size` or `chunk` is zero, the image is empty, or the
+/// frame has more than `u32::MAX` (splat, tile) pairs.
+// gaurast-check: hot-path
+pub fn bin_splats_chunked(
     splats: Vec<Splat2D>,
     width: u32,
     height: u32,
     tile_size: u32,
     arena: &mut FrameArena,
     pool: &WorkerPool,
+    chunk: usize,
 ) -> RasterWorkload {
     assert!(tile_size > 0 && width > 0 && height > 0);
-    let tiles_x = width.div_ceil(tile_size);
-    let tiles_y = height.div_ceil(tile_size);
-    let tile_count = (tiles_x * tiles_y) as usize;
+    assert!(chunk > 0, "chunk size must be positive");
+    let tiles = (width.div_ceil(tile_size) * height.div_ceil(tile_size)) as usize;
 
-    let mut lists = std::mem::take(&mut arena.lists);
-    // gaurast-check: allow(alloc): `Vec::new` is a capacity-free placeholder
-    // for tiles the recycled list table does not have yet; the legacy
-    // per-tile lists then grow by push, as this escape hatch always has.
-    lists.resize(tile_count, Vec::new());
-    for list in &mut lists {
-        list.clear();
-    }
-    for (i, s) in splats.iter().enumerate() {
-        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) {
-            for ty in y0..=y1 {
-                for tx in x0..=x1 {
-                    lists[(ty * tiles_x + tx) as usize].push(i as u32);
-                }
-            }
+    // 1. Depth order. Every key is unique (the splat index is its low
+    // half), so the in-place unstable sort is deterministic and allocates
+    // nothing.
+    let mut order = std::mem::take(&mut arena.order);
+    order.clear();
+    order.extend(
+        splats
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (u64::from(depth_key_bits(s.depth)) << 32) | i as u64),
+    );
+    order.sort_unstable();
+    let n = order.len();
+    let chunks = n.div_ceil(chunk);
+    let chunk_keys = |c: usize| &order[c * chunk..((c + 1) * chunk).min(n)];
+
+    // 2. Count: chunk `c` tallies its pairs per tile into row `c`.
+    let mut table = std::mem::take(&mut arena.counts);
+    table.clear();
+    table.resize(chunks * tiles, 0);
+    let rows = Disjoint(table.as_mut_ptr());
+    pool.run(chunks, |c| {
+        // SAFETY: the table holds `chunks * tiles` entries and `run`
+        // yields each chunk index exactly once.
+        let row = unsafe { chunk_row(&rows, c, tiles) };
+        for &key in chunk_keys(c) {
+            let splat = &splats[key as u32 as usize];
+            for_each_tile(splat, width, height, tile_size, |t| row[t] += 1);
+        }
+    });
+
+    // 3. Placement: exclusive prefix over (tile, chunk). Row `c` becomes
+    // chunk `c`'s first output slot per tile, and `offsets[t]` tile `t`'s
+    // first slot.
+    let mut offsets = std::mem::take(&mut arena.offsets);
+    offsets.clear();
+    offsets.resize(tiles + 1, 0);
+    let mut running = 0u64;
+    for (t, offset) in offsets.iter_mut().enumerate().take(tiles) {
+        *offset = running as u32;
+        for c in 0..chunks {
+            let slot = &mut table[c * tiles + t];
+            let count = *slot;
+            *slot = running as u32;
+            running += u64::from(count);
         }
     }
-    pool.run_mut(&mut lists, |_, list| sort_indices_by_depth(list, &splats));
+    assert!(
+        running <= u64::from(u32::MAX),
+        "CSR offsets are u32: at most 2^32-1 (splat, tile) pairs"
+    );
+    let pairs = running as usize;
+    offsets[tiles] = running as u32;
 
+    // 4. Scatter: chunk `c` writes each covered tile's splat index to the
+    // next slot of its range for that tile, so every tile's run keeps the
+    // depth order.
     let mut values = std::mem::take(&mut arena.values);
-    let mut offsets = std::mem::take(&mut arena.offsets);
     values.clear();
-    offsets.clear();
-    offsets.push(0);
-    for list in &lists {
-        values.extend_from_slice(list);
-        offsets.push(values.len() as u32);
-    }
-    arena.lists = lists;
+    values.resize(pairs, 0);
+    let rows = Disjoint(table.as_mut_ptr());
+    let out = &Disjoint(values.as_mut_ptr());
+    pool.run(chunks, |c| {
+        // SAFETY: as in the count pass; the row now holds chunk `c`'s
+        // placement cursors.
+        let cursor = unsafe { chunk_row(&rows, c, tiles) };
+        for &key in chunk_keys(c) {
+            let index = key as u32;
+            let splat = &splats[index as usize];
+            for_each_tile(splat, width, height, tile_size, |t| {
+                let at = cursor[t] as usize;
+                cursor[t] += 1;
+                debug_assert!(at < pairs);
+                crate::race_region!("disjoint scatter slots", {
+                    crate::race_write!(out.0.wrapping_add(at), 1);
+                    // SAFETY: the exclusive prefix over exact counts gives
+                    // every (tile, chunk) a range no other chunk receives,
+                    // the cursor stays inside chunk `c`'s range for tile
+                    // `t`, and every range lies below `pairs`, the length
+                    // the value buffer was resized to above.
+                    unsafe { *out.0.add(at) = index };
+                });
+            });
+        }
+    });
+
+    arena.order = order;
+    arena.counts = table;
     RasterWorkload::from_csr(
         width,
         height,
@@ -276,6 +343,9 @@ mod tests {
 
     #[test]
     fn keyed_path_matches_legacy_path() {
+        // The per-tile reference: lists filled in submission order, each
+        // stably comparison-sorted by depth, as `RasterWorkload::new`
+        // builds them.
         let splats: Vec<Splat2D> = (0..60)
             .map(|i| {
                 splat_at(
@@ -287,16 +357,23 @@ mod tests {
                 )
             })
             .collect();
-        let keyed = bin_splats(splats.clone(), 64, 64, 16);
-        let legacy = bin_splats_legacy(
-            splats,
-            64,
-            64,
-            16,
-            &mut FrameArena::new(),
-            &WorkerPool::serial(),
-        );
-        assert_eq!(keyed, legacy);
+        let mut lists = vec![Vec::new(); 16];
+        for (i, s) in splats.iter().enumerate() {
+            for_each_tile(s, 64, 64, 16, |t| lists[t].push(i as u32));
+        }
+        let legacy = RasterWorkload::new(64, 64, 16, splats.clone(), lists);
+        for chunk in [1, 7, BIN_CHUNK] {
+            let keyed = bin_splats_chunked(
+                splats.clone(),
+                64,
+                64,
+                16,
+                &mut FrameArena::new(),
+                &WorkerPool::serial(),
+                chunk,
+            );
+            assert_eq!(keyed, legacy, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! consume this same structure, so the speedups compare identical work
 //! (DESIGN.md §6, decision 1).
 //!
-//! The CSR buffers (and the packed 64-bit sort keys that produce them —
-//! see [`crate::sort::pack_key`]) live in a per-session [`FrameArena`], so
-//! steady-state frames run Stage 2 without allocating.
+//! The CSR buffers (and the depth-order keys and per-chunk counts that
+//! produce them — see [`crate::tile`]) live in a per-session
+//! [`FrameArena`], so steady-state frames run Stage 2 without allocating.
 
 use crate::preprocess::Splat2D;
-use crate::sort::RadixSorter;
 
 /// Structure-of-arrays view of the frame's splat list — the lane-friendly
 /// memory the SIMD Stage-3 kernels read (`crate::simd::stage3`).
@@ -170,8 +169,8 @@ impl RasterWorkload {
     /// constructor establishes the order; already-sorted lists pass
     /// through bit-identically). This is the compatibility entry for
     /// tests, custom tilers and trace replay ([`crate::trace`]); the
-    /// reference pipeline builds workloads through the key-sorted CSR
-    /// path ([`crate::tile::bin_splats_pooled`]).
+    /// reference pipeline builds workloads through the counting scatter
+    /// ([`crate::tile::bin_splats_pooled`]).
     ///
     /// # Panics
     /// Panics when the tile-list count does not match the grid, when the
@@ -518,28 +517,26 @@ impl TileRef<'_> {
     }
 }
 
-/// Per-session Stage-2 scratch: the packed-key, CSR, sorter and
+/// Per-session Stage-2 scratch: the depth-order, per-chunk count, CSR and
 /// processed-count buffers a frame needs, recycled across frames so
 /// steady-state Stage 2 allocates nothing.
 ///
-/// Thread one arena through [`crate::tile::bin_splats_pooled`] (or the
-/// legacy [`crate::tile::bin_splats_legacy`]) and give the buffers back
-/// with [`RasterWorkload::recycle_into`] after the frame.
+/// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
+/// the buffers back with [`RasterWorkload::recycle_into`] after the frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    /// Packed `(tile, depth)` sort keys ([`crate::sort::pack_key`]); only
-    /// live during binning — the finished workload keeps values/offsets.
-    pub(crate) keys: Vec<u64>,
+    /// Depth-order keys, one per splat (`depth_key_bits << 32 | index`);
+    /// only live during binning.
+    pub(crate) order: Vec<u64>,
+    /// Per-chunk per-tile pair counts, then placement cursors; only live
+    /// during binning.
+    pub(crate) counts: Vec<u32>,
     /// CSR value buffer under construction.
     pub(crate) values: Vec<u32>,
     /// CSR offset table under construction.
     pub(crate) offsets: Vec<u32>,
-    /// The radix sorter and its ping-pong/histogram scratch.
-    pub(crate) sorter: RadixSorter,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Legacy-path per-tile lists ([`crate::tile::bin_splats_legacy`]).
-    pub(crate) lists: Vec<Vec<u32>>,
     /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]).
     pub(crate) soa: SplatSoA,
 }

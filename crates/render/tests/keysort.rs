@@ -1,16 +1,53 @@
-//! Key-sorted Stage-2 equivalence suite: the packed-key radix/CSR path
-//! must be **bit-identical** to the legacy per-tile comparison-sort path —
-//! workloads, processed counts, statistics and rendered images — for
-//! random scenes, cameras, tie-heavy depth distributions, boundary-exact
-//! tile boxes, and every worker count.
+//! Stage-2 suite: the depth sort plus counting scatter of
+//! `gaurast_render::tile` must equal a test-local oracle — emit one
+//! `(tile, depth_key_bits, index)` pair per covered tile in splat order,
+//! stably sort the pairs by `(tile, depth bits)`, and rebuild the CSR
+//! table — for random scenes, cameras, tie-heavy depth distributions,
+//! boundary-exact tile boxes, off-image means, every worker count 1–8 and
+//! every chunk size.
 
 use gaurast_math::{Vec2, Vec3};
-use gaurast_render::pipeline::{render, RenderConfig, Stage2Mode};
-use gaurast_render::sort::{depth_key_bits, is_depth_sorted, pack_key, RadixSorter};
-use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
-use gaurast_render::{FrameArena, Splat2D, WorkerPool};
+use gaurast_render::pipeline::{render, RenderConfig};
+use gaurast_render::sort::{depth_key_bits, is_depth_sorted};
+use gaurast_render::tile::{bin_splats_chunked, bin_splats_pooled, tile_range, BIN_CHUNK};
+use gaurast_render::{FrameArena, RasterWorkload, Splat2D, WorkerPool};
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
+
+/// The oracle's CSR table `(values, offsets)` for `splats`.
+fn oracle(splats: &[Splat2D], width: u32, height: u32, tile_size: u32) -> (Vec<u32>, Vec<u32>) {
+    let tiles_x = width.div_ceil(tile_size);
+    let tiles = (tiles_x * height.div_ceil(tile_size)) as usize;
+    // 1. One (tile, depth bits, index) pair per covered tile, splat order.
+    let mut pairs = Vec::new();
+    for (i, s) in splats.iter().enumerate() {
+        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) {
+            for ty in y0..=y1 {
+                for tx in x0..=x1 {
+                    pairs.push((ty * tiles_x + tx, depth_key_bits(s.depth), i as u32));
+                }
+            }
+        }
+    }
+    // 2. Stable sort by (tile, depth bits): ties keep splat order.
+    pairs.sort_by_key(|&(tile, depth, _)| (tile, depth));
+    // 3. The CSR table.
+    let mut offsets = vec![0u32; tiles + 1];
+    for &(tile, _, _) in &pairs {
+        offsets[tile as usize + 1] += 1;
+    }
+    for t in 0..tiles {
+        offsets[t + 1] += offsets[t];
+    }
+    (pairs.iter().map(|&(_, _, i)| i).collect(), offsets)
+}
+
+/// Asserts `w`'s CSR table equals the oracle's for its own splats.
+fn assert_matches_oracle(w: &RasterWorkload, what: &str) {
+    let (values, offsets) = oracle(w.splats(), w.width(), w.height(), w.tile_size());
+    assert_eq!(w.values(), values.as_slice(), "{what}: values");
+    assert_eq!(w.offsets(), offsets.as_slice(), "{what}: offsets");
+}
 
 /// Random splats with deliberately nasty Stage-2 shapes: quantized depths
 /// (many exact ties), radii that can land the 3σ box exactly on tile
@@ -73,51 +110,54 @@ fn camera_strategy() -> impl Strategy<Value = Camera> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole acceptance: full pipeline, radix/CSR Stage 2 vs the
-    /// legacy escape hatch, across worker counts — image bytes, workload
-    /// (splats + CSR + processed), and every statistic must be equal.
+    /// Full pipeline at widths 1–8: every width renders the serial frame
+    /// bit for bit — image, workload (splats + CSR + processed) and every
+    /// statistic — and its workload equals the oracle.
     #[test]
-    fn full_pipeline_keyed_equals_legacy(
+    fn full_pipeline_equals_oracle_at_every_width(
         gaussians in prop::collection::vec(gaussian_strategy(), 1..300),
         camera in camera_strategy(),
-        workers in 1usize..5,
     ) {
         let scene = GaussianScene::from_gaussians(gaussians).expect("non-empty scene");
-        let keyed_cfg = RenderConfig::default()
-            .with_workers(workers)
-            .with_stage2(Stage2Mode::KeySorted);
-        let legacy_cfg = keyed_cfg.with_stage2(Stage2Mode::LegacyPerTile);
-        let keyed = render(&scene, &camera, &keyed_cfg);
-        let legacy = render(&scene, &camera, &legacy_cfg);
-        prop_assert_eq!(&keyed.image, &legacy.image, "image planes must be bit-identical");
-        prop_assert_eq!(&keyed.workload, &legacy.workload, "workloads must be bit-identical");
-        prop_assert_eq!(keyed.preprocess, legacy.preprocess);
-        prop_assert_eq!(keyed.raster, legacy.raster);
+        let serial = render(&scene, &camera, &RenderConfig::default().with_workers(1));
+        assert_matches_oracle(&serial.workload, "serial frame");
+        for workers in 2..=8 {
+            let out = render(&scene, &camera, &RenderConfig::default().with_workers(workers));
+            prop_assert_eq!(&out.image, &serial.image, "image planes must be bit-identical");
+            prop_assert_eq!(&out.workload, &serial.workload, "workloads must be bit-identical");
+            prop_assert_eq!(out.preprocess, serial.preprocess);
+            prop_assert_eq!(out.raster, serial.raster);
+        }
     }
 
-    /// Raw-splat binning equivalence, including equal-depth stability and
-    /// boundary-exact boxes: the keyed CSR table must equal the flattened,
-    /// comparison-sorted legacy lists entry for entry.
+    /// Raw-splat binning, including equal-depth ties, boundary-exact boxes
+    /// and off-image means, at chunk sizes 1, 3 and the production size
+    /// and widths 1–8: the CSR table must equal the oracle entry for
+    /// entry.
     #[test]
-    fn binning_keyed_equals_legacy_on_adversarial_splats(
+    fn binning_equals_oracle_on_adversarial_splats(
         mut splats in prop::collection::vec(splat_strategy(), 0..120),
-        workers in 1usize..5,
     ) {
         for (i, s) in splats.iter_mut().enumerate() {
             s.source = i as u32;
         }
-        let pool = WorkerPool::new(workers);
-        let keyed = bin_splats_pooled(splats.clone(), 64, 64, 16, &mut FrameArena::new(), &pool);
-        let legacy = bin_splats_legacy(splats, 64, 64, 16, &mut FrameArena::new(), &pool);
-        prop_assert_eq!(&keyed, &legacy);
-        // Equal-depth runs must preserve submission order (stability):
-        // within a tile, ties are ordered by ascending splat index.
-        let s = keyed.splats();
-        for tile in keyed.tiles() {
-            prop_assert!(is_depth_sorted(tile.list, s));
-            for w in tile.list.windows(2) {
-                if s[w[0] as usize].depth == s[w[1] as usize].depth {
-                    prop_assert!(w[0] < w[1], "tie broke submission order");
+        for workers in 1..=8 {
+            let pool = WorkerPool::new(workers);
+            for chunk in [1, 3, BIN_CHUNK] {
+                let w = bin_splats_chunked(
+                    splats.clone(), 64, 64, 16, &mut FrameArena::new(), &pool, chunk,
+                );
+                assert_matches_oracle(&w, &format!("width {workers}, chunk {chunk}"));
+                // Equal-depth runs keep submission order: within a tile,
+                // ties are ordered by ascending splat index.
+                let s = w.splats();
+                for tile in w.tiles() {
+                    prop_assert!(is_depth_sorted(tile.list, s));
+                    for pair in tile.list.windows(2) {
+                        if s[pair[0] as usize].depth == s[pair[1] as usize].depth {
+                            prop_assert!(pair[0] < pair[1], "tie broke submission order");
+                        }
+                    }
                 }
             }
         }
@@ -156,62 +196,62 @@ proptest! {
             "{} vs {}", a, b
         );
     }
+}
 
-    /// The radix sorter is bit-identical at widths 1–8 and equal to the
-    /// stable comparison sort, across multiple chunks.
-    #[test]
-    fn radix_sort_is_width_invariant_and_stable(
-        seed in 0u64..1000,
-        n in 1usize..200_000,
-    ) {
-        // xorshift keys with a narrow active-digit mask so several radix
-        // passes are skipped and ties are common.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let keys: Vec<u64> = (0..n).map(|_| next() & 0x3F_0000_FFFF).collect();
-        let vals: Vec<u32> = (0..n as u32).collect();
-        let mut expected: Vec<(u64, u32)> =
-            keys.iter().copied().zip(vals.iter().copied()).collect();
-        expected.sort_by_key(|&(k, _)| k); // stable
-
-        for workers in 1..=8usize {
-            let mut k = keys.clone();
-            let mut v = vals.clone();
-            RadixSorter::new().sort_pairs(&mut k, &mut v, &WorkerPool::new(workers));
-            let got: Vec<(u64, u32)> = k.into_iter().zip(v).collect();
-            prop_assert_eq!(&got, &expected, "width {} diverged", workers);
+/// Inputs spanning several production-size chunks (10,000 splats → 3
+/// chunks of [`BIN_CHUNK`]) equal the oracle at chunk sizes 1, 3 and
+/// [`BIN_CHUNK`] and widths 1–8.
+#[test]
+fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |modulus: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % modulus) as f32
+    };
+    let splats: Vec<Splat2D> = (0..10_000)
+        .map(|i| Splat2D {
+            mean: Vec2::new(next(300) - 20.0, next(230) - 20.0),
+            conic: [0.05, 0.0, 0.05],
+            // 16 distinct depths: long tie runs across chunk boundaries.
+            depth: 1.0 + next(16) * 0.5,
+            color: Vec3::one(),
+            opacity: 0.6,
+            radius: next(40) * 0.5,
+            source: i,
+        })
+        .collect();
+    let (values, offsets) = oracle(&splats, 256, 192, 16);
+    for workers in 1..=8 {
+        let pool = WorkerPool::new(workers);
+        for chunk in [1, 3, BIN_CHUNK] {
+            let w = bin_splats_chunked(
+                splats.clone(),
+                256,
+                192,
+                16,
+                &mut FrameArena::new(),
+                &pool,
+                chunk,
+            );
+            assert_eq!(
+                w.values(),
+                values.as_slice(),
+                "width {workers}, chunk {chunk}"
+            );
+            assert_eq!(
+                w.offsets(),
+                offsets.as_slice(),
+                "width {workers}, chunk {chunk}"
+            );
         }
     }
 }
 
-/// Packed keys order tile-major, then front-to-back, with the depth half
-/// strictly monotone over positive depths.
-#[test]
-fn packed_key_ordering_unit_cases() {
-    // Tile dominates depth.
-    assert!(pack_key(0, 1e9) < pack_key(1, 1e-9));
-    // Depth ordering inside one tile, including denormal and huge values.
-    let depths = [1e-40f32, 1e-9, 0.25, 0.5, 1.0, 3.0, 1e9, 3.5e37];
-    for w in depths.windows(2) {
-        assert!(
-            pack_key(7, w[0]) < pack_key(7, w[1]),
-            "{} vs {}",
-            w[0],
-            w[1]
-        );
-    }
-    // Equal depths pack equal keys (ties resolved by sort stability).
-    assert_eq!(pack_key(3, 2.0), pack_key(3, 2.0));
-}
-
 /// Steady-state Stage 2 must not allocate: after the first frame warms the
-/// arena, identical frames reuse every buffer (observable as identical
-/// capacities and pointer-stable CSR buffers).
+/// arena, identical frames reuse every buffer (observable as
+/// pointer-stable CSR buffers).
 #[test]
 fn arena_reuse_is_pointer_stable_across_frames() {
     let splats: Vec<Splat2D> = (0..500)
@@ -228,27 +268,22 @@ fn arena_reuse_is_pointer_stable_across_frames() {
     let pool = WorkerPool::serial();
     let mut arena = FrameArena::new();
 
-    // Two warm-up frames size every buffer and reveal both ping-pong
-    // identities of the value buffer (the radix sort may hand back the
-    // scratch buffer on odd pass counts — that is reuse, not allocation).
-    let mut value_ptrs = Vec::new();
-    let mut offset_ptrs = Vec::new();
-    for _ in 0..2 {
-        let w = bin_splats_pooled(splats.clone(), 96, 48, 16, &mut arena, &pool);
-        value_ptrs.push(w.values().as_ptr());
-        offset_ptrs.push(w.offsets().as_ptr());
-        w.recycle_into(&mut arena);
-    }
+    // The warm-up frame sizes every buffer.
+    let w = bin_splats_pooled(splats.clone(), 96, 48, 16, &mut arena, &pool);
+    let (values, offsets) = (w.values().as_ptr(), w.offsets().as_ptr());
+    w.recycle_into(&mut arena);
 
-    // Steady-state frames must only ever hand back those same buffers.
+    // Steady-state frames must hand back those same buffers.
     for _ in 0..4 {
         let w = bin_splats_pooled(splats.clone(), 96, 48, 16, &mut arena, &pool);
-        assert!(
-            value_ptrs.contains(&w.values().as_ptr()),
+        assert_eq!(
+            w.values().as_ptr(),
+            values,
             "steady-state Stage 2 allocated a new value buffer"
         );
-        assert!(
-            offset_ptrs.contains(&w.offsets().as_ptr()),
+        assert_eq!(
+            w.offsets().as_ptr(),
+            offsets,
             "steady-state Stage 2 allocated a new offset buffer"
         );
         w.recycle_into(&mut arena);

@@ -4,7 +4,7 @@
 //! typed error without tearing the pool down.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_with_pool, RenderConfig, RenderOutput, Stage2Mode};
+use gaurast_render::pipeline::{render, render_with_pool, RenderConfig, RenderOutput};
 use gaurast_render::pool::{JobPanicked, WorkerPool};
 use gaurast_render::FrameArena;
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
@@ -108,27 +108,18 @@ proptest! {
     }
 }
 
-/// Deterministic sweep: every width 1–8 and both Stage-2 modes agree bit
-/// for bit on a fixed multi-chunk scene (5000 Gaussians → 5 Stage-1
-/// chunks).
+/// Deterministic sweep: every width 1–8 agrees bit for bit on a fixed
+/// multi-chunk scene (5000 Gaussians → 5 Stage-1 chunks).
 #[test]
-fn all_widths_and_stage2_modes_agree_on_fixed_scene() {
+fn all_widths_agree_on_fixed_scene() {
     let scene = fixed_scene(5000);
     let camera = fixed_camera();
     let reference = render(&scene, &camera, &RenderConfig::default().with_workers(1));
     for workers in 1..=8 {
         let pool = WorkerPool::new(workers);
         let base = RenderConfig::default().with_workers(workers);
-        for stage2 in [Stage2Mode::KeySorted, Stage2Mode::LegacyPerTile] {
-            let out = render_with_pool(
-                &scene,
-                &camera,
-                &base.with_stage2(stage2),
-                &mut FrameArena::new(),
-                &pool,
-            );
-            assert_bit_identical(&reference, &out, "width/stage-2 sweep");
-        }
+        let out = render_with_pool(&scene, &camera, &base, &mut FrameArena::new(), &pool);
+        assert_bit_identical(&reference, &out, "width sweep");
     }
 }
 

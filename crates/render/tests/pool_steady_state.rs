@@ -9,7 +9,7 @@
 //! test creating pools in the same binary.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{run_frame, Stage1Input, Stage2Mode, WorkloadOutput};
+use gaurast_render::pipeline::{run_frame, Stage1Input, WorkloadOutput};
 use gaurast_render::pool::{construction_count, spawned_thread_count, WorkerPool};
 use gaurast_render::{FrameArena, Framebuffer, VectorMode, DEFAULT_TILE_SIZE};
 use gaurast_scene::{Camera, PreparedScene};
@@ -52,7 +52,6 @@ fn hundred_frame_session_spawns_nothing_in_steady_state() {
             Stage1Input::Prepared(&prepared, Some(&visible)),
             &camera,
             DEFAULT_TILE_SIZE,
-            Stage2Mode::default(),
             level,
             &pool,
             arena,
