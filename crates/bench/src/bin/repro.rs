@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Artifact ids: `tab1 tab2 fig4 fig5 fig8 fig9 fig10 tab3 fig11 sec5c
-//! sec5d ablations quality sweep compare batch scaling culling simd`.
+//! sec5d ablations quality sweep compare batch scaling`.
 
 use gaurast::backend::BackendKind;
 use gaurast::engine::EngineBuilder;
@@ -19,7 +19,7 @@ use gaurast::service::{RenderRequest, RenderService};
 use gaurast_gpu::paper;
 use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
 
-const ALL_IDS: [&str; 19] = [
+const ALL_IDS: [&str; 17] = [
     "tab1",
     "tab2",
     "fig4",
@@ -37,8 +37,6 @@ const ALL_IDS: [&str; 19] = [
     "compare",
     "batch",
     "scaling",
-    "culling",
-    "simd",
 ];
 
 fn main() {
@@ -197,25 +195,6 @@ fn main() {
                 };
                 section(&scaling_demo(scale));
             }
-            "simd" => {
-                // SIMD data-path A/B: scalar vs 4-wide SSE4.1 vs 8-wide
-                // AVX2 Stage-1/Stage-3 kernels, bit-identity asserted,
-                // plus the machine-readable BENCH_simd.json artifact with
-                // all three mode records.
-                let text = gaurast_bench::simd_report::write_artifact(quick)
-                    .expect("BENCH_simd.json must be writable and well-formed");
-                section(&text);
-            }
-            "culling" => {
-                // Frustum-culled visible sets: Stage-1 reduction for
-                // centered vs off-center views, bit-identity asserted.
-                let scale = if quick {
-                    SceneScale::UNIT_TEST
-                } else {
-                    SceneScale::REPRO
-                };
-                section(&culling_demo(scale));
-            }
             _ => unreachable!("ids validated above"),
         }
     }
@@ -356,86 +335,6 @@ fn scaling_demo(scale: SceneScale) -> String {
             "note: {cores} core(s) available — speedups degenerate to ~1x here; \
              the >=2x @ 4 workers acceptance check runs (or skips) in \
              crates/render/tests/parallel.rs"
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Runs Stage 1 with and without the frustum-culled visible set on a
-/// garden frame from a centered and an off-center viewpoint, asserts
-/// bit-identity, and reports the kept fraction and wall-clock reduction —
-/// the `culling` artifact tracked by the benchmark JSON.
-fn culling_demo(scale: SceneScale) -> String {
-    use gaurast::render::pool::WorkerPool;
-    use gaurast::render::preprocess::{
-        preprocess_prepared_pooled, preprocess_prepared_visible_pooled,
-    };
-    use gaurast::scene::PreparedScene;
-    use gaurast_math::Vec3;
-    use gaurast_scene::Camera;
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let desc = Nerf360Scene::Garden.descriptor();
-    let scene = desc.synthesize(scale);
-    let n = scene.len();
-    let prepared = PreparedScene::prepare(scene);
-    let centered = desc.camera(scale, 0.4).expect("descriptor camera");
-    // Eye inside the cloud looking out toward the rim: most Gaussians are
-    // behind or beside the frustum.
-    let off_center = Camera::look_at(
-        Vec3::new(0.0, 1.5, 1.0),
-        Vec3::new(0.0, 1.5, 200.0),
-        Vec3::new(0.0, 1.0, 0.0),
-        centered.width(),
-        centered.height(),
-        1.05,
-    )
-    .expect("valid off-center camera");
-
-    let pool = WorkerPool::serial();
-    let time_stage1 = |f: &dyn Fn()| {
-        f(); // warm
-        let started = Instant::now();
-        let reps = 3;
-        for _ in 0..reps {
-            f();
-        }
-        started.elapsed().as_secs_f64() / f64::from(reps)
-    };
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "frustum-culled visible sets — garden, {n} gaussians (bit-identity asserted)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "view         kept    depth-culled  lateral  stage1 full ms  culled ms  speedup"
-    )
-    .unwrap();
-    for (label, cam) in [("centered", &centered), ("off-center", &off_center)] {
-        let set = prepared.visible_set(cam);
-        let full = preprocess_prepared_pooled(&prepared, cam, &pool);
-        let culled = preprocess_prepared_visible_pooled(&prepared, cam, &set, &pool);
-        assert!(culled == full, "{label}: culled Stage 1 diverged from full");
-        let t_full = time_stage1(&|| {
-            preprocess_prepared_pooled(&prepared, cam, &pool);
-        });
-        let t_culled = time_stage1(&|| {
-            preprocess_prepared_visible_pooled(&prepared, cam, &set, &pool);
-        });
-        writeln!(
-            out,
-            "{label:<11} {:5.1}%  {:12}  {:7}  {:14.3}  {:9.3}  {:6.2}x",
-            set.coverage() * 100.0,
-            set.culled_depth(),
-            set.culled_lateral(),
-            t_full * 1e3,
-            t_culled * 1e3,
-            t_full / t_culled.max(1e-12),
         )
         .unwrap();
     }

@@ -1,13 +1,13 @@
 //! Benchmark crate of the GauRast workspace: the targets live in
 //! `benches/` and the paper-artifact reproduction binary in
-//! `src/bin/repro.rs`. The library hosts the SIMD data-path A/B harness
-//! ([`simd_report`]) and the counting allocator that proves the
-//! steady-state zero-allocation contracts.
+//! `src/bin/repro.rs`. The library hosts the counting allocator that
+//! proves the steady-state zero-allocation contracts. Performance of the
+//! frame path is measured by one harness, the standalone `perfbench`
+//! package at the repository root.
 
 #![deny(missing_docs)]
 
 pub mod alloc_counter;
-pub mod simd_report;
 
 /// Where bench binaries drop their output files: `target/artifacts/`
 /// under the workspace root — with the rest of the build output, ignored

@@ -12,9 +12,9 @@
 use gaurast_bench::alloc_counter::{allocation_count, CountingAllocator};
 use gaurast_math::Vec3;
 use gaurast_render::pool::{spawned_thread_count, WorkerPool};
-use gaurast_render::preprocess::preprocess_pooled;
+use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::tile::{bin_splats_pooled, BIN_CHUNK};
-use gaurast_render::{FrameArena, Splat2D};
+use gaurast_render::{FrameArena, SimdLevel, Splat2D};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::Camera;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +74,7 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
         1.05,
     )
     .expect("valid camera");
-    let splats = preprocess_pooled(&scene, &camera, &pool).splats;
+    let splats = preprocess_pooled_level(&scene, &camera, &pool, SimdLevel::Scalar).splats;
     assert!(
         splats.len() > BIN_CHUNK,
         "the frame must span several chunks"

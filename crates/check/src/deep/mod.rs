@@ -195,8 +195,7 @@ impl DeepReport {
     }
 
     /// Machine-readable `CHECK_report.json` body (hand-rolled — the
-    /// workspace builds dependency-free, same approach as
-    /// `BENCH_simd.json`).
+    /// workspace builds dependency-free).
     pub fn json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

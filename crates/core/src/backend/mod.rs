@@ -104,10 +104,11 @@ impl std::fmt::Display for BackendKind {
 pub struct ReferencePass {
     /// Stage-1 statistics of the frame.
     pub preprocess: PreprocessStats,
-    /// Visible-set statistics when frustum culling ran for this frame
-    /// (the culled Gaussians are *also* counted in
-    /// `preprocess.culled` — the visible-set path reproduces the full
-    /// pass's accounting bit for bit, this just attributes them).
+    /// What the frame's visible set dropped before Stage 1 (the culled
+    /// Gaussians are *also* counted in `preprocess.culled` — the
+    /// visible-set path reproduces the full pass's accounting bit for bit,
+    /// this just attributes them). All zeros for a full pass with no
+    /// visible set.
     pub cull: CullStats,
     /// Reference Stage-3 statistics (pairs, blends, FP-op tallies).
     pub raster: RasterStats,
@@ -136,15 +137,13 @@ pub struct Frame<'a> {
     pub retain_image: bool,
 }
 
-/// Visible-set (frustum-culling) statistics for one frame. All zeros when
-/// culling is disabled. The counts attribute a subset of the frame's
-/// Stage-1 culls to the prefilter; they never change the totals — the
-/// visible-set path is bit-identical to the full pass.
+/// Visible-set (frustum-culling) statistics for one frame. Every engine
+/// frame runs Stage 1 over the camera's visible set; the counts attribute
+/// a subset of the frame's Stage-1 culls to that prefilter and never
+/// change the totals — the visible-set path is bit-identical to the full
+/// pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CullStats {
-    /// `true` when the frame ran Stage 1 over a frustum-culled visible
-    /// set.
-    pub enabled: bool,
     /// Gaussians the visible set dropped by the depth (near/far) test.
     pub frustum_depth: usize,
     /// Gaussians the visible set dropped laterally (footprint certainly

@@ -43,7 +43,6 @@ pub struct EngineBuilder {
     hw_config: RasterizerConfig,
     host: CudaGpuModel,
     image_policy: ImagePolicy,
-    culling: bool,
     vector_mode: VectorMode,
     vis_cache: Option<Arc<VisibilityCache>>,
 }
@@ -68,7 +67,6 @@ impl EngineBuilder {
             hw_config: RasterizerConfig::scaled(),
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
-            culling: true,
             vector_mode: VectorMode::default(),
             vis_cache: None,
         }
@@ -124,24 +122,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables the frustum-culled visible-set path for
-    /// Stage 1 (on by default). Culling only drops Gaussians Stage 1
-    /// would have culled anyway, so rendered frames — images, splat
-    /// order, cull counts, FP-op tallies — are **bit-identical** either
-    /// way; the knob only trades Stage-1 wall-clock time and exists for
-    /// A/B measurement.
-    pub fn frustum_culling(mut self, enabled: bool) -> Self {
-        self.culling = enabled;
-        self
-    }
-
-    /// Selects the vector data path for the reference pass's Stage-1 and
-    /// Stage-3 hot loops. The default, [`VectorMode::Auto`], resolves to
-    /// the widest SIMD level the host CPU supports (AVX2 → SSE4.1 →
-    /// scalar); `Force*` modes degrade to the best supported level at or
-    /// below the request. Frames are **bit-identical** at every level —
-    /// the knob only trades wall-clock time. The `GAURAST_VECTOR`
-    /// environment variable overrides the configured mode process-wide.
+    /// Selects the kernels of the reference pass's Stage-1 and Stage-3 hot
+    /// loops. The default, [`VectorMode::Auto`], runs the widest SIMD
+    /// level the host CPU supports (AVX2 → SSE4.1 → scalar);
+    /// [`VectorMode::Scalar`] opens a scalar reference session, the oracle
+    /// a benchmark checks its frames against. Frames are
+    /// **bit-identical** either way — only wall-clock time differs.
     pub fn vector_mode(mut self, mode: VectorMode) -> Self {
         self.vector_mode = mode;
         self
@@ -153,15 +139,6 @@ impl EngineBuilder {
     pub fn visibility_cache(mut self, cache: Arc<VisibilityCache>) -> Self {
         self.vis_cache = Some(cache);
         self
-    }
-
-    /// Shorthand for [`ImagePolicy::Retain`] / [`ImagePolicy::Discard`].
-    pub fn retain_images(self, retain: bool) -> Self {
-        self.image_policy(if retain {
-            ImagePolicy::Retain
-        } else {
-            ImagePolicy::Discard
-        })
     }
 
     /// Validates the configuration and builds the session.
@@ -188,7 +165,6 @@ impl EngineBuilder {
             hw_config,
             self.host,
             self.backend,
-            self.culling,
             self.vector_mode,
             self.vis_cache
                 .unwrap_or_else(|| Arc::new(VisibilityCache::new())),

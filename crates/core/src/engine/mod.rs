@@ -184,9 +184,6 @@ pub struct Engine {
     pub(crate) hw_config: RasterizerConfig,
     pub(crate) host: CudaGpuModel,
     pub(crate) kind: BackendKind,
-    /// Whether Stage 1 runs over a frustum-culled visible set (output is
-    /// bit-identical either way; culling only trades wall-clock time).
-    pub(crate) culling: bool,
     /// Requested vector data path for the reference pass (output is
     /// bit-identical at every level — see [`VectorMode`]).
     pub(crate) vector_mode: VectorMode,
@@ -217,7 +214,6 @@ impl Clone for Engine {
             self.hw_config,
             self.host.clone(),
             self.kind,
-            self.culling,
             self.vector_mode,
             Arc::clone(&self.vis_cache),
         )
@@ -234,7 +230,6 @@ impl Engine {
         hw_config: RasterizerConfig,
         host: CudaGpuModel,
         kind: BackendKind,
-        culling: bool,
         vector_mode: VectorMode,
         vis_cache: Arc<VisibilityCache>,
     ) -> Self {
@@ -247,7 +242,6 @@ impl Engine {
             hw_config,
             host,
             kind,
-            culling,
             vector_mode,
             level: vector_mode.resolve(),
             vis_cache,
@@ -256,12 +250,6 @@ impl Engine {
             scratch: Scratch::default(),
             frames: 0,
         }
-    }
-
-    /// Starts building an engine for a scene (alias of
-    /// [`EngineBuilder::new`]).
-    pub fn builder(scene: GaussianScene) -> EngineBuilder {
-        EngineBuilder::new(scene)
     }
 
     /// The scene this session renders.
@@ -304,15 +292,9 @@ impl Engine {
         self.frames
     }
 
-    /// Whether Stage 1 runs over a frustum-culled visible set (see
-    /// [`EngineBuilder::frustum_culling`]).
-    pub fn frustum_culling(&self) -> bool {
-        self.culling
-    }
-
     /// The requested vector data path for the reference pass (see
-    /// [`EngineBuilder::vector_mode`]). Frames are bit-identical at every
-    /// level; the knob trades wall-clock time only.
+    /// [`EngineBuilder::vector_mode`]). Frames are bit-identical either
+    /// way; only wall-clock time differs.
     pub fn vector_mode(&self) -> VectorMode {
         self.vector_mode
     }
@@ -355,9 +337,10 @@ impl Engine {
     }
 
     /// Runs one frame through the render crate's frame driver
-    /// ([`run_frame`]): Stages 1–2 into recycled session buffers plus the
-    /// reference Stage-3 pass (record-only unless images are retained),
-    /// producing the finalized workload every backend bills.
+    /// ([`run_frame`]): Stage 1 over the camera's cached visible set,
+    /// Stage 2 into recycled session buffers, and the reference Stage-3
+    /// pass (record-only unless images are retained), producing the
+    /// finalized workload every backend bills.
     /// `need_image` requests a reference image in the pass: true only when
     /// images are retained *and* some executing backend reports the
     /// reference image (the enhanced rasterizer renders its own through
@@ -367,17 +350,11 @@ impl Engine {
         camera: &Camera,
         need_image: bool,
     ) -> (RasterWorkload, ReferencePass) {
-        let visible = self
-            .culling
-            .then(|| self.vis_cache.get_or_build(&self.scene, camera));
-        let cull = match &visible {
-            Some((set, cache_hit)) => CullStats {
-                enabled: true,
-                frustum_depth: set.culled_depth(),
-                frustum_lateral: set.culled_lateral(),
-                cache_hit: *cache_hit,
-            },
-            None => CullStats::default(),
+        let (visible, cache_hit) = self.vis_cache.get_or_build(&self.scene, camera);
+        let cull = CullStats {
+            frustum_depth: visible.culled_depth(),
+            frustum_lateral: visible.culled_lateral(),
+            cache_hit,
         };
         // The buffer moves into the reference pass (and from there into
         // the report) instead of being cloned every frame.
@@ -387,7 +364,7 @@ impl Engine {
         // back into it — the image is a pure function of scene + camera.
         let mut stage_done = [Instant::now(); 3];
         let frame = run_frame(
-            Stage1Input::Prepared(&self.scene, visible.as_ref().map(|(set, _)| &**set)),
+            Stage1Input::Prepared(&self.scene, Some(&*visible)),
             camera,
             self.tile_size,
             self.level,
@@ -768,38 +745,34 @@ mod tests {
             .vector_mode(VectorMode::Scalar)
             .build()
             .unwrap();
-        assert_eq!(scalar.vector_mode(), VectorMode::Scalar);
-        assert_eq!(scalar.simd_level(), scalar.vector_mode().resolve());
-        let cam = camera(96, 64);
-        let a = scalar.render_frame(&cam);
-        for mode in [
-            VectorMode::ForceSse,
-            VectorMode::ForceAvx2,
-            VectorMode::Auto,
-        ] {
-            let mut e = EngineBuilder::shared(Arc::clone(scalar.prepared()))
-                .backend(BackendKind::Software)
-                .image_policy(ImagePolicy::Retain)
-                .vector_mode(mode)
-                .build()
-                .unwrap();
+        let mut auto = EngineBuilder::shared(Arc::clone(scalar.prepared()))
+            .backend(BackendKind::Software)
+            .image_policy(ImagePolicy::Retain)
+            .vector_mode(VectorMode::Auto)
+            .build()
+            .unwrap();
+        for (e, mode) in [(&scalar, VectorMode::Scalar), (&auto, VectorMode::Auto)] {
             assert_eq!(e.vector_mode(), mode);
             assert_eq!(e.clone().vector_mode(), mode, "clone keeps the mode");
-            let b = e.render_frame(&cam);
-            assert_eq!(
-                a.image
-                    .as_ref()
-                    .unwrap()
-                    .mean_abs_diff(b.image.as_ref().unwrap()),
-                0.0,
-                "vectorized frame must be bit-identical under {mode:?}"
-            );
-            assert_eq!(a.ops, b.ops, "op tallies under {mode:?}");
-            assert_eq!(a.stats.visible, b.stats.visible);
-            assert_eq!(a.stats.culled, b.stats.culled);
-            assert_eq!(a.stats.blend_work, b.stats.blend_work);
-            assert_eq!(a.stats.blends_committed, b.stats.blends_committed);
+            assert_eq!(e.simd_level(), mode.resolve());
         }
+        assert_eq!(scalar.simd_level(), SimdLevel::Scalar);
+        let cam = camera(96, 64);
+        let a = scalar.render_frame(&cam);
+        let b = auto.render_frame(&cam);
+        assert_eq!(
+            a.image
+                .as_ref()
+                .unwrap()
+                .mean_abs_diff(b.image.as_ref().unwrap()),
+            0.0,
+            "vectorized frame must be bit-identical"
+        );
+        assert_eq!(a.ops, b.ops, "op tallies");
+        assert_eq!(a.stats.visible, b.stats.visible);
+        assert_eq!(a.stats.culled, b.stats.culled);
+        assert_eq!(a.stats.blend_work, b.stats.blend_work);
+        assert_eq!(a.stats.blends_committed, b.stats.blends_committed);
     }
 
     #[test]
@@ -810,14 +783,6 @@ mod tests {
             .image_policy(ImagePolicy::Retain)
             .build()
             .unwrap();
-        assert!(culled.frustum_culling());
-        let mut full = EngineBuilder::shared(Arc::clone(culled.prepared()))
-            .backend(BackendKind::Software)
-            .image_policy(ImagePolicy::Retain)
-            .frustum_culling(false)
-            .build()
-            .unwrap();
-        assert!(!full.frustum_culling());
         // Off-center view at the scene's edge: the frustum must drop a
         // real fraction while the frame stays bit-identical.
         let cam = Camera::look_at(
@@ -830,15 +795,39 @@ mod tests {
         )
         .unwrap();
         let a = culled.render_frame(&cam);
-        let b = full.render_frame(&cam);
-        assert!(a.stats.cull.enabled);
         assert!(
             a.stats.cull.frustum_total() > 0,
             "off-center camera should let the frustum drop something"
         );
-        assert!(!b.stats.cull.enabled);
+        // The full pass: the scalar Stage 1 over every Gaussian, billed
+        // through the software backend as the session bills its frames.
+        let mut image = Framebuffer::new(cam.width(), cam.height());
+        let full = run_frame(
+            Stage1Input::Prepared(culled.prepared(), None),
+            &cam,
+            culled.tile_size(),
+            SimdLevel::Scalar,
+            &WorkerPool::serial(),
+            &mut FrameArena::new(),
+            Some(&mut image),
+            |_| {},
+        );
+        let reference = ReferencePass {
+            preprocess: full.preprocess,
+            cull: CullStats::default(),
+            raster: full.raster,
+            wall_s: MIN_STAGE_S,
+            sort_wall_s: MIN_STAGE_S,
+            image: None,
+        };
+        let mut b = SoftwareBackend::new().execute(Frame {
+            workload: &full.workload,
+            reference: &reference,
+            retain_image: true,
+        });
+        Engine::fill_common_stats(&mut b, &full.workload, &reference);
         assert_eq!(
-            a.image.unwrap().mean_abs_diff(&b.image.unwrap()),
+            a.image.unwrap().mean_abs_diff(&image),
             0.0,
             "culled frame must be bit-identical"
         );
@@ -856,7 +845,6 @@ mod tests {
         let mut e = engine(BackendKind::Enhanced, ImagePolicy::Discard);
         let cam = camera(64, 64);
         let first = e.render_frame(&cam);
-        assert!(first.stats.cull.enabled);
         assert!(!first.stats.cull.cache_hit, "first frame must build");
         let second = e.render_frame(&cam);
         assert!(second.stats.cull.cache_hit, "repeat pose must hit");

@@ -58,7 +58,7 @@ use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::pool::resolve_workers;
-use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
+use gaurast_render::DEFAULT_TILE_SIZE;
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -233,8 +233,6 @@ pub struct RenderServiceBuilder {
     hw_config: RasterizerConfig,
     host: CudaGpuModel,
     image_policy: ImagePolicy,
-    culling: bool,
-    vector_mode: VectorMode,
 }
 
 impl Default for RenderServiceBuilder {
@@ -254,8 +252,6 @@ impl RenderServiceBuilder {
             hw_config: RasterizerConfig::scaled(),
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
-            culling: true,
-            vector_mode: VectorMode::default(),
         }
     }
 
@@ -318,23 +314,6 @@ impl RenderServiceBuilder {
         self
     }
 
-    /// Enables or disables frustum culling in every session (on by
-    /// default; frames are bit-identical either way — see
-    /// [`EngineBuilder::frustum_culling`]).
-    pub fn frustum_culling(mut self, enabled: bool) -> Self {
-        self.culling = enabled;
-        self
-    }
-
-    /// Selects the vector data path for every session's Stage-1 and
-    /// Stage-3 hot loops ([`VectorMode::Auto`] by default; see
-    /// [`EngineBuilder::vector_mode`]). Frames are bit-identical at every
-    /// level.
-    pub fn vector_mode(mut self, mode: VectorMode) -> Self {
-        self.vector_mode = mode;
-        self
-    }
-
     /// Validates the configuration and builds the service.
     ///
     /// # Errors
@@ -379,8 +358,6 @@ impl RenderServiceBuilder {
             hw_config: self.hw_config,
             host: self.host,
             image_policy: self.image_policy,
-            culling: self.culling,
-            vector_mode: self.vector_mode,
             vis_cache: Arc::new(VisibilityCache::new()),
         })
     }
@@ -398,8 +375,6 @@ pub struct RenderService {
     hw_config: RasterizerConfig,
     host: CudaGpuModel,
     image_policy: ImagePolicy,
-    culling: bool,
-    vector_mode: VectorMode,
     /// One visible-set cache shared by *every* session the service opens:
     /// batch requests sharing a scene and (quantized) camera pose build
     /// each set once, across workers.
@@ -670,8 +645,6 @@ impl RenderService {
             .hw_config(self.hw_config)
             .host(self.host.clone())
             .image_policy(self.image_policy)
-            .frustum_culling(self.culling)
-            .vector_mode(self.vector_mode)
             .visibility_cache(Arc::clone(&self.vis_cache))
             .build()
             .map_err(|e| {
@@ -810,31 +783,6 @@ mod tests {
         svc.submit(RenderRequest::new("demo", cam)).unwrap();
         assert_eq!(cache.hits() + cache.misses(), 7);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn culling_off_service_renders_identically() {
-        let scene = SceneParams::new(400).seed(23).generate().unwrap();
-        let on = RenderService::builder()
-            .scene("s", scene.clone())
-            .workers(2)
-            .build()
-            .unwrap();
-        let off = RenderService::builder()
-            .scene("s", scene)
-            .workers(2)
-            .frustum_culling(false)
-            .build()
-            .unwrap();
-        let req = RenderRequest::new("s", camera(1.1));
-        let a = on.submit(req.clone()).unwrap();
-        let b = off.submit(req).unwrap();
-        assert!(a.report.stats.cull.enabled);
-        assert!(!b.report.stats.cull.enabled);
-        assert_eq!(a.report.time_s, b.report.time_s);
-        assert_eq!(a.report.stats.blend_work, b.report.stats.blend_work);
-        assert_eq!(a.report.stats.visible, b.report.stats.visible);
-        assert_eq!(a.report.stats.culled, b.report.stats.culled);
     }
 
     #[test]

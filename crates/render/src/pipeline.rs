@@ -15,7 +15,7 @@ use crate::preprocess::{
     preprocess_prepared_visible_pooled_level, PreprocessOutput,
 };
 use crate::rasterize::{rasterize_with_level, RasterStats};
-use crate::simd::{SimdLevel, VectorMode};
+use crate::simd::{detected_level, SimdLevel};
 use crate::tile::bin_splats_pooled;
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
@@ -44,7 +44,10 @@ impl Stage2Mode {
     }
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration of the free render functions. Their Stage 1 and
+/// Stage 3 run at the host's widest SIMD level
+/// ([`crate::simd::detected_level`]); a caller that wants another level
+/// names it in a [`run_frame`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RenderConfig {
     /// Tile edge in pixels (16 in the reference and in GauRast).
@@ -56,12 +59,6 @@ pub struct RenderConfig {
     /// parallelism ([`crate::pool::resolve_workers`]); `1` is exactly the
     /// historical serial path. Output is bit-identical for every value.
     pub workers: usize,
-    /// Vector data path for the Stage-1/Stage-3 hot loops
-    /// ([`VectorMode::Auto`] by default — widest supported SIMD level,
-    /// scalar where unsupported). Resolved once per frame; every mode is
-    /// bit-identical (see [`crate::simd`]), overridable process-wide via
-    /// the [`crate::simd::VECTOR_ENV`] environment variable.
-    pub vector_mode: VectorMode,
 }
 
 impl Default for RenderConfig {
@@ -69,7 +66,6 @@ impl Default for RenderConfig {
         Self {
             tile_size: DEFAULT_TILE_SIZE,
             workers: 0,
-            vector_mode: VectorMode::default(),
         }
     }
 }
@@ -85,15 +81,6 @@ impl RenderConfig {
     /// count.
     pub fn with_workers(self, workers: usize) -> Self {
         Self { workers, ..self }
-    }
-
-    /// A configuration identical to this one but with an explicit vector
-    /// mode.
-    pub fn with_vector_mode(self, vector_mode: VectorMode) -> Self {
-        Self {
-            vector_mode,
-            ..self
-        }
     }
 }
 
@@ -178,8 +165,9 @@ pub enum Stage {
 }
 
 /// Runs one frame: Stage 1 over `input`, Stage 2 out of `arena`, then the
-/// reference Stage-3 pass, every stage at SIMD `level`
-/// (obtain it from [`VectorMode::resolve`]) and fanned over `pool`. The
+/// reference Stage-3 pass, fanned over `pool`. Stages 1 and 3 run the
+/// kernels of SIMD `level`, clamped to [`detected_level`] (every level
+/// renders the same bits; [`SimdLevel::Scalar`] is the reference). The
 /// pass writes pixels only when `image` is given; processed counts and
 /// statistics come from the same tile jobs either way, so record-only and
 /// imaged frames agree bit for bit.
@@ -281,7 +269,7 @@ pub fn render_with_pool(
         Stage1Input::Raw(scene),
         camera,
         config.tile_size,
-        config.vector_mode.resolve(),
+        detected_level(),
         pool,
         arena,
         Some(&mut image),
@@ -312,7 +300,7 @@ pub fn render_record_only(
         Stage1Input::Raw(scene),
         camera,
         config.tile_size,
-        config.vector_mode.resolve(),
+        detected_level(),
         &config.worker_pool(),
         &mut FrameArena::new(),
         None,

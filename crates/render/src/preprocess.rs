@@ -123,26 +123,16 @@ pub const OFFSCREEN_CULL_OPS: OpCounts = OpCounts {
 /// # Ok::<(), gaurast_scene::SceneError>(())
 /// ```
 pub fn preprocess(scene: &GaussianScene, camera: &Camera) -> PreprocessOutput {
-    preprocess_pooled(scene, camera, &WorkerPool::serial())
+    preprocess_pooled_level(scene, camera, &WorkerPool::serial(), SimdLevel::Scalar)
 }
 
 /// [`preprocess`] with the per-Gaussian loop split into
-/// [`PREPROCESS_CHUNK`]-sized chunks fanned over `pool`. Chunk outputs are
-/// stitched back in index order, so splat order, `source` ids, cull
-/// counts, and FP-op tallies are bit-identical to the serial pass for
-/// every worker count.
-pub fn preprocess_pooled(
-    scene: &GaussianScene,
-    camera: &Camera,
-    pool: &WorkerPool,
-) -> PreprocessOutput {
-    preprocess_pooled_level(scene, camera, pool, SimdLevel::Scalar)
-}
-
-/// [`preprocess_pooled`] running the kernels of the given [`SimdLevel`].
-/// Bit-identical to the scalar pass at every level (see [`crate::simd`]);
-/// `level` must not exceed [`crate::simd::detected_level`] — callers obtain
-/// it from [`crate::simd::VectorMode::resolve`], which clamps.
+/// [`PREPROCESS_CHUNK`]-sized chunks fanned over `pool`, running the
+/// kernels of the given [`SimdLevel`]. Chunk outputs are stitched back in
+/// index order, so splat order, `source` ids, cull counts, and FP-op
+/// tallies are bit-identical to the serial scalar pass for every worker
+/// count and level (see [`crate::simd`]). A `level` above
+/// [`crate::simd::detected_level`] is clamped down.
 pub fn preprocess_pooled_level(
     scene: &GaussianScene,
     camera: &Camera,
@@ -155,11 +145,13 @@ pub fn preprocess_pooled_level(
 /// Runs Stage 1 over a [`PreparedScene`], reusing its precomputed
 /// world-space covariances instead of rebuilding `R diag(s²) Rᵀ` from the
 /// quaternion for every Gaussian on every frame. Output is bit-identical
-/// with [`preprocess`] over the same scene.
+/// with [`preprocess`] over the same scene, at every worker count and
+/// level.
 ///
 /// # Example
 /// ```
-/// use gaurast_render::preprocess::{preprocess, preprocess_prepared};
+/// use gaurast_render::preprocess::{preprocess, preprocess_prepared_pooled_level};
+/// use gaurast_render::{SimdLevel, WorkerPool};
 /// use gaurast_scene::{Camera, GaussianScene, Gaussian3, PreparedScene};
 /// use gaurast_math::Vec3;
 ///
@@ -170,25 +162,10 @@ pub fn preprocess_pooled_level(
 ///                           Vec3::new(0.0, 1.0, 0.0), 128, 128, 1.0)?;
 /// let raw = preprocess(&scene, &cam);
 /// let prepared = PreparedScene::prepare(scene);
-/// assert_eq!(preprocess_prepared(&prepared, &cam), raw);
+/// let pool = WorkerPool::serial();
+/// assert_eq!(preprocess_prepared_pooled_level(&prepared, &cam, &pool, SimdLevel::Scalar), raw);
 /// # Ok::<(), gaurast_scene::SceneError>(())
 /// ```
-pub fn preprocess_prepared(prepared: &PreparedScene, camera: &Camera) -> PreprocessOutput {
-    preprocess_prepared_pooled(prepared, camera, &WorkerPool::serial())
-}
-
-/// [`preprocess_prepared`] with the chunked parallel decomposition of
-/// [`preprocess_pooled`]. Bit-identical to both serial paths.
-pub fn preprocess_prepared_pooled(
-    prepared: &PreparedScene,
-    camera: &Camera,
-    pool: &WorkerPool,
-) -> PreprocessOutput {
-    preprocess_prepared_pooled_level(prepared, camera, pool, SimdLevel::Scalar)
-}
-
-/// [`preprocess_prepared_pooled`] running the kernels of the given
-/// [`SimdLevel`]. Bit-identical to the scalar pass at every level.
 pub fn preprocess_prepared_pooled_level(
     prepared: &PreparedScene,
     camera: &Camera,
@@ -199,46 +176,20 @@ pub fn preprocess_prepared_pooled_level(
     preprocess_chunked(prepared.scene(), camera, |i, _| covariances[i], pool, level)
 }
 
-/// [`preprocess_prepared`] restricted to a [`VisibleSet`]: Stage 1 only
-/// iterates the set's surviving indices, then accounts for the
-/// frustum-dropped remainder exactly as the full pass would have —
-/// depth-culled Gaussians add to the cull count with zero ops,
-/// laterally-culled ones add the fixed [`OFFSCREEN_CULL_OPS`] bundle each.
-/// The output is therefore **bit-identical** (splats, order, `source`
-/// ids, cull counts, op tallies) to [`preprocess_prepared`] over the whole
-/// scene; only the wall-clock time shrinks.
+/// [`preprocess_prepared_pooled_level`] restricted to a [`VisibleSet`]:
+/// Stage 1 only iterates the set's surviving indices, in fixed
+/// [`PREPROCESS_CHUNK`]-sized chunks of the visible index list, then
+/// accounts for the frustum-dropped remainder exactly as the full pass
+/// would have — depth-culled Gaussians add to the cull count with zero
+/// ops, laterally-culled ones add the fixed [`OFFSCREEN_CULL_OPS`] bundle
+/// each. The output is therefore **bit-identical** (splats, order,
+/// `source` ids, cull counts, op tallies) to the full pass over the whole
+/// scene at every worker count and level; only the wall-clock time
+/// shrinks.
 ///
 /// # Panics
 /// Panics when the set's generation tag does not match `prepared` (the
 /// set was built from a different scene).
-pub fn preprocess_prepared_visible(
-    prepared: &PreparedScene,
-    camera: &Camera,
-    visible: &VisibleSet,
-) -> PreprocessOutput {
-    preprocess_prepared_visible_pooled(prepared, camera, visible, &WorkerPool::serial())
-}
-
-/// [`preprocess_prepared_visible`] with the chunked parallel decomposition
-/// (fixed [`PREPROCESS_CHUNK`]-sized chunks of the *visible index list*,
-/// stitched in order). Bit-identical at every worker count.
-///
-/// # Panics
-/// Panics when the set's generation tag does not match `prepared`.
-pub fn preprocess_prepared_visible_pooled(
-    prepared: &PreparedScene,
-    camera: &Camera,
-    visible: &VisibleSet,
-    pool: &WorkerPool,
-) -> PreprocessOutput {
-    preprocess_prepared_visible_pooled_level(prepared, camera, visible, pool, SimdLevel::Scalar)
-}
-
-/// [`preprocess_prepared_visible_pooled`] running the kernels of the given
-/// [`SimdLevel`]. Bit-identical to the scalar pass at every level.
-///
-/// # Panics
-/// Panics when the set's generation tag does not match `prepared`.
 pub fn preprocess_prepared_visible_pooled_level(
     prepared: &PreparedScene,
     camera: &Camera,
@@ -353,7 +304,9 @@ fn preprocess_indices(
 
 /// Dispatches one Stage-1 index sequence to the scalar reference kernel or
 /// the SIMD lane-group kernels (`crate::simd::stage1`) — bit-identical
-/// either way.
+/// either way. The single Stage-1 dispatch: it clamps `level` to
+/// [`crate::simd::detected_level`], so every public entry point is sound
+/// for any requested level.
 fn preprocess_over_level(
     scene: &GaussianScene,
     camera: &Camera,
@@ -362,7 +315,7 @@ fn preprocess_over_level(
     indices: impl Iterator<Item = usize>,
     level: SimdLevel,
 ) -> PreprocessOutput {
-    match level {
+    match level.min(crate::simd::detected_level()) {
         SimdLevel::Scalar => preprocess_over(scene, camera, covariance_of, count, indices),
         simd => crate::simd::stage1::preprocess_over_simd(
             scene,
@@ -652,7 +605,11 @@ mod tests {
         let cam = camera();
         let raw = preprocess(&scene, &cam);
         let prepared = PreparedScene::prepare(scene);
-        assert_eq!(preprocess_prepared(&prepared, &cam), raw);
+        let serial = WorkerPool::serial();
+        assert_eq!(
+            preprocess_prepared_pooled_level(&prepared, &cam, &serial, SimdLevel::Scalar),
+            raw
+        );
     }
 
     #[test]
@@ -703,11 +660,22 @@ mod tests {
         )
         .unwrap();
         let prepared = PreparedScene::prepare(scene);
-        let full = preprocess_prepared(&prepared, &cam);
+        let full = preprocess_prepared_pooled_level(
+            &prepared,
+            &cam,
+            &WorkerPool::serial(),
+            SimdLevel::Scalar,
+        );
         let visible = prepared.visible_set(&cam);
         for workers in [1usize, 4] {
             let pool = WorkerPool::new(workers);
-            let culled = preprocess_prepared_visible_pooled(&prepared, &cam, &visible, &pool);
+            let culled = preprocess_prepared_visible_pooled_level(
+                &prepared,
+                &cam,
+                &visible,
+                &pool,
+                SimdLevel::Scalar,
+            );
             assert_eq!(
                 culled, full,
                 "visible-set Stage 1 diverged ({workers} workers)"
@@ -733,8 +701,15 @@ mod tests {
         let prepared = PreparedScene::prepare(scene);
         let visible = prepared.visible_set(&cam);
         assert!(visible.is_empty());
-        let culled = preprocess_prepared_visible(&prepared, &cam, &visible);
-        let full = preprocess_prepared(&prepared, &cam);
+        let serial = WorkerPool::serial();
+        let culled = preprocess_prepared_visible_pooled_level(
+            &prepared,
+            &cam,
+            &visible,
+            &serial,
+            SimdLevel::Scalar,
+        );
+        let full = preprocess_prepared_pooled_level(&prepared, &cam, &serial, SimdLevel::Scalar);
         assert_eq!(culled, full);
         assert_eq!(culled.culled, 400);
     }
@@ -748,7 +723,13 @@ mod tests {
         let b = PreparedScene::prepare(SceneParams::new(10).seed(1).generate().unwrap());
         let cam = camera();
         let set = a.visible_set(&cam);
-        let _ = preprocess_prepared_visible(&b, &cam, &set);
+        let _ = preprocess_prepared_visible_pooled_level(
+            &b,
+            &cam,
+            &set,
+            &WorkerPool::serial(),
+            SimdLevel::Scalar,
+        );
     }
 
     #[test]

@@ -62,29 +62,13 @@ impl std::ops::AddAssign for RasterStats {
 /// ```
 pub fn rasterize(workload: &mut RasterWorkload) -> (Framebuffer, RasterStats) {
     let mut fb = Framebuffer::new(workload.width(), workload.height());
-    let stats = rasterize_into(workload, Some(&mut fb));
+    let stats = rasterize_with_level(
+        workload,
+        Some(&mut fb),
+        &WorkerPool::serial(),
+        SimdLevel::Scalar,
+    );
     (fb, stats)
-}
-
-/// Rasterizes a workload without producing an image: per-tile processed
-/// counts and statistics are recorded exactly as in [`rasterize`] (the
-/// blending math runs identically, so every tally is bit-for-bit the same),
-/// but no framebuffer is allocated or written. This is the record-only mode
-/// workload construction uses when the image would be thrown away.
-pub fn rasterize_counts(workload: &mut RasterWorkload) -> RasterStats {
-    rasterize_into(workload, None)
-}
-
-/// Rasterizes a workload into an optional caller-owned framebuffer,
-/// enabling per-session scratch reuse: the buffer is cleared in place and
-/// refilled instead of reallocated. Passing `None` selects the no-image
-/// record-only mode of [`rasterize_counts`].
-///
-/// # Panics
-/// Panics when a provided framebuffer's dimensions do not match the
-/// workload.
-pub fn rasterize_into(workload: &mut RasterWorkload, fb: Option<&mut Framebuffer>) -> RasterStats {
-    rasterize_with(workload, fb, &WorkerPool::serial())
 }
 
 /// One tile's rasterization job: its depth-sorted CSR slice, its exclusive
@@ -96,8 +80,12 @@ struct TileJob<'l, 'fb> {
     stats: RasterStats,
 }
 
-/// The tile-major rasterization pass — the single Stage-3 code path behind
-/// [`rasterize`], [`rasterize_counts`], and [`rasterize_into`].
+/// The tile-major rasterization pass — the single Stage-3 code path
+/// (behind [`rasterize`] too). Tiles run the verbatim scalar kernel at
+/// [`SimdLevel::Scalar`] and the SoA lane-group kernels
+/// (`crate::simd::stage3`) at `Sse`/`Avx2`; a `level` above the host's
+/// detected capability is clamped down (sound, because all levels agree
+/// bit for bit).
 ///
 /// Each tile is an independent job over its own depth-sorted CSR range of
 /// the workload (Stage 2 wrote every range in depth order up front via
@@ -107,7 +95,13 @@ struct TileJob<'l, 'fb> {
 /// locking. Jobs are fanned over `pool`; per-tile statistics and processed
 /// counts are merged in tile order on the calling thread, so every output
 /// — image bytes, op tallies, processed counts — is bit-identical for
-/// every worker count, including the serial pool.
+/// every worker count and level, including the serial scalar pass.
+///
+/// Passing `None` for `fb` selects record-only mode: per-tile processed
+/// counts and statistics are recorded exactly as with an image (the
+/// blending math runs identically, so every tally is bit-for-bit the
+/// same), but no pixel is written. A provided buffer is cleared in place
+/// and refilled, so a caller may reuse one across frames.
 ///
 /// The front-to-back invariant is checked only in debug builds
 /// ([`crate::sort::is_depth_sorted`] is a full scan — too expensive for
@@ -116,24 +110,6 @@ struct TileJob<'l, 'fb> {
 /// The framebuffer is cleared once up front (only the depth plane actually
 /// needs it for the Gaussian path: tile views cover and overwrite every
 /// color/transmittance pixel), never inside the per-tile hot loop.
-///
-/// # Panics
-/// Panics when a provided framebuffer's dimensions do not match the
-/// workload.
-pub fn rasterize_with(
-    workload: &mut RasterWorkload,
-    fb: Option<&mut Framebuffer>,
-    pool: &WorkerPool,
-) -> RasterStats {
-    rasterize_with_level(workload, fb, pool, SimdLevel::Scalar)
-}
-
-/// [`rasterize_with`] with an explicit SIMD data path: tiles run the
-/// verbatim scalar kernel at [`SimdLevel::Scalar`] and the SoA lane-group
-/// kernels (`crate::simd::stage3`) at `Sse`/`Avx2` — with bit-identical
-/// outputs (image bytes, op tallies, processed counts) at every level, on
-/// every worker count. A `level` above the host's detected capability is
-/// clamped down (sound, because all levels agree bit-for-bit).
 ///
 /// # Panics
 /// Panics when a provided framebuffer's dimensions do not match the
@@ -502,7 +478,12 @@ mod tests {
         let mut full = bin_splats(splats.clone(), 48, 48, 16);
         let mut counts_only = bin_splats(splats, 48, 48, 16);
         let (_, full_stats) = rasterize(&mut full);
-        let counts_stats = super::rasterize_counts(&mut counts_only);
+        let counts_stats = rasterize_with_level(
+            &mut counts_only,
+            None,
+            &WorkerPool::serial(),
+            SimdLevel::Scalar,
+        );
         assert_eq!(full_stats, counts_stats);
         assert_eq!(full.blend_work(), counts_only.blend_work());
         for ty in 0..full.tiles_y() {
@@ -516,15 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn rasterize_into_reuses_and_clears_scratch() {
+    fn caller_framebuffer_is_cleared_and_reused() {
         let s = splat(8.5, 8.5, 0.9, Vec3::new(0.0, 1.0, 0.0), 1.0);
         let mut w = bin_splats(vec![s], 16, 16, 16);
         let mut fb = Framebuffer::new(16, 16);
         // Dirty the scratch buffer, then rasterize into it twice.
         fb.set_color(0, 0, Vec3::one());
-        let _ = super::rasterize_into(&mut w, Some(&mut fb));
+        let serial = WorkerPool::serial();
+        let _ = rasterize_with_level(&mut w, Some(&mut fb), &serial, SimdLevel::Scalar);
         let first = fb.clone();
-        let _ = super::rasterize_into(&mut w, Some(&mut fb));
+        let _ = rasterize_with_level(&mut w, Some(&mut fb), &serial, SimdLevel::Scalar);
         assert_eq!(fb.mean_abs_diff(&first), 0.0, "reuse must be idempotent");
         let (fresh, _) = rasterize(&mut w.clone());
         assert_eq!(
@@ -536,9 +518,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "dimensions must match")]
-    fn rasterize_into_rejects_mismatched_framebuffer() {
+    fn mismatched_framebuffer_is_rejected() {
         let mut w = bin_splats(vec![], 32, 32, 16);
         let mut fb = Framebuffer::new(16, 16);
-        let _ = super::rasterize_into(&mut w, Some(&mut fb));
+        let _ = rasterize_with_level(
+            &mut w,
+            Some(&mut fb),
+            &WorkerPool::serial(),
+            SimdLevel::Scalar,
+        );
     }
 }

@@ -32,31 +32,25 @@
 //!
 //! # Level selection
 //!
-//! [`VectorMode`] is the user-facing knob
-//! ([`crate::pipeline::RenderConfig::vector_mode`]); [`VectorMode::resolve`]
-//! collapses it to a concrete [`SimdLevel`] exactly once per configuration
-//! read, using CPU-feature detection that is probed a single time per
-//! process and cached in a `OnceLock` behind the [`crate::sync`] facade —
-//! no `is_x86_feature_detected!` ever runs inside per-frame code. The
-//! [`VECTOR_ENV`] environment variable overrides the configured mode
-//! (that is how CI forces the scalar path globally), and `Force*` modes
-//! degrade to the best *supported* level at or below the forced one —
-//! sound because every level renders bit-identical frames.
+//! Frames run at the host's widest level: [`detected_level`] probes the
+//! CPU features a single time per process and caches the answer in a
+//! `OnceLock` behind the [`crate::sync`] facade, so no
+//! `is_x86_feature_detected!` ever runs inside per-frame code.
+//! [`VectorMode`] only chooses between that level ([`VectorMode::Auto`])
+//! and the scalar reference ([`VectorMode::Scalar`]). Callers that name a
+//! level directly (`run_frame` and the `_level` entry points) are clamped
+//! to [`detected_level`] at the Stage-1 and Stage-3 dispatch, so a level
+//! the host lacks falls back to a narrower one — sound because every
+//! level renders bit-identical frames.
 
 use crate::sync::lazy::OnceLock;
 
 pub(crate) mod stage1;
 pub(crate) mod stage3;
 
-/// Environment variable overriding the configured [`VectorMode`]
-/// (`scalar`, `auto`, `sse`, `avx2`). Unrecognized values are ignored.
-/// Read once per process and cached; see [`VectorMode::resolve`].
-pub const VECTOR_ENV: &str = "GAURAST_VECTOR";
-
-/// User-facing selection of the vector data path, carried by
-/// [`crate::pipeline::RenderConfig::vector_mode`] and the engine/service
-/// builders. Every mode renders bit-identical frames — the knob trades
-/// speed, never output.
+/// Which kernels an engine session runs: the host's widest level or the
+/// scalar reference. Every mode renders bit-identical frames — the
+/// choice trades speed, never output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VectorMode {
     /// Always run the verbatim scalar reference kernels.
@@ -65,18 +59,11 @@ pub enum VectorMode {
     /// scalar). The default.
     #[default]
     Auto,
-    /// Request the 4-wide SSE4.1 kernels; falls back to scalar when
-    /// SSE4.1 is unsupported.
-    ForceSse,
-    /// Request the 8-wide AVX2 kernels; falls back to SSE4.1 or scalar
-    /// when AVX2 is unsupported.
-    ForceAvx2,
 }
 
 /// Concrete kernel set chosen for a session/frame — the result of
-/// resolving a [`VectorMode`] against the host CPU (and the [`VECTOR_ENV`]
-/// override). Ordered by lane width so `min` picks the narrower of a
-/// requested and a supported level.
+/// resolving a [`VectorMode`] against the host CPU. Ordered by lane width
+/// so `min` picks the narrower of a requested and a supported level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum SimdLevel {
     /// Verbatim scalar reference kernels.
@@ -102,22 +89,13 @@ impl SimdLevel {
 
 impl VectorMode {
     /// Resolves this mode to the concrete [`SimdLevel`] the kernels will
-    /// run at on this host.
-    ///
-    /// The [`VECTOR_ENV`] override (if set and parseable) replaces the
-    /// configured mode first; then `Auto` takes the detected level and
-    /// `Force*` takes the minimum of the requested and detected levels
-    /// (falling back is sound — all levels are bit-identical). Both the
-    /// environment read and the CPUID probe are performed once per
-    /// process and cached.
+    /// run at on this host: `Scalar` stays scalar, `Auto` takes
+    /// [`detected_level`].
     #[must_use]
     pub fn resolve(self) -> SimdLevel {
-        let mode = env_mode_override().unwrap_or(self);
-        match mode {
+        match self {
             VectorMode::Scalar => SimdLevel::Scalar,
             VectorMode::Auto => detected_level(),
-            VectorMode::ForceSse => SimdLevel::Sse.min(detected_level()),
-            VectorMode::ForceAvx2 => SimdLevel::Avx2.min(detected_level()),
         }
     }
 }
@@ -147,41 +125,14 @@ fn probe_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// The [`VECTOR_ENV`] override, read and parsed once per process.
-/// `None` when the variable is unset or unparseable.
-fn env_mode_override() -> Option<VectorMode> {
-    static ENV_MODE: OnceLock<Option<VectorMode>> = OnceLock::new();
-    *ENV_MODE.get_or_init(|| {
-        // gaurast-check: allow(nondet): documented config knob, resolved once
-        // per process and cached — never re-read inside the per-frame pipeline.
-        let raw = std::env::var(VECTOR_ENV).ok()?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(VectorMode::Scalar),
-            "auto" => Some(VectorMode::Auto),
-            "sse" | "force_sse" => Some(VectorMode::ForceSse),
-            "avx2" | "force_avx2" => Some(VectorMode::ForceAvx2),
-            _ => None,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scalar_mode_always_resolves_scalar_unless_env_overrides() {
-        if std::env::var(VECTOR_ENV).is_err() {
-            assert_eq!(VectorMode::Scalar.resolve(), SimdLevel::Scalar);
-        }
-    }
-
-    #[test]
-    fn force_modes_never_exceed_detection() {
-        let detected = detected_level();
-        assert!(VectorMode::ForceSse.resolve() <= SimdLevel::Sse.min(detected).max(detected));
-        assert!(VectorMode::ForceAvx2.resolve() <= detected.max(SimdLevel::Avx2));
-        assert!(VectorMode::Auto.resolve() <= detected);
+    fn modes_resolve_to_scalar_and_the_detected_level() {
+        assert_eq!(VectorMode::Scalar.resolve(), SimdLevel::Scalar);
+        assert_eq!(VectorMode::Auto.resolve(), detected_level());
     }
 
     #[test]

@@ -163,7 +163,8 @@ impl FrameConsts {
 /// SIMD twin of `preprocess::preprocess_over`: projects `indices` in lane
 /// groups of `level.lanes()` Gaussians, scalar-lane tail for the remainder.
 ///
-/// `level` must not exceed `simd::detected_level()` (callers clamp).
+/// `level` must not exceed `simd::detected_level()`; the one Stage-1
+/// dispatch, `preprocess::preprocess_over_level`, clamps it.
 // gaurast-check: hot-path
 pub(crate) fn preprocess_over_simd(
     scene: &GaussianScene,
@@ -305,11 +306,13 @@ fn run_group_x86(
 
     let mut group = GroupOut::default();
     if level == SimdLevel::Avx2 {
-        // SAFETY: callers clamp `level` to `simd::detected_level()`, so the
-        // AVX2 feature is present on this CPU.
+        // SAFETY: `preprocess_over_level`, the only caller of
+        // `preprocess_over_simd`, clamps `level` to
+        // `simd::detected_level()`, so the AVX2 feature is present on this
+        // CPU.
         unsafe { group_avx2(fc, &pos, &cov, &mut group) }
     } else {
-        // SAFETY: as above — `Sse` is only resolved when SSE4.1 is present.
+        // SAFETY: as above — the clamp leaves `Sse` only when SSE4.1 is present.
         unsafe { group_sse(fc, &pos, &cov, &mut group) }
     }
 

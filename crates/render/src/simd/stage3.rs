@@ -29,7 +29,7 @@
 //! The scalar row kernel ([`blend_pixel`] driven by `row_scalar`) *is*
 //! the restructured reference — always compiled, used for lane-group
 //! tails and proven bit-identical to `rasterize_tile` by the
-//! `vector_modes` proptests; the SSE4.1/AVX2 kernels are proven identical
+//! `tests/vector.rs` proptests; the SSE4.1/AVX2 kernels are proven identical
 //! to it (and therefore to the verbatim kernel) on every supported host.
 
 use crate::framebuffer::TileViewMut;

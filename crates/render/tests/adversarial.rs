@@ -6,10 +6,13 @@
 //! between the serial and parallel paths.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_record_only, RenderConfig};
+use gaurast_render::pipeline::{render, render_record_only, run_frame, RenderConfig, Stage1Input};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{preprocess_prepared_pooled, preprocess_prepared_visible_pooled};
-use gaurast_render::VectorMode;
+use gaurast_render::preprocess::{
+    preprocess_prepared_pooled_level, preprocess_prepared_visible_pooled_level,
+};
+use gaurast_render::rasterize::rasterize_with_level;
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel, DEFAULT_TILE_SIZE};
 use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
 use proptest::prelude::*;
 
@@ -76,9 +79,9 @@ proptest! {
     }
 
     /// The SIMD lane-group kernels on the same hostile regime: every
-    /// vector mode must take the identical cull branches (per-lane masks
+    /// level must take the identical cull branches (per-lane masks
     /// replicate the scalar branch priority, including NaN comparisons)
-    /// and blend the identical pixels.
+    /// and blend the identical pixels, with or without a framebuffer.
     #[test]
     fn hostile_scenes_vector_modes_are_bit_identical(
         gaussians in prop::collection::vec(hostile_gaussian_strategy(), 1..60),
@@ -88,14 +91,32 @@ proptest! {
     ) {
         let scene = GaussianScene::from_gaussians(gaussians).expect("validated");
         let camera = small_camera(width, height);
-        let base = RenderConfig::default().with_workers(workers);
-        let reference = render(&scene, &camera, &base.with_vector_mode(VectorMode::Scalar));
-        for mode in [VectorMode::ForceSse, VectorMode::ForceAvx2] {
-            let out = render(&scene, &camera, &base.with_vector_mode(mode));
-            prop_assert_eq!(&reference.image, &out.image, "image under {:?}", mode);
-            prop_assert_eq!(&reference.workload, &out.workload, "workload under {:?}", mode);
-            prop_assert_eq!(reference.preprocess, out.preprocess, "stage-1 stats under {:?}", mode);
-            prop_assert_eq!(reference.raster, out.raster, "stage-3 stats under {:?}", mode);
+        let pool = WorkerPool::new(workers);
+        let frame = |level: SimdLevel, imaged: bool| {
+            let mut image = imaged.then(|| Framebuffer::new(camera.width(), camera.height()));
+            let out = run_frame(
+                Stage1Input::Raw(&scene),
+                &camera,
+                DEFAULT_TILE_SIZE,
+                level,
+                &pool,
+                &mut FrameArena::new(),
+                image.as_mut(),
+                |_| {},
+            );
+            (image, out)
+        };
+        let (reference_image, reference) = frame(SimdLevel::Scalar, true);
+        for level in [SimdLevel::Scalar, SimdLevel::Sse, SimdLevel::Avx2] {
+            for imaged in [true, false] {
+                let (image, out) = frame(level, imaged);
+                if imaged {
+                    prop_assert_eq!(&reference_image, &image, "image at {:?}", level);
+                }
+                prop_assert_eq!(&reference.workload, &out.workload, "workload at {:?}", level);
+                prop_assert_eq!(reference.preprocess, out.preprocess, "stage-1 stats at {:?}", level);
+                prop_assert_eq!(reference.raster, out.raster, "stage-3 stats at {:?}", level);
+            }
         }
     }
 
@@ -110,9 +131,11 @@ proptest! {
         let prepared = PreparedScene::prepare(scene);
         let camera = small_camera(64, 48);
         let pool = WorkerPool::new(workers);
-        let full = preprocess_prepared_pooled(&prepared, &camera, &pool);
+        let level = SimdLevel::Scalar;
+        let full = preprocess_prepared_pooled_level(&prepared, &camera, &pool, level);
         let set = prepared.visible_set(&camera);
-        let culled = preprocess_prepared_visible_pooled(&prepared, &camera, &set, &pool);
+        let culled =
+            preprocess_prepared_visible_pooled_level(&prepared, &camera, &set, &pool, level);
         prop_assert_eq!(&culled, &full);
     }
 }
@@ -226,7 +249,13 @@ fn empty_visible_set_renders_empty_frame() {
     let set = prepared.visible_set(&camera);
     assert!(set.is_empty());
     let pool = WorkerPool::new(4);
-    let pre = preprocess_prepared_visible_pooled(&prepared, &camera, &set, &pool);
+    let pre = preprocess_prepared_visible_pooled_level(
+        &prepared,
+        &camera,
+        &set,
+        &pool,
+        SimdLevel::Scalar,
+    );
     assert!(pre.splats.is_empty());
     assert_eq!(pre.culled, prepared.len());
     let mut workload = gaurast_render::tile::bin_splats_pooled(
@@ -234,11 +263,11 @@ fn empty_visible_set_renders_empty_frame() {
         camera.width(),
         camera.height(),
         16,
-        &mut gaurast_render::FrameArena::new(),
+        &mut FrameArena::new(),
         &pool,
     );
-    let mut fb = gaurast_render::Framebuffer::new(camera.width(), camera.height());
-    let stats = gaurast_render::rasterize::rasterize_with(&mut workload, Some(&mut fb), &pool);
+    let mut fb = Framebuffer::new(camera.width(), camera.height());
+    let stats = rasterize_with_level(&mut workload, Some(&mut fb), &pool, SimdLevel::Scalar);
     assert_eq!(stats.blends_committed, 0);
     assert_eq!(fb.coverage(), 0.0);
 }

@@ -13,13 +13,12 @@
 use gaurast_math::{Quat, Vec3};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::{
-    preprocess_prepared_pooled, preprocess_prepared_visible_pooled, PreprocessOutput,
+    preprocess_prepared_pooled_level, preprocess_prepared_visible_pooled_level, PreprocessOutput,
 };
-use gaurast_render::rasterize::rasterize_with;
+use gaurast_render::rasterize::rasterize_with_level;
 use gaurast_render::tile::bin_splats_pooled;
-use gaurast_render::FrameArena;
-use gaurast_render::Framebuffer;
-use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene, VisibleSet};
 use proptest::prelude::*;
 
 fn gaussian_strategy() -> impl Strategy<Value = Gaussian3> {
@@ -66,6 +65,21 @@ fn camera_strategy() -> impl Strategy<Value = Camera> {
         })
 }
 
+/// The full scalar Stage 1 over every Gaussian of `prepared`.
+fn full_pass(prepared: &PreparedScene, camera: &Camera, pool: &WorkerPool) -> PreprocessOutput {
+    preprocess_prepared_pooled_level(prepared, camera, pool, SimdLevel::Scalar)
+}
+
+/// The scalar Stage 1 over the survivors of `set` only.
+fn culled_pass(
+    prepared: &PreparedScene,
+    camera: &Camera,
+    set: &VisibleSet,
+    pool: &WorkerPool,
+) -> PreprocessOutput {
+    preprocess_prepared_visible_pooled_level(prepared, camera, set, pool, SimdLevel::Scalar)
+}
+
 /// Renders a Stage-1 output through binning and tile-major rasterization.
 fn raster_from(
     pre: PreprocessOutput,
@@ -85,7 +99,7 @@ fn raster_from(
         pool,
     );
     let mut fb = Framebuffer::new(camera.width(), camera.height());
-    let stats = rasterize_with(&mut workload, Some(&mut fb), pool);
+    let stats = rasterize_with_level(&mut workload, Some(&mut fb), pool, SimdLevel::Scalar);
     (fb, stats, workload)
 }
 
@@ -101,10 +115,10 @@ proptest! {
         let scene = GaussianScene::from_gaussians(gaussians).expect("validated");
         let prepared = PreparedScene::prepare(scene);
         let pool = WorkerPool::new(workers);
-        let full = preprocess_prepared_pooled(&prepared, &camera, &pool);
+        let full = full_pass(&prepared, &camera, &pool);
         let set = prepared.visible_set(&camera);
         prop_assert_eq!(set.len() + set.culled_total(), prepared.len());
-        let culled = preprocess_prepared_visible_pooled(&prepared, &camera, &set, &pool);
+        let culled = culled_pass(&prepared, &camera, &set, &pool);
         // Everything: splats (bit-exact fields), order, source ids, cull
         // counts, op tallies.
         prop_assert_eq!(&culled, &full);
@@ -122,9 +136,9 @@ proptest! {
         let scene = GaussianScene::from_gaussians(gaussians).expect("validated");
         let prepared = PreparedScene::prepare(scene);
         let pool = WorkerPool::new(workers);
-        let full = preprocess_prepared_pooled(&prepared, &camera, &pool);
+        let full = full_pass(&prepared, &camera, &pool);
         let set = prepared.visible_set(&camera);
-        let culled = preprocess_prepared_visible_pooled(&prepared, &camera, &set, &pool);
+        let culled = culled_pass(&prepared, &camera, &set, &pool);
         let (img_full, stats_full, work_full) = raster_from(full, &camera, &pool);
         let (img_culled, stats_culled, work_culled) = raster_from(culled, &camera, &pool);
         prop_assert_eq!(img_culled, img_full, "image bytes must match");
@@ -159,8 +173,8 @@ proptest! {
             return Ok(()); // jitter crossed a quantization cell: no reuse
         }
         let pool = WorkerPool::serial();
-        let full = preprocess_prepared_pooled(&prepared, &jittered, &pool);
-        let reused = preprocess_prepared_visible_pooled(&prepared, &jittered, &set, &pool);
+        let full = full_pass(&prepared, &jittered, &pool);
+        let reused = culled_pass(&prepared, &jittered, &set, &pool);
         prop_assert_eq!(&reused, &full);
     }
 }
@@ -192,9 +206,8 @@ fn overflow_prone_side_gaussian_is_kept_not_lateral_certified() {
     .unwrap();
     // Zero-slack frustum: the exact-camera path with the least padding.
     let set = prepared.visible_set_with(&camera.frustum());
-    let full = preprocess_prepared_pooled(&prepared, &camera, &WorkerPool::serial());
-    let culled =
-        preprocess_prepared_visible_pooled(&prepared, &camera, &set, &WorkerPool::serial());
+    let full = full_pass(&prepared, &camera, &WorkerPool::serial());
+    let culled = culled_pass(&prepared, &camera, &set, &WorkerPool::serial());
     assert_eq!(
         full.culled_non_finite, 1,
         "the side Gaussian must overflow in the full pass"
@@ -202,8 +215,7 @@ fn overflow_prone_side_gaussian_is_kept_not_lateral_certified() {
     assert_eq!(culled, full, "accounting diverged for the overflow case");
     // The quantized-cache path must agree as well.
     let set = prepared.visible_set(&camera);
-    let culled =
-        preprocess_prepared_visible_pooled(&prepared, &camera, &set, &WorkerPool::serial());
+    let culled = culled_pass(&prepared, &camera, &set, &WorkerPool::serial());
     assert_eq!(culled, full);
 }
 
@@ -236,8 +248,8 @@ fn off_center_camera_cuts_stage1_work_on_large_scene() {
     assert!(set.culled_depth() > 0, "outward view must depth-cull");
 
     let pool = WorkerPool::serial();
-    let full = preprocess_prepared_pooled(&prepared, &off_center, &pool);
-    let culled = preprocess_prepared_visible_pooled(&prepared, &off_center, &set, &pool);
+    let full = full_pass(&prepared, &off_center, &pool);
+    let culled = culled_pass(&prepared, &off_center, &set, &pool);
     assert_eq!(culled, full, "large-scene bit-identity");
 
     // Centered view: whatever the frustum drops must still match.
@@ -251,7 +263,7 @@ fn off_center_camera_cuts_stage1_work_on_large_scene() {
     )
     .unwrap();
     let set = prepared.visible_set(&centered);
-    let full = preprocess_prepared_pooled(&prepared, &centered, &pool);
-    let culled = preprocess_prepared_visible_pooled(&prepared, &centered, &set, &pool);
+    let full = full_pass(&prepared, &centered, &pool);
+    let culled = culled_pass(&prepared, &centered, &set, &pool);
     assert_eq!(culled, full);
 }

@@ -7,7 +7,8 @@
 use gaurast_math::Vec3;
 use gaurast_render::pipeline::{render, render_record_only, RenderConfig};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{preprocess_pooled, PREPROCESS_CHUNK};
+use gaurast_render::preprocess::{preprocess_pooled_level, PREPROCESS_CHUNK};
+use gaurast_render::SimdLevel;
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
 
@@ -110,8 +111,11 @@ proptest! {
             all.extend(gaussians.iter().cloned());
         }
         let scene = scene_of(all);
-        let serial = preprocess_pooled(&scene, &camera, &WorkerPool::serial());
-        let parallel = preprocess_pooled(&scene, &camera, &WorkerPool::new(4));
+        let stage1 = |pool: &WorkerPool| {
+            preprocess_pooled_level(&scene, &camera, pool, SimdLevel::Scalar)
+        };
+        let serial = stage1(&WorkerPool::serial());
+        let parallel = stage1(&WorkerPool::new(4));
         prop_assert_eq!(&serial, &parallel);
         // Source ids must be globally indexed and strictly increasing
         // (stitching in chunk order preserves the serial emission order).

@@ -3,24 +3,24 @@
 //! statistic, every FP-op tally — at every worker width, for hostile
 //! scene content.
 //!
-//! On hosts without AVX2/SSE4.1 the forced modes resolve downward, so the
+//! Every comparison names its levels. A level the host lacks is clamped
+//! to the widest one it has, so on hosts without AVX2/SSE4.1 the
 //! comparisons degrade to scalar-vs-scalar and stay trivially green; CI
 //! runs on x86-64 where all three levels are exercised.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_record_only, RenderConfig};
+use gaurast_render::pipeline::{render, run_frame, RenderConfig, Stage1Input, WorkloadOutput};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{preprocess_pooled, preprocess_pooled_level};
-use gaurast_render::VectorMode;
+use gaurast_render::preprocess::{
+    preprocess_pooled_level, preprocess_prepared_pooled_level,
+    preprocess_prepared_visible_pooled_level,
+};
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel, DEFAULT_TILE_SIZE};
 use gaurast_scene::generator::SceneParams;
-use gaurast_scene::{Camera, Gaussian3, GaussianScene};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
 use proptest::prelude::*;
 
-const MODES: [VectorMode; 3] = [
-    VectorMode::Scalar,
-    VectorMode::ForceSse,
-    VectorMode::ForceAvx2,
-];
+const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse, SimdLevel::Avx2];
 
 fn camera(width: u32, height: u32) -> Camera {
     Camera::look_at(
@@ -34,29 +34,65 @@ fn camera(width: u32, height: u32) -> Camera {
     .expect("valid camera")
 }
 
-/// Renders one scene under every vector mode and asserts the complete
-/// output — image, workload, stats, op tallies — is bit-identical to the
-/// scalar reference.
-fn assert_modes_identical(scene: &GaussianScene, cam: &Camera, base: RenderConfig) {
-    let reference = render(scene, cam, &base.with_vector_mode(VectorMode::Scalar));
-    for mode in [
-        VectorMode::ForceSse,
-        VectorMode::ForceAvx2,
-        VectorMode::Auto,
-    ] {
-        let out = render(scene, cam, &base.with_vector_mode(mode));
-        assert_eq!(
-            reference.image, out.image,
-            "image diverged under {mode:?} (workers {})",
-            base.workers
-        );
-        assert_eq!(reference.workload, out.workload, "workload under {mode:?}");
-        assert_eq!(
-            reference.preprocess, out.preprocess,
-            "stage-1 stats under {mode:?}"
-        );
-        assert_eq!(reference.raster, out.raster, "stage-3 stats under {mode:?}");
+/// One frame through the frame driver at `level` over `pool`, into a
+/// fresh framebuffer when `imaged`, record-only otherwise.
+fn frame(
+    input: Stage1Input<'_>,
+    cam: &Camera,
+    level: SimdLevel,
+    pool: &WorkerPool,
+    imaged: bool,
+) -> (Option<Framebuffer>, WorkloadOutput) {
+    let mut image = imaged.then(|| Framebuffer::new(cam.width(), cam.height()));
+    let out = run_frame(
+        input,
+        cam,
+        DEFAULT_TILE_SIZE,
+        level,
+        pool,
+        &mut FrameArena::new(),
+        image.as_mut(),
+        |_| {},
+    );
+    (image, out)
+}
+
+/// Renders one raw scene at every SIMD level, with and without a
+/// framebuffer, and asserts the complete output — image, workload, stats,
+/// op tallies — is bit-identical to the scalar imaged reference. The free
+/// [`render`] path (the host's detected level) must agree too.
+fn assert_levels_identical(scene: &GaussianScene, cam: &Camera, workers: usize) {
+    let pool = WorkerPool::new(workers);
+    let input = Stage1Input::Raw(scene);
+    let (reference_image, reference) = frame(input, cam, SimdLevel::Scalar, &pool, true);
+    for level in LEVELS {
+        for imaged in [true, false] {
+            let (image, out) = frame(input, cam, level, &pool, imaged);
+            if imaged {
+                assert_eq!(
+                    reference_image, image,
+                    "image diverged at {level:?} (workers {workers})"
+                );
+            }
+            assert_eq!(
+                reference.workload, out.workload,
+                "workload at {level:?} (imaged {imaged})"
+            );
+            assert_eq!(
+                reference.preprocess, out.preprocess,
+                "stage-1 stats at {level:?} (imaged {imaged})"
+            );
+            assert_eq!(
+                reference.raster, out.raster,
+                "stage-3 stats at {level:?} (imaged {imaged})"
+            );
+        }
     }
+    let out = render(scene, cam, &RenderConfig::default().with_workers(workers));
+    assert_eq!(reference_image.as_ref(), Some(&out.image), "render image");
+    assert_eq!(reference.workload, out.workload, "render workload");
+    assert_eq!(reference.preprocess, out.preprocess, "render stage-1 stats");
+    assert_eq!(reference.raster, out.raster, "render stage-3 stats");
 }
 
 /// Gaussians spanning extreme scales and positions, exercising every cull
@@ -92,7 +128,7 @@ proptest! {
     ) {
         let scene = SceneParams::new(n).seed(seed).generate().expect("valid scene");
         let cam = camera(96, 64);
-        assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(workers));
+        assert_levels_identical(&scene, &cam, workers);
     }
 
     /// Hostile scenes (covariance overflow, NaN-adjacent math, every cull
@@ -113,11 +149,12 @@ proptest! {
             height,
             1.05,
         ).expect("valid camera");
-        assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(workers));
+        assert_levels_identical(&scene, &cam, workers);
     }
 
-    /// Stage 1 in isolation: the pooled preprocess entry point must agree
-    /// across levels on splats, cull counts, and op tallies.
+    /// Stage 1 in isolation: the raw, prepared and visible-set `_level`
+    /// entry points must agree across levels on splats, cull counts, and
+    /// op tallies.
     #[test]
     fn preprocess_levels_agree(
         n in 1usize..900,
@@ -127,10 +164,17 @@ proptest! {
         let scene = SceneParams::new(n).seed(seed).generate().expect("valid scene");
         let cam = camera(128, 96);
         let pool = WorkerPool::new(workers);
-        let reference = preprocess_pooled(&scene, &cam, &pool);
-        for mode in MODES {
-            let out = preprocess_pooled_level(&scene, &cam, &pool, mode.resolve());
-            prop_assert_eq!(&reference, &out, "level {:?}", mode.resolve());
+        let reference = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
+        let prepared = PreparedScene::prepare(scene.clone());
+        let set = prepared.visible_set(&cam);
+        for level in LEVELS {
+            let raw = preprocess_pooled_level(&scene, &cam, &pool, level);
+            prop_assert_eq!(&reference, &raw, "raw at {:?}", level);
+            let full = preprocess_prepared_pooled_level(&prepared, &cam, &pool, level);
+            prop_assert_eq!(&reference, &full, "prepared at {:?}", level);
+            let culled =
+                preprocess_prepared_visible_pooled_level(&prepared, &cam, &set, &pool, level);
+            prop_assert_eq!(&reference, &culled, "visible set at {:?}", level);
         }
     }
 }
@@ -145,7 +189,7 @@ fn all_worker_widths_are_bit_identical() {
         .expect("valid scene");
     let cam = camera(128, 96);
     for workers in 1..=8 {
-        assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(workers));
+        assert_levels_identical(&scene, &cam, workers);
     }
 }
 
@@ -160,12 +204,12 @@ fn lane_tail_counts_are_bit_identical() {
             .seed(extra as u64)
             .generate()
             .expect("valid scene");
-        assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(1));
+        assert_levels_identical(&scene, &cam, 1);
     }
 }
 
 /// Non-finite splat parameters at the validation boundary must take the
-/// same cull branches in every mode.
+/// same cull branches at every level.
 #[test]
 fn non_finite_projection_is_bit_identical() {
     // Huge scale → covariance overflow → non-finite radius cull.
@@ -186,7 +230,7 @@ fn non_finite_projection_is_bit_identical() {
     ])
     .expect("validated");
     let cam = camera(48, 32);
-    assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(2));
+    assert_levels_identical(&scene, &cam, 2);
 }
 
 /// Degenerate framebuffer shapes: a single pixel and a non-tile-multiple
@@ -198,11 +242,7 @@ fn tiny_and_odd_framebuffers_are_bit_identical() {
         .generate()
         .expect("valid scene");
     for (w, h) in [(1, 1), (33, 17)] {
-        assert_modes_identical(
-            &scene,
-            &camera(w, h),
-            RenderConfig::default().with_workers(2),
-        );
+        assert_levels_identical(&scene, &camera(w, h), 2);
     }
 }
 
@@ -219,13 +259,54 @@ fn empty_visible_set_is_bit_identical() {
     )])
     .expect("validated");
     let cam = camera(32, 32);
-    assert_modes_identical(&scene, &cam, RenderConfig::default().with_workers(2));
-    for mode in MODES {
-        let out = render_record_only(
-            &scene,
-            &cam,
-            &RenderConfig::default().with_vector_mode(mode),
+    assert_levels_identical(&scene, &cam, 2);
+    let pool = WorkerPool::new(2);
+    for level in LEVELS {
+        let (_, out) = frame(Stage1Input::Raw(&scene), &cam, level, &pool, false);
+        assert_eq!(out.workload.splats().len(), 0, "level {level:?}");
+    }
+}
+
+/// Stage 1 clamps a requested level to the host's, the way Stage 3 does:
+/// `Avx2` handed to each Stage-1 `_level` entry and to `run_frame` over
+/// every input is sound on any host and reproduces the scalar output.
+#[test]
+fn stage1_clamps_a_level_above_the_host() {
+    let scene = SceneParams::new(1500)
+        .seed(5)
+        .generate()
+        .expect("valid scene");
+    let cam = camera(96, 64);
+    let prepared = PreparedScene::prepare(scene.clone());
+    let set = prepared.visible_set(&cam);
+    for workers in [1, 3] {
+        let pool = WorkerPool::new(workers);
+        let scalar = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
+        let avx2 = SimdLevel::Avx2;
+        assert_eq!(preprocess_pooled_level(&scene, &cam, &pool, avx2), scalar);
+        assert_eq!(
+            preprocess_prepared_pooled_level(&prepared, &cam, &pool, avx2),
+            scalar
         );
-        assert_eq!(out.workload.splats().len(), 0, "mode {mode:?}");
+        assert_eq!(
+            preprocess_prepared_visible_pooled_level(&prepared, &cam, &set, &pool, avx2),
+            scalar
+        );
+        let (reference_image, reference) = frame(
+            Stage1Input::Raw(&scene),
+            &cam,
+            SimdLevel::Scalar,
+            &pool,
+            true,
+        );
+        for (label, input) in [
+            ("raw", Stage1Input::Raw(&scene)),
+            ("prepared", Stage1Input::Prepared(&prepared, None)),
+            ("visible set", Stage1Input::Prepared(&prepared, Some(&set))),
+        ] {
+            let (image, out) = frame(input, &cam, avx2, &pool, true);
+            assert_eq!(image, reference_image, "{label} (workers {workers})");
+            assert_eq!(out, reference, "{label} (workers {workers})");
+        }
     }
 }

@@ -25,9 +25,9 @@
 //! ```
 //!
 //! The precomputed per-Gaussian covariances feed Stage 1 directly (see
-//! `gaurast_render::preprocess::preprocess_prepared`), removing the two
-//! quaternion-to-matrix products per Gaussian per frame that the raw-scene
-//! path pays.
+//! `gaurast_render::preprocess::preprocess_prepared_pooled_level`),
+//! removing the two quaternion-to-matrix products per Gaussian per frame
+//! that the raw-scene path pays.
 
 use crate::stats::SceneStats;
 use crate::visibility::{self, SpatialIndex, VisibleSet};
@@ -36,8 +36,8 @@ use gaurast_math::{Aabb3, Frustum, Mat3};
 
 /// An immutable scene asset: a validated [`GaussianScene`] plus
 /// camera-independent precomputation. The per-Gaussian world covariances
-/// feed Stage 1 directly (`preprocess_prepared` reads them back instead of
-/// rebuilding them per frame); the bounds, 3σ radii, SH degree, and
+/// feed Stage 1 directly (`preprocess_prepared_pooled_level` reads them
+/// back instead of rebuilding them per frame); the bounds, 3σ radii, SH degree, and
 /// summary statistics serve the serving layer — capacity planning,
 /// placement, and workload introspection over a registry of named scenes.
 ///

@@ -1,6 +1,7 @@
-//! The frustum-culled visible-set subsystem from the outside: one shared
-//! scene, two viewpoints, culling on versus off — bit-identical frames,
-//! measurably less Stage-1 work, and cache hits across a camera sequence.
+//! The frustum-culled visible-set subsystem from the outside: one scene,
+//! two viewpoints, every engine frame bit-identical to the full pass over
+//! the whole scene, measurably less Stage-1 work, and cache hits across a
+//! camera sequence.
 //!
 //! ```text
 //! cargo run --release --example visibility_culling
@@ -8,6 +9,8 @@
 
 use gaurast::backend::BackendKind;
 use gaurast::engine::{EngineBuilder, ImagePolicy};
+use gaurast::render::pipeline::{run_frame, Stage1Input};
+use gaurast::render::{FrameArena, Framebuffer, SimdLevel, WorkerPool, DEFAULT_TILE_SIZE};
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::{Camera, PreparedScene};
 use gaurast_math::Vec3;
@@ -25,16 +28,28 @@ fn main() -> Result<(), Box<dyn Error>> {
         prepared.spatial_index().occupied_cells(),
     );
 
-    // Two sessions over the same asset: culling on (the default) and off.
+    // Every engine frame runs Stage 1 over the camera's visible set.
     let mut culled = EngineBuilder::shared(Arc::clone(&prepared))
         .backend(BackendKind::Enhanced)
         .image_policy(ImagePolicy::Retain)
         .build()?;
-    let mut full = EngineBuilder::shared(Arc::clone(&prepared))
-        .backend(BackendKind::Enhanced)
-        .image_policy(ImagePolicy::Retain)
-        .frustum_culling(false)
-        .build()?;
+    // The full pass: Stage 1 over every Gaussian, no visible set.
+    let pool = WorkerPool::new(0);
+    let mut arena = FrameArena::new();
+    let mut full = |cam: &Camera| {
+        let mut image = Framebuffer::new(cam.width(), cam.height());
+        let out = run_frame(
+            Stage1Input::Prepared(&prepared, None),
+            cam,
+            DEFAULT_TILE_SIZE,
+            SimdLevel::Scalar,
+            &pool,
+            &mut arena,
+            Some(&mut image),
+            |_| {},
+        );
+        (image, out.preprocess)
+    };
 
     let centered = Camera::look_at(
         Vec3::new(0.0, 6.0, -40.0),
@@ -57,12 +72,16 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     for (label, cam) in [("centered", &centered), ("off-center", &off_center)] {
         let a = culled.render_frame(cam);
-        let b = full.render_frame(cam);
-        let (img_a, img_b) = (a.image.unwrap(), b.image.unwrap());
+        let (img_b, stage1) = full(cam);
         assert_eq!(
-            img_a.mean_abs_diff(&img_b),
+            a.image.unwrap().mean_abs_diff(&img_b),
             0.0,
             "frames must be bit-identical"
+        );
+        assert_eq!(
+            (a.stats.visible, a.stats.culled),
+            (stage1.visible, stage1.culled),
+            "Stage-1 accounting must be bit-identical"
         );
         let cull = a.stats.cull;
         println!(
