@@ -1,9 +1,9 @@
-//! Benchmark crate of the GauRast workspace: the targets live in
-//! `benches/` and the paper-artifact reproduction binary in
-//! `src/bin/repro.rs`. The library hosts the counting allocator that
-//! proves the steady-state zero-allocation contracts. Performance of the
-//! frame path is measured by one harness, the standalone `perfbench`
-//! package at the repository root.
+//! Paper-artifact crate of the GauRast workspace: the reproduction
+//! binary lives in `src/bin/repro.rs`. The library hosts the counting
+//! allocator that proves the steady-state zero-allocation contracts and
+//! the artifact-path helper `repro` writes through. It times no frames:
+//! performance of the frame path is measured by one harness, the
+//! standalone `perfbench` package at the repository root.
 
 #![deny(missing_docs)]
 

@@ -242,9 +242,8 @@ impl FrameReport {
 
 /// A frame-level execution substrate.
 ///
-/// Backends are sessions: `prepare` is called once per frame before
-/// `execute` and may warm caches or resize internal scratch; `execute`
-/// consumes the frame and reports timing, energy, and statistics.
+/// Backends are sessions: `execute` consumes one frame and reports
+/// timing, energy, and statistics.
 pub trait Backend: std::fmt::Debug {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
@@ -252,11 +251,6 @@ pub trait Backend: std::fmt::Debug {
     /// Human-readable name (device/configuration specific).
     fn name(&self) -> String {
         self.kind().label().to_string()
-    }
-
-    /// Per-frame warm-up hook; the default does nothing.
-    fn prepare(&mut self, workload: &RasterWorkload) {
-        let _ = workload;
     }
 
     /// Executes one frame and reports the result.

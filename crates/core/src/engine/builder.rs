@@ -3,7 +3,7 @@
 use super::{Engine, EngineError, ImagePolicy};
 use crate::backend::BackendKind;
 use gaurast_gpu::{device, CudaGpuModel};
-use gaurast_hw::{Precision, RasterizerConfig};
+use gaurast_hw::RasterizerConfig;
 use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
 use gaurast_scene::{GaussianScene, PreparedScene, VisibilityCache};
 use std::sync::Arc;
@@ -39,7 +39,6 @@ pub struct EngineBuilder {
     tile_size: u32,
     workers: usize,
     backend: BackendKind,
-    precision: Option<Precision>,
     hw_config: RasterizerConfig,
     host: CudaGpuModel,
     image_policy: ImagePolicy,
@@ -63,7 +62,6 @@ impl EngineBuilder {
             tile_size: DEFAULT_TILE_SIZE,
             workers: 0,
             backend: BackendKind::Enhanced,
-            precision: None,
             hw_config: RasterizerConfig::scaled(),
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
@@ -93,13 +91,6 @@ impl EngineBuilder {
     /// Selects the execution backend.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = kind;
-        self
-    }
-
-    /// Datapath precision of the enhanced-rasterizer backend (overrides
-    /// the hardware configuration's precision).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
         self
     }
 
@@ -150,11 +141,7 @@ impl EngineBuilder {
         if self.tile_size == 0 {
             return Err(EngineError("tile size must be positive".to_string()));
         }
-        let mut hw_config = self.hw_config;
-        if let Some(precision) = self.precision {
-            hw_config.precision = precision;
-        }
-        hw_config
+        self.hw_config
             .validate()
             .map_err(|e| EngineError(format!("invalid hardware configuration: {e}")))?;
         Ok(Engine::from_parts(
@@ -162,7 +149,7 @@ impl EngineBuilder {
             self.tile_size,
             self.workers,
             self.image_policy,
-            hw_config,
+            self.hw_config,
             self.host,
             self.backend,
             self.vector_mode,
@@ -175,6 +162,7 @@ impl EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gaurast_hw::Precision;
     use gaurast_scene::generator::SceneParams;
 
     fn scene() -> GaussianScene {
@@ -213,9 +201,13 @@ mod tests {
 
     #[test]
     fn precision_overrides_hw_config() {
+        // The hardware configuration is the one place precision is set; an
+        // FP16 configuration must reach the enhanced backend.
         let e = EngineBuilder::new(scene())
-            .hw_config(RasterizerConfig::prototype())
-            .precision(Precision::Fp16)
+            .hw_config(RasterizerConfig {
+                precision: Precision::Fp16,
+                ..RasterizerConfig::prototype()
+            })
             .build()
             .unwrap();
         assert_eq!(e.hw_config.precision, Precision::Fp16);

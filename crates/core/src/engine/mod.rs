@@ -425,7 +425,6 @@ impl Engine {
         let retain = self.image_policy == ImagePolicy::Retain;
         let need_image = retain && self.kind != BackendKind::Enhanced;
         let (workload, mut reference) = self.reference_pass(camera, need_image);
-        self.backend.prepare(&workload);
         let mut report = self.backend.execute(Frame {
             workload: &workload,
             reference: &reference,
@@ -488,7 +487,6 @@ impl Engine {
             .iter()
             .map(|&kind| {
                 let mut backend = make_backend(kind, self.hw_config);
-                backend.prepare(&workload);
                 let mut report = backend.execute(Frame {
                     workload: &workload,
                     reference: &reference,

@@ -141,8 +141,10 @@ pub fn gscore_architecture(scale: gaurast_scene::nerf360::SceneScale) -> GscoreA
     let cam = desc.camera(scale, 0.4).expect("descriptor camera");
 
     let mut engine = EngineBuilder::new(scene)
-        .hw_config(RasterizerConfig::prototype())
-        .precision(Precision::Fp16)
+        .hw_config(RasterizerConfig {
+            precision: Precision::Fp16,
+            ..RasterizerConfig::prototype()
+        })
         .build()
         .expect("prototype configuration is valid");
     let cmp = engine.compare(&cam, &[BackendKind::Enhanced, BackendKind::Gscore]);

@@ -71,7 +71,6 @@ pub mod simd;
 pub mod sort;
 pub mod sync;
 pub mod tile;
-pub mod trace;
 pub mod triangle;
 mod workload;
 

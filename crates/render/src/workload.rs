@@ -168,9 +168,8 @@ impl RasterWorkload {
     /// relies on — Stage 3 no longer sorts in its tile jobs, so the
     /// constructor establishes the order; already-sorted lists pass
     /// through bit-identically). This is the compatibility entry for
-    /// tests, custom tilers and trace replay ([`crate::trace`]); the
-    /// reference pipeline builds workloads through the counting scatter
-    /// ([`crate::tile::bin_splats_pooled`]).
+    /// tests and custom tilers; the reference pipeline builds workloads
+    /// through the counting scatter ([`crate::tile::bin_splats_pooled`]).
     ///
     /// # Panics
     /// Panics when the tile-list count does not match the grid, when the
@@ -613,7 +612,7 @@ mod tests {
     #[test]
     fn new_establishes_depth_order_for_unsorted_lists() {
         // Stage 3 no longer sorts in its tile jobs, so the compatibility
-        // constructor (custom tilers, trace replay) must establish the
+        // constructor (tests, custom tilers) must establish the
         // front-to-back invariant itself — stably, so already-sorted
         // lists pass through bit-identically.
         let mk = |depth: f32| Splat2D { depth, ..splat() };

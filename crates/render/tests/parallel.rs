@@ -125,34 +125,50 @@ proptest! {
     }
 }
 
-/// A fixed mid-size scene rendered at every pool width 1..=8: all outputs
-/// must equal the serial frame bit for bit (the golden cross-check the
-/// proptests randomize).
+/// Fixed scenes rendered at every pool width 1..=8: all outputs must equal
+/// the serial frame bit for bit (the golden cross-check the proptests
+/// randomize). The inputs are a synthetic mid-size scene and a NeRF-360
+/// descriptor scene (Garden at unit-test scale, θ = 0.4).
 #[test]
 fn all_pool_widths_agree_on_fixed_scene() {
     use gaurast_scene::generator::SceneParams;
-    let scene = SceneParams::new(3000).seed(7).generate().unwrap();
-    let camera = Camera::look_at(
-        Vec3::new(0.0, 6.0, -28.0),
-        Vec3::zero(),
-        Vec3::new(0.0, 1.0, 0.0),
-        160,
-        112,
-        1.05,
-    )
-    .unwrap();
-    let serial = render(&scene, &camera, &RenderConfig::default().with_workers(1));
-    assert!(serial.image.coverage() > 0.02);
-    for workers in 2..=8 {
-        let out = render(
-            &scene,
-            &camera,
-            &RenderConfig::default().with_workers(workers),
-        );
-        assert_eq!(out.image, serial.image, "workers={workers}");
-        assert_eq!(out.raster, serial.raster, "workers={workers}");
-        assert_eq!(out.preprocess, serial.preprocess, "workers={workers}");
-        assert_eq!(out.workload, serial.workload, "workers={workers}");
+    use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
+    let synthetic = (
+        "synthetic",
+        SceneParams::new(3000).seed(7).generate().unwrap(),
+        Camera::look_at(
+            Vec3::new(0.0, 6.0, -28.0),
+            Vec3::zero(),
+            Vec3::new(0.0, 1.0, 0.0),
+            160,
+            112,
+            1.05,
+        )
+        .unwrap(),
+    );
+    let desc = Nerf360Scene::Garden.descriptor();
+    let garden = (
+        "garden",
+        desc.synthesize(SceneScale::UNIT_TEST),
+        desc.camera(SceneScale::UNIT_TEST, 0.4).unwrap(),
+    );
+    for (name, scene, camera) in [synthetic, garden] {
+        let serial = render(&scene, &camera, &RenderConfig::default().with_workers(1));
+        assert!(serial.image.coverage() > 0.02, "{name}");
+        for workers in 2..=8 {
+            let out = render(
+                &scene,
+                &camera,
+                &RenderConfig::default().with_workers(workers),
+            );
+            assert_eq!(out.image, serial.image, "{name} workers={workers}");
+            assert_eq!(out.raster, serial.raster, "{name} workers={workers}");
+            assert_eq!(
+                out.preprocess, serial.preprocess,
+                "{name} workers={workers}"
+            );
+            assert_eq!(out.workload, serial.workload, "{name} workers={workers}");
+        }
     }
 }
 

@@ -131,7 +131,8 @@ pub struct SceneScale {
 }
 
 impl SceneScale {
-    /// Full paper scale (millions of Gaussians — slow; benches only).
+    /// Full paper scale (millions of Gaussians — slow; no artifact or
+    /// benchmark runs it).
     pub const FULL: SceneScale = SceneScale {
         gaussian_divisor: 1,
         resolution_divisor: 1,

@@ -81,7 +81,6 @@ fn all_backends_are_bit_identical_with_culling() {
             "{kind}: the frustum must drop work in this view"
         );
         let mut model = backend(kind);
-        model.prepare(&full.workload);
         let b = model.execute(Frame {
             workload: &full.workload,
             reference: &reference,
