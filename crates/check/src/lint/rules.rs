@@ -66,12 +66,12 @@ pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     // `render` frame under the deep no-alloc/no-spawn purity rule, so
     // re-introducing a per-frame thread spawn or allocation there fails CI.
     ("crates/render/src/pipeline.rs", "run_frame"),
-    // The SIMD lane-group kernels: Stage 1's projection/conic groups and
+    // The AVX2 lane-group kernels: Stage 1's projection/conic groups and
     // Stage 3's per-row conic evaluation + blending run per frame in
     // steady state; marking them keeps fresh allocations (and, via the
     // deep layer, panics and nondeterminism) out of the vector path.
-    ("crates/render/src/simd/stage1.rs", "preprocess_over_simd"),
-    ("crates/render/src/simd/stage3.rs", "rasterize_tile_simd"),
+    ("crates/render/src/simd/stage1.rs", "preprocess_over_avx2"),
+    ("crates/render/src/simd/stage3.rs", "rasterize_tile_avx2"),
 ];
 
 /// Crates whose sources must stay deterministic: no wall clock, no

@@ -478,22 +478,13 @@ const STD_FREE_FNS: &[&str] = &[
     "not",
 ];
 
-/// Workspace kernels defined *inside* `macro_rules!` bodies
-/// (`stage1_kernel!` in `crates/render/src/simd/stage1.rs`): like
-/// [`MACRO_IMPL_METHODS`], the parser skips macro bodies, so these never
-/// become graph nodes. Their bodies are straight-line per-lane register
-/// math over `core::arch` intrinsics — no allocation, no panic path, no
-/// ambient input — and the file sits in the line lint's `HOT_FILES` set,
-/// which polices macro-body text too (the line rules are textual).
-const MACRO_KERNEL_FNS: &[&str] = &["group_sse", "group_avx2"];
-
-/// `core::arch::x86_64` vector intrinsics (`_mm_add_ps`,
-/// `_mm256_blendv_ps`, …): per-lane register value math with no effects
-/// the deep rules track — no allocation, no panics, deterministic. The
-/// `unsafe` / `#[target_feature]` discipline around them is the line
-/// lint's SAFETY-comment rule, not a call-graph property.
+/// `core::arch::x86_64` AVX2 intrinsics (`_mm256_blendv_ps`, …): per-lane
+/// register value math with no effects the deep rules track — no
+/// allocation, no panics, deterministic. The `unsafe` /
+/// `#[target_feature]` discipline around them is the line lint's
+/// SAFETY-comment rule, not a call-graph property.
 fn is_vector_intrinsic(name: &str) -> bool {
-    name.starts_with("_mm_") || name.starts_with("_mm256_")
+    name.starts_with("_mm256_")
 }
 
 /// One call site the resolver could not map to any workspace function or
@@ -757,7 +748,6 @@ fn resolve_one(
                 return Targets::External;
             }
             if STD_FREE_FNS.contains(&call.name.as_str())
-                || MACRO_KERNEL_FNS.contains(&call.name.as_str())
                 || is_vector_intrinsic(&call.name)
                 || is_constructor(&call.name)
             {

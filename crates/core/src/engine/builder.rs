@@ -114,8 +114,8 @@ impl EngineBuilder {
     }
 
     /// Selects the kernels of the reference pass's Stage-1 and Stage-3 hot
-    /// loops. The default, [`VectorMode::Auto`], runs the widest SIMD
-    /// level the host CPU supports (AVX2 → SSE4.1 → scalar);
+    /// loops. The default, [`VectorMode::Auto`], runs the AVX2 kernels
+    /// when the host CPU has AVX2 and the scalar reference otherwise;
     /// [`VectorMode::Scalar`] opens a scalar reference session, the oracle
     /// a benchmark checks its frames against. Frames are
     /// **bit-identical** either way — only wall-clock time differs.

@@ -302,8 +302,8 @@ fn preprocess_indices(
     )
 }
 
-/// Dispatches one Stage-1 index sequence to the scalar reference kernel or
-/// the SIMD lane-group kernels (`crate::simd::stage1`) — bit-identical
+/// Dispatches one Stage-1 index sequence to the AVX2 lane-group kernel
+/// (`crate::simd::stage1`) or the scalar reference kernel — bit-identical
 /// either way. The single Stage-1 dispatch: it clamps `level` to
 /// [`crate::simd::detected_level`], so every public entry point is sound
 /// for any requested level.
@@ -316,15 +316,11 @@ fn preprocess_over_level(
     level: SimdLevel,
 ) -> PreprocessOutput {
     match level.min(crate::simd::detected_level()) {
-        SimdLevel::Scalar => preprocess_over(scene, camera, covariance_of, count, indices),
-        simd => crate::simd::stage1::preprocess_over_simd(
-            scene,
-            camera,
-            covariance_of,
-            count,
-            indices,
-            simd,
-        ),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            crate::simd::stage1::preprocess_over_avx2(scene, camera, covariance_of, count, indices)
+        }
+        _ => preprocess_over(scene, camera, covariance_of, count, indices),
     }
 }
 

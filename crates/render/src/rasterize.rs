@@ -81,11 +81,11 @@ struct TileJob<'l, 'fb> {
 }
 
 /// The tile-major rasterization pass — the single Stage-3 code path
-/// (behind [`rasterize`] too). Tiles run the verbatim scalar kernel at
-/// [`SimdLevel::Scalar`] and the SoA lane-group kernels
-/// (`crate::simd::stage3`) at `Sse`/`Avx2`; a `level` above the host's
-/// detected capability is clamped down (sound, because all levels agree
-/// bit for bit).
+/// (behind [`rasterize`] too). Tiles run the SoA lane-group AVX2 kernel
+/// (`crate::simd::stage3`) at [`SimdLevel::Avx2`] and the verbatim scalar
+/// kernel at [`SimdLevel::Scalar`]; a `level` above the host's detected
+/// capability is clamped down, so a host without AVX2 runs the scalar
+/// kernel (sound, because both levels agree bit for bit).
 ///
 /// Each tile is an independent job over its own depth-sorted CSR range of
 /// the workload (Stage 2 wrote every range in depth order up front via
@@ -151,7 +151,6 @@ pub fn rasterize_with_level(
         None => (0..n_tiles).map(|_| None).collect(), // gaurast-check: allow(alloc): same staging list, record-only shape
     };
     let splats = workload.splats();
-    let soa = workload.soa();
     let mut jobs: Vec<TileJob<'_, '_>> = (0..n_tiles)
         .zip(views.drain(..))
         .map(|(i, view)| TileJob {
@@ -182,14 +181,14 @@ pub fn rasterize_with_level(
             );
         }
         (job.processed, job.stats) = match level {
-            SimdLevel::Scalar => rasterize_tile(splats, job.list, rect, job.view.as_mut()),
-            simd => crate::simd::stage3::rasterize_tile_simd(
-                soa,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => crate::simd::stage3::rasterize_tile_avx2(
+                workload.soa(),
                 job.list,
                 rect,
                 job.view.as_mut(),
-                simd,
             ),
+            _ => rasterize_tile(splats, job.list, rect, job.view.as_mut()),
         };
     });
 

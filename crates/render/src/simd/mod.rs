@@ -1,28 +1,29 @@
-//! Runtime-selected SIMD data path for the Stage-1 and Stage-3 hot loops.
+//! Runtime-selected AVX2 data path for the Stage-1 and Stage-3 hot loops.
 //!
 //! The GauRast thesis is that 3DGS rendering is rasterizer-style
 //! *data-parallel* work; this module demonstrates the same parallelism on
 //! host vector units. Stage 1's per-Gaussian EWA projection + conic math
-//! (`stage1`) runs over 4/8-Gaussian lane groups, and Stage 3's
-//! per-pixel conic evaluation + front-to-back blending (`stage3`) runs
-//! over 4/8-pixel groups along tile rows, using `core::arch` x86-64
-//! SSE4.1 / AVX2 intrinsics.
+//! (`stage1`) runs over 8-Gaussian lane groups, and Stage 3's per-pixel
+//! conic evaluation + front-to-back blending (`stage3`) runs over 8-pixel
+//! groups along tile rows, using `core::arch` x86-64 AVX2 intrinsics.
+//! Each stage has exactly two kernels: the verbatim scalar reference
+//! (`preprocess_over`, `rasterize_tile`) and one AVX2 kernel here.
 //!
 //! # Bit-identity contract
 //!
-//! The SIMD kernels are **not** allowed to change a single output bit
-//! relative to the scalar reference (`preprocess_over`, `rasterize_tile`),
-//! at any worker width. The recipe:
+//! The AVX2 kernels are **not** allowed to change a single output bit
+//! relative to the scalar reference, at any worker width. The recipe:
 //!
-//! 1. The scalar kernels were first *restructured* into lane-group form
-//!    (gather inputs, evaluate per lane in the exact original operation
-//!    order, finalize in lane order) without vectorizing — proven
-//!    bit-identical to the verbatim kernels by proptest.
-//! 2. The SSE/AVX2 kernels then replace each per-lane scalar operation
-//!    with the corresponding *per-lane-exact* vector instruction:
-//!    IEEE-754 add/sub/mul/div/sqrt/min/max/round are correctly rounded
-//!    per lane, so `addps` ≡ 4 × `addss` bit-for-bit. No FMA contraction,
-//!    no reassociation, no approximate reciprocal/rsqrt instructions.
+//! 1. Each lane evaluates one Gaussian (Stage 1) or one pixel (Stage 3)
+//!    with the reference's operations in the reference's order. Partial
+//!    groups run through the same kernel: Stage 1 zeroes the unused lanes
+//!    and finalizes only the gathered ones; Stage 3 pads each tile row to
+//!    a multiple of 8 with dead pixels that no gate lets through.
+//! 2. Each per-lane scalar operation becomes the corresponding
+//!    *per-lane-exact* vector instruction: IEEE-754 add/sub/mul/div/sqrt/
+//!    min/max/round are correctly rounded per lane, so `vaddps` ≡ 8 ×
+//!    `vaddss` bit-for-bit. No FMA contraction, no reassociation, no
+//!    approximate reciprocal/rsqrt instructions.
 //! 3. Transcendentals stay scalar: `exp` is extracted per active lane and
 //!    computed with the very same `f32::exp` the reference calls.
 //!
@@ -32,31 +33,33 @@
 //!
 //! # Level selection
 //!
-//! Frames run at the host's widest level: [`detected_level`] probes the
-//! CPU features a single time per process and caches the answer in a
+//! Frames run at the host's level: [`detected_level`] probes the CPU
+//! features a single time per process and caches the answer in a
 //! `OnceLock` behind the [`crate::sync`] facade, so no
 //! `is_x86_feature_detected!` ever runs inside per-frame code.
 //! [`VectorMode`] only chooses between that level ([`VectorMode::Auto`])
 //! and the scalar reference ([`VectorMode::Scalar`]). Callers that name a
 //! level directly (`run_frame` and the `_level` entry points) are clamped
-//! to [`detected_level`] at the Stage-1 and Stage-3 dispatch, so a level
-//! the host lacks falls back to a narrower one — sound because every
-//! level renders bit-identical frames.
+//! to [`detected_level`] at the Stage-1 and Stage-3 dispatch, so a host
+//! without AVX2 runs the scalar reference — sound because both levels
+//! render bit-identical frames.
 
 use crate::sync::lazy::OnceLock;
 
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod stage1;
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod stage3;
 
-/// Which kernels an engine session runs: the host's widest level or the
-/// scalar reference. Every mode renders bit-identical frames — the
-/// choice trades speed, never output.
+/// Which kernels an engine session runs: the host's level or the scalar
+/// reference. Every mode renders bit-identical frames — the choice trades
+/// speed, never output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VectorMode {
     /// Always run the verbatim scalar reference kernels.
     Scalar,
-    /// Pick the widest supported level at runtime (AVX2 → SSE4.1 →
-    /// scalar). The default.
+    /// Run the AVX2 kernels when the host has AVX2, the scalar reference
+    /// otherwise. The default.
     #[default]
     Auto,
 }
@@ -69,22 +72,8 @@ pub enum SimdLevel {
     /// Verbatim scalar reference kernels.
     #[default]
     Scalar,
-    /// 4-wide SSE4.1 kernels.
-    Sse,
     /// 8-wide AVX2 kernels.
     Avx2,
-}
-
-impl SimdLevel {
-    /// Lane-group width of this level's kernels (1, 4, or 8 `f32` lanes).
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Sse => 4,
-            SimdLevel::Avx2 => 8,
-        }
-    }
 }
 
 impl VectorMode {
@@ -101,7 +90,7 @@ impl VectorMode {
 }
 
 /// The widest [`SimdLevel`] the host CPU supports, probed once per
-/// process and cached. Non-x86-64 hosts always report
+/// process and cached. Hosts without AVX2, and non-x86-64 hosts, report
 /// [`SimdLevel::Scalar`].
 #[must_use]
 pub fn detected_level() -> SimdLevel {
@@ -113,8 +102,6 @@ pub fn detected_level() -> SimdLevel {
 fn probe_level() -> SimdLevel {
     if is_x86_feature_detected!("avx2") {
         SimdLevel::Avx2
-    } else if is_x86_feature_detected!("sse4.1") {
-        SimdLevel::Sse
     } else {
         SimdLevel::Scalar
     }
@@ -137,7 +124,6 @@ mod tests {
 
     #[test]
     fn level_ordering_is_by_lane_width() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse);
-        assert!(SimdLevel::Sse < SimdLevel::Avx2);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
     }
 }

@@ -17,7 +17,7 @@
 use crate::preprocess::Splat2D;
 
 /// Structure-of-arrays view of the frame's splat list — the lane-friendly
-/// memory the SIMD Stage-3 kernels read (`crate::simd::stage3`).
+/// memory the AVX2 Stage-3 kernel reads (`crate::simd::stage3`).
 ///
 /// Every field is one contiguous `f32` array, index-aligned with the
 /// [`RasterWorkload::splats`] slice it is derived from:
@@ -25,7 +25,6 @@ use crate::preprocess::Splat2D;
 /// ```text
 /// x:       [ mean.x  | mean.x  | ... ]   splat center, pixels
 /// y:       [ mean.y  | mean.y  | ... ]
-/// depth:   [ depth   | depth   | ... ]   camera-space z
 /// conic_a: [ conic[0]| conic[0]| ... ]   inverse-covariance terms
 /// conic_b: [ conic[1]| conic[1]| ... ]
 /// conic_c: [ conic[2]| conic[2]| ... ]
@@ -43,8 +42,6 @@ pub struct SplatSoA {
     pub(crate) x: Vec<f32>,
     /// Splat center y (`Splat2D::mean.y`).
     pub(crate) y: Vec<f32>,
-    /// Camera-space depth (`Splat2D::depth`).
-    pub(crate) depth: Vec<f32>,
     /// Inverse-covariance term `conic[0]`.
     pub(crate) conic_a: Vec<f32>,
     /// Inverse-covariance term `conic[1]`.
@@ -81,7 +78,6 @@ impl SplatSoA {
     pub(crate) fn fill(&mut self, splats: &[Splat2D]) {
         self.x.clear();
         self.y.clear();
-        self.depth.clear();
         self.conic_a.clear();
         self.conic_b.clear();
         self.conic_c.clear();
@@ -91,7 +87,6 @@ impl SplatSoA {
         self.b.clear();
         self.x.reserve(splats.len());
         self.y.reserve(splats.len());
-        self.depth.reserve(splats.len());
         self.conic_a.reserve(splats.len());
         self.conic_b.reserve(splats.len());
         self.conic_c.reserve(splats.len());
@@ -102,7 +97,6 @@ impl SplatSoA {
         for s in splats {
             self.x.push(s.mean.x);
             self.y.push(s.mean.y);
-            self.depth.push(s.depth);
             self.conic_a.push(s.conic[0]);
             self.conic_b.push(s.conic[1]);
             self.conic_c.push(s.conic[2]);
@@ -133,7 +127,7 @@ pub struct RasterWorkload {
     /// empty until [`RasterWorkload::set_processed`] runs.
     processed: Vec<u32>,
     /// Structure-of-arrays view of `splats`, derived during CSR
-    /// construction for the SIMD Stage-3 kernels.
+    /// construction for the AVX2 Stage-3 kernel.
     soa: SplatSoA,
 }
 
@@ -333,8 +327,8 @@ impl RasterWorkload {
     }
 
     /// Structure-of-arrays view of [`RasterWorkload::splats`], column
-    /// arrays index-aligned with the slice (the memory layout the SIMD
-    /// Stage-3 kernels read).
+    /// arrays index-aligned with the slice (the memory layout the AVX2
+    /// Stage-3 kernel reads).
     #[inline]
     pub fn soa(&self) -> &SplatSoA {
         &self.soa
@@ -719,7 +713,6 @@ mod tests {
         for (i, s) in w.splats().iter().enumerate() {
             assert_eq!(soa.x[i].to_bits(), s.mean.x.to_bits());
             assert_eq!(soa.y[i].to_bits(), s.mean.y.to_bits());
-            assert_eq!(soa.depth[i].to_bits(), s.depth.to_bits());
             assert_eq!(soa.conic_a[i].to_bits(), s.conic[0].to_bits());
             assert_eq!(soa.conic_b[i].to_bits(), s.conic[1].to_bits());
             assert_eq!(soa.conic_c[i].to_bits(), s.conic[2].to_bits());

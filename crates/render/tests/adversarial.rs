@@ -107,7 +107,7 @@ proptest! {
             (image, out)
         };
         let (reference_image, reference) = frame(SimdLevel::Scalar, true);
-        for level in [SimdLevel::Scalar, SimdLevel::Sse, SimdLevel::Avx2] {
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             for imaged in [true, false] {
                 let (image, out) = frame(level, imaged);
                 if imaged {
