@@ -9,6 +9,7 @@
 //! breakdown and 1.7 W typical power (see `area` and `power`).
 
 use crate::config::Precision;
+use gaurast_math::exp_f32;
 use gaurast_math::fp::round_to_f16;
 
 /// The kinds of arithmetic units instantiated in a PE.
@@ -150,10 +151,11 @@ impl FpOps {
         self.q(a / b)
     }
 
-    /// Exponential.
+    /// Exponential: [`exp_f32`], the exponential of the Stage-3 reference,
+    /// so the FP32 PE blend stays bit-exact with it.
     #[inline]
     pub fn exp(&self, a: f32) -> f32 {
-        self.q(a.exp())
+        self.q(exp_f32(a))
     }
 }
 
@@ -166,7 +168,7 @@ mod tests {
         let ops = FpOps::new(Precision::Fp32);
         assert_eq!(ops.add(0.1, 0.2), 0.1f32 + 0.2f32);
         assert_eq!(ops.mul(1.3, 7.7), 1.3f32 * 7.7f32);
-        assert_eq!(ops.exp(-0.5), (-0.5f32).exp());
+        assert_eq!(ops.exp(-0.5), exp_f32(-0.5));
         assert_eq!(ops.div(1.0, 3.0), 1.0f32 / 3.0f32);
     }
 

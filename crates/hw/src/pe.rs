@@ -333,7 +333,7 @@ impl Pe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaurast_math::Vec3;
+    use gaurast_math::{exp_f32, Vec3};
 
     fn splat() -> Splat2D {
         Splat2D {
@@ -358,7 +358,7 @@ mod tests {
         if power > 0.0 {
             return false;
         }
-        let alpha = (s.opacity * power.exp()).min(0.99);
+        let alpha = (s.opacity * exp_f32(power)).min(0.99);
         if alpha < ALPHA_CUTOFF {
             return false;
         }

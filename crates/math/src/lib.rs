@@ -12,7 +12,10 @@
 //! * [`Aabb2`] / [`Aabb3`] — bounding boxes for tile binning,
 //! * [`Frustum`] — conservative view-frustum culling tests for the
 //!   visible-set subsystem,
-//! * [`fp`] — FP16 bit-level conversion used by the hardware precision model.
+//! * [`fp`] — FP16 bit-level conversion used by the hardware precision model,
+//! * [`expf`] — [`exp_f32`], the one single-precision exponential of every
+//!   Stage-3 blend (a transcription of glibc's `expf`, the same bits on
+//!   every platform), and the constants of its vector form.
 //!
 //! # Example
 //!
@@ -30,6 +33,7 @@
 #![deny(missing_debug_implementations)]
 
 mod aabb;
+pub mod expf;
 pub mod fp;
 mod frustum;
 mod mat;
@@ -39,6 +43,7 @@ mod transform;
 mod vec;
 
 pub use aabb::{Aabb2, Aabb3};
+pub use expf::exp_f32;
 pub use frustum::{Frustum, Visibility, MARGIN_PX};
 pub use mat::{Mat2, Mat3, Mat4};
 pub use quat::Quat;

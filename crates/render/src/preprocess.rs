@@ -14,7 +14,7 @@
 use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::simd::SimdLevel;
-use gaurast_math::{Mat2, Mat3, Vec2, Vec3};
+use gaurast_math::{exp_f32, Mat2, Mat3, Vec2, Vec3};
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibleSet};
 use std::ops::Range;
 
@@ -63,7 +63,7 @@ impl Splat2D {
             // Numerical guard from the reference implementation.
             return 0.0;
         }
-        power.exp()
+        exp_f32(power)
     }
 }
 

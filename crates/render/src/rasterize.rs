@@ -16,7 +16,7 @@ use crate::preprocess::Splat2D;
 use crate::simd::SimdLevel;
 use crate::workload::RasterWorkload;
 use crate::{ALPHA_CUTOFF, TRANSMITTANCE_EPS};
-use gaurast_math::{Vec2, Vec3};
+use gaurast_math::{exp_f32, Vec2, Vec3};
 
 /// Statistics of one rasterization pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -265,7 +265,7 @@ fn rasterize_tile(
                 if power > 0.0 {
                     continue;
                 }
-                let alpha = (s.opacity * power.exp()).min(0.99);
+                let alpha = (s.opacity * exp_f32(power)).min(0.99);
                 det_exp += 1;
                 det_mul += 1;
                 det_cmp += 2;

@@ -24,8 +24,12 @@
 //!    min/max/round are correctly rounded per lane, so `vaddps` ≡ 8 ×
 //!    `vaddss` bit-for-bit. No FMA contraction, no reassociation, no
 //!    approximate reciprocal/rsqrt instructions.
-//! 3. Transcendentals stay scalar: `exp` is extracted per active lane and
-//!    computed with the very same `f32::exp` the reference calls.
+//! 3. The one transcendental, Stage 3's `exp`, is the repository's own
+//!    [`gaurast_math::exp_f32`] in both kernels. Its steps are separately
+//!    rounded `f64` operations (glibc's `expf` in its non-FMA form), so
+//!    the AVX2 kernel evaluates it as two 4 × `f64` halves per lane group
+//!    with the same operations in the same order and a table gather, and
+//!    every lane matches the reference bit for bit.
 //!
 //! Branches become lane masks; operation-count tallies become mask
 //! popcounts (each scalar branch tallies a constant op bundle, so a

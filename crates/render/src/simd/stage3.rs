@@ -13,9 +13,14 @@
 //! * Every scalar FP operation maps to the per-lane-exact vector
 //!   instruction with the *same operand order* (`vaddps`/`vsubps`/
 //!   `vmulps`/`vminps` are IEEE-754 correctly rounded per lane; no FMA, no
-//!   reassociation). `exp` has no exact vector form, so it is extracted
-//!   and computed per active lane with the very same `f32::exp` the
-//!   reference calls.
+//!   reassociation). The exponential is the reference's own
+//!   [`exp_f32`](gaurast_math::exp_f32), evaluated 8 lanes at a time by
+//!   [`exp8`]: its `f64` steps run as two 4 × `f64` halves with the same
+//!   operations in the same order, and its table read becomes a gather.
+//! * A lane group whose every lane that passed the `power > 0` gate lies
+//!   below [`EXP_SKIP_THRESHOLD`] skips the exponential and the blend:
+//!   for `opacity` in `[f32::MIN, 1]` none of those lanes could pass the
+//!   alpha cutoff, and their tallies are already taken.
 //! * Branches become lane masks built with the *complement-aware*
 //!   predicates (`NLT`, `NGT`) so NaN falls on the same side of every
 //!   gate as in the scalar `if` chain; op-count tallies become popcounts
@@ -40,24 +45,31 @@ use crate::simd::{detected_level, SimdLevel};
 use crate::workload::SplatSoA;
 use crate::{ALPHA_CUTOFF, TRANSMITTANCE_EPS};
 use core::arch::x86_64::{
-    _mm256_add_ps, _mm256_and_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_min_ps,
-    _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_LT_OQ,
-    _CMP_NGT_UQ, _CMP_NLT_UQ,
+    __m128, __m256, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps, _mm256_and_ps,
+    _mm256_and_si256, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castpd_si256,
+    _mm256_castps256_ps128, _mm256_castsi256_pd, _mm256_cmp_ps, _mm256_cvtpd_ps, _mm256_cvtps_pd,
+    _mm256_extractf128_ps, _mm256_i64gather_epi64, _mm256_loadu_ps, _mm256_min_ps,
+    _mm256_movemask_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_epi64x, _mm256_set1_pd,
+    _mm256_set1_ps, _mm256_set_m128, _mm256_slli_epi64, _mm256_storeu_ps, _mm256_sub_pd,
+    _mm256_sub_ps, _CMP_LT_OQ, _CMP_NGT_UQ, _CMP_NLT_UQ, _CMP_UNORD_Q,
 };
+use gaurast_math::expf::{C0, C1, C2, INV_LN2_N, SHIFT, TABLE, UNDERFLOW_BOUND};
 use gaurast_math::Vec3;
 
 /// Pixels per lane group (8 × f32 in one AVX2 register).
 const LANES: usize = 8;
 
-/// `power` threshold below which the serial `exp` extraction may be
-/// skipped: for `power < -5.6` and `opacity <= 1`,
-/// `opacity · exp(power) < exp(-5.6)·(1 + 2⁻²¹) ≈ 0.003699`, strictly
-/// below `ALPHA_CUTOFF = 1/255 ≈ 0.003922` for *any* faithfully rounded
-/// `exp` — so the scalar kernel's `alpha < ALPHA_CUTOFF` branch is taken
-/// with certainty and the lane may substitute `exp = 0` (yielding
-/// `alpha = 0`, the same branch, the same tallies, no output change).
-/// Splats with `opacity > 1` (impossible via Stage 1, but constructible
-/// by hand) disable the shortcut.
+/// `power` threshold of the group skip: for `power < -5.6`,
+/// `exp_f32(power) < exp(-5.6)·(1 + 2⁻²¹) ≈ 0.003699`, so for a finite
+/// `opacity <= 1` the scalar kernel's `alpha < ALPHA_CUTOFF = 1/255 ≈
+/// 0.003922` branch is taken with certainty. When every lane of a group
+/// that passed the `power > 0` gate lies below the threshold, no lane of
+/// the group blends, and the kernel skips the group's exponential and
+/// blend — the tallies up to the exponential are already taken, so
+/// nothing observable changes. Splats with `opacity > 1` or NaN (not
+/// produced by Stage 1, but constructible by hand) disable the skip, and
+/// so does `opacity = −∞`: `−∞ · exp_f32(power)` is NaN where the
+/// exponential underflows to 0, and NaN clamps to an alpha of 0.99.
 const EXP_SKIP_THRESHOLD: f32 = -5.6;
 
 /// One splat's fields, broadcast-ready (gathered once per splat from the
@@ -73,8 +85,8 @@ struct SplatIn {
     cr: f32,
     cg: f32,
     cb: f32,
-    /// `opacity <= 1.0` — precondition of the [`EXP_SKIP_THRESHOLD`]
-    /// shortcut.
+    /// `opacity` in `[f32::MIN, 1]` — precondition of the
+    /// [`EXP_SKIP_THRESHOLD`] group skip.
     exp_skip_ok: bool,
 }
 
@@ -93,6 +105,45 @@ struct Tallies {
     red_mul: u64,
     red_cmp: u64,
     blends: u64,
+}
+
+/// [`gaurast_math::exp_f32`] on 8 lanes, bit for bit, for every lane
+/// `x <= 0` (−0 and −∞ included), `x = +0` and NaN. Lanes with `x > 0`
+/// are unspecified: the `power > 0` gate masks them off before their
+/// result is read.
+#[target_feature(enable = "avx2")]
+fn exp8(x: __m256) -> __m256 {
+    let y = _mm256_set_m128(
+        exp4(_mm256_extractf128_ps::<1>(x)),
+        exp4(_mm256_castps256_ps128(x)),
+    );
+    // `exp_f32`'s special cases: `x < UNDERFLOW_BOUND` (−∞ included)
+    // returns +0, NaN returns `x + x`.
+    let under = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(UNDERFLOW_BOUND));
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+    _mm256_blendv_ps(_mm256_andnot_ps(under, y), _mm256_add_ps(x, x), nan)
+}
+
+/// The main path of [`gaurast_math::exp_f32`] on 4 lanes: the same
+/// separately rounded `f64` operations in the same order.
+#[target_feature(enable = "avx2")]
+fn exp4(x: __m128) -> __m128 {
+    let z = _mm256_mul_pd(_mm256_set1_pd(INV_LN2_N), _mm256_cvtps_pd(x));
+    let shift = _mm256_set1_pd(SHIFT);
+    let kd = _mm256_add_pd(z, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, shift);
+    let r = _mm256_sub_pd(z, kd);
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(TABLE.len() as i64 - 1));
+    // SAFETY: every index is `ki & 31 < 32 == TABLE.len()`, so each of
+    // the four 8-byte reads (scale 8) lies inside the `TABLE` static.
+    let t = unsafe { _mm256_i64gather_epi64::<8>(TABLE.as_ptr() as *const i64, idx) };
+    // s = 2^(k/N) = TABLE[ki % N] + (ki << (52 − 5)), as in `exp_f32`.
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let p = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(C0), r), _mm256_set1_pd(C1));
+    let q = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(C2), r), _mm256_set1_pd(1.0));
+    let y = _mm256_add_pd(_mm256_mul_pd(p, _mm256_mul_pd(r, r)), q);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
 }
 
 /// One splat across one padded tile row, one lane group at a time. Every
@@ -125,6 +176,7 @@ fn row_avx2(
     let one = _mm256_set1_ps(1.0);
     let cutoff = _mm256_set1_ps(ALPHA_CUTOFF);
     let cap = _mm256_set1_ps(0.99);
+    let skip = _mm256_set1_ps(EXP_SKIP_THRESHOLD);
     let mxv = _mm256_set1_ps(s.mx);
     let av = _mm256_set1_ps(s.a);
     let bv = _mm256_set1_ps(s.b);
@@ -176,23 +228,14 @@ fn row_avx2(
         t.det_mul += n1;
         t.det_cmp += 2 * n1;
 
-        // Serial exp extraction: the same `f32::exp` the scalar calls,
-        // per active lane, skipped only when provably below the cutoff
-        // (see EXP_SKIP_THRESHOLD — the substituted 0 takes the same
-        // branch with the same tallies).
-        let mut pbuf = [0.0f32; LANES];
-        let mut ebuf = [0.0f32; LANES];
-        // SAFETY: `pbuf` is a LANES-long stack array.
-        unsafe { _mm256_storeu_ps(pbuf.as_mut_ptr(), power) };
-        for (lane, (e, p)) in ebuf.iter_mut().zip(pbuf).enumerate() {
-            if bits1 & (1 << lane) != 0 && !(s.exp_skip_ok && p < EXP_SKIP_THRESHOLD) {
-                *e = p.exp();
-            }
+        // Group skip: no lane that reaches the exponential can pass the
+        // alpha cutoff (see EXP_SKIP_THRESHOLD).
+        let deep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(power, skip)) as u32;
+        if s.exp_skip_ok && bits1 & !deep == 0 {
+            continue;
         }
-        // SAFETY: `ebuf` is a LANES-long stack array.
-        let ev = unsafe { _mm256_loadu_ps(ebuf.as_ptr()) };
         // vminps(x, 0.99) returns 0.99 for NaN x, matching f32::min.
-        let alpha = _mm256_min_ps(_mm256_mul_ps(opv, ev), cap);
+        let alpha = _mm256_min_ps(_mm256_mul_ps(opv, exp8(power)), cap);
         // Scalar `if alpha < CUTOFF continue` == keep iff NOT(alpha < CUTOFF).
         let m2 = _mm256_and_ps(m1, _mm256_cmp_ps::<_CMP_NLT_UQ>(alpha, cutoff));
         let bits2 = _mm256_movemask_ps(m2) as u32;
@@ -305,7 +348,7 @@ pub(crate) fn rasterize_tile_avx2(
             cr: soa.r[i],
             cg: soa.g[i],
             cb: soa.b[i],
-            exp_skip_ok: soa.alpha[i] <= 1.0,
+            exp_skip_ok: (f32::MIN..=1.0).contains(&soa.alpha[i]),
         };
         for py in 0..h {
             let yc = (y0 + py as u32) as f32 + 0.5;
@@ -371,4 +414,84 @@ pub(crate) fn rasterize_tile_avx2(
     red_ops.cmp += t.red_cmp;
 
     (processed, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gaurast_math::exp_f32;
+
+    /// Runs [`exp8`] over `xs` (a whole number of lane groups) and
+    /// asserts each lane's bits equal [`exp_f32`]'s; two NaNs are equal.
+    fn assert_exp8_matches(xs: &[f32]) {
+        for group in xs.chunks_exact(LANES) {
+            let mut out = [0.0f32; LANES];
+            // SAFETY: the callers return early unless AVX2 was detected,
+            // and `group` and `out` are both LANES long.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), exp8(_mm256_loadu_ps(group.as_ptr()))) };
+            for (&x, y) in group.iter().zip(out) {
+                let want = exp_f32(x);
+                assert!(
+                    y.to_bits() == want.to_bits() || (y.is_nan() && want.is_nan()),
+                    "exp8({x:e} = {:#010x}) = {:#010x}, exp_f32 = {:#010x}",
+                    x.to_bits(),
+                    y.to_bits(),
+                    want.to_bits()
+                );
+            }
+        }
+    }
+
+    /// Special values (signed zeros, the underflow bound and its
+    /// neighbour, the extreme negatives, −∞ and NaNs) and every 997th
+    /// `f32` in [−104, −0].
+    #[test]
+    fn exp8_matches_exp_f32_on_a_sample() {
+        if detected_level() != SimdLevel::Avx2 {
+            return;
+        }
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -5.6,
+            f32::from_bits(0xC27C_65D9),
+            UNDERFLOW_BOUND,
+            f32::from_bits(UNDERFLOW_BOUND.to_bits() + 1),
+            -104.0,
+            f32::MIN,
+            -f32::MIN_POSITIVE,
+            -f32::from_bits(1),
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0xFFC0_0001),
+            f32::from_bits(0xFF80_0001),
+        ];
+        xs.extend(
+            ((-0.0f32).to_bits()..=(-104.0f32).to_bits())
+                .step_by(997)
+                .map(f32::from_bits),
+        );
+        xs.resize(xs.len().div_ceil(LANES) * LANES, -1.0);
+        assert_exp8_matches(&xs);
+    }
+
+    /// Every `f32` with the sign bit set (all negatives, −0, −∞ and the
+    /// negative NaNs), plus +0 and a positive NaN.
+    #[test]
+    #[ignore = "exhaustive: 2^31 inputs, about 15 s in release; run with --ignored"]
+    fn exp8_matches_exp_f32_exhaustively() {
+        if detected_level() != SimdLevel::Avx2 {
+            return;
+        }
+        assert_exp8_matches(&[0.0, f32::NAN, -0.0, -1.0, -2.0, -3.0, -4.0, -5.0]);
+        let mut xs = [0.0f32; 1 << 16];
+        for hi in 0x8000u32..=0xFFFF {
+            for (lo, x) in (0u32..).zip(xs.iter_mut()) {
+                *x = f32::from_bits(hi << 16 | lo);
+            }
+            assert_exp8_matches(&xs);
+        }
+    }
 }

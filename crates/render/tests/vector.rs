@@ -8,14 +8,16 @@
 //! degrade to scalar-vs-scalar and stay trivially green; CI checks that
 //! its runner has AVX2, so both levels are exercised there.
 
-use gaurast_math::Vec3;
+use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pipeline::{render, run_frame, RenderConfig, Stage1Input, WorkloadOutput};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::{
     preprocess_pooled_level, preprocess_prepared_pooled_level,
     preprocess_prepared_visible_pooled_level,
 };
-use gaurast_render::{FrameArena, Framebuffer, SimdLevel, DEFAULT_TILE_SIZE};
+use gaurast_render::rasterize::rasterize_with_level;
+use gaurast_render::tile::bin_splats;
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel, Splat2D, DEFAULT_TILE_SIZE};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
 use proptest::prelude::*;
@@ -310,6 +312,90 @@ fn stage1_clamps_a_level_above_the_host() {
             let (image, out) = frame(input, &cam, avx2, &pool, true);
             assert_eq!(image, reference_image, "{label} (workers {workers})");
             assert_eq!(out, reference, "{label} (workers {workers})");
+        }
+    }
+}
+
+/// Stage-3 edge cases of the exponential and of its lane-group skip,
+/// through hand-built splats on a 32×32 image with 16-pixel tiles:
+/// opacities above, at and below the skip's bound (and −∞, which the skip
+/// must exclude), NaN and −∞ powers, a power of −0, and lane groups whose
+/// powers straddle the skip threshold. Compares the image, the
+/// `RasterStats` and every tile's processed count; the images are
+/// finite, so `Framebuffer` equality is bit equality.
+#[test]
+fn stage3_exp_edges_are_bit_identical() {
+    let splat = |x: f32, y: f32, conic: [f32; 3], opacity: f32, depth: f32| Splat2D {
+        mean: Vec2::new(x, y),
+        conic,
+        depth,
+        color: Vec3::new(0.9, 0.5, 0.2),
+        opacity,
+        radius: 64.0,
+        source: 0,
+    };
+    // power = −(dx² + dy²)/4: below −5.6 beyond 4.73 px from the mean.
+    let round = [0.5, 0.0, 0.5];
+    // Row y = 13.5 lies 4.9 px below a mean at y = 8.6, so every lane
+    // group of that row is below −5.6, yet its pixels near x = 9.5 blend
+    // once the opacity exceeds about 2.6.
+    let deep_row = |opacity| vec![splat(9.5, 8.6, round, opacity, 1.0)];
+    // Lanes x = 8.5..15.5 of a row through the means cross −5.6 at
+    // x ≈ mean − 4.73, inside the lane group.
+    let straddle = (0..12u8)
+        .map(|k| {
+            let k = f32::from(k);
+            splat(12.0 + 0.25 * k, 4.5, round, 0.5 + 0.04 * k, 1.0 + k)
+        })
+        .collect();
+    let cases: Vec<(&str, Vec<Splat2D>)> = vec![
+        ("opacity 1000", deep_row(1000.0)),
+        ("opacity 3", deep_row(3.0)),
+        ("opacity 1", deep_row(1.0)),
+        // Beyond 20.4 px the exponential underflows to 0 and
+        // −∞ · 0 = NaN clamps to an alpha of 0.99, so far pixels blend.
+        (
+            "opacity -inf",
+            vec![splat(2.5, 2.5, round, f32::NEG_INFINITY, 1.0)],
+        ),
+        // power NaN everywhere: alpha 0.99.
+        (
+            "NaN conic",
+            vec![splat(9.5, 8.6, [f32::NAN, 0.0, 0.5], 0.8, 1.0)],
+        ),
+        // power −∞ off the mean's column (alpha 0), NaN on it (∞ · 0).
+        (
+            "inf conic",
+            vec![splat(8.5, 8.6, [f32::INFINITY, 0.0, 0.5], 0.8, 1.0)],
+        ),
+        // power −0 at the pixel (8, 8).
+        (
+            "mean on a pixel center",
+            vec![splat(8.5, 8.5, round, 0.7, 1.0)],
+        ),
+        ("straddling lane groups", straddle),
+    ];
+    let pool = WorkerPool::serial();
+    for (label, splats) in cases {
+        let run = |level| {
+            let mut workload = bin_splats(splats.clone(), 32, 32, 16);
+            let mut image = Framebuffer::new(32, 32);
+            let stats = rasterize_with_level(&mut workload, Some(&mut image), &pool, level);
+            let processed: Vec<u32> = [(0, 0), (1, 0), (0, 1), (1, 1)]
+                .into_iter()
+                .map(|(tx, ty)| workload.processed_count(tx, ty))
+                .collect();
+            (image, stats, processed)
+        };
+        let (reference_image, reference_stats, reference_processed) = run(SimdLevel::Scalar);
+        for level in LEVELS {
+            let (image, stats, processed) = run(level);
+            assert!(image == reference_image, "{label}: image at {level:?}");
+            assert_eq!(stats, reference_stats, "{label}: stats at {level:?}");
+            assert_eq!(
+                processed, reference_processed,
+                "{label}: processed at {level:?}"
+            );
         }
     }
 }
