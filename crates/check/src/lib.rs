@@ -10,7 +10,7 @@
 //! the `gaurast_render::sync` facade, which re-exports `std` by default
 //! and these shadows under `--cfg gaurast_model_check` — so the renderer's
 //! release codegen is untouched while its worker-pool cursor and Stage-2
-//! count/scatter protocols get exhaustively interleaved in
+//! splat pass/count/scatter protocols get exhaustively interleaved in
 //! `crates/check/tests/model.rs`.
 //!
 //! The scheduler ([`sched`]) serializes real OS threads: exactly one

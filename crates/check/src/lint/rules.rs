@@ -60,6 +60,13 @@ pub const HOT_FILES: &[&str] = &[
 pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/tile.rs", "bin_splats_pooled"),
     ("crates/render/src/tile.rs", "bin_splats_chunked"),
+    // Stage 2's per-splat helpers: the tile rectangle, the chunk-owned
+    // ranges of the shared buffers, and the SoA column writer.
+    ("crates/render/src/tile.rs", "tile_rect"),
+    ("crates/render/src/tile.rs", "new"),
+    ("crates/render/src/tile.rs", "range"),
+    ("crates/render/src/tile.rs", "write_splats"),
+    ("crates/render/src/tile.rs", "fill_column"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
     // The one frame driver: marking it puts the whole per-frame subtree
     // (all three stages, the pool dispatch path) of every engine and free

@@ -253,11 +253,13 @@ fn mutant_missed_generation_bump_is_caught() {
 fn binning_scatter_is_correct_under_interleavings() {
     // 6 splats in 2 chunks of 3 on 2 workers over a 2×2 tile grid, with
     // tied depths and boxes spanning several tiles, so both chunks write
-    // into the same tiles' runs. The count and scatter dispatches on one
-    // persistent pool put the full state space beyond enumeration, so
-    // this checks the DFS prefix plus seeded samples of the production
-    // protocol — with the race detector watching every count row and
-    // scatter slot — against the serial result.
+    // into the same tiles' runs. Three dispatches on one persistent pool
+    // (the splat-order pass, the count and the scatter) put the full state
+    // space beyond enumeration, so this checks the DFS prefix plus seeded
+    // samples of the production protocol — with the race detector
+    // watching every key, rectangle and SoA range, difference and count
+    // row, and scatter slot — against the serial result, SoA view
+    // included.
     let splat = |x: f32, y: f32, radius: f32, depth: f32| Splat2D {
         mean: Vec2::new(x, y),
         conic: [0.05, 0.0, 0.05],
@@ -286,8 +288,13 @@ fn binning_scatter_is_correct_under_interleavings() {
         .check(|| {
             let got = bin(&WorkerPool::new(2));
             assert_eq!(got, expected, "binning must equal the serial result");
+            assert_eq!(
+                got.soa(),
+                expected.soa(),
+                "SoA view must equal the serial one"
+            );
         })
-        .expect("count/prefix/scatter holds on every explored schedule");
+        .expect("splat pass/count/prefix/scatter holds on every explored schedule");
     assert!(report.schedules > 1);
 }
 

@@ -26,8 +26,9 @@
 //! `gaurast-gpu` CUDA model), guaranteeing both see identical work.
 //!
 //! The pipeline is data-parallel *within* a frame: Stage 1 runs in fixed
-//! Gaussian chunks, Stage 2's count and scatter in fixed chunks of the
-//! depth order ([`tile::BIN_CHUNK`]), and Stage 3 as independent per-tile
+//! Gaussian chunks, Stage 2's splat pass in fixed chunks of the splat
+//! order and its count and scatter in fixed chunks of the depth order
+//! ([`tile::BIN_CHUNK`]), and Stage 3 as independent per-tile
 //! jobs (each tile reads its sorted CSR range and writes its own disjoint
 //! framebuffer view) over a persistent [`pool::WorkerPool`] whose threads
 //! are spawned once and parked between dispatches. One driver,

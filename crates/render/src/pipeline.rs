@@ -53,7 +53,8 @@ pub struct RenderConfig {
     /// Tile edge in pixels (16 in the reference and in GauRast).
     pub tile_size: u32,
     /// Intra-frame worker threads: Stage 1 runs in Gaussian chunks,
-    /// Stage 2's count and scatter in chunks of the depth order, and
+    /// Stage 2's splat pass in chunks of the splat order and its count
+    /// and scatter in chunks of the depth order, and
     /// Stage 3 as per-tile jobs over a pool this wide. `0` (the default) resolves to the
     /// `GAURAST_WORKERS` environment variable or the machine's available
     /// parallelism ([`crate::pool::resolve_workers`]); `1` is exactly the

@@ -4,8 +4,9 @@
 //! # Why a facade
 //!
 //! The persistent worker pool's park/wake generation handoff and claim
-//! cursor ([`crate::pool::WorkerPool::run`]) and Stage 2's
-//! count→prefix→scatter protocol ([`crate::tile::bin_splats_chunked`]) are
+//! cursor ([`crate::pool::WorkerPool::run`]) and Stage 2's splat
+//! pass→count→prefix→scatter protocol
+//! ([`crate::tile::bin_splats_chunked`]) are
 //! lock-free by construction; their correctness arguments (exactly-once
 //! claims, no lost wakeups, disjoint scatter ranges) are stated in
 //! comments, not checked by the compiler. Routing every atomic operation,
@@ -39,9 +40,10 @@
 //!
 //! # Race instrumentation
 //!
-//! The renderer's `unsafe` disjoint-write sites (Stage-2 count rows and
-//! scatter ranges, pool job-slot publication, framebuffer tile rows) are
-//! annotated with three macros:
+//! The renderer's `unsafe` disjoint-write sites (Stage-2 key, rectangle
+//! and SoA ranges, difference and count rows and scatter ranges, pool
+//! job-slot publication, framebuffer tile rows) are annotated with three
+//! macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker
 //!   wrapping the unsafe block; the static

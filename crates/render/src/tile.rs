@@ -2,19 +2,26 @@
 //!
 //! Stage 2 hands Stage 3 and the hardware models one CSR workload
 //! ([`RasterWorkload`]) in which every tile's splats run front to back.
-//! [`bin_splats_pooled`] builds it in one depth sort and one counting
-//! scatter by tile:
+//! [`bin_splats_pooled`] builds it in five steps, reading each splat once:
 //!
-//! 1. **depth order** — the splats are sorted once, in place, by the
-//!    unique key `depth_key_bits(depth) << 32 | index`;
-//! 2. **count** — fixed-size chunks of that order ([`BIN_CHUNK`] splats)
-//!    count their pairs per tile, each chunk into its own row, one pool
-//!    job per chunk;
-//! 3. **placement** — an exclusive prefix over (tile, chunk) on the
+//! 1. **splat-order pass** — fixed-size chunks of the splats in their
+//!    submission order ([`BIN_CHUNK`] splats, one pool job per chunk)
+//!    write each splat's depth key `depth_key_bits(depth) << 32 | index`,
+//!    its tile rectangle ([`tile_range`] with exclusive bounds, 16 bytes)
+//!    and its row of the [`SplatSoA`](crate::SplatSoA) columns, so the
+//!    splats are read once, sequentially;
+//! 2. **depth order** — the keys are sorted in place; every key is unique;
+//! 3. **count** — fixed-size chunks of that order add 4 updates per splat
+//!    to a 2D difference array over the tile grid, gathering the splat's
+//!    rectangle by index, and a 2D prefix sum turns the array into the
+//!    chunk's pair count per tile in its own row of a chunks × tiles
+//!    table, one pool job per chunk;
+//! 4. **placement** — an exclusive prefix over (tile, chunk) on the
 //!    calling thread turns the rows into each chunk's first output slot
 //!    per tile, and the tile totals into the CSR offsets;
-//! 4. **scatter** — each chunk walks its part of the order again and
-//!    writes every splat index into its own slots, one pool job per chunk.
+//! 5. **scatter** — each chunk walks its part of the order again, reads
+//!    each splat's rectangle, and writes the splat index into its own slots
+//!    of every covered tile, one pool job per chunk.
 //!
 //! A splat adds at most one pair per tile, so each tile's run comes out in
 //! the sort order — depth, then splat index — which is exactly what a
@@ -27,6 +34,7 @@ use crate::preprocess::Splat2D;
 use crate::sort::depth_key_bits;
 use crate::workload::{FrameArena, RasterWorkload};
 use gaurast_math::{Aabb2, Vec2};
+use std::marker::PhantomData;
 
 /// Splats per binning chunk. The chunks are *fixed-size* (like
 /// [`crate::preprocess::PREPROCESS_CHUNK`]): they never depend on the
@@ -41,8 +49,8 @@ pub const BIN_CHUNK: usize = 4096;
 /// ending exactly on a tile boundary does **not** enter the next tile.
 /// Splats with a non-finite mean or radius are never binned (upstream
 /// Stage 1 culls them; this is defense in depth for direct callers —
-/// without it, `floor() as u32` would saturate a NaN to 0 and silently
-/// bin the splat into tile (0, 0)).
+/// without it, the saturating `as u32` casts would turn a NaN into 0 and
+/// silently bin the splat into tile (0, 0)).
 pub fn tile_range(
     splat: &Splat2D,
     width: u32,
@@ -59,38 +67,98 @@ pub fn tile_range(
     }
     let clipped = bbox.intersection(&img);
     let ts = tile_size as f32;
-    let x0 = (clipped.min.x / ts).floor().max(0.0) as u32;
-    let y0 = (clipped.min.y / ts).floor().max(0.0) as u32;
+    // The clipped box lies inside `[0, width] × [0, height]`, so every
+    // quotient below is finite and non-negative. There the saturating
+    // cast truncates to the floor, and the floor plus one when it falls
+    // short of the quotient is the ceiling: the same tiles as `floor()` and
+    // `ceil()` followed by the cast, without the libm calls those two make
+    // on a baseline x86-64 target.
+    let ceil = |q: f32| {
+        let t = q as u32;
+        t.saturating_add(u32::from((t as f32) < q))
+    };
+    let x0 = (clipped.min.x / ts) as u32;
+    let y0 = (clipped.min.y / ts) as u32;
     let tiles_x = width.div_ceil(tile_size);
     let tiles_y = height.div_ceil(tile_size);
     // Exclusive upper tile bound, then back to the inclusive API. A box
     // whose clipped extent is empty (touching an image edge from outside)
     // covers no tile.
-    let x1e = ((clipped.max.x / ts).ceil() as u32).min(tiles_x);
-    let y1e = ((clipped.max.y / ts).ceil() as u32).min(tiles_y);
+    let x1e = ceil(clipped.max.x / ts).min(tiles_x);
+    let y1e = ceil(clipped.max.y / ts).min(tiles_y);
     if x1e <= x0 || y1e <= y0 {
         return None;
     }
     Some((x0, y0, x1e - 1, y1e - 1))
 }
 
-/// Calls `f` with the linear index of every tile `splat` covers (see
-/// [`tile_range`]).
+/// A splat's tiles `[x0, x1) × [y0, y1)`: [`tile_range`] with exclusive
+/// upper bounds, as Stage 2 stores it (16 bytes per splat). A splat that
+/// covers no tile gets the empty rectangle at the origin (the `Default`),
+/// whose four difference-array updates cancel and whose scatter loops run
+/// zero times.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TileRect {
+    x0: u32,
+    y0: u32,
+    x1: u32,
+    y1: u32,
+}
+
+/// The [`TileRect`] of `splat` on the `width × height` grid of
+/// `tile_size` tiles.
 #[inline]
-fn for_each_tile(
-    splat: &Splat2D,
-    width: u32,
-    height: u32,
-    tile_size: u32,
-    mut f: impl FnMut(usize),
-) {
-    if let Some((x0, y0, x1, y1)) = tile_range(splat, width, height, tile_size) {
-        let tiles_x = width.div_ceil(tile_size);
-        for ty in y0..=y1 {
-            for tx in x0..=x1 {
-                f((ty * tiles_x + tx) as usize);
-            }
+// gaurast-check: hot-path
+fn tile_rect(splat: &Splat2D, width: u32, height: u32, tile_size: u32) -> TileRect {
+    match tile_range(splat, width, height, tile_size) {
+        Some((x0, y0, x1, y1)) => TileRect {
+            x0,
+            y0,
+            x1: x1 + 1,
+            y1: y1 + 1,
+        },
+        None => TileRect::default(),
+    }
+}
+
+/// One range of rows of every [`SplatSoA`](crate::SplatSoA) column, in
+/// field order ([`SplatSoA::columns_mut`](crate::SplatSoA)) — the column
+/// writer shared by Stage 2's splat-order pass (one range per chunk) and
+/// [`RasterWorkload::new`] (all rows at once).
+pub(crate) struct SoaRows<'a>(pub(crate) [&'a mut [f32]; 9]);
+
+impl SoaRows<'_> {
+    /// Writes the fields of `splats[k]` into row `k` of every column; each
+    /// column must hold exactly `splats.len()` rows.
+    // gaurast-check: hot-path
+    pub(crate) fn write_splats(self, splats: &[Splat2D]) {
+        let SoaRows([x, y, conic_a, conic_b, conic_c, alpha, r, g, b]) = self;
+        fill_column(x, splats, |s| s.mean.x);
+        fill_column(y, splats, |s| s.mean.y);
+        // One destructuring assignment per splat rather than `conic[k]`
+        // indexing, which keeps `gaurast-check deep`'s count of index sites
+        // reachable from the service flat.
+        let conics = conic_a
+            .iter_mut()
+            .zip(conic_b.iter_mut())
+            .zip(conic_c.iter_mut());
+        for (((a, b), c), s) in conics.zip(splats) {
+            [*a, *b, *c] = s.conic;
         }
+        fill_column(alpha, splats, |s| s.opacity);
+        fill_column(r, splats, |s| s.color.x);
+        fill_column(g, splats, |s| s.color.y);
+        fill_column(b, splats, |s| s.color.z);
+    }
+}
+
+/// Writes `field(splats[k])` into `column[k]` for every row.
+#[inline]
+// gaurast-check: hot-path
+fn fill_column(column: &mut [f32], splats: &[Splat2D], field: impl Fn(&Splat2D) -> f32) {
+    debug_assert_eq!(column.len(), splats.len());
+    for (value, s) in column.iter_mut().zip(splats) {
+        *value = field(s);
     }
 }
 
@@ -112,11 +180,11 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
     )
 }
 
-/// Stage 2: the depth sort plus counting scatter of the module docs, in
-/// [`BIN_CHUNK`]-splat chunks over `pool`. All scratch comes from
-/// `arena`, so steady-state frames make no data-path allocations (and the
-/// persistent pool's workers are parked, not respawned, between `run`s);
-/// give the buffers back with [`RasterWorkload::recycle_into`].
+/// Stage 2: the five steps of the module docs, in [`BIN_CHUNK`]-splat
+/// chunks over `pool`. All scratch comes from `arena`, so steady-state
+/// frames make no data-path allocations (and the persistent pool's
+/// workers are parked, not respawned, between `run`s); give the buffers
+/// back with [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
 /// Panics when `tile_size` is zero, the image is empty, or the frame has
@@ -133,38 +201,51 @@ pub fn bin_splats_pooled(
     bin_splats_chunked(splats, width, height, tile_size, arena, pool, BIN_CHUNK)
 }
 
-/// Raw pointer handing the chunk jobs of one dispatch disjoint parts of a
-/// `u32` buffer: their own row of the per-chunk table, or their own
-/// placement ranges of the CSR value buffer.
-struct Disjoint(*mut u32);
+/// Raw pointer handing the chunk jobs of one dispatch disjoint ranges of
+/// one buffer, which it borrows for `'a`: their own splats' keys,
+/// rectangles and SoA rows, their own row of a per-chunk table, or their
+/// own placement slots of the CSR value buffer.
+#[derive(Clone, Copy)]
+struct Disjoint<'a, T>(*mut T, PhantomData<&'a mut [T]>);
 // SAFETY: shared across workers only to reach index sets no other chunk
-// job touches — chunk `c` owns table row `c`, and the exclusive
-// (tile, chunk) prefix gives it value ranges no other chunk receives.
-unsafe impl Sync for Disjoint {}
+// job touches — chunk `c` owns splats `c * chunk..` up to the next chunk,
+// row `c` of each per-chunk table, and the value ranges the exclusive
+// (tile, chunk) prefix gives it and no other chunk; `T: Send` lets the
+// elements be written from another thread.
+unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
 
-/// Chunk `c`'s row of the `tiles`-wide per-chunk table behind `table`.
-///
-/// # Safety
-/// The caller must guarantee that `table` points to at least
-/// `(c + 1) * tiles` elements and that nothing else accesses row `c` while
-/// the returned slice lives — the pool's cursor hands each chunk index to
-/// exactly one job per dispatch.
-// SAFETY: an `unsafe fn`; callers uphold the `# Safety` contract above.
-#[allow(clippy::mut_from_ref)]
-unsafe fn chunk_row(table: &Disjoint, c: usize, tiles: usize) -> &mut [u32] {
-    crate::race_region!("per-chunk table row", {
-        crate::race_write!(table.0.wrapping_add(c * tiles), tiles);
-        // SAFETY: in bounds and exclusive, per this function's contract.
-        unsafe { std::slice::from_raw_parts_mut(table.0.add(c * tiles), tiles) }
-    })
+impl<'a, T> Disjoint<'a, T> {
+    /// Borrows `buffer` for the chunk jobs.
+    // gaurast-check: hot-path
+    fn new(buffer: &'a mut [T]) -> Self {
+        Self(buffer.as_mut_ptr(), PhantomData)
+    }
+
+    /// The `len` elements from `start` on.
+    ///
+    /// # Safety
+    /// The caller must guarantee that the buffer holds at least
+    /// `start + len` elements and that nothing else accesses them while
+    /// the returned slice lives — the pool's cursor hands each chunk index
+    /// to exactly one job per dispatch, and each chunk's ranges are its
+    /// own.
+    // SAFETY: an `unsafe fn`; callers uphold the `# Safety` contract above.
+    // gaurast-check: hot-path
+    unsafe fn range(&self, start: usize, len: usize) -> &'a mut [T] {
+        crate::race_region!("chunk-owned range", {
+            crate::race_write!(self.0.wrapping_add(start), len);
+            // SAFETY: in bounds and exclusive, per this function's contract.
+            unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
+        })
+    }
 }
 
 /// [`bin_splats_pooled`] with an explicit chunk size.
 ///
 /// Production always passes [`BIN_CHUNK`]; the parameter exists so the
-/// `gaurast-check` model tests can shrink the count/scatter protocol to a
-/// handful of chunks and exhaustively interleave the *same code* that runs
-/// in production (`crates/check/tests/model.rs`). The workload is the same
+/// `gaurast-check` model tests can shrink the protocol to a handful of
+/// chunks and exhaustively interleave the *same code* that runs in
+/// production (`crates/check/tests/model.rs`). The workload is the same
 /// for every chunk size.
 ///
 /// # Panics
@@ -182,40 +263,110 @@ pub fn bin_splats_chunked(
 ) -> RasterWorkload {
     assert!(tile_size > 0 && width > 0 && height > 0);
     assert!(chunk > 0, "chunk size must be positive");
-    let tiles = (width.div_ceil(tile_size) * height.div_ceil(tile_size)) as usize;
+    let tiles_x = width.div_ceil(tile_size) as usize;
+    let tiles_y = height.div_ceil(tile_size) as usize;
+    let tiles = tiles_x * tiles_y;
+    let n = splats.len();
+    let chunks = n.div_ceil(chunk);
+    let span = |c: usize| c * chunk..((c + 1) * chunk).min(n);
 
-    // 1. Depth order. Every key is unique (the splat index is its low
+    // 1. Splat-order pass: chunk `c` reads its splats once and writes their
+    // keys, rectangles and SoA rows. Every element below `n` is written,
+    // so the buffers are resized without clearing.
+    let mut order = std::mem::take(&mut arena.order);
+    order.resize(n, 0);
+    let mut rects = std::mem::take(&mut arena.rects);
+    rects.resize(n, TileRect::default());
+    let mut soa = std::mem::take(&mut arena.soa);
+    soa.resize(n);
+    let keys_out = Disjoint::new(&mut order);
+    let rects_out = Disjoint::new(&mut rects);
+    let columns_out = soa.columns_mut().map(|column| Disjoint::new(column));
+    pool.run(chunks, |c| {
+        let rows = span(c);
+        let (start, len) = (rows.start, rows.len());
+        let chunk_splats = &splats[rows];
+        // SAFETY: the keys hold `n` entries, chunk `c`'s splat range lies
+        // below `n` and belongs to no other chunk, and `run` yields each
+        // chunk index exactly once.
+        let keys = unsafe { keys_out.range(start, len) };
+        // SAFETY: likewise for the `n` rectangles.
+        let chunk_rects = unsafe { rects_out.range(start, len) };
+        for ((s, (key, rect)), i) in chunk_splats
+            .iter()
+            .zip(keys.iter_mut().zip(chunk_rects))
+            .zip(start..)
+        {
+            *key = (u64::from(depth_key_bits(s.depth)) << 32) | i as u64;
+            *rect = tile_rect(s, width, height, tile_size);
+        }
+        // SAFETY: likewise for each SoA column, resized to `n` rows above.
+        let columns = columns_out.map(|column| unsafe { column.range(start, len) });
+        SoaRows(columns).write_splats(chunk_splats);
+    });
+
+    // 2. Depth order. Every key is unique (the splat index is its low
     // half), so the in-place unstable sort is deterministic and allocates
     // nothing.
-    let mut order = std::mem::take(&mut arena.order);
-    order.clear();
-    order.extend(
-        splats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (u64::from(depth_key_bits(s.depth)) << 32) | i as u64),
-    );
     order.sort_unstable();
-    let n = order.len();
-    let chunks = n.div_ceil(chunk);
-    let chunk_keys = |c: usize| &order[c * chunk..((c + 1) * chunk).min(n)];
+    let chunk_keys = |c: usize| &order[span(c)];
 
-    // 2. Count: chunk `c` tallies its pairs per tile into row `c`.
+    // 3. Count: chunk `c` adds +1 at its rectangles' top-left and
+    // bottom-right corners and −1 (`u32::MAX` in wrapping arithmetic) at
+    // the other two, in a difference array one column and one row wider
+    // than the grid, then prefix-sums it into row `c` of the chunks ×
+    // tiles table. The extra column and row take the updates of
+    // rectangles that end at the grid's edge. The difference arrays sit
+    // behind the table in the same buffer; every entry of both is written
+    // here, so it is resized without clearing.
+    let stride = tiles_x + 1;
+    let diff_len = stride * (tiles_y + 1);
     let mut table = std::mem::take(&mut arena.counts);
-    table.clear();
-    table.resize(chunks * tiles, 0);
-    let rows = Disjoint(table.as_mut_ptr());
+    table.resize(chunks * (tiles + diff_len), 0);
+    let (count_table, diff_table) = table.split_at_mut(chunks * tiles);
+    let count_rows = Disjoint::new(count_table);
+    let diff_rows = Disjoint::new(diff_table);
     pool.run(chunks, |c| {
-        // SAFETY: the table holds `chunks * tiles` entries and `run`
-        // yields each chunk index exactly once.
-        let row = unsafe { chunk_row(&rows, c, tiles) };
+        // SAFETY: the count and difference tables hold `chunks` rows of
+        // `tiles` and `diff_len` entries, and `run` yields each chunk
+        // index exactly once.
+        let (diff, row) = unsafe {
+            (
+                diff_rows.range(c * diff_len, diff_len),
+                count_rows.range(c * tiles, tiles),
+            )
+        };
+        diff.fill(0);
         for &key in chunk_keys(c) {
-            let splat = &splats[key as u32 as usize];
-            for_each_tile(splat, width, height, tile_size, |t| row[t] += 1);
+            let r = rects[key as u32 as usize];
+            let (top, bottom) = (r.y0 as usize * stride, r.y1 as usize * stride);
+            let (left, right) = (r.x0 as usize, r.x1 as usize);
+            for (at, delta) in [
+                (top + left, 1),
+                (top + right, u32::MAX),
+                (bottom + left, u32::MAX),
+                (bottom + right, 1),
+            ] {
+                let d = &mut diff[at];
+                *d = d.wrapping_add(delta);
+            }
+        }
+        // Tile (x, y)'s count is the sum of the differences at or above
+        // and left of it: a running sum along each line plus the line
+        // above's counts.
+        let mut above: &[u32] = &[];
+        for (line, deltas) in row.chunks_exact_mut(tiles_x).zip(diff.chunks_exact(stride)) {
+            let mut run = 0u32;
+            let ups = above.iter().chain(std::iter::repeat(&0));
+            for ((count, &delta), &up) in line.iter_mut().zip(deltas).zip(ups) {
+                run = run.wrapping_add(delta);
+                *count = run.wrapping_add(up);
+            }
+            above = line;
         }
     });
 
-    // 3. Placement: exclusive prefix over (tile, chunk). Row `c` becomes
+    // 4. Placement: exclusive prefix over (tile, chunk). Row `c` becomes
     // chunk `c`'s first output slot per tile, and `offsets[t]` tile `t`'s
     // first slot.
     let mut offsets = std::mem::take(&mut arena.offsets);
@@ -238,39 +389,45 @@ pub fn bin_splats_chunked(
     let pairs = running as usize;
     offsets[tiles] = running as u32;
 
-    // 4. Scatter: chunk `c` writes each covered tile's splat index to the
-    // next slot of its range for that tile, so every tile's run keeps the
-    // depth order.
+    // 5. Scatter: chunk `c` writes each splat's index to the next slot of
+    // its range for every tile of the splat's rectangle, so every tile's
+    // run keeps the depth order. Every slot below `pairs` is written once,
+    // so the value buffer is resized without clearing.
     let mut values = std::mem::take(&mut arena.values);
-    values.clear();
     values.resize(pairs, 0);
-    let rows = Disjoint(table.as_mut_ptr());
-    let out = &Disjoint(values.as_mut_ptr());
+    let cursors = Disjoint::new(&mut table);
+    let out = &Disjoint::new(&mut values);
     pool.run(chunks, |c| {
         // SAFETY: as in the count pass; the row now holds chunk `c`'s
         // placement cursors.
-        let cursor = unsafe { chunk_row(&rows, c, tiles) };
+        let cursor = unsafe { cursors.range(c * tiles, tiles) };
         for &key in chunk_keys(c) {
             let index = key as u32;
-            let splat = &splats[index as usize];
-            for_each_tile(splat, width, height, tile_size, |t| {
-                let at = cursor[t] as usize;
-                cursor[t] += 1;
-                debug_assert!(at < pairs);
-                crate::race_region!("disjoint scatter slots", {
-                    crate::race_write!(out.0.wrapping_add(at), 1);
-                    // SAFETY: the exclusive prefix over exact counts gives
-                    // every (tile, chunk) a range no other chunk receives,
-                    // the cursor stays inside chunk `c`'s range for tile
-                    // `t`, and every range lies below `pairs`, the length
-                    // the value buffer was resized to above.
-                    unsafe { *out.0.add(at) = index };
-                });
-            });
+            let r = rects[index as usize];
+            for ty in r.y0 as usize..r.y1 as usize {
+                let line = ty * tiles_x;
+                for slot in &mut cursor[line + r.x0 as usize..line + r.x1 as usize] {
+                    let at = *slot as usize;
+                    *slot += 1;
+                    // The count read the same rectangles, so the cursor
+                    // stays in range; the write below relies on it.
+                    assert!(at < pairs, "scatter slot outside the values");
+                    crate::race_region!("disjoint scatter slots", {
+                        crate::race_write!(out.0.wrapping_add(at), 1);
+                        // SAFETY: `at < pairs`, the length the value buffer
+                        // was resized to, is asserted above; and the
+                        // exclusive prefix over exact counts gives every
+                        // (tile, chunk) a range no other chunk receives,
+                        // inside which the cursor of chunk `c` stays.
+                        unsafe { *out.0.add(at) = index };
+                    });
+                }
+            }
         }
     });
 
     arena.order = order;
+    arena.rects = rects;
     arena.counts = table;
     RasterWorkload::from_csr(
         width,
@@ -280,7 +437,7 @@ pub fn bin_splats_chunked(
         values,
         offsets,
         std::mem::take(&mut arena.processed),
-        std::mem::take(&mut arena.soa),
+        soa,
     )
 }
 
@@ -359,7 +516,13 @@ mod tests {
             .collect();
         let mut lists = vec![Vec::new(); 16];
         for (i, s) in splats.iter().enumerate() {
-            for_each_tile(s, 64, 64, 16, |t| lists[t].push(i as u32));
+            if let Some((x0, y0, x1, y1)) = tile_range(s, 64, 64, 16) {
+                for ty in y0..=y1 {
+                    for tx in x0..=x1 {
+                        lists[(ty * 4 + tx) as usize].push(i as u32);
+                    }
+                }
+            }
         }
         let legacy = RasterWorkload::new(64, 64, 16, splats.clone(), lists);
         for chunk in [1, 7, BIN_CHUNK] {
@@ -373,6 +536,59 @@ mod tests {
                 chunk,
             );
             assert_eq!(keyed, legacy, "chunk {chunk}");
+            assert_eq!(keyed.soa(), legacy.soa(), "chunk {chunk}: SoA view");
+        }
+    }
+
+    #[test]
+    fn tile_range_matches_the_floor_ceil_formula() {
+        // The formula `tile_range` computes with integer casts, written
+        // with `floor()` and `ceil()`.
+        fn reference(
+            s: &Splat2D,
+            width: u32,
+            height: u32,
+            ts: u32,
+        ) -> Option<(u32, u32, u32, u32)> {
+            let bbox = Aabb2::from_center_radius(s.mean, s.radius);
+            let img = Aabb2::new(Vec2::zero(), Vec2::new(width as f32, height as f32));
+            if !(s.mean.is_finite() && s.radius.is_finite() && bbox.intersects(&img)) {
+                return None;
+            }
+            let c = bbox.intersection(&img);
+            let t = ts as f32;
+            let x0 = (c.min.x / t).floor().max(0.0) as u32;
+            let y0 = (c.min.y / t).floor().max(0.0) as u32;
+            let x1e = ((c.max.x / t).ceil() as u32).min(width.div_ceil(ts));
+            let y1e = ((c.max.y / t).ceil() as u32).min(height.div_ceil(ts));
+            (x1e > x0 && y1e > y0).then(|| (x0, y0, x1e - 1, y1e - 1))
+        }
+        // Means on an eighth-pixel lattice and radii on a quarter-pixel
+        // one put box edges exactly on, and just off, every tile boundary
+        // of whole and ragged grids; the wide values reach the clamps.
+        let coords = (-48..=720).map(|k| k as f32 / 8.0);
+        let radii: Vec<f32> = (0..=80)
+            .map(|k| k as f32 / 4.0)
+            .chain([1e3, 3e38])
+            .collect();
+        for (width, height, ts) in [
+            (64, 64, 16),
+            (70, 53, 16),
+            (70, 53, 8),
+            (20, 18, 16),
+            (5, 3, 1),
+        ] {
+            for x in coords.clone() {
+                for &radius in &radii {
+                    let s = splat_at(x, x * 0.7 - 3.0, radius, 1.0);
+                    assert_eq!(
+                        tile_range(&s, width, height, ts),
+                        reference(&s, width, height, ts),
+                        "{width}x{height}/{ts}: mean {:?}, radius {radius}",
+                        s.mean
+                    );
+                }
+            }
         }
     }
 

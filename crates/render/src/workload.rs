@@ -10,11 +10,13 @@
 //! consume this same structure, so the speedups compare identical work
 //! (DESIGN.md §6, decision 1).
 //!
-//! The CSR buffers (and the depth-order keys and per-chunk counts that
-//! produce them — see [`crate::tile`]) live in a per-session
-//! [`FrameArena`], so steady-state frames run Stage 2 without allocating.
+//! The CSR buffers (and the depth-order keys, tile rectangles, difference
+//! arrays and per-chunk counts that produce them — see [`crate::tile`])
+//! live in a per-session [`FrameArena`], so steady-state frames run
+//! Stage 2 without allocating.
 
 use crate::preprocess::Splat2D;
+use crate::tile::{SoaRows, TileRect};
 
 /// Structure-of-arrays view of the frame's splat list — the lane-friendly
 /// memory the AVX2 Stage-3 kernel reads (`crate::simd::stage3`).
@@ -34,8 +36,9 @@ use crate::preprocess::Splat2D;
 ///
 /// A gather that would cost one strided `Splat2D` load per lane becomes a
 /// single broadcast per field. The buffers live in the session
-/// [`FrameArena`] and are refilled during CSR construction
-/// (`RasterWorkload::from_csr`), so steady-state frames do not allocate.
+/// [`FrameArena`] and are rewritten by Stage 2's pooled splat-order pass
+/// ([`crate::tile::bin_splats_pooled`]), so steady-state frames do not
+/// allocate.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct SplatSoA {
     /// Splat center x (`Splat2D::mean.x`).
@@ -73,38 +76,34 @@ impl SplatSoA {
         self.x.is_empty()
     }
 
-    /// Refills every column from `splats`, reusing the existing buffer
-    /// capacity (steady-state frames stay allocation-free).
-    pub(crate) fn fill(&mut self, splats: &[Splat2D]) {
-        self.x.clear();
-        self.y.clear();
-        self.conic_a.clear();
-        self.conic_b.clear();
-        self.conic_c.clear();
-        self.alpha.clear();
-        self.r.clear();
-        self.g.clear();
-        self.b.clear();
-        self.x.reserve(splats.len());
-        self.y.reserve(splats.len());
-        self.conic_a.reserve(splats.len());
-        self.conic_b.reserve(splats.len());
-        self.conic_c.reserve(splats.len());
-        self.alpha.reserve(splats.len());
-        self.r.reserve(splats.len());
-        self.g.reserve(splats.len());
-        self.b.reserve(splats.len());
-        for s in splats {
-            self.x.push(s.mean.x);
-            self.y.push(s.mean.y);
-            self.conic_a.push(s.conic[0]);
-            self.conic_b.push(s.conic[1]);
-            self.conic_c.push(s.conic[2]);
-            self.alpha.push(s.opacity);
-            self.r.push(s.color.x);
-            self.g.push(s.color.y);
-            self.b.push(s.color.z);
+    /// Sets every column to `n` rows, reusing the existing capacity
+    /// (steady-state frames stay allocation-free). Rows keep stale values
+    /// until the column writer ([`SoaRows`]) overwrites them.
+    pub(crate) fn resize(&mut self, n: usize) {
+        for column in self.columns_mut() {
+            column.resize(n, 0.0);
         }
+    }
+
+    /// The nine columns, in field order (the order [`SoaRows`] takes).
+    pub(crate) fn columns_mut(&mut self) -> [&mut Vec<f32>; 9] {
+        [
+            &mut self.x,
+            &mut self.y,
+            &mut self.conic_a,
+            &mut self.conic_b,
+            &mut self.conic_c,
+            &mut self.alpha,
+            &mut self.r,
+            &mut self.g,
+            &mut self.b,
+        ]
+    }
+
+    /// Serial fill: every column becomes index-aligned with `splats`.
+    fn fill(&mut self, splats: &[Splat2D]) {
+        self.resize(splats.len());
+        SoaRows(self.columns_mut().map(Vec::as_mut_slice)).write_splats(splats);
     }
 }
 
@@ -126,8 +125,8 @@ pub struct RasterWorkload {
     /// Per-tile processed counts recorded by the reference rasterizer;
     /// empty until [`RasterWorkload::set_processed`] runs.
     processed: Vec<u32>,
-    /// Structure-of-arrays view of `splats`, derived during CSR
-    /// construction for the AVX2 Stage-3 kernel.
+    /// Structure-of-arrays view of `splats` for the AVX2 Stage-3 kernel,
+    /// written by Stage 2's splat-order pass.
     soa: SplatSoA,
 }
 
@@ -163,7 +162,8 @@ impl RasterWorkload {
     /// constructor establishes the order; already-sorted lists pass
     /// through bit-identically). This is the compatibility entry for
     /// tests and custom tilers; the reference pipeline builds workloads
-    /// through the counting scatter ([`crate::tile::bin_splats_pooled`]).
+    /// through Stage 2 ([`crate::tile::bin_splats_pooled`]). The SoA view
+    /// is filled serially, through the column writer Stage 2 uses.
     ///
     /// # Panics
     /// Panics when the tile-list count does not match the grid, when the
@@ -197,6 +197,8 @@ impl RasterWorkload {
             crate::sort::sort_indices_by_depth(&mut values[start..], &splats);
             offsets.push(values.len() as u32);
         }
+        let mut soa = SplatSoA::default();
+        soa.fill(&splats);
         Self::from_csr(
             width,
             height,
@@ -205,7 +207,7 @@ impl RasterWorkload {
             values,
             offsets,
             Vec::new(),
-            SplatSoA::default(),
+            soa,
         )
     }
 
@@ -214,10 +216,10 @@ impl RasterWorkload {
     /// buffer whose capacity is reused by the next
     /// [`RasterWorkload::set_processed`].
     ///
-    /// `soa` may carry recycled structure-of-arrays buffers (usually
-    /// `mem::take`n from [`FrameArena::soa`]); it is refilled from
-    /// `splats` here so every workload leaves construction with an
-    /// index-aligned [`SplatSoA`] view.
+    /// `soa` must already be the index-aligned [`SplatSoA`] view of
+    /// `splats`: Stage 2 writes it in its pooled splat-order pass and
+    /// [`RasterWorkload::new`] fills it serially, both through the same
+    /// column writer. Its length is a `debug_assert`.
     ///
     /// # Panics
     /// Panics when the offset table does not match the grid or is not a
@@ -233,7 +235,7 @@ impl RasterWorkload {
         values: Vec<u32>,
         offsets: Vec<u32>,
         mut processed: Vec<u32>,
-        mut soa: SplatSoA,
+        soa: SplatSoA,
     ) -> Self {
         assert!(tile_size > 0, "tile size must be positive");
         assert!(width > 0 && height > 0, "image dimensions must be positive");
@@ -268,8 +270,8 @@ impl RasterWorkload {
                 .all(|s| s.mean.is_finite() && s.radius.is_finite() && s.depth.is_finite()),
             "non-finite splat reached RasterWorkload"
         );
+        debug_assert_eq!(soa.len(), splats.len(), "SoA view must match the splats");
         processed.clear();
-        soa.fill(&splats);
         Self {
             width,
             height,
@@ -510,19 +512,23 @@ impl TileRef<'_> {
     }
 }
 
-/// Per-session Stage-2 scratch: the depth-order, per-chunk count, CSR and
-/// processed-count buffers a frame needs, recycled across frames so
-/// steady-state Stage 2 allocates nothing.
+/// Per-session Stage-2 scratch: the key, rectangle, difference, per-chunk
+/// count, CSR, SoA and processed-count buffers a frame needs, recycled
+/// across frames so steady-state Stage 2 allocates nothing.
 ///
 /// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
 /// the buffers back with [`RasterWorkload::recycle_into`] after the frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    /// Depth-order keys, one per splat (`depth_key_bits << 32 | index`);
-    /// only live during binning.
+    /// Depth-order keys, one per splat (`depth_key_bits << 32 | index`),
+    /// written in splat order and then sorted; only live during binning.
     pub(crate) order: Vec<u64>,
-    /// Per-chunk per-tile pair counts, then placement cursors; only live
-    /// during binning.
+    /// Each splat's tile rectangle, in splat order (16 bytes per splat),
+    /// read by the count and the scatter; only live during binning.
+    pub(crate) rects: Vec<TileRect>,
+    /// Per-chunk per-tile pair counts, then placement cursors, followed by
+    /// one 2D difference array per chunk of `(tiles_x + 1) × (tiles_y + 1)`
+    /// entries; only live during binning.
     pub(crate) counts: Vec<u32>,
     /// CSR value buffer under construction.
     pub(crate) values: Vec<u32>,
@@ -530,7 +536,8 @@ pub struct FrameArena {
     pub(crate) offsets: Vec<u32>,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]).
+    /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]), written
+    /// by the splat-order pass.
     pub(crate) soa: SplatSoA,
 }
 
