@@ -60,13 +60,11 @@ pub const HOT_FILES: &[&str] = &[
 pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/tile.rs", "bin_splats_pooled"),
     ("crates/render/src/tile.rs", "bin_splats_chunked"),
-    // Stage 2's per-splat helpers: the tile rectangle, the chunk-owned
-    // ranges of the shared buffers, and the SoA column writer.
+    // Stage 2's per-splat helpers: the tile rectangle and the chunk-owned
+    // ranges of the shared buffers.
     ("crates/render/src/tile.rs", "tile_rect"),
     ("crates/render/src/tile.rs", "new"),
     ("crates/render/src/tile.rs", "range"),
-    ("crates/render/src/tile.rs", "write_splats"),
-    ("crates/render/src/tile.rs", "fill_column"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
     // The one frame driver: marking it puts the whole per-frame subtree
     // (all three stages, the pool dispatch path) of every engine and free

@@ -1,10 +1,11 @@
 //! The session-based rendering engine — the workspace's unified entry
 //! point over every execution substrate.
 //!
-//! An [`Engine`] owns a scene, a selected [`Backend`], and reusable
-//! per-session scratch (framebuffer and binning buffers are recycled
-//! across frames instead of reallocated). Per frame it runs Stages 1–2 and
-//! one reference Stage-3 pass — in record-only mode unless images are
+//! An [`Engine`] owns a scene, a selected [`Backend`], and a per-session
+//! [`FrameArena`] whose Stage-2 buffers are recycled across frames instead
+//! of reallocated (a retained image gets a fresh framebuffer each frame,
+//! which moves into the report). Per frame it runs Stages 1–2 and one
+//! reference Stage-3 pass — in record-only mode unless images are
 //! retained — and hands the finalized workload to the backend:
 //!
 //! * [`Engine::render_frame`] — one camera, one [`FrameReport`];
@@ -75,8 +76,8 @@ pub enum ImagePolicy {
     /// architecture studies.
     #[default]
     Discard,
-    /// Keep images: the reference pass renders into the session's scratch
-    /// framebuffer and every report carries an image.
+    /// Keep images: the reference pass renders into a fresh framebuffer
+    /// that moves into the report, so every report carries an image.
     Retain,
 }
 
@@ -84,22 +85,6 @@ pub enum ImagePolicy {
 /// rejects non-positive costs (an empty frame still occupies the units for
 /// a scheduling instant).
 const MIN_STAGE_S: f64 = 1e-12;
-
-/// Reusable per-session scratch: the allocations that would otherwise be
-/// made and dropped every frame.
-///
-/// Retained-image frames no longer keep a session framebuffer here: the
-/// reference pass renders into a fresh buffer that *moves* into the report
-/// (no full-framebuffer clone per frame; the caller owns the image).
-#[derive(Debug, Default)]
-struct Scratch {
-    /// The Stage-2 frame arena: depth-order, per-chunk count, CSR and
-    /// processed-count buffers recycled through
-    /// [`gaurast_render::tile::bin_splats_pooled`] /
-    /// [`RasterWorkload::recycle_into`], so steady-state frames run
-    /// Stage 2 without allocating.
-    arena: FrameArena,
-}
 
 /// The result of [`Engine::render_sequence`]: per-frame backend reports
 /// plus the pipelined schedule they produce.
@@ -170,7 +155,7 @@ impl std::fmt::Display for ComparisonReport {
 ///
 /// The scene is held as an `Arc<`[`PreparedScene`]`>`: sessions never copy
 /// the scene or redo its precomputation, so spawning one per worker thread
-/// is cheap. `Clone` gives a fresh session (zero frames, fresh scratch,
+/// is cheap. `Clone` gives a fresh session (zero frames, fresh arena,
 /// freshly instantiated backend) over the same shared asset and
 /// configuration.
 #[derive(Debug)]
@@ -195,7 +180,10 @@ pub struct Engine {
     vis_cache: Arc<VisibilityCache>,
     pool: WorkerPool,
     backend: Box<dyn Backend>,
-    scratch: Scratch,
+    /// The Stage-2 buffers, handed to each frame's binning and taken back
+    /// with [`RasterWorkload::recycle_into`], so steady-state frames run
+    /// Stage 2 without allocating.
+    arena: FrameArena,
     frames: u64,
 }
 
@@ -203,7 +191,7 @@ impl Clone for Engine {
     /// A fresh session over the same shared scene and configuration: the
     /// `Arc<PreparedScene>` is shared (no scene copy), the backend is
     /// re-instantiated from the session configuration, and the frame
-    /// counter and scratch start empty. The visibility cache is shared —
+    /// counter and frame arena start empty. The visibility cache is shared —
     /// cached visible sets are semantically transparent.
     fn clone(&self) -> Self {
         Self::from_parts(
@@ -247,7 +235,7 @@ impl Engine {
             vis_cache,
             pool: WorkerPool::new(workers),
             backend,
-            scratch: Scratch::default(),
+            arena: FrameArena::new(),
             frames: 0,
         }
     }
@@ -315,7 +303,7 @@ impl Engine {
     }
 
     /// Switches the session to another backend, keeping the scene and
-    /// scratch. The frame counter continues.
+    /// frame arena. The frame counter continues.
     pub fn switch_backend(&mut self, kind: BackendKind) {
         self.kind = kind;
         self.backend = make_backend(kind, self.hw_config);
@@ -369,7 +357,7 @@ impl Engine {
             self.tile_size,
             self.level,
             &self.pool,
-            &mut self.scratch.arena,
+            &mut self.arena,
             image.as_mut(),
             // gaurast-check: allow(nondet): the same output-independent
             // stage clock, read at each stage boundary.
@@ -440,7 +428,7 @@ impl Engine {
         let stages12 = self.stages12_s(&reference, &workload);
         // Recycle the Stage-2 buffers (CSR, processed counts) for the next
         // frame.
-        workload.recycle_into(&mut self.scratch.arena);
+        workload.recycle_into(&mut self.arena);
         self.frames += 1;
         (report, stages12)
     }

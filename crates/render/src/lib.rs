@@ -79,7 +79,7 @@ pub use framebuffer::{Framebuffer, TileViewMut};
 pub use pool::WorkerPool;
 pub use preprocess::Splat2D;
 pub use simd::{SimdLevel, VectorMode};
-pub use workload::{FrameArena, RasterWorkload, SplatSoA, TileRef};
+pub use workload::{FrameArena, RasterWorkload, TileRef};
 
 /// Default tile edge in pixels — the 16×16 tiling of the reference 3DGS
 /// rasterizer, also the granularity of GauRast's tile buffers.

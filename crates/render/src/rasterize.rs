@@ -81,11 +81,12 @@ struct TileJob<'l, 'fb> {
 }
 
 /// The tile-major rasterization pass — the single Stage-3 code path
-/// (behind [`rasterize`] too). Tiles run the SoA lane-group AVX2 kernel
-/// (`crate::simd::stage3`) at [`SimdLevel::Avx2`] and the verbatim scalar
-/// kernel at [`SimdLevel::Scalar`]; a `level` above the host's detected
-/// capability is clamped down, so a host without AVX2 runs the scalar
-/// kernel (sound, because both levels agree bit for bit).
+/// (behind [`rasterize`] too). Tiles run the 8-pixel lane-group AVX2
+/// kernel (`crate::simd::stage3`) at [`SimdLevel::Avx2`] and the verbatim
+/// scalar kernel at [`SimdLevel::Scalar`], both over the workload's
+/// splats; a `level` above the host's detected capability is clamped
+/// down, so a host without AVX2 runs the scalar kernel (sound, because
+/// both levels agree bit for bit).
 ///
 /// Each tile is an independent job over its own depth-sorted CSR range of
 /// the workload (Stage 2 wrote every range in depth order up front via
@@ -182,12 +183,9 @@ pub fn rasterize_with_level(
         }
         (job.processed, job.stats) = match level {
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => crate::simd::stage3::rasterize_tile_avx2(
-                workload.soa(),
-                job.list,
-                rect,
-                job.view.as_mut(),
-            ),
+            SimdLevel::Avx2 => {
+                crate::simd::stage3::rasterize_tile_avx2(splats, job.list, rect, job.view.as_mut())
+            }
             _ => rasterize_tile(splats, job.list, rect, job.view.as_mut()),
         };
     });

@@ -2,8 +2,10 @@
 //! blending over 8-pixel lane groups along tile rows.
 //!
 //! [`rasterize_tile_avx2`] is the lane-group counterpart of the verbatim
-//! scalar reference `rasterize_tile` (crate::rasterize). The rules that
-//! preserve bit-identity:
+//! scalar reference `rasterize_tile` (crate::rasterize) and reads the same
+//! `Splat2D` slice: the lanes hold pixels, so each splat's fields are read
+//! once per row and broadcast to all eight. The rules that preserve
+//! bit-identity:
 //!
 //! * Pixels are independent: every per-pixel quantity (`d`, `power`,
 //!   `alpha`, the blended color and transmittance) depends only on that
@@ -40,9 +42,9 @@
 
 use crate::framebuffer::TileViewMut;
 use crate::ops::Subtask;
+use crate::preprocess::Splat2D;
 use crate::rasterize::RasterStats;
 use crate::simd::{detected_level, SimdLevel};
-use crate::workload::SplatSoA;
 use crate::{ALPHA_CUTOFF, TRANSMITTANCE_EPS};
 use core::arch::x86_64::{
     __m128, __m256, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps, _mm256_and_ps,
@@ -71,24 +73,6 @@ const LANES: usize = 8;
 /// so does `opacity = −∞`: `−∞ · exp_f32(power)` is NaN where the
 /// exponential underflows to 0, and NaN clamps to an alpha of 0.99.
 const EXP_SKIP_THRESHOLD: f32 = -5.6;
-
-/// One splat's fields, broadcast-ready (gathered once per splat from the
-/// [`SplatSoA`] columns).
-#[derive(Clone, Copy)]
-struct SplatIn {
-    mx: f32,
-    my: f32,
-    a: f32,
-    b: f32,
-    c: f32,
-    opacity: f32,
-    cr: f32,
-    cg: f32,
-    cb: f32,
-    /// `opacity` in `[f32::MIN, 1]` — precondition of the
-    /// [`EXP_SKIP_THRESHOLD`] group skip.
-    exp_skip_ok: bool,
-}
 
 /// Tile-local op tallies, folded into [`RasterStats`] once per tile
 /// exactly like the scalar kernel's local counters.
@@ -153,7 +137,7 @@ fn exp4(x: __m128) -> __m128 {
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 fn row_avx2(
-    s: &SplatIn,
+    s: &Splat2D,
     xc: &[f32],
     yc: f32,
     red: &mut [f32],
@@ -165,10 +149,13 @@ fn row_avx2(
 ) {
     let w = trans.len();
     debug_assert_eq!(w % LANES, 0, "tile rows are padded to whole lane groups");
-    let dy = yc - s.my;
+    let [a, b, c] = s.conic;
+    // Precondition of the EXP_SKIP_THRESHOLD group skip.
+    let exp_skip_ok = (f32::MIN..=1.0).contains(&s.opacity);
+    let dy = yc - s.mean.y;
     // Row-invariant scalars, computed once with the exact scalar ops the
     // reference repeats per pixel (same operands -> same bits).
-    let cdy2 = s.c * dy * dy;
+    let cdy2 = c * dy * dy;
 
     let eps = _mm256_set1_ps(TRANSMITTANCE_EPS);
     let zero = _mm256_set1_ps(0.0);
@@ -177,15 +164,15 @@ fn row_avx2(
     let cutoff = _mm256_set1_ps(ALPHA_CUTOFF);
     let cap = _mm256_set1_ps(0.99);
     let skip = _mm256_set1_ps(EXP_SKIP_THRESHOLD);
-    let mxv = _mm256_set1_ps(s.mx);
-    let av = _mm256_set1_ps(s.a);
-    let bv = _mm256_set1_ps(s.b);
+    let mxv = _mm256_set1_ps(s.mean.x);
+    let av = _mm256_set1_ps(a);
+    let bv = _mm256_set1_ps(b);
     let dyv = _mm256_set1_ps(dy);
     let cdy2v = _mm256_set1_ps(cdy2);
     let opv = _mm256_set1_ps(s.opacity);
-    let crv = _mm256_set1_ps(s.cr);
-    let cgv = _mm256_set1_ps(s.cg);
-    let cbv = _mm256_set1_ps(s.cb);
+    let crv = _mm256_set1_ps(s.color.x);
+    let cgv = _mm256_set1_ps(s.color.y);
+    let cbv = _mm256_set1_ps(s.color.z);
 
     for px in (0..w).step_by(LANES) {
         // SAFETY: `w` is a multiple of LANES, so `px + LANES <= w`, and
@@ -231,7 +218,7 @@ fn row_avx2(
         // Group skip: no lane that reaches the exponential can pass the
         // alpha cutoff (see EXP_SKIP_THRESHOLD).
         let deep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(power, skip)) as u32;
-        if s.exp_skip_ok && bits1 & !deep == 0 {
+        if exp_skip_ok && bits1 & !deep == 0 {
             continue;
         }
         // vminps(x, 0.99) returns 0.99 for NaN x, matching f32::min.
@@ -275,16 +262,16 @@ fn row_avx2(
     }
 }
 
-/// Rasterizes one tile through the SoA lane-group data path; the drop-in
-/// counterpart of the scalar `rasterize_tile` with bit-identical outputs
-/// (image, processed count, every statistic).
+/// Rasterizes one tile in 8-pixel lane groups; the drop-in counterpart of
+/// the scalar `rasterize_tile`, reading the same splats, with
+/// bit-identical outputs (image, processed count, every statistic).
 ///
 /// The host must support AVX2: `rasterize_with_level`, the one Stage-3
 /// dispatch, reaches this kernel only at a level clamped to
 /// [`crate::simd::detected_level`].
 // gaurast-check: hot-path
 pub(crate) fn rasterize_tile_avx2(
-    soa: &SplatSoA,
+    splats: &[Splat2D],
     list: &[u32],
     rect: (u32, u32, u32, u32),
     view: Option<&mut TileViewMut<'_>>,
@@ -337,19 +324,7 @@ pub(crate) fn rasterize_tile_avx2(
 
     'list: for &si in list {
         processed += 1;
-        let i = si as usize;
-        let s = SplatIn {
-            mx: soa.x[i],
-            my: soa.y[i],
-            a: soa.conic_a[i],
-            b: soa.conic_b[i],
-            c: soa.conic_c[i],
-            opacity: soa.alpha[i],
-            cr: soa.r[i],
-            cg: soa.g[i],
-            cb: soa.b[i],
-            exp_skip_ok: (f32::MIN..=1.0).contains(&soa.alpha[i]),
-        };
+        let s = &splats[si as usize];
         for py in 0..h {
             let yc = (y0 + py as u32) as f32 + 0.5;
             let (lo, hi) = (py * stride, (py + 1) * stride);
@@ -358,7 +333,7 @@ pub(crate) fn rasterize_tile_avx2(
             // before this kernel could be reached.
             unsafe {
                 row_avx2(
-                    &s,
+                    s,
                     &xc,
                     yc,
                     &mut red[lo..hi],

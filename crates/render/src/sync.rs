@@ -40,8 +40,8 @@
 //!
 //! # Race instrumentation
 //!
-//! The renderer's `unsafe` disjoint-write sites (Stage-2 key, rectangle
-//! and SoA ranges, difference and count rows and scatter ranges, pool
+//! The renderer's `unsafe` disjoint-write sites (Stage-2 key and
+//! rectangle ranges, difference and count rows and scatter ranges, pool
 //! job-slot publication, framebuffer tile rows) are annotated with three
 //! macros:
 //!

@@ -7,9 +7,8 @@
 //! 1. **splat-order pass** — fixed-size chunks of the splats in their
 //!    submission order ([`BIN_CHUNK`] splats, one pool job per chunk)
 //!    write each splat's depth key `depth_key_bits(depth) << 32 | index`,
-//!    its tile rectangle ([`tile_range`] with exclusive bounds, 16 bytes)
-//!    and its row of the [`SplatSoA`](crate::SplatSoA) columns, so the
-//!    splats are read once, sequentially;
+//!    and its tile rectangle ([`tile_range`] with exclusive bounds, 16
+//!    bytes), so the splats are read once, sequentially;
 //! 2. **depth order** — the keys are sorted in place; every key is unique;
 //! 3. **count** — fixed-size chunks of that order add 4 updates per splat
 //!    to a 2D difference array over the tile grid, gathering the splat's
@@ -121,47 +120,6 @@ fn tile_rect(splat: &Splat2D, width: u32, height: u32, tile_size: u32) -> TileRe
     }
 }
 
-/// One range of rows of every [`SplatSoA`](crate::SplatSoA) column, in
-/// field order ([`SplatSoA::columns_mut`](crate::SplatSoA)) — the column
-/// writer shared by Stage 2's splat-order pass (one range per chunk) and
-/// [`RasterWorkload::new`] (all rows at once).
-pub(crate) struct SoaRows<'a>(pub(crate) [&'a mut [f32]; 9]);
-
-impl SoaRows<'_> {
-    /// Writes the fields of `splats[k]` into row `k` of every column; each
-    /// column must hold exactly `splats.len()` rows.
-    // gaurast-check: hot-path
-    pub(crate) fn write_splats(self, splats: &[Splat2D]) {
-        let SoaRows([x, y, conic_a, conic_b, conic_c, alpha, r, g, b]) = self;
-        fill_column(x, splats, |s| s.mean.x);
-        fill_column(y, splats, |s| s.mean.y);
-        // One destructuring assignment per splat rather than `conic[k]`
-        // indexing, which keeps `gaurast-check deep`'s count of index sites
-        // reachable from the service flat.
-        let conics = conic_a
-            .iter_mut()
-            .zip(conic_b.iter_mut())
-            .zip(conic_c.iter_mut());
-        for (((a, b), c), s) in conics.zip(splats) {
-            [*a, *b, *c] = s.conic;
-        }
-        fill_column(alpha, splats, |s| s.opacity);
-        fill_column(r, splats, |s| s.color.x);
-        fill_column(g, splats, |s| s.color.y);
-        fill_column(b, splats, |s| s.color.z);
-    }
-}
-
-/// Writes `field(splats[k])` into `column[k]` for every row.
-#[inline]
-// gaurast-check: hot-path
-fn fill_column(column: &mut [f32], splats: &[Splat2D], field: impl Fn(&Splat2D) -> f32) {
-    debug_assert_eq!(column.len(), splats.len());
-    for (value, s) in column.iter_mut().zip(splats) {
-        *value = field(s);
-    }
-}
-
 /// Bins depth-sortable splats into a CSR workload with a fresh arena and
 /// the serial pool — the convenience entry for tests and one-off frames.
 ///
@@ -202,9 +160,9 @@ pub fn bin_splats_pooled(
 }
 
 /// Raw pointer handing the chunk jobs of one dispatch disjoint ranges of
-/// one buffer, which it borrows for `'a`: their own splats' keys,
-/// rectangles and SoA rows, their own row of a per-chunk table, or their
-/// own placement slots of the CSR value buffer.
+/// one buffer, which it borrows for `'a`: their own splats' keys or
+/// rectangles, their own row of a per-chunk table, or their own placement
+/// slots of the CSR value buffer.
 #[derive(Clone, Copy)]
 struct Disjoint<'a, T>(*mut T, PhantomData<&'a mut [T]>);
 // SAFETY: shared across workers only to reach index sets no other chunk
@@ -271,28 +229,24 @@ pub fn bin_splats_chunked(
     let span = |c: usize| c * chunk..((c + 1) * chunk).min(n);
 
     // 1. Splat-order pass: chunk `c` reads its splats once and writes their
-    // keys, rectangles and SoA rows. Every element below `n` is written,
-    // so the buffers are resized without clearing.
+    // keys and rectangles. Every element below `n` is written, so the
+    // buffers are resized without clearing.
     let mut order = std::mem::take(&mut arena.order);
     order.resize(n, 0);
     let mut rects = std::mem::take(&mut arena.rects);
     rects.resize(n, TileRect::default());
-    let mut soa = std::mem::take(&mut arena.soa);
-    soa.resize(n);
     let keys_out = Disjoint::new(&mut order);
     let rects_out = Disjoint::new(&mut rects);
-    let columns_out = soa.columns_mut().map(|column| Disjoint::new(column));
     pool.run(chunks, |c| {
         let rows = span(c);
         let (start, len) = (rows.start, rows.len());
-        let chunk_splats = &splats[rows];
         // SAFETY: the keys hold `n` entries, chunk `c`'s splat range lies
         // below `n` and belongs to no other chunk, and `run` yields each
         // chunk index exactly once.
         let keys = unsafe { keys_out.range(start, len) };
         // SAFETY: likewise for the `n` rectangles.
         let chunk_rects = unsafe { rects_out.range(start, len) };
-        for ((s, (key, rect)), i) in chunk_splats
+        for ((s, (key, rect)), i) in splats[rows]
             .iter()
             .zip(keys.iter_mut().zip(chunk_rects))
             .zip(start..)
@@ -300,9 +254,6 @@ pub fn bin_splats_chunked(
             *key = (u64::from(depth_key_bits(s.depth)) << 32) | i as u64;
             *rect = tile_rect(s, width, height, tile_size);
         }
-        // SAFETY: likewise for each SoA column, resized to `n` rows above.
-        let columns = columns_out.map(|column| unsafe { column.range(start, len) });
-        SoaRows(columns).write_splats(chunk_splats);
     });
 
     // 2. Depth order. Every key is unique (the splat index is its low
@@ -437,7 +388,6 @@ pub fn bin_splats_chunked(
         values,
         offsets,
         std::mem::take(&mut arena.processed),
-        soa,
     )
 }
 
@@ -536,7 +486,6 @@ mod tests {
                 chunk,
             );
             assert_eq!(keyed, legacy, "chunk {chunk}");
-            assert_eq!(keyed.soa(), legacy.soa(), "chunk {chunk}: SoA view");
         }
     }
 

@@ -16,99 +16,10 @@
 //! Stage 2 without allocating.
 
 use crate::preprocess::Splat2D;
-use crate::tile::{SoaRows, TileRect};
-
-/// Structure-of-arrays view of the frame's splat list — the lane-friendly
-/// memory the AVX2 Stage-3 kernel reads (`crate::simd::stage3`).
-///
-/// Every field is one contiguous `f32` array, index-aligned with the
-/// [`RasterWorkload::splats`] slice it is derived from:
-///
-/// ```text
-/// x:       [ mean.x  | mean.x  | ... ]   splat center, pixels
-/// y:       [ mean.y  | mean.y  | ... ]
-/// conic_a: [ conic[0]| conic[0]| ... ]   inverse-covariance terms
-/// conic_b: [ conic[1]| conic[1]| ... ]
-/// conic_c: [ conic[2]| conic[2]| ... ]
-/// alpha:   [ opacity | opacity | ... ]
-/// r/g/b:   [ color   | color   | ... ]   evaluated SH color
-/// ```
-///
-/// A gather that would cost one strided `Splat2D` load per lane becomes a
-/// single broadcast per field. The buffers live in the session
-/// [`FrameArena`] and are rewritten by Stage 2's pooled splat-order pass
-/// ([`crate::tile::bin_splats_pooled`]), so steady-state frames do not
-/// allocate.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct SplatSoA {
-    /// Splat center x (`Splat2D::mean.x`).
-    pub(crate) x: Vec<f32>,
-    /// Splat center y (`Splat2D::mean.y`).
-    pub(crate) y: Vec<f32>,
-    /// Inverse-covariance term `conic[0]`.
-    pub(crate) conic_a: Vec<f32>,
-    /// Inverse-covariance term `conic[1]`.
-    pub(crate) conic_b: Vec<f32>,
-    /// Inverse-covariance term `conic[2]`.
-    pub(crate) conic_c: Vec<f32>,
-    /// Splat opacity (`Splat2D::opacity`).
-    pub(crate) alpha: Vec<f32>,
-    /// Red channel of the evaluated color.
-    pub(crate) r: Vec<f32>,
-    /// Green channel of the evaluated color.
-    pub(crate) g: Vec<f32>,
-    /// Blue channel of the evaluated color.
-    pub(crate) b: Vec<f32>,
-}
-
-impl SplatSoA {
-    /// Number of splats in the view.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// `true` when the view holds no splats.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    /// Sets every column to `n` rows, reusing the existing capacity
-    /// (steady-state frames stay allocation-free). Rows keep stale values
-    /// until the column writer ([`SoaRows`]) overwrites them.
-    pub(crate) fn resize(&mut self, n: usize) {
-        for column in self.columns_mut() {
-            column.resize(n, 0.0);
-        }
-    }
-
-    /// The nine columns, in field order (the order [`SoaRows`] takes).
-    pub(crate) fn columns_mut(&mut self) -> [&mut Vec<f32>; 9] {
-        [
-            &mut self.x,
-            &mut self.y,
-            &mut self.conic_a,
-            &mut self.conic_b,
-            &mut self.conic_c,
-            &mut self.alpha,
-            &mut self.r,
-            &mut self.g,
-            &mut self.b,
-        ]
-    }
-
-    /// Serial fill: every column becomes index-aligned with `splats`.
-    fn fill(&mut self, splats: &[Splat2D]) {
-        self.resize(splats.len());
-        SoaRows(self.columns_mut().map(Vec::as_mut_slice)).write_splats(splats);
-    }
-}
+use crate::tile::TileRect;
 
 /// Per-tile, depth-ordered rasterization work for one frame, in CSR form.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RasterWorkload {
     width: u32,
     height: u32,
@@ -125,34 +36,6 @@ pub struct RasterWorkload {
     /// Per-tile processed counts recorded by the reference rasterizer;
     /// empty until [`RasterWorkload::set_processed`] runs.
     processed: Vec<u32>,
-    /// Structure-of-arrays view of `splats` for the AVX2 Stage-3 kernel,
-    /// written by Stage 2's splat-order pass.
-    soa: SplatSoA,
-}
-
-impl PartialEq for RasterWorkload {
-    /// Equality over the semantic content: grid, splats, CSR table, and
-    /// processed counts. The SoA view is excluded — it is derived
-    /// column-for-column from `splats`, so it carries no extra state.
-    fn eq(&self, other: &Self) -> bool {
-        (
-            self.width,
-            self.height,
-            self.tile_size,
-            &self.splats,
-            &self.values,
-            &self.offsets,
-            &self.processed,
-        ) == (
-            other.width,
-            other.height,
-            other.tile_size,
-            &other.splats,
-            &other.values,
-            &other.offsets,
-            &other.processed,
-        )
-    }
 }
 
 impl RasterWorkload {
@@ -162,8 +45,7 @@ impl RasterWorkload {
     /// constructor establishes the order; already-sorted lists pass
     /// through bit-identically). This is the compatibility entry for
     /// tests and custom tilers; the reference pipeline builds workloads
-    /// through Stage 2 ([`crate::tile::bin_splats_pooled`]). The SoA view
-    /// is filled serially, through the column writer Stage 2 uses.
+    /// through Stage 2 ([`crate::tile::bin_splats_pooled`]).
     ///
     /// # Panics
     /// Panics when the tile-list count does not match the grid, when the
@@ -197,8 +79,6 @@ impl RasterWorkload {
             crate::sort::sort_indices_by_depth(&mut values[start..], &splats);
             offsets.push(values.len() as u32);
         }
-        let mut soa = SplatSoA::default();
-        soa.fill(&splats);
         Self::from_csr(
             width,
             height,
@@ -207,7 +87,6 @@ impl RasterWorkload {
             values,
             offsets,
             Vec::new(),
-            soa,
         )
     }
 
@@ -216,17 +95,11 @@ impl RasterWorkload {
     /// buffer whose capacity is reused by the next
     /// [`RasterWorkload::set_processed`].
     ///
-    /// `soa` must already be the index-aligned [`SplatSoA`] view of
-    /// `splats`: Stage 2 writes it in its pooled splat-order pass and
-    /// [`RasterWorkload::new`] fills it serially, both through the same
-    /// column writer. Its length is a `debug_assert`.
-    ///
     /// # Panics
     /// Panics when the offset table does not match the grid or is not a
     /// monotone cover of `values`. Index bounds are a `debug_assert` — the
     /// binning paths emit indices straight from the splat iteration, and
     /// this constructor is on the per-frame hot path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_csr(
         width: u32,
         height: u32,
@@ -235,7 +108,6 @@ impl RasterWorkload {
         values: Vec<u32>,
         offsets: Vec<u32>,
         mut processed: Vec<u32>,
-        soa: SplatSoA,
     ) -> Self {
         assert!(tile_size > 0, "tile size must be positive");
         assert!(width > 0 && height > 0, "image dimensions must be positive");
@@ -270,7 +142,6 @@ impl RasterWorkload {
                 .all(|s| s.mean.is_finite() && s.radius.is_finite() && s.depth.is_finite()),
             "non-finite splat reached RasterWorkload"
         );
-        debug_assert_eq!(soa.len(), splats.len(), "SoA view must match the splats");
         processed.clear();
         Self {
             width,
@@ -282,7 +153,6 @@ impl RasterWorkload {
             values,
             offsets,
             processed,
-            soa,
         }
     }
 
@@ -326,14 +196,6 @@ impl RasterWorkload {
     #[inline]
     pub fn splats(&self) -> &[Splat2D] {
         &self.splats
-    }
-
-    /// Structure-of-arrays view of [`RasterWorkload::splats`], column
-    /// arrays index-aligned with the slice (the memory layout the AVX2
-    /// Stage-3 kernel reads).
-    #[inline]
-    pub fn soa(&self) -> &SplatSoA {
-        &self.soa
     }
 
     /// The flat CSR value buffer: every (splat, tile) pair, tile-major,
@@ -465,7 +327,6 @@ impl RasterWorkload {
         arena.values = self.values;
         arena.offsets = self.offsets;
         arena.processed = self.processed;
-        arena.soa = self.soa;
     }
 
     /// Length of the longest tile list (load-imbalance metric).
@@ -513,7 +374,7 @@ impl TileRef<'_> {
 }
 
 /// Per-session Stage-2 scratch: the key, rectangle, difference, per-chunk
-/// count, CSR, SoA and processed-count buffers a frame needs, recycled
+/// count, CSR and processed-count buffers a frame needs, recycled
 /// across frames so steady-state Stage 2 allocates nothing.
 ///
 /// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
@@ -536,9 +397,6 @@ pub struct FrameArena {
     pub(crate) offsets: Vec<u32>,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]), written
-    /// by the splat-order pass.
-    pub(crate) soa: SplatSoA,
 }
 
 impl FrameArena {
@@ -680,7 +538,6 @@ mod tests {
             vec![0, 0],
             vec![0, 2, 1, 1, 2],
             Vec::new(),
-            SplatSoA::default(),
         );
     }
 
@@ -695,7 +552,6 @@ mod tests {
             vec![0, 0],
             vec![0, 1, 1, 1, 1],
             Vec::new(),
-            SplatSoA::default(),
         );
     }
 
@@ -704,30 +560,9 @@ mod tests {
         let mut arena = FrameArena::new();
         let w = workload_2x2();
         let values_cap = w.values.capacity();
-        let soa_cap = w.soa.x.capacity();
         w.recycle_into(&mut arena);
         assert!(arena.values.capacity() >= values_cap);
-        assert!(arena.soa.x.capacity() >= soa_cap);
         assert_eq!(arena.offsets.len(), 5);
-    }
-
-    #[test]
-    fn soa_columns_align_with_splats() {
-        let w = workload_2x2();
-        let soa = w.soa();
-        assert_eq!(soa.len(), w.splats().len());
-        assert!(!soa.is_empty());
-        for (i, s) in w.splats().iter().enumerate() {
-            assert_eq!(soa.x[i].to_bits(), s.mean.x.to_bits());
-            assert_eq!(soa.y[i].to_bits(), s.mean.y.to_bits());
-            assert_eq!(soa.conic_a[i].to_bits(), s.conic[0].to_bits());
-            assert_eq!(soa.conic_b[i].to_bits(), s.conic[1].to_bits());
-            assert_eq!(soa.conic_c[i].to_bits(), s.conic[2].to_bits());
-            assert_eq!(soa.alpha[i].to_bits(), s.opacity.to_bits());
-            assert_eq!(soa.r[i].to_bits(), s.color.x.to_bits());
-            assert_eq!(soa.g[i].to_bits(), s.color.y.to_bits());
-            assert_eq!(soa.b[i].to_bits(), s.color.z.to_bits());
-        }
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! stably sort the pairs by `(tile, depth bits)`, and rebuild the CSR
 //! table — for random scenes, cameras, tie-heavy depth distributions,
 //! boundary-exact tile boxes, off-image means, ragged grids whose edge
-//! tiles are partial, every worker count 1–8 and every chunk size. The
-//! SoA view Stage 2 writes chunk by chunk must equal the serial fill of
-//! `RasterWorkload::new` for the same splats.
+//! tiles are partial, every worker count 1–8 and every chunk size.
 
 use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pipeline::{render, RenderConfig};
@@ -44,26 +42,11 @@ fn oracle(splats: &[Splat2D], width: u32, height: u32, tile_size: u32) -> (Vec<u
     (pairs.iter().map(|&(_, _, i)| i).collect(), offsets)
 }
 
-/// Asserts `w`'s CSR table equals the oracle's for its own splats, and
-/// its SoA view the serial fill of `RasterWorkload::new`.
+/// Asserts `w`'s CSR table equals the oracle's for its own splats.
 fn assert_matches_oracle(w: &RasterWorkload, what: &str) {
     let (values, offsets) = oracle(w.splats(), w.width(), w.height(), w.tile_size());
     assert_eq!(w.values(), values.as_slice(), "{what}: values");
     assert_eq!(w.offsets(), offsets.as_slice(), "{what}: offsets");
-    assert_soa_matches_serial_fill(w, what);
-}
-
-/// Asserts `w`'s SoA view equals the one `RasterWorkload::new` fills
-/// serially from the same splats.
-fn assert_soa_matches_serial_fill(w: &RasterWorkload, what: &str) {
-    let serial = RasterWorkload::new(
-        w.width(),
-        w.height(),
-        w.tile_size(),
-        w.splats().to_vec(),
-        vec![Vec::new(); w.tile_count()],
-    );
-    assert_eq!(w.soa(), serial.soa(), "{what}: SoA view");
 }
 
 /// Random splats with deliberately nasty Stage-2 shapes: quantized depths
@@ -151,7 +134,7 @@ proptest! {
     /// and off-image means, at chunk sizes 1, 3 and the production size
     /// and widths 1–8, on a whole 64×64 grid and a ragged 70×53 one at
     /// tile sizes 8 and 16: the CSR table must equal the oracle entry for
-    /// entry, and the SoA view the serial fill.
+    /// entry.
     #[test]
     fn binning_equals_oracle_on_adversarial_splats(
         mut splats in prop::collection::vec(splat_strategy(), 0..120),
@@ -223,8 +206,8 @@ proptest! {
 }
 
 /// Inputs spanning several production-size chunks (10,000 splats → 3
-/// chunks of [`BIN_CHUNK`]) equal the oracle, and their SoA view the
-/// serial fill, at chunk sizes 1, 3 and [`BIN_CHUNK`] and widths 1–8.
+/// chunks of [`BIN_CHUNK`]) equal the oracle at chunk sizes 1, 3 and
+/// [`BIN_CHUNK`] and widths 1–8.
 #[test]
 fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
     let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -269,7 +252,6 @@ fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
                 offsets.as_slice(),
                 "width {workers}, chunk {chunk}"
             );
-            assert_soa_matches_serial_fill(&w, &format!("width {workers}, chunk {chunk}"));
         }
     }
 }

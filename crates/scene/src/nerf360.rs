@@ -5,10 +5,10 @@
 //! offline; each descriptor instead records the published statistics of the
 //! trained checkpoint — Gaussian count, rendering resolution, indoor/outdoor
 //! structure — and can synthesize a statistically matched scene at a chosen
-//! [`SceneScale`]. The architecture models consume per-frame work counts,
-//! which are extrapolated from the simulated scale to the paper's full scale
-//! by the calibrated [`SceneDescriptor::work_scale`] factor (see
-//! `DESIGN.md` §2).
+//! [`SceneScale`]. The architecture models consume per-frame work counts;
+//! experiments carry them from the simulated scale to the paper's full
+//! scale by normalizing the measured blend work to the descriptor's
+//! calibrated [`SceneDescriptor::raster_work_per_frame`].
 
 use crate::generator::SceneParams;
 use crate::{Camera, GaussianScene, OrbitTrajectory, SceneError};
@@ -152,17 +152,6 @@ impl SceneScale {
         gaussian_divisor: 1024,
         resolution_divisor: 8,
     };
-
-    /// Linear factor by which per-frame work shrinks at this scale:
-    /// intersections scale with pixel count (`divisor²` per axis pair) times
-    /// primitive density (`gaussian_divisor`) — but density per pixel stays
-    /// constant when both shrink together, so the dominant term is the
-    /// pixel count. Empirically (and in our tiler) blend work per frame is
-    /// proportional to `pixels × list_length`, with list length tracking
-    /// Gaussian count; we therefore scale work by both factors.
-    pub fn work_divisor(self) -> f64 {
-        f64::from(self.resolution_divisor).powi(2) * f64::from(self.gaussian_divisor)
-    }
 }
 
 impl Default for SceneScale {
@@ -260,11 +249,6 @@ impl SceneDescriptor {
         )?;
         orbit.camera_at(theta)
     }
-
-    /// Factor converting per-frame work measured at `scale` to paper scale.
-    pub fn work_scale(&self, scale: SceneScale) -> f64 {
-        scale.work_divisor()
-    }
 }
 
 #[cfg(test)]
@@ -337,15 +321,6 @@ mod tests {
         let (w, h) = d.resolution_at(SceneScale::UNIT_TEST);
         assert!((px.x - w as f32 / 2.0).abs() < 1.0);
         assert!((px.y - h as f32 / 2.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn work_divisor_composes() {
-        let s = SceneScale {
-            gaussian_divisor: 4,
-            resolution_divisor: 2,
-        };
-        assert_eq!(s.work_divisor(), 16.0);
     }
 
     #[test]

@@ -28,8 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let cam = desc.camera(scale, theta)?;
         let out = render(&scene, &cam, &RenderConfig::default());
         // Paper-scale extrapolation factor: calibrated work / measured work.
-        let scale_up = desc.raster_work_per_frame * desc.work_scale(scale)
-            / (desc.work_scale(scale) * out.workload.blend_work().max(1) as f64);
+        let scale_up = desc.raster_work_per_frame / out.workload.blend_work().max(1) as f64;
         let stage3 = hw.simulate_gaussian(&out.workload).time_s * scale_up;
         let stages12 = orin.preprocess_time((desc.full_gaussians as f64 * 0.85) as u64)
             + orin.sort_time(desc.sort_pairs_per_frame as u64);
