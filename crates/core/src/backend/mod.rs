@@ -151,7 +151,10 @@ pub struct CullStats {
     pub frustum_lateral: usize,
     /// `true` when the visible set came from the session's
     /// [`VisibilityCache`](gaurast_scene::VisibilityCache) instead of
-    /// being rebuilt.
+    /// being rebuilt. Reports that share one reference pass
+    /// ([`Engine::compare`](crate::engine::Engine::compare),
+    /// [`Engine::render_shared`](crate::engine::Engine::render_shared))
+    /// share its flag: the pass looks the set up once.
     pub cache_hit: bool,
 }
 

@@ -14,7 +14,11 @@
 //!   ([`gaurast_sched::sequence::replay`]), reporting throughput and
 //!   frame pacing;
 //! * [`Engine::compare`] — the same frame executed on several substrates
-//!   for one-call cross-backend evaluation.
+//!   for one-call cross-backend evaluation, returning the shared workload;
+//! * [`Engine::render_shared`] — the same, for serving: one report per
+//!   requested backend, each equal to that backend's
+//!   [`Engine::render_frame`], with the Stage-2 buffers recycled (the
+//!   `RenderService` batch path).
 //!
 //! Build one with [`EngineBuilder`]:
 //!
@@ -468,6 +472,31 @@ impl Engine {
     /// downstream analysis), so the binning buffers leave the session and
     /// the frame after a `compare` re-seeds them once.
     pub fn compare(&mut self, camera: &Camera, kinds: &[BackendKind]) -> ComparisonReport {
+        let (rows, workload) = self.shared_pass(camera, kinds);
+        ComparisonReport { rows, workload }
+    }
+
+    /// Renders one frame for several backends from one reference pass: one
+    /// report per requested kind, in request order, each equal to what
+    /// [`Engine::render_frame`] reports on a session of that backend
+    /// (images bit-identical; the software backend's `time_s` is measured
+    /// wall-clock time). As with [`Engine::compare`], the session's own
+    /// backend is untouched and the frame counts once; unlike it, the
+    /// Stage-2 buffers return to the session arena for the next frame.
+    pub fn render_shared(&mut self, camera: &Camera, kinds: &[BackendKind]) -> Vec<FrameReport> {
+        let (rows, workload) = self.shared_pass(camera, kinds);
+        workload.recycle_into(&mut self.arena);
+        rows
+    }
+
+    /// One reference pass executed on every requested kind: the reports
+    /// with their common statistics filled in, and the workload they
+    /// billed.
+    fn shared_pass(
+        &mut self,
+        camera: &Camera,
+        kinds: &[BackendKind],
+    ) -> (Vec<FrameReport>, RasterWorkload) {
         let retain = self.image_policy == ImagePolicy::Retain;
         let need_image = retain && kinds.iter().any(|&k| k != BackendKind::Enhanced);
         let (workload, mut reference) = self.reference_pass(camera, need_image);
@@ -500,7 +529,7 @@ impl Engine {
             }
         }
         self.frames += 1;
-        ComparisonReport { rows, workload }
+        (rows, workload)
     }
 }
 

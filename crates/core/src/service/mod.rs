@@ -14,13 +14,19 @@
 //! * [`RenderService::submit`] — one [`RenderRequest`] (scene name,
 //!   camera, backend), one [`RenderResponse`] on the calling thread;
 //! * [`RenderService::render_batch`] — a slice of requests fanned across a
-//!   `std::thread` worker pool. Responses come back **in request order**
-//!   (bit-identical images to single-session rendering), wrapped in a
-//!   [`BatchReport`] with wall-clock throughput and aggregate modeled
-//!   time/energy accounting.
+//!   `std::thread` worker pool. Requests that name the same scene and a
+//!   bit-identical camera ([`Camera::key`]) form one *distinct frame*,
+//!   rendered by one reference pass whose workload every backend those
+//!   requests named then executes ([`Engine::render_shared`]) — the
+//!   one-workload-per-frame billing every cross-backend comparison uses.
+//!   Responses come back **in request order** (bit-identical to a
+//!   dedicated session of each request's backend), wrapped in a
+//!   [`BatchReport`] with wall-clock throughput, the number of reference
+//!   passes, and aggregate modeled time/energy accounting.
 //!
 //! Parallelism nests at two levels — request-level (the batch worker
-//! pool) × frame-level (each session's intra-frame
+//! pool, whose workers claim distinct frames) × frame-level (each
+//! session's intra-frame
 //! [`WorkerPool`](gaurast_render::pool::WorkerPool)) — under one
 //! oversubscription policy: batch sessions render with a bounded
 //! per-frame worker budget
@@ -48,6 +54,7 @@
 //!     .collect();
 //! let batch = service.render_batch(&requests)?;
 //! assert_eq!(batch.len(), 4);
+//! assert_eq!(batch.passes, 1, "four requests of one frame share one pass");
 //! assert!(batch.throughput_fps() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -59,7 +66,7 @@ use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::pool::resolve_workers;
 use gaurast_render::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
+use gaurast_scene::{Camera, CameraKey, GaussianScene, PreparedScene, VisibilityCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -142,8 +149,12 @@ pub struct RenderResponse {
     /// Index of the worker thread that rendered the frame (0 for
     /// [`RenderService::submit`]).
     pub worker: usize,
-    /// The frame report, exactly as a dedicated single-thread session
-    /// would have produced it (images are bit-identical).
+    /// The frame report, exactly as a dedicated single-thread session of
+    /// the request's backend would have produced it (images are
+    /// bit-identical). In a batch, requests of one distinct frame share
+    /// its reference pass, so their backend-independent statistics —
+    /// wall-clock Stage-2 time and the visibility-cache flag included —
+    /// are the same.
     pub report: FrameReport,
 }
 
@@ -156,8 +167,12 @@ pub struct BatchReport {
     /// Wall-clock seconds the batch took end to end, including worker
     /// spawning.
     pub wall_s: f64,
-    /// Worker threads the batch actually used.
+    /// Worker threads the batch actually used: never more than the
+    /// service's worker count or the batch's distinct frames.
     pub workers: usize,
+    /// Reference passes (visibility, Stages 1–3) the batch ran: one per
+    /// distinct frame, i.e. per distinct (scene, [`Camera::key`]) pair.
+    pub passes: usize,
 }
 
 impl BatchReport {
@@ -197,9 +212,10 @@ impl std::fmt::Display for BatchReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "batch: {} frames on {} workers in {} ms ({} fps wall, {} ms modeled stage-3, {} mJ modeled)",
+            "batch: {} frames on {} workers, {} reference passes, in {} ms ({} fps wall, {} ms modeled stage-3, {} mJ modeled)",
             self.len(),
             self.workers,
+            self.passes,
             fmt_ms(self.wall_s),
             fmt_f(self.throughput_fps(), 1),
             fmt_ms(self.modeled_time_s()),
@@ -268,7 +284,7 @@ impl RenderServiceBuilder {
 
     /// Worker-pool size for [`RenderService::render_batch`] (defaults to
     /// the machine's available parallelism; a batch never uses more
-    /// workers than it has requests).
+    /// workers than it has distinct frames).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -376,8 +392,8 @@ pub struct RenderService {
     host: CudaGpuModel,
     image_policy: ImagePolicy,
     /// One visible-set cache shared by *every* session the service opens:
-    /// batch requests sharing a scene and (quantized) camera pose build
-    /// each set once, across workers.
+    /// distinct frames and `submit`s sharing a scene and (quantized)
+    /// camera pose build each set once, across workers.
     vis_cache: Arc<VisibilityCache>,
 }
 
@@ -447,8 +463,8 @@ impl RenderService {
             .unwrap_or_else(|| (resolve_workers(0) / batch_workers.max(1)).max(1))
     }
 
-    /// Opens a dedicated session over a registered scene — the same
-    /// sessions the batch workers use, for callers that want to drive one
+    /// Opens a dedicated session over a registered scene — configured like
+    /// the batch workers' sessions, for callers that want to drive one
     /// directly (e.g. [`Engine::render_sequence`]). A dedicated session
     /// has the host to itself, so it renders with the full frame-level
     /// worker budget ([`RenderService::frame_worker_budget`] of 1).
@@ -485,12 +501,16 @@ impl RenderService {
     /// Fans a batch of requests across the worker pool and returns the
     /// responses **in request order**.
     ///
-    /// Every worker holds its own engine sessions (one per distinct
-    /// (scene, backend) pair it encounters), all sharing the service's
-    /// prepared assets; work is claimed from an atomic cursor, so an
-    /// expensive frame on one worker never stalls the others. Per-request
+    /// The batch is first grouped into distinct frames: requests naming
+    /// the same scene and a bit-identical camera ([`Camera::key`]), in
+    /// first-appearance order. Each distinct frame is rendered once — one
+    /// reference pass, executed on every backend its requests named
+    /// ([`Engine::render_shared`]). Workers claim distinct frames from an
+    /// atomic cursor, so an expensive frame on one worker never stalls the
+    /// others, and each worker holds one engine session per scene it
+    /// encounters, all sharing the service's prepared assets. Per-request
     /// reports — images included — are bit-identical with what a dedicated
-    /// single-thread session would produce.
+    /// single-thread session of the request's backend would produce.
     ///
     /// # Errors
     /// [`ServiceError::UnknownScene`] if *any* request names an
@@ -500,14 +520,16 @@ impl RenderService {
             self.lookup(&request.scene)?;
         }
         let started = Instant::now();
-        if requests.is_empty() {
+        let frames = distinct_frames(requests);
+        if frames.is_empty() {
             return Ok(BatchReport {
                 responses: Vec::new(),
                 wall_s: started.elapsed().as_secs_f64(),
                 workers: 0,
+                passes: 0,
             });
         }
-        let workers = self.workers.min(requests.len()).max(1);
+        let workers = self.workers.min(frames.len()).max(1);
         // Oversubscription policy: request-level workers render frames
         // with a bounded per-frame worker budget so the nested
         // parallelism stays within the machine.
@@ -520,9 +542,9 @@ impl RenderService {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|worker| {
-                        let cursor = &cursor;
+                        let (frames, cursor) = (&frames, &cursor);
                         scope
-                            .spawn(move || self.worker_loop(worker, requests, cursor, frame_budget))
+                            .spawn(move || self.render_frames(worker, frames, cursor, frame_budget))
                     })
                     .collect();
                 handles
@@ -566,52 +588,59 @@ impl RenderService {
             responses,
             wall_s: started.elapsed().as_secs_f64(),
             workers,
+            passes: frames.len(),
         })
     }
 
-    /// One worker's batch loop: claim the next request index, render it on
-    /// a per-worker cached session, repeat until the cursor runs out.
+    /// One worker's share of a batch: claim the next distinct frame, render
+    /// it for all its requests on the worker's session for its scene,
+    /// repeat until the cursor runs out. Returns (request index, response)
+    /// pairs.
     ///
     /// Scene names are validated before the batch starts, so the lookup
     /// here cannot fail in a correct service — but a worker thread must
     /// not panic on a broken invariant (it would take the whole batch
     /// down), so the breach is returned as a typed error instead.
-    fn worker_loop(
+    fn render_frames(
         &self,
         worker: usize,
-        requests: &[RenderRequest],
+        frames: &[DistinctFrame<'_>],
         cursor: &AtomicUsize,
         frame_budget: usize,
     ) -> Result<Vec<(usize, RenderResponse)>, ServiceError> {
-        let mut sessions: HashMap<(&str, BackendKind), Engine> = HashMap::new();
+        let mut sessions: HashMap<&str, Engine> = HashMap::new();
         let mut rendered = Vec::new();
         loop {
             let index = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(request) = requests.get(index) else {
+            let Some(frame) = frames.get(index) else {
                 break;
             };
-            let key = (request.scene.as_str(), request.backend);
-            if !sessions.contains_key(&key) {
-                let prepared = self.lookup(&request.scene)?;
+            if !sessions.contains_key(frame.scene) {
+                let prepared = self.lookup(frame.scene)?;
+                // `render_shared` instantiates every requested backend, so
+                // the session's own backend is never used here.
                 let session =
-                    self.open_session(Arc::clone(prepared), request.backend, frame_budget)?;
-                sessions.insert((request.scene.as_str(), request.backend), session);
+                    self.open_session(Arc::clone(prepared), BackendKind::Enhanced, frame_budget)?;
+                sessions.insert(frame.scene, session);
             }
-            let Some(engine) = sessions.get_mut(&key) else {
+            let Some(engine) = sessions.get_mut(frame.scene) else {
                 return Err(ServiceError::Internal(format!(
                     "session for scene {:?} vanished after insertion",
-                    request.scene
+                    frame.scene
                 )));
             };
-            let report = engine.render_frame(&request.camera);
-            rendered.push((
-                index,
-                RenderResponse {
-                    scene: request.scene.clone(),
-                    worker,
-                    report,
-                },
-            ));
+            let reports = engine.render_shared(frame.camera, &frame.kinds);
+            for (&request, report) in frame.requests.iter().zip(reports) {
+                let scene = frame.scene.to_string();
+                rendered.push((
+                    request,
+                    RenderResponse {
+                        scene,
+                        worker,
+                        report,
+                    },
+                ));
+            }
         }
         Ok(rendered)
     }
@@ -653,6 +682,44 @@ impl RenderService {
                 ))
             })
     }
+}
+
+/// The requests of one batch that name the same scene and a bit-identical
+/// camera: one reference pass renders them all.
+#[derive(Debug)]
+struct DistinctFrame<'a> {
+    scene: &'a str,
+    camera: &'a Camera,
+    /// Indices of the requests, ascending.
+    requests: Vec<usize>,
+    /// Each request's backend, parallel to `requests`.
+    kinds: Vec<BackendKind>,
+}
+
+/// Groups a batch into its distinct frames, in first-appearance order, in
+/// O(requests).
+fn distinct_frames(requests: &[RenderRequest]) -> Vec<DistinctFrame<'_>> {
+    let mut order: Vec<(&str, CameraKey)> = Vec::new();
+    let mut frames: HashMap<(&str, CameraKey), DistinctFrame<'_>> = HashMap::new();
+    for (index, request) in requests.iter().enumerate() {
+        let key = (request.scene.as_str(), request.camera.key());
+        let frame = frames.entry(key).or_insert_with(|| {
+            order.push(key);
+            DistinctFrame {
+                scene: &request.scene,
+                camera: &request.camera,
+                requests: Vec::new(),
+                kinds: Vec::new(),
+            }
+        });
+        frame.requests.push(index);
+        frame.kinds.push(request.backend);
+    }
+    // Every key in `order` was inserted once and is removed once.
+    order
+        .into_iter()
+        .filter_map(|key| frames.remove(&key))
+        .collect()
 }
 
 #[cfg(test)]
@@ -701,6 +768,7 @@ mod tests {
             .collect();
         let batch = svc.render_batch(&requests).unwrap();
         assert_eq!(batch.len(), 7);
+        assert_eq!(batch.passes, 7, "seven cameras, seven passes");
         assert!(batch.workers >= 1 && batch.workers <= 2);
         // Order check: re-render each request sequentially and compare the
         // deterministic modeled statistics position by position.
@@ -743,7 +811,7 @@ mod tests {
         let batch = svc.render_batch(&[]).unwrap();
         assert!(batch.is_empty());
         assert_eq!(batch.throughput_fps(), 0.0);
-        assert_eq!(batch.workers, 0);
+        assert_eq!((batch.workers, batch.passes), (0, 0));
     }
 
     #[test]
@@ -767,18 +835,45 @@ mod tests {
 
     #[test]
     fn batch_workers_share_one_visibility_cache() {
+        use gaurast_scene::visibility::pose_key;
+
+        // Six identical requests are one distinct frame: one reference
+        // pass, one visible-set lookup.
         let svc = service();
         let cam = camera(0.4);
-        // Six requests of one pose over two workers: the visible set must
-        // be built at most once per worker race, then hit everywhere.
         let requests: Vec<_> = (0..6)
             .map(|_| RenderRequest::new("demo", cam.clone()))
             .collect();
-        svc.render_batch(&requests).unwrap();
+        let batch = svc.render_batch(&requests).unwrap();
+        assert_eq!((batch.passes, batch.workers), (1, 1));
+        let cache = svc.visibility_cache();
+        assert_eq!(cache.len(), 1, "one pose, one cached set");
+        assert_eq!(cache.hits() + cache.misses(), 1);
+
+        // Cameras a fraction of `POSE_QUANT` apart are distinct frames with
+        // one `PoseKey`: every frame gets its own pass, yet across both
+        // workers the visible set is built at most once per worker race,
+        // then hit everywhere.
+        let svc = service();
+        let nearby: Vec<Camera> = (0..6).map(|i| camera(0.4 + i as f32 * 1e-6)).collect();
+        for c in &nearby {
+            assert_eq!(pose_key(c), pose_key(&cam), "one quantized pose");
+        }
+        let requests: Vec<_> = nearby
+            .iter()
+            .map(|c| RenderRequest::new("demo", c.clone()))
+            .collect();
+        let batch = svc.render_batch(&requests).unwrap();
+        assert_eq!(batch.passes, 6, "bit-distinct cameras are distinct frames");
         let cache = svc.visibility_cache();
         assert_eq!(cache.len(), 1, "one pose, one cached set");
         assert_eq!(cache.hits() + cache.misses(), 6);
-        assert!(cache.hits() >= 4, "hits {}", cache.hits());
+        assert!(
+            cache.hits() >= (6 - batch.workers) as u64,
+            "hits {} over {} workers",
+            cache.hits(),
+            batch.workers
+        );
         // submit() reuses the same service-wide cache.
         svc.submit(RenderRequest::new("demo", cam)).unwrap();
         assert_eq!(cache.hits() + cache.misses(), 7);

@@ -1,18 +1,22 @@
 //! Dispatch controller: tile-to-instance assignment and per-tile PE-block
 //! occupancy arithmetic (Fig. 7b, "Dispatch Controller").
 
+use std::iter::StepBy;
+use std::ops::Range;
+
 /// Assigns tile indices to rasterizer instances round-robin — the top
-/// controller's static schedule. Returns one queue per instance.
+/// controller's static schedule. Yields one queue per instance, in
+/// instance order: instance `i` takes tiles `i`, `i + instances`, ….
 ///
 /// # Panics
 /// Panics when `instances` is zero.
-pub fn assign_tiles(tile_count: usize, instances: u32) -> Vec<Vec<usize>> {
+pub fn assign_tiles(
+    tile_count: usize,
+    instances: u32,
+) -> impl Iterator<Item = StepBy<Range<usize>>> {
     assert!(instances > 0, "need at least one instance");
-    let mut queues = vec![Vec::new(); instances as usize];
-    for t in 0..tile_count {
-        queues[t % instances as usize].push(t);
-    }
-    queues
+    let stride = instances as usize;
+    (0..stride).map(move |first| (first..tile_count).step_by(stride))
 }
 
 /// Cycles the PE block needs to process `primitives` over a `pixels`-pixel
@@ -38,9 +42,15 @@ pub fn issued_pairs(primitives: u32, pixels: u32) -> u64 {
 mod tests {
     use super::*;
 
+    fn queues(tile_count: usize, instances: u32) -> Vec<Vec<usize>> {
+        assign_tiles(tile_count, instances)
+            .map(Iterator::collect)
+            .collect()
+    }
+
     #[test]
     fn round_robin_balances() {
-        let q = assign_tiles(10, 3);
+        let q = queues(10, 3);
         assert_eq!(q[0], vec![0, 3, 6, 9]);
         assert_eq!(q[1], vec![1, 4, 7]);
         assert_eq!(q[2], vec![2, 5, 8]);
@@ -48,7 +58,7 @@ mod tests {
 
     #[test]
     fn all_tiles_assigned_exactly_once() {
-        let q = assign_tiles(100, 7);
+        let q = queues(100, 7);
         let mut seen: Vec<usize> = q.into_iter().flatten().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..100).collect::<Vec<_>>());

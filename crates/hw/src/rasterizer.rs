@@ -95,21 +95,34 @@ impl EnhancedRasterizer {
         &self.config
     }
 
-    /// Simulates Gaussian-mode timing for a workload (no image).
+    /// Simulates Gaussian-mode timing for a workload (no image). Each tile
+    /// bills its processed prefix.
     pub fn simulate_gaussian(&self, workload: &RasterWorkload) -> FrameReport {
-        let tiles = self.gaussian_items(workload);
-        let mut report = self.run_timing(tiles, RasterMode::Gaussian);
+        let tiles = (workload.tiles_x(), workload.tiles_y());
+        let mut report = self.run_timing(tiles, WORDS_PER_SPLAT, RasterMode::Gaussian, |tx, ty| {
+            (
+                workload.processed_count(tx, ty),
+                workload.tile_pixels(tx, ty) as u32,
+            )
+        });
         report.activity = PeActivity::GAUSSIAN_PER_PAIR.scaled(report.pairs);
         report
     }
 
     /// Simulates triangle-mode timing for a workload (no image).
     pub fn simulate_triangles(&self, workload: &TriangleWorkload) -> FrameReport {
-        let (items, prim_dispatches) = self.triangle_items(workload);
-        let mut report = self.run_timing(items, RasterMode::Triangle);
+        let tiles = (workload.tiles_x(), workload.tiles_y());
+        let mut report =
+            self.run_timing(tiles, WORDS_PER_TRIANGLE, RasterMode::Triangle, |tx, ty| {
+                (
+                    workload.tile_list(tx, ty).len() as u32,
+                    workload.tile_pixels(tx, ty) as u32,
+                )
+            });
         report.activity = PeActivity::TRIANGLE_PER_PAIR.scaled(report.pairs);
-        // One divider activation per primitive dispatch.
-        report.activity.div += prim_dispatches;
+        // One divider activation per primitive dispatch: every binned
+        // (triangle, tile) pair is dispatched once.
+        report.activity.div += workload.total_pairs();
         report
     }
 
@@ -193,112 +206,90 @@ impl EnhancedRasterizer {
         (fb, report)
     }
 
-    /// Builds per-tile work items for Gaussian mode straight off the CSR
-    /// tile ranges, honoring buffer capacity chunking. Returns items
-    /// indexed by tile.
-    fn gaussian_items(&self, w: &RasterWorkload) -> Vec<(u64, Vec<WorkItem>)> {
-        w.tiles()
-            .map(|tile| {
-                let pixels = tile.pixels() as u32;
-                (
-                    issued_pairs(tile.processed, pixels),
-                    self.chunked_items(tile.processed, WORDS_PER_SPLAT, pixels),
-                )
-            })
-            .collect()
-    }
-
-    /// Builds per-tile work items for triangle mode; also returns the total
-    /// primitive dispatch count (divider activations).
-    fn triangle_items(&self, w: &TriangleWorkload) -> (Vec<(u64, Vec<WorkItem>)>, u64) {
-        let mut tiles = Vec::with_capacity((w.tiles_x() * w.tiles_y()) as usize);
-        let mut dispatches = 0u64;
-        for ty in 0..w.tiles_y() {
-            for tx in 0..w.tiles_x() {
-                let n = w.tile_list(tx, ty).len() as u32;
-                dispatches += u64::from(n);
-                let pixels = w.tile_pixels(tx, ty) as u32;
-                tiles.push((
-                    issued_pairs(n, pixels),
-                    self.chunked_items(n, WORDS_PER_TRIANGLE, pixels),
-                ));
-            }
-        }
-        (tiles, dispatches)
-    }
-
-    /// Splits one tile into buffer-capacity chunks of work.
-    fn chunked_items(&self, n: u32, words_each: u32, pixels: u32) -> Vec<WorkItem> {
+    /// The buffer-capacity chunks one tile streams through: `n`
+    /// primitives of `words_each` words over a `pixels`-pixel tile.
+    fn tile_chunks(
+        &self,
+        n: u32,
+        words_each: u32,
+        pixels: u32,
+    ) -> impl Iterator<Item = WorkItem> + '_ {
         let cap = self.buffer.capacity_primitives;
         let passes = self.buffer.passes(n);
-        let mut items = Vec::with_capacity(passes as usize);
-        let mut remaining = n;
-        for pass in 0..passes {
-            let chunk = remaining.min(cap);
-            remaining -= chunk;
-            let first = pass == 0;
-            let last = pass + 1 == passes;
-            items.push(WorkItem {
+        (0..passes).map(move |pass| {
+            let chunk = (n - pass * cap).min(cap);
+            WorkItem {
                 // Pixel state streams in once (first chunk) and out once
                 // (last chunk).
-                load: self
-                    .buffer
-                    .load_cycles(chunk, words_each, if first { pixels } else { 0 }),
+                load: self.buffer.load_cycles(
+                    chunk,
+                    words_each,
+                    if pass == 0 { pixels } else { 0 },
+                ),
                 process: processing_cycles(chunk, pixels, self.config.pes_per_module)
                     + u64::from(self.config.pipeline_latency),
-                writeback: if last {
+                writeback: if pass + 1 == passes {
                     self.buffer.writeback_cycles(pixels)
                 } else {
                     0
                 },
-            });
-        }
-        items
+            }
+        })
     }
 
-    /// Runs the ping-pong (or single-buffer) schedule over all instances.
-    fn run_timing(&self, tiles: Vec<(u64, Vec<WorkItem>)>, mode: RasterMode) -> FrameReport {
-        let queues = assign_tiles(tiles.len(), self.config.modules);
-        let mut instance_cycles = Vec::with_capacity(queues.len());
+    /// Runs the ping-pong (or single-buffer) schedule over all instances
+    /// of a `tiles_x × tiles_y` frame. `tile(tx, ty)` gives a tile's
+    /// primitive count and pixel count; each instance streams the chunks
+    /// of its round-robin tiles (linear order `ty * tiles_x + tx`) in
+    /// order, looking one chunk ahead for the load the ping-pong step
+    /// overlaps.
+    fn run_timing(
+        &self,
+        (tiles_x, tiles_y): (u32, u32),
+        words_each: u32,
+        mode: RasterMode,
+        tile: impl Fn(u32, u32) -> (u32, u32),
+    ) -> FrameReport {
+        let tile_count = tiles_x as usize * tiles_y as usize;
+        let mut instance_cycles = Vec::with_capacity(self.config.modules as usize);
         let mut stall_cycles = 0u64;
         let mut pairs = 0u64;
         let mut traffic = 0u64;
 
-        for queue in &queues {
-            // Flatten this instance's tiles into its chunk sequence.
-            let items: Vec<WorkItem> = queue
-                .iter()
-                .flat_map(|&t| tiles[t].1.iter().copied())
-                .collect();
-            pairs += queue.iter().map(|&t| tiles[t].0).sum::<u64>();
-            traffic += items.iter().map(|i| i.load + i.writeback).sum::<u64>()
-                * u64::from(self.config.bus_words_per_cycle);
-
-            let mut t = 0u64;
-            if items.is_empty() {
-                instance_cycles.push(0);
-                continue;
-            }
-            if self.config.ping_pong {
-                t += items[0].load;
-                for k in 0..items.len() {
-                    let next_load = if k + 1 < items.len() {
-                        items[k + 1].load
-                    } else {
-                        0
-                    };
-                    let prev_wb = if k > 0 { items[k - 1].writeback } else { 0 };
-                    let iface = next_load + prev_wb;
-                    let step = items[k].process.max(iface);
-                    stall_cycles += step - items[k].process;
-                    t += step;
-                }
-                t += items[items.len() - 1].writeback;
+        for queue in assign_tiles(tile_count, self.config.modules) {
+            let mut items = queue
+                .flat_map(|t| {
+                    let (n, pixels) =
+                        tile((t % tiles_x as usize) as u32, (t / tiles_x as usize) as u32);
+                    pairs += issued_pairs(n, pixels);
+                    self.tile_chunks(n, words_each, pixels)
+                })
+                .peekable();
+            // Ping-pong: the first chunk's load is exposed, then each step
+            // overlaps the next chunk's load and the previous chunk's
+            // writeback with the current chunk's processing.
+            let mut t = if self.config.ping_pong {
+                items.peek().map_or(0, |first| first.load)
             } else {
-                for item in &items {
+                0
+            };
+            let mut moved = 0u64;
+            let mut prev_wb = 0u64;
+            while let Some(item) = items.next() {
+                moved += item.load + item.writeback;
+                if self.config.ping_pong {
+                    let next_load = items.peek().map_or(0, |next| next.load);
+                    let step = item.process.max(next_load + prev_wb);
+                    stall_cycles += step - item.process;
+                    t += step;
+                    prev_wb = item.writeback;
+                } else {
                     t += item.load + item.process + item.writeback;
                 }
             }
+            // The last chunk's writeback drains after its processing.
+            t += prev_wb;
+            traffic += moved * u64::from(self.config.bus_words_per_cycle);
             instance_cycles.push(t);
         }
 

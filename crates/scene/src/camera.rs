@@ -22,7 +22,39 @@ pub struct Camera {
     far: f32,
 }
 
+/// The exact identity of a [`Camera`]: the bits of every field (see
+/// [`Camera::key`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CameraKey {
+    /// View-matrix entries, column-major.
+    view: [u32; 16],
+    /// Image dimensions.
+    dims: [u32; 2],
+    /// `fx, fy, cx, cy, near, far`.
+    intrinsics: [u32; 6],
+}
+
 impl Camera {
+    /// The camera's exact key: equal keys mean bit-identical fields, so
+    /// the two cameras render bit-identical frames of any scene. Unlike
+    /// `==` it tells `+0.0` from `-0.0`, and unlike the quantized
+    /// visibility [`PoseKey`](crate::visibility::PoseKey) it tells apart
+    /// poses that differ by less than the quantum.
+    pub fn key(&self) -> CameraKey {
+        CameraKey {
+            view: std::array::from_fn(|i| self.view.at(i % 4, i / 4).to_bits()),
+            dims: [self.width, self.height],
+            intrinsics: [
+                self.focal.x.to_bits(),
+                self.focal.y.to_bits(),
+                self.principal.x.to_bits(),
+                self.principal.y.to_bits(),
+                self.near.to_bits(),
+                self.far.to_bits(),
+            ],
+        }
+    }
+
     /// Camera looking from `eye` toward `target` with the given vertical
     /// field of view.
     ///
@@ -271,6 +303,30 @@ mod tests {
             1.0,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn key_holds_the_bits_of_every_field() {
+        let cam = test_camera();
+        assert_eq!(cam.key(), cam.clone().key());
+        // -0.0 == +0.0, but the frames of the two cameras need not be
+        // bit-identical, so their keys differ.
+        let mut signed = cam.clone();
+        let zero = (0..4)
+            .flat_map(|col| (0..4).map(move |row| (row, col)))
+            .find(|&(row, col)| cam.view.at(row, col).to_bits() == 0)
+            .expect("a look-at view matrix has a +0.0 entry");
+        signed.view.cols[zero.1][zero.0] = -0.0;
+        assert_eq!(signed, cam, "== cannot tell the sign of zero");
+        assert_ne!(signed.key(), cam.key());
+        // One ulp in one entry.
+        let mut nudged = cam.clone();
+        nudged.view.cols[3][2] = f32::from_bits(cam.view.at(2, 3).to_bits() + 1);
+        assert_ne!(nudged.key(), cam.key());
+        // One ulp in an intrinsic.
+        let mut focal = cam.clone();
+        focal.focal.y = f32::from_bits(cam.focal.y.to_bits() + 1);
+        assert_ne!(focal.key(), cam.key());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod prepared;
 pub mod stats;
 pub mod visibility;
 
-pub use camera::{Camera, OrbitTrajectory};
+pub use camera::{Camera, CameraKey, OrbitTrajectory};
 pub use error::SceneError;
 pub use gaussian::{Gaussian3, GaussianScene, ShColor};
 pub use mesh::{Triangle, TriangleMesh, Vertex};

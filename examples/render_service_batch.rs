@@ -1,7 +1,9 @@
 //! Shared-scene batch rendering through the [`RenderService`]: two scenes
 //! prepared once into immutable `Arc<PreparedScene>` assets, a mixed batch
 //! of render jobs fanned across a worker pool, responses returned in
-//! request order with aggregate throughput and energy accounting.
+//! request order with aggregate throughput and energy accounting, and one
+//! pose sent to every backend, which the batch renders with a single
+//! reference pass.
 //!
 //! ```text
 //! cargo run --release --example render_service_batch
@@ -109,7 +111,28 @@ fn main() -> Result<(), Box<dyn Error>> {
         batch.workers,
     );
 
-    // 6. One-off jobs go through `submit`.
+    // 6. One pose on every backend: the four requests share a scene and a
+    //    bit-identical camera, so the batch runs one reference pass and
+    //    every backend bills its workload.
+    let pose = orbit_camera(1.0)?;
+    let all: Vec<_> = BackendKind::ALL
+        .iter()
+        .map(|&kind| RenderRequest::new("town", pose.clone()).backend(kind))
+        .collect();
+    let shared = service.render_batch(&all)?;
+    println!("{shared}");
+    assert_eq!(shared.passes, 1, "one pose, one reference pass");
+    let first = &shared.responses[0].report.stats;
+    assert!(
+        shared
+            .responses
+            .iter()
+            .all(|r| r.report.stats.pairs == first.pairs
+                && r.report.stats.blend_work == first.blend_work),
+        "every backend bills the same workload"
+    );
+
+    // 7. One-off jobs go through `submit`.
     let single = service.submit(RenderRequest::new("museum", orbit_camera(0.5)?))?;
     println!(
         "submit: museum frame in {:.3} ms modeled stage-3 time",

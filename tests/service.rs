@@ -2,12 +2,15 @@
 //! responses, bit-identical images versus dedicated single-thread
 //! sessions, and batch throughput accounting.
 
-use gaurast::backend::BackendKind;
-use gaurast::engine::ImagePolicy;
+use gaurast::backend::{BackendKind, FrameReport};
+use gaurast::engine::{Engine, EngineBuilder, ImagePolicy};
+use gaurast::render::Framebuffer;
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::Camera;
 use gaurast::service::{RenderRequest, RenderService};
 use gaurast_math::Vec3;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn orbit_camera(theta: f32) -> Camera {
@@ -64,6 +67,89 @@ fn batch_over_four_workers_is_in_order_and_bit_identical() {
             batch_img.mean_abs_diff(&direct_img),
             0.0,
             "request {i}: batch image must be bit-identical to render_frame"
+        );
+    }
+}
+
+/// The bits of every pixel's color, transmittance and depth.
+fn image_bits(fb: &Framebuffer) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for y in 0..fb.height() {
+        for x in 0..fb.width() {
+            let c = fb.color_at(x, y);
+            bits.extend(
+                [c.x, c.y, c.z, fb.transmittance_at(x, y), fb.depth_at(x, y)].map(f32::to_bits),
+            );
+        }
+    }
+    bits
+}
+
+/// What a coalesced response must share with a dedicated session's frame:
+/// the workload facts, the modeled time and energy bits (the software
+/// backend's `time_s` is wall-clock, so it has none) and the image bits.
+#[allow(clippy::type_complexity)]
+fn facts(
+    r: &FrameReport,
+) -> (
+    (u64, u64, u64, u64, usize, usize),
+    Option<(u64, u64)>,
+    Option<Vec<u32>>,
+) {
+    let s = &r.stats;
+    (
+        (
+            r.ops,
+            s.pairs,
+            s.blend_work,
+            s.blends_committed,
+            s.visible,
+            s.culled,
+        ),
+        (r.kind != BackendKind::Software).then(|| (r.time_s.to_bits(), r.energy_j.to_bits())),
+        r.image.as_ref().map(image_bits),
+    )
+}
+
+#[test]
+fn coalesced_batch_matches_dedicated_sessions_of_every_backend() {
+    let svc = service(3);
+    let poses = [orbit_camera(0.2), orbit_camera(1.1), orbit_camera(2.3)];
+    let mut requests: Vec<RenderRequest> = poses
+        .iter()
+        .flat_map(|cam| {
+            BackendKind::ALL.map(|kind| RenderRequest::new("orbit", cam.clone()).backend(kind))
+        })
+        .collect();
+    // One (pose, backend) requested twice.
+    requests.push(requests[6].clone());
+    // A fixed shuffle (5 is coprime with the 13 requests), so requests of
+    // one frame are scattered through the batch.
+    let n = requests.len();
+    let requests: Vec<RenderRequest> = (0..n).map(|i| requests[i * 5 % n].clone()).collect();
+
+    let batch = svc.render_batch(&requests).unwrap();
+    assert_eq!(batch.len(), n);
+    assert_eq!(batch.passes, 3, "one reference pass per pose");
+
+    let prepared = Arc::clone(svc.prepared("orbit").unwrap());
+    let mut sessions: HashMap<BackendKind, Engine> = HashMap::new();
+    for (i, (resp, req)) in batch.responses.iter().zip(&requests).enumerate() {
+        let session = sessions.entry(req.backend).or_insert_with(|| {
+            EngineBuilder::shared(Arc::clone(&prepared))
+                .backend(req.backend)
+                .workers(1)
+                .image_policy(ImagePolicy::Retain)
+                .build()
+                .unwrap()
+        });
+        let direct = session.render_frame(&req.camera);
+        assert_eq!(resp.report.kind, req.backend, "request {i}");
+        assert!(resp.report.image.is_some(), "request {i}: retained image");
+        assert!(
+            facts(&resp.report) == facts(&direct),
+            "request {i} ({}): the coalesced frame differs from a dedicated session's",
+            req.backend
         );
     }
 }
