@@ -10,6 +10,9 @@
 //! sec5d ablations quality sweep compare`. Frame timings are not an
 //! artifact: perfbench (`perfbench/` at the repository root) is the one
 //! harness that times frames.
+//!
+//! Exits 2 on an unknown artifact id, and 1 when `quality` finds an FP32
+//! PE-datapath image that is not bit-exact with the software reference.
 
 use gaurast::backend::BackendKind;
 use gaurast::engine::EngineBuilder;
@@ -148,7 +151,12 @@ fn main() {
             "quality" => {
                 // Functional (bit-level) rendering is the slow path; keep it
                 // at unit-test scale regardless.
-                section(&quality::quality(SceneScale::UNIT_TEST).to_string());
+                let report = quality::quality(SceneScale::UNIT_TEST);
+                section(&report.to_string());
+                if !report.all_fp32_exact() {
+                    eprintln!("quality: the FP32 PE datapath diverged from the software reference");
+                    std::process::exit(1);
+                }
             }
             "sweep" => {
                 let scale = if quick {

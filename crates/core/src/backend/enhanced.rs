@@ -2,12 +2,19 @@
 
 use super::{Backend, BackendKind, Frame, FrameReport, FrameStats};
 use gaurast_hw::power::PowerModel;
-use gaurast_hw::{EnhancedRasterizer, RasterizerConfig};
+use gaurast_hw::{EnhancedRasterizer, Precision, RasterizerConfig};
 
 /// Executes frames on the cycle-accurate GauRast model
 /// ([`gaurast_hw::EnhancedRasterizer`]) with its activity-based power
-/// model. When the frame retains images, the functional PE datapath renders
-/// one (bit-exact with the reference in FP32).
+/// model.
+///
+/// At FP32 the PE datapath computes the reference image bit for bit
+/// (§V-A), so this backend reports no image of its own and the engine
+/// attaches the reference pass's image, as it does for every other
+/// backend. Tests prove that identity by calling
+/// [`EnhancedRasterizer::render_gaussian`] directly instead of every
+/// served frame recomputing it. An FP16 configuration renders its
+/// retained images through the PE datapath, whose rounding differs.
 #[derive(Clone, Debug)]
 pub struct EnhancedRasterizerBackend {
     hw: EnhancedRasterizer,
@@ -47,8 +54,13 @@ impl Backend for EnhancedRasterizerBackend {
         )
     }
 
+    /// Bills the frame on the cycle model. Only a retained FP16 frame runs
+    /// the functional PE render and reports its image; otherwise the
+    /// report carries `image: None` and the engine attaches the reference
+    /// image. Time, energy, ops and utilization come from the same timing
+    /// report either way.
     fn execute(&mut self, frame: Frame<'_>) -> FrameReport {
-        let (image, report) = if frame.retain_image {
+        let (image, report) = if frame.retain_image && self.config().precision != Precision::Fp32 {
             let (img, rep) = self.hw.render_gaussian(frame.workload);
             (Some(img), rep)
         } else {

@@ -117,11 +117,10 @@ pub struct ReferencePass {
     /// Host wall-clock seconds Stage 2 took (depth sort + counting scatter
     /// into the CSR workload).
     pub sort_wall_s: f64,
-    /// The reference image, present when the session retains images and a
-    /// requested backend reports the reference image (the enhanced
-    /// rasterizer renders its own, so enhanced-only frames skip this).
+    /// The reference image, present whenever the session retains images.
     /// Backends leave it in place; the engine moves it into the report
-    /// after `execute` (no per-frame framebuffer clone).
+    /// after `execute` (no per-frame framebuffer clone) unless the backend
+    /// rendered its own, which only an FP16 enhanced rasterizer does.
     pub image: Option<Framebuffer>,
 }
 
@@ -203,10 +202,13 @@ pub struct FrameStats {
 pub struct FrameReport {
     /// Which substrate executed.
     pub kind: BackendKind,
-    /// The rendered image, when requested and available. The enhanced
-    /// rasterizer renders through its own PE datapath (bit-exact with the
-    /// reference in FP32); analytical backends return the reference image,
-    /// which is what their modeled kernels compute.
+    /// The rendered image, when requested and available. Every backend
+    /// reports the reference pass's image, which is what its modeled
+    /// kernels compute; for the enhanced rasterizer at FP32 that is the
+    /// PE datapath's image bit for bit, which tests check against
+    /// [`EnhancedRasterizer::render_gaussian`](gaurast_hw::EnhancedRasterizer::render_gaussian).
+    /// An FP16 enhanced rasterizer reports the image its PE datapath
+    /// renders.
     pub image: Option<Framebuffer>,
     /// Stage-3 (rasterization) time on this substrate, seconds.
     pub time_s: f64,

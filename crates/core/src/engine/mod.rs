@@ -332,16 +332,14 @@ impl Engine {
     /// ([`run_frame`]): Stage 1 over the camera's cached visible set,
     /// Stage 2 into recycled session buffers, and the reference Stage-3
     /// pass (record-only unless images are retained), producing the
-    /// finalized workload every backend bills.
-    /// `need_image` requests a reference image in the pass: true only when
-    /// images are retained *and* some executing backend reports the
-    /// reference image (the enhanced rasterizer renders its own through
-    /// the PE datapath, so an enhanced-only frame skips the clone).
-    fn reference_pass(
-        &mut self,
-        camera: &Camera,
-        need_image: bool,
-    ) -> (RasterWorkload, ReferencePass) {
+    /// finalized workload every backend bills. When the session retains
+    /// images the pass renders the reference image, and every backend but
+    /// an FP16 enhanced rasterizer serves it. At FP32 the enhanced
+    /// rasterizer's PE datapath computes the same bits; tests prove it by
+    /// calling
+    /// [`EnhancedRasterizer::render_gaussian`](gaurast_hw::EnhancedRasterizer::render_gaussian)
+    /// directly.
+    fn reference_pass(&mut self, camera: &Camera) -> (RasterWorkload, ReferencePass) {
         let (visible, cache_hit) = self.vis_cache.get_or_build(&self.scene, camera);
         let cull = CullStats {
             frustum_depth: visible.culled_depth(),
@@ -350,7 +348,8 @@ impl Engine {
         };
         // The buffer moves into the reference pass (and from there into
         // the report) instead of being cloned every frame.
-        let mut image = need_image.then(|| Framebuffer::new(camera.width(), camera.height()));
+        let mut image = (self.image_policy == ImagePolicy::Retain)
+            .then(|| Framebuffer::new(camera.width(), camera.height()));
         // gaurast-check: allow(nondet): wall-clock stage timing. The
         // measured durations are reported *alongside* the frame, never fed
         // back into it — the image is a pure function of scene + camera.
@@ -415,16 +414,15 @@ impl Engine {
 
     fn render_frame_inner(&mut self, camera: &Camera) -> (FrameReport, f64) {
         let retain = self.image_policy == ImagePolicy::Retain;
-        let need_image = retain && self.kind != BackendKind::Enhanced;
-        let (workload, mut reference) = self.reference_pass(camera, need_image);
+        let (workload, mut reference) = self.reference_pass(camera);
         let mut report = self.backend.execute(Frame {
             workload: &workload,
             reference: &reference,
             retain_image: retain,
         });
         // Backends whose modeled kernels compute the reference image report
-        // it; the buffer moves from the reference pass (the enhanced
-        // rasterizer renders its own through the PE datapath).
+        // it; the buffer moves from the reference pass (only an FP16
+        // enhanced rasterizer renders its own through the PE datapath).
         if retain && report.image.is_none() {
             report.image = reference.image.take();
         }
@@ -498,8 +496,7 @@ impl Engine {
         kinds: &[BackendKind],
     ) -> (Vec<FrameReport>, RasterWorkload) {
         let retain = self.image_policy == ImagePolicy::Retain;
-        let need_image = retain && kinds.iter().any(|&k| k != BackendKind::Enhanced);
-        let (workload, mut reference) = self.reference_pass(camera, need_image);
+        let (workload, mut reference) = self.reference_pass(camera);
         let mut rows: Vec<FrameReport> = kinds
             .iter()
             .map(|&kind| {
@@ -594,7 +591,17 @@ mod tests {
         e.switch_backend(BackendKind::Enhanced);
         let hw = e.render_frame(&cam);
         let (sw_img, hw_img) = (sw.image.unwrap(), hw.image.unwrap());
-        assert_eq!(sw_img.mean_abs_diff(&hw_img), 0.0, "FP32 must be bit-exact");
+        assert_eq!(
+            sw_img.mean_abs_diff(&hw_img),
+            0.0,
+            "the served FP32 image is the reference image"
+        );
+        // The served row is the reference image itself; the datapath claim
+        // needs the PE render of the frame's workload.
+        let cmp = e.compare(&cam, &[BackendKind::Enhanced]);
+        let (pe_img, _) =
+            gaurast_hw::EnhancedRasterizer::new(e.hw_config).render_gaussian(&cmp.workload);
+        assert_eq!(sw_img.mean_abs_diff(&pe_img), 0.0, "FP32 must be bit-exact");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::backend::BackendKind;
 use crate::engine::{EngineBuilder, ImagePolicy};
 use crate::report::{fmt_f, TextTable};
-use gaurast_hw::{Precision, RasterizerConfig};
+use gaurast_hw::{EnhancedRasterizer, Precision, RasterizerConfig};
 use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
 
 /// Quality of one scene's hardware renders against the software reference.
@@ -49,8 +49,11 @@ impl QualityReport {
 }
 
 /// Runs the quality validation at the given scale. Each scene opens a
-/// retained-image engine session; the software reference and both hardware
-/// precisions execute the identical finalized workload.
+/// retained-image engine session for the software reference image; the
+/// prototype's PE datapath then renders the identical finalized workload
+/// at both precisions through
+/// [`EnhancedRasterizer::render_gaussian`], so the FP32 column compares
+/// the datapath itself against the reference, not the served image.
 pub fn quality(scale: SceneScale) -> QualityReport {
     let rows = Nerf360Scene::ALL
         .iter()
@@ -60,31 +63,24 @@ pub fn quality(scale: SceneScale) -> QualityReport {
             let cam = desc.camera(scale, 0.8).expect("descriptor camera");
 
             let mut engine = EngineBuilder::new(gscene)
-                .hw_config(RasterizerConfig::prototype())
                 .image_policy(ImagePolicy::Retain)
                 .build()
-                .expect("prototype configuration is valid");
-            let cmp = engine.compare(&cam, &[BackendKind::Software, BackendKind::Enhanced]);
+                .expect("default configuration is valid");
+            let cmp = engine.compare(&cam, &[BackendKind::Software]);
             let reference = cmp
                 .get(BackendKind::Software)
                 .and_then(|r| r.image.as_ref())
                 .expect("retained software image");
-            let img32 = cmp
-                .get(BackendKind::Enhanced)
-                .and_then(|r| r.image.as_ref())
-                .expect("retained fp32 image");
-
-            // Same session, re-targeted to the FP16 datapath.
-            engine
-                .set_hw_config(RasterizerConfig {
-                    precision: Precision::Fp16,
+            let pe_image = |precision| {
+                EnhancedRasterizer::new(RasterizerConfig {
+                    precision,
                     ..RasterizerConfig::prototype()
                 })
-                .expect("prototype configuration is valid");
-            let img16 = engine
-                .render_frame(&cam)
-                .image
-                .expect("retained fp16 image");
+                .render_gaussian(&cmp.workload)
+                .0
+            };
+            let img32 = pe_image(Precision::Fp32);
+            let img16 = pe_image(Precision::Fp16);
 
             QualityRow {
                 scene,

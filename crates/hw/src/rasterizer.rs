@@ -127,8 +127,15 @@ impl EnhancedRasterizer {
     }
 
     /// Functionally renders a Gaussian workload through the PE datapath and
-    /// returns the image with the timing report. In FP32 the image is
-    /// bit-exact with the software reference.
+    /// returns the image with the timing report (the same report
+    /// [`Self::simulate_gaussian`] gives). It has two roles:
+    ///
+    /// * the FP16 image path: at FP16 every intermediate rounds through
+    ///   half precision, so this is the only source of that image;
+    /// * the FP32 oracle: at FP32 the image is bit-exact with the software
+    ///   reference, and tests compare the two. The engine's enhanced
+    ///   backend does not call it at FP32: it serves the reference image,
+    ///   which those tests prove equal.
     pub fn render_gaussian(&self, workload: &RasterWorkload) -> (Framebuffer, FrameReport) {
         let report = self.simulate_gaussian(workload);
         let mut fb = Framebuffer::new(workload.width(), workload.height());

@@ -59,8 +59,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- Gaussian mode: a splat cloud through an engine session on the
     //     same prototype configuration. The comparison executes the
-    //     software reference and the hardware model on one workload; FP32
-    //     must be bit-exact.
+    //     software reference and the hardware model on one workload. The
+    //     served FP32 row carries the reference image, so the PE datapath
+    //     renders that workload here; FP32 must be bit-exact.
     let scene = SceneParams::new(6_000).seed(11).generate()?;
     let mut engine = EngineBuilder::new(scene)
         .hw_config(RasterizerConfig::prototype())
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .and_then(|r| r.image.clone())
         .expect("retained software image");
     let hw_row = cmp.get(BackendKind::Enhanced).expect("requested");
-    let hw_gauss = hw_row.image.clone().expect("retained hardware image");
+    let (hw_gauss, _) = hw.render_gaussian(&cmp.workload);
     assert_eq!(hw_gauss.mean_abs_diff(&sw_gauss), 0.0);
     println!(
         "gaussian mode: {} blends, {:.3} ms simulated, {} issued pairs (bit-exact)",

@@ -1,13 +1,24 @@
 //! Integration tests of the unified Engine/Backend API: cross-backend
 //! workload agreement, image bit-exactness, and pipelined sequence timing.
+//!
+//! At FP32 the Enhanced backend serves the reference pass's image. The
+//! PE datapath's identity with it is proven here by calling
+//! [`EnhancedRasterizer::render_gaussian`] on the frame's workload; an
+//! FP16 configuration still serves the PE datapath's own image.
 
+mod common;
+
+use common::image_bits;
 use gaurast::backend::{BackendKind, GpuPreset};
 use gaurast::engine::{EngineBuilder, ImagePolicy};
+use gaurast::hw::{EnhancedRasterizer, Precision, RasterizerConfig};
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::nerf360::{Nerf360Scene, SceneScale};
 use gaurast::scene::Camera;
 use gaurast::sched::PipelineSchedule;
+use gaurast::service::{RenderRequest, RenderService};
 use gaurast_math::Vec3;
+use std::sync::Arc;
 
 fn camera(w: u32, h: u32) -> Camera {
     Camera::look_at(
@@ -65,9 +76,113 @@ fn retained_images_are_bit_exact_across_software_and_enhanced() {
     assert_eq!(
         hw.mean_abs_diff(&sw),
         0.0,
+        "the served FP32 Enhanced image must be the reference image"
+    );
+    // The served row holds the reference image itself, so the datapath
+    // claim needs the PE render of the same workload.
+    let (pe, _) =
+        EnhancedRasterizer::new(RasterizerConfig::scaled()).render_gaussian(&cmp.workload);
+    assert!(
+        image_bits(&pe) == image_bits(&sw),
         "FP32 PE datapath must be bit-exact"
     );
     assert!(sw.coverage() > 0.0, "frame must not be empty");
+}
+
+#[test]
+fn fp32_pe_datapath_matches_the_reference_at_repro_scale() {
+    // The serving path does not render FP32 frames through the PE, so
+    // this is where the identity is checked on the benchmark's scenes and
+    // scale: two descriptor poses each of an outdoor and an indoor scene.
+    let hw = EnhancedRasterizer::new(RasterizerConfig::scaled());
+    for scene in [Nerf360Scene::Garden, Nerf360Scene::Counter] {
+        let desc = scene.descriptor();
+        let mut engine = EngineBuilder::new(desc.synthesize(SceneScale::REPRO))
+            .image_policy(ImagePolicy::Retain)
+            .build()
+            .unwrap();
+        for theta in [0.4, 2.1] {
+            let cam = desc.camera(SceneScale::REPRO, theta).unwrap();
+            let cmp = engine.compare(&cam, &[BackendKind::Software]);
+            let reference = cmp.rows[0].image.as_ref().expect("retained image");
+            assert!(reference.coverage() > 0.0, "{scene:?} at {theta}: empty");
+            let (pe, _) = hw.render_gaussian(&cmp.workload);
+            assert!(
+                image_bits(&pe) == image_bits(reference),
+                "{scene:?} at {theta}: the FP32 PE image diverged from the reference"
+            );
+        }
+    }
+}
+
+#[test]
+fn fp16_frames_stay_on_the_pe_datapath() {
+    let fp16 = RasterizerConfig {
+        precision: Precision::Fp16,
+        ..RasterizerConfig::scaled()
+    };
+    let scene = SceneParams::new(1500).seed(13).generate().unwrap();
+    let cam = camera(96, 64);
+    let mut engine = EngineBuilder::new(scene)
+        .hw_config(fp16)
+        .image_policy(ImagePolicy::Retain)
+        .build()
+        .unwrap();
+    let cmp = engine.compare(&cam, &[BackendKind::Software, BackendKind::Enhanced]);
+    let image = |kind| {
+        cmp.get(kind)
+            .and_then(|r| r.image.as_ref())
+            .map(image_bits)
+            .expect("retained image")
+    };
+    // The reference image, from a software session on the default FP32
+    // configuration.
+    let reference = EngineBuilder::shared(Arc::clone(engine.prepared()))
+        .backend(BackendKind::Software)
+        .image_policy(ImagePolicy::Retain)
+        .build()
+        .unwrap()
+        .render_frame(&cam)
+        .image
+        .map(|fb| image_bits(&fb))
+        .expect("retained image");
+    let (pe16, _) = EnhancedRasterizer::new(fp16).render_gaussian(&cmp.workload);
+    let pe16 = image_bits(&pe16);
+    assert!(
+        image(BackendKind::Enhanced) == pe16,
+        "FP16 row is the PE image"
+    );
+    assert!(pe16 != reference, "FP16 must not be the reference image");
+    assert!(
+        image(BackendKind::Software) == reference,
+        "the software row is the reference image"
+    );
+
+    engine.switch_backend(BackendKind::Enhanced);
+    let frame = engine.render_frame(&cam).image.expect("retained image");
+    assert!(
+        image_bits(&frame) == pe16,
+        "render_frame serves the PE image"
+    );
+
+    let service = RenderService::builder()
+        .prepared("fp16", Arc::clone(engine.prepared()))
+        .hw_config(fp16)
+        .image_policy(ImagePolicy::Retain)
+        .build()
+        .unwrap();
+    let batch = service
+        .render_batch(&[
+            RenderRequest::new("fp16", cam.clone()).backend(BackendKind::Software),
+            RenderRequest::new("fp16", cam).backend(BackendKind::Enhanced),
+        ])
+        .unwrap();
+    let served = |i: usize| batch.responses[i].report.image.as_ref().map(image_bits);
+    assert!(served(1) == Some(pe16), "the batch serves the PE image");
+    assert!(
+        served(0) == Some(reference),
+        "and the reference image to software"
+    );
 }
 
 #[test]
@@ -134,7 +249,6 @@ fn render_sequence_matches_hand_built_pipeline_schedule() {
 #[test]
 fn two_sessions_over_one_prepared_scene_are_bit_identical() {
     use gaurast::scene::PreparedScene;
-    use std::sync::Arc;
 
     let desc = Nerf360Scene::Garden.descriptor();
     let scene = desc.synthesize(SceneScale::UNIT_TEST);

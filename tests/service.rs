@@ -2,9 +2,11 @@
 //! responses, bit-identical images versus dedicated single-thread
 //! sessions, and batch throughput accounting.
 
+mod common;
+
+use common::image_bits;
 use gaurast::backend::{BackendKind, FrameReport};
 use gaurast::engine::{Engine, EngineBuilder, ImagePolicy};
-use gaurast::render::Framebuffer;
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::Camera;
 use gaurast::service::{RenderRequest, RenderService};
@@ -69,20 +71,6 @@ fn batch_over_four_workers_is_in_order_and_bit_identical() {
             "request {i}: batch image must be bit-identical to render_frame"
         );
     }
-}
-
-/// The bits of every pixel's color, transmittance and depth.
-fn image_bits(fb: &Framebuffer) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for y in 0..fb.height() {
-        for x in 0..fb.width() {
-            let c = fb.color_at(x, y);
-            bits.extend(
-                [c.x, c.y, c.z, fb.transmittance_at(x, y), fb.depth_at(x, y)].map(f32::to_bits),
-            );
-        }
-    }
-    bits
 }
 
 /// What a coalesced response must share with a dedicated session's frame:

@@ -86,8 +86,10 @@ fn all_backends_are_bit_identical_with_culling() {
             reference: &reference,
             retain_image: true,
         });
-        // The enhanced rasterizer renders its own image; the other
-        // backends report the reference image.
+        // Every backend here leaves the image to the engine, which
+        // attaches the reference image. At FP32 the enhanced rasterizer's
+        // PE datapath computes the same bits; `tests/engine_backends.rs`
+        // checks that with `render_gaussian`.
         let img_b = b.image.as_ref().unwrap_or(&full_image);
         assert_eq!(
             a.image.unwrap().mean_abs_diff(img_b),
