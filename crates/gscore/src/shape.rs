@@ -25,6 +25,14 @@ pub fn alpha_bound(opacity: f32) -> f32 {
 /// origin, so if the origin lies in the box the minimum is 0; otherwise the
 /// minimum lies on one of the four edges, where `q` restricted to the edge
 /// is a 1-D quadratic minimized in closed form and clamped.
+///
+/// This is the reference the subtile pass is checked against:
+/// [`covered_subtiles`](crate::subtile::covered_subtiles) evaluates the
+/// same candidates with the same f32 expressions, but shares their terms
+/// across a tile and stops at the first one within the bound.
+///
+/// The rectangle must be ordered and free of NaN; otherwise this panics
+/// (the `debug_assert!`, or `f32::clamp` in a release build).
 pub fn min_quadratic_on_rect(a: f32, b: f32, c: f32, x0: f32, x1: f32, y0: f32, y1: f32) -> f32 {
     debug_assert!(x0 <= x1 && y0 <= y1, "inverted rectangle");
     if x0 <= 0.0 && 0.0 <= x1 && y0 <= 0.0 && 0.0 <= y1 {
@@ -57,6 +65,10 @@ pub fn min_quadratic_on_rect(a: f32, b: f32, c: f32, x0: f32, x1: f32, y0: f32, 
 /// `true` when the splat's α ≥ 1/255 ellipse intersects the pixel
 /// rectangle `[x0, x1) × [y0, y1)` (absolute pixel coordinates; the test
 /// uses pixel centers, matching the rasterizer's sampling).
+///
+/// This is the reference decision per subtile:
+/// [`covered_subtiles`](crate::subtile::covered_subtiles) must make the
+/// same one on every subtile, and the tests compare the two.
 pub fn splat_touches_rect(s: &Splat2D, x0: u32, y0: u32, x1: u32, y1: u32) -> bool {
     let bound = alpha_bound(s.opacity);
     if bound <= 0.0 {
@@ -67,10 +79,11 @@ pub fn splat_touches_rect(s: &Splat2D, x0: u32, y0: u32, x1: u32, y1: u32) -> bo
     let rx1 = (x1 - 1) as f32 + 0.5 - s.mean.x;
     let ry0 = y0 as f32 + 0.5 - s.mean.y;
     let ry1 = (y1 - 1) as f32 + 0.5 - s.mean.y;
-    if rx0 > rx1 || ry0 > ry1 {
-        return false; // degenerate rect
-    }
-    min_quadratic_on_rect(s.conic[0], s.conic[1], s.conic[2], rx0, rx1, ry0, ry1) <= bound
+    // An inverted rectangle, or one a NaN mean leaves unordered, touches
+    // nothing.
+    rx0 <= rx1
+        && ry0 <= ry1
+        && min_quadratic_on_rect(s.conic[0], s.conic[1], s.conic[2], rx0, rx1, ry0, ry1) <= bound
 }
 
 #[cfg(test)]

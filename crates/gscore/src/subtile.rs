@@ -1,14 +1,53 @@
 //! Subtile skipping: GSCore evaluates a splat only on the 4×4-pixel
 //! subtiles of a tile that its ellipse actually touches.
+//!
+//! The decision per subtile is [`splat_touches_rect`]'s, bit for bit.
+//! [`covered_subtiles`] reaches it with less arithmetic: the terms of
+//! `q(x, y) = a·x² + 2b·x·y + c·y²` that depend on one subtile edge are
+//! computed once per (splat, tile) pair, and each subtile stops at its
+//! first candidate value within the bound.
+//!
+//! [`splat_touches_rect`]: crate::shape::splat_touches_rect
 
-use crate::shape::splat_touches_rect;
+use crate::shape::alpha_bound;
+use gaurast_math::Vec2;
 use gaurast_render::{RasterWorkload, Splat2D};
 
 /// Subtile edge in pixels (GSCore's granularity).
 pub const SUBTILE: u32 = 4;
 
+/// Subtile columns whose terms one pass over a tile's rows holds. 16
+/// columns span 64 pixels, so every tile up to 64 pixels wide takes one
+/// pass; a wider tile takes several, recomputing its row terms in each.
+const COLUMNS_PER_PASS: usize = 16;
+
 /// Number of subtiles of a tile rectangle a splat touches, and the pixel
 /// count those subtiles cover (edge subtiles may be partial).
+///
+/// Each subtile gets the decision
+/// [`splat_touches_rect`](crate::shape::splat_touches_rect) makes on it,
+/// bit for bit; the tests compare the two on every kind of input. It is
+/// made from shared terms with an early exit:
+/// - once per call: `alpha_bound(opacity)`, returning `(0, 0)` unless it
+///   is `> 0`;
+/// - once per subtile column and row: its pixel-center extents, and at
+///   each of its two edges the edge's terms of `q` and the quotient that
+///   places the minimizer along the crossing edges (`-b·x/c` on a column
+///   edge, `-b·y/a` on a row edge);
+/// - per subtile: the origin test, then the four clamped edge minimizers
+///   and the four corners of
+///   [`min_quadratic_on_rect`](crate::shape::min_quadratic_on_rect),
+///   stopping at the first one `<= bound`.
+///
+/// That holds exactly because the reference's running minimum starts at
+/// +∞ and `f32::min` skips NaN: its minimum is `<= bound` exactly when some
+/// non-NaN candidate is, or when the bound itself is +∞. Every candidate
+/// is the reference's f32 expression on the same operands.
+///
+/// Cost: one `ln` and `2·⌈w/4⌉ + 2·⌈h/4⌉` divisions for a `w × h` tile up
+/// to 64 pixels wide (16 for 16×16, where the reference divides 64 times
+/// and takes 16 logarithms), then up to 8 values of `q` per subtile, of
+/// which the four corners cost one multiply and two adds each.
 pub fn covered_subtiles(
     s: &Splat2D,
     tile_x0: u32,
@@ -16,23 +55,168 @@ pub fn covered_subtiles(
     tile_x1: u32,
     tile_y1: u32,
 ) -> (u32, u64) {
+    let Some(pair) = PairTerms::new(s) else {
+        return (0, 0);
+    };
     let mut subtiles = 0u32;
     let mut pixels = 0u64;
-    let mut y = tile_y0;
-    while y < tile_y1 {
-        let y_end = (y + SUBTILE).min(tile_y1);
-        let mut x = tile_x0;
-        while x < tile_x1 {
-            let x_end = (x + SUBTILE).min(tile_x1);
-            if splat_touches_rect(s, x, y, x_end, y_end) {
-                subtiles += 1;
-                pixels += u64::from(x_end - x) * u64::from(y_end - y);
-            }
-            x = x_end;
+    let mut columns = [Span::default(); COLUMNS_PER_PASS];
+    let mut pending = subtile_spans(tile_x0, tile_x1).filter_map(|(x0, x1)| pair.column(x0, x1));
+    loop {
+        let mut held = 0;
+        for (slot, column) in columns.iter_mut().zip(pending.by_ref()) {
+            *slot = column;
+            held += 1;
         }
-        y = y_end;
+        if held == 0 {
+            break;
+        }
+        for row in subtile_spans(tile_y0, tile_y1).filter_map(|(y0, y1)| pair.row(y0, y1)) {
+            for column in columns.iter().take(held) {
+                if pair.touches(column, &row) {
+                    subtiles += 1;
+                    pixels += column.pixels * row.pixels;
+                }
+            }
+        }
     }
     (subtiles, pixels)
+}
+
+/// The `[start, end)` pixel ranges of the subtiles along one axis of a
+/// tile; the last may be partial.
+fn subtile_spans(start: u32, end: u32) -> impl Iterator<Item = (u32, u32)> {
+    (start..end)
+        .step_by(SUBTILE as usize)
+        .map(move |lo| (lo, (lo + SUBTILE).min(end)))
+}
+
+/// A column edge `x` (relative to the mean) with the terms of `q(x, y)`
+/// that depend on `x` alone.
+#[derive(Clone, Copy, Debug, Default)]
+struct ColumnEdge {
+    x: f32,
+    /// `a·x·x`.
+    axx: f32,
+    /// `2b·x`, the cross term's factor before `· y`.
+    bx: f32,
+    /// `-b·x / c`: where `q` is least along this edge, before clamping.
+    y_star: f32,
+}
+
+/// A row edge `y` (relative to the mean) with the terms of `q(x, y)` that
+/// depend on `y` alone.
+#[derive(Clone, Copy, Debug, Default)]
+struct RowEdge {
+    y: f32,
+    /// `c·y·y`.
+    cyy: f32,
+    /// `-b·y / a`: where `q` is least along this edge, before clamping.
+    x_star: f32,
+}
+
+/// A subtile column or row: its edges at the first and last pixel centers,
+/// and its width or height in pixels.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span<E> {
+    lo: E,
+    hi: E,
+    pixels: u64,
+}
+
+/// The terms of one (splat, tile) pair that every subtile test reads.
+#[derive(Clone, Copy, Debug)]
+struct PairTerms {
+    a: f32,
+    b: f32,
+    c: f32,
+    mean: Vec2,
+    bound: f32,
+}
+
+impl PairTerms {
+    /// `None` when the bound is not `> 0` (NaN included): then the
+    /// reference rejects every rectangle.
+    fn new(s: &Splat2D) -> Option<Self> {
+        let Splat2D {
+            mean,
+            conic: [a, b, c],
+            opacity,
+            ..
+        } = *s;
+        let bound = alpha_bound(opacity);
+        (bound > 0.0).then_some(Self {
+            a,
+            b,
+            c,
+            mean,
+            bound,
+        })
+    }
+
+    /// The column of pixels `[x0, x1)`, or `None` when its extents are
+    /// unordered, which only a NaN mean makes them: the reference then
+    /// rejects every subtile in it.
+    fn column(&self, x0: u32, x1: u32) -> Option<Span<ColumnEdge>> {
+        let lo = x0 as f32 + 0.5 - self.mean.x;
+        let hi = (x1 - 1) as f32 + 0.5 - self.mean.x;
+        let edge = |x: f32| ColumnEdge {
+            x,
+            axx: self.a * x * x,
+            bx: 2.0 * self.b * x,
+            y_star: -self.b * x / self.c,
+        };
+        (lo <= hi).then(|| Span {
+            lo: edge(lo),
+            hi: edge(hi),
+            pixels: u64::from(x1 - x0),
+        })
+    }
+
+    /// The row of pixels `[y0, y1)`; `None` as for [`Self::column`].
+    fn row(&self, y0: u32, y1: u32) -> Option<Span<RowEdge>> {
+        let lo = y0 as f32 + 0.5 - self.mean.y;
+        let hi = (y1 - 1) as f32 + 0.5 - self.mean.y;
+        let edge = |y: f32| RowEdge {
+            y,
+            cyy: self.c * y * y,
+            x_star: -self.b * y / self.a,
+        };
+        (lo <= hi).then(|| Span {
+            lo: edge(lo),
+            hi: edge(hi),
+            pixels: u64::from(y1 - y0),
+        })
+    }
+
+    /// `splat_touches_rect` on the subtile where `column` and `row` cross.
+    fn touches(&self, column: &Span<ColumnEdge>, row: &Span<RowEdge>) -> bool {
+        let (x0, x1) = (column.lo.x, column.hi.x);
+        let (y0, y1) = (row.lo.y, row.hi.y);
+        // The reference's minimum is 0 when the origin is inside, and it
+        // starts at +∞, which only an infinite bound admits.
+        if (x0 <= 0.0 && 0.0 <= x1 && y0 <= 0.0 && 0.0 <= y1) || self.bound == f32::INFINITY {
+            return true;
+        }
+        let within = |q: f32| q <= self.bound;
+        // The minimizers along the edges, where the reference clamps them;
+        // with `a <= 0` (`c <= 0`) it takes a corner instead.
+        let along_row = |e: &RowEdge| {
+            let x = e.x_star.clamp(x0, x1);
+            within(self.a * x * x + 2.0 * self.b * x * e.y + e.cyy)
+        };
+        let along_column = |e: &ColumnEdge| {
+            let y = e.y_star.clamp(y0, y1);
+            within(e.axx + e.bx * y + self.c * y * y)
+        };
+        let corner = |e: &ColumnEdge, f: &RowEdge| within(e.axx + e.bx * f.y + f.cyy);
+        (self.a > 0.0 && (along_row(&row.lo) || along_row(&row.hi)))
+            || (self.c > 0.0 && (along_column(&column.lo) || along_column(&column.hi)))
+            || corner(&column.lo, &row.lo)
+            || corner(&column.hi, &row.lo)
+            || corner(&column.lo, &row.hi)
+            || corner(&column.hi, &row.hi)
+    }
 }
 
 /// Workload statistics after GSCore's two refinements, measured exactly on
@@ -71,6 +255,12 @@ impl RefinedWork {
 
 /// Measures the refined work of a workload (processed-list prefix per tile,
 /// exactly the work the other models bill).
+///
+/// Every processed (splat, tile) pair goes through [`covered_subtiles`], so
+/// each subtile gets
+/// [`splat_touches_rect`](crate::shape::splat_touches_rect)'s decision,
+/// made from terms shared across the pair with an early exit. Cost: one
+/// `covered_subtiles` call per processed pair, serial.
 pub fn refine(workload: &RasterWorkload) -> RefinedWork {
     let mut out = RefinedWork::default();
     let splats = workload.splats();
