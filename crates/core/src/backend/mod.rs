@@ -1,32 +1,24 @@
-//! The unified execution-backend abstraction.
+//! The execution substrates and what they report per frame.
 //!
 //! The paper's evaluation is a *comparison* across execution substrates:
 //! the software reference, the GauRast enhanced rasterizer, calibrated
-//! CUDA baseline GPUs, and the GSCore accelerator. This module gives every
-//! substrate the same frame-level contract — a [`Backend`] executes a
-//! [`Frame`] and returns a [`FrameReport`] — so experiments, examples, and
-//! the [`Engine`](crate::engine::Engine) can treat them interchangeably.
+//! CUDA baseline GPUs, and the GSCore accelerator. [`BackendKind`] names
+//! them, and [`BackendKind::execute`] bills one finalized frame on one of
+//! them and returns a [`FrameReport`], so experiments, examples, and the
+//! [`Engine`](crate::engine::Engine) treat them interchangeably.
 //!
-//! All backends bill exactly the same work: the engine runs Stages 1–2 and
-//! one reference Stage-3 pass per frame, producing a
-//! [`RasterWorkload`] whose per-tile
-//! processed counts every backend consumes (the methodology of DESIGN.md
-//! §6, decision 1, now enforced by the type system instead of by
-//! convention).
+//! All substrates bill exactly the same work: the engine runs Stages 1–2
+//! and one reference Stage-3 pass per frame, producing a
+//! [`RasterWorkload`] whose per-tile processed counts every substrate
+//! consumes, so a speedup or energy ratio between two rows compares
+//! identical work.
 
+use gaurast_gscore::GscoreAccelerator;
+use gaurast_hw::power::PowerModel;
+use gaurast_hw::{EnhancedRasterizer, Precision, RasterizerConfig};
 use gaurast_render::pipeline::PreprocessStats;
 use gaurast_render::rasterize::RasterStats;
 use gaurast_render::{Framebuffer, RasterWorkload};
-
-mod cuda;
-mod enhanced;
-mod gscore;
-mod software;
-
-pub use cuda::CudaGpuBackend;
-pub use enhanced::EnhancedRasterizerBackend;
-pub use gscore::GscoreBackend;
-pub use software::SoftwareBackend;
 
 /// Baseline GPU device preset for [`BackendKind::Cuda`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,6 +82,86 @@ impl BackendKind {
             BackendKind::Gscore => "gscore",
         }
     }
+
+    /// Bills one finalized frame on this substrate: the `workload` with
+    /// its processed counts recorded and the engine's `reference` pass
+    /// over it. `hw_config` configures the enhanced rasterizer and is
+    /// ignored by every other kind.
+    ///
+    /// Every report's `image` is `None` except a retained FP16 Enhanced
+    /// frame's, which the PE datapath renders; the engine attaches the
+    /// reference image to every other retained row, since that is what
+    /// their modeled kernels compute (at FP32 the PE datapath's image bit
+    /// for bit, which tests check against
+    /// [`EnhancedRasterizer::render_gaussian`]). Time, energy, ops and
+    /// utilization come from the same timing model either way.
+    ///
+    /// # Panics
+    /// Panics for [`BackendKind::Enhanced`] when `hw_config` is invalid;
+    /// use [`RasterizerConfig::validate`] to check first.
+    pub fn execute(
+        self,
+        hw_config: RasterizerConfig,
+        workload: &RasterWorkload,
+        reference: &ReferencePass,
+        retain_image: bool,
+    ) -> FrameReport {
+        let mut image = None;
+        let mut utilization = 0.0;
+        let (time_s, energy_j, ops) = match self {
+            // The reference pass *is* the software substrate's execution:
+            // its measured host wall-clock time. Host CPU energy is not
+            // modeled.
+            BackendKind::Software => (reference.wall_s, 0.0, reference.raster.pairs_evaluated),
+            BackendKind::Enhanced => {
+                let hw = EnhancedRasterizer::new(hw_config);
+                let report = if retain_image && hw_config.precision != Precision::Fp32 {
+                    let (pe_image, report) = hw.render_gaussian(workload);
+                    image = Some(pe_image);
+                    report
+                } else {
+                    hw.simulate_gaussian(workload)
+                };
+                utilization = report.utilization;
+                let energy_j = PowerModel::integrated(hw_config)
+                    .evaluate(&report)
+                    .total_j();
+                (report.time_s, energy_j, report.pairs)
+            }
+            // Stage 3 only, like every other kind; the session's host
+            // model bills Stages 1–2.
+            BackendKind::Cuda(preset) => {
+                let model = preset.model();
+                let time_s = model.raster_time(workload);
+                (time_s, model.raster_energy_j(time_s), workload.blend_work())
+            }
+            // GSCore publishes no power model.
+            BackendKind::Gscore => {
+                let report = GscoreAccelerator::default().simulate(workload);
+                (report.time_s, 0.0, report.refined.subtile_pixel_work)
+            }
+        };
+        let preprocess = &reference.preprocess;
+        FrameReport {
+            kind: self,
+            image,
+            time_s,
+            energy_j,
+            ops,
+            stats: FrameStats {
+                blend_work: workload.blend_work(),
+                pairs: workload.total_pairs(),
+                mean_list: gaurast_gpu::mean_processed_len(workload),
+                visible: preprocess.visible,
+                culled: preprocess.culled,
+                blends_committed: reference.raster.blends_committed,
+                sort_s: reference.sort_wall_s,
+                culled_non_finite: preprocess.non_finite,
+                cull: reference.cull,
+                utilization,
+            },
+        }
+    }
 }
 
 impl std::fmt::Display for BackendKind {
@@ -118,22 +190,11 @@ pub struct ReferencePass {
     /// into the CSR workload).
     pub sort_wall_s: f64,
     /// The reference image, present whenever the session retains images.
-    /// Backends leave it in place; the engine moves it into the report
-    /// after `execute` (no per-frame framebuffer clone) unless the backend
-    /// rendered its own, which only an FP16 enhanced rasterizer does.
+    /// [`BackendKind::execute`] leaves it in place; the engine moves it
+    /// into the report afterwards (no per-frame framebuffer clone) unless
+    /// the row rendered its own, which only an FP16 enhanced rasterizer
+    /// does.
     pub image: Option<Framebuffer>,
-}
-
-/// One frame of work handed to a backend: the finalized workload (processed
-/// counts recorded) plus the engine's reference-pass results.
-#[derive(Clone, Debug)]
-pub struct Frame<'a> {
-    /// The Stage-1/2 product with per-tile processed counts filled in.
-    pub workload: &'a RasterWorkload,
-    /// The reference pass the engine already ran for this frame.
-    pub reference: &'a ReferencePass,
-    /// Whether the backend should include an image in its report.
-    pub retain_image: bool,
 }
 
 /// Visible-set (frustum-culling) statistics for one frame. Every engine
@@ -164,10 +225,10 @@ impl CullStats {
     }
 }
 
-/// Frame statistics common to every backend. The workload-derived fields
-/// (`blend_work`, `pairs`, `mean_list`, `visible`, `culled`,
-/// `blends_committed`) are filled by the engine after `execute`, since all
-/// backends bill identical work; backends themselves fill `utilization`.
+/// Frame statistics common to every backend, all filled by
+/// [`BackendKind::execute`]. Every field but `utilization` comes from the
+/// workload and the reference pass, so it is the same on every substrate
+/// billing one frame.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FrameStats {
     /// Total Gaussian-pixel blend operations billed (`W`).
@@ -243,21 +304,4 @@ impl FrameReport {
             0.0
         }
     }
-}
-
-/// A frame-level execution substrate.
-///
-/// Backends are sessions: `execute` consumes one frame and reports
-/// timing, energy, and statistics.
-pub trait Backend: std::fmt::Debug {
-    /// Which substrate this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Human-readable name (device/configuration specific).
-    fn name(&self) -> String {
-        self.kind().label().to_string()
-    }
-
-    /// Executes one frame and reports the result.
-    fn execute(&mut self, frame: Frame<'_>) -> FrameReport;
 }

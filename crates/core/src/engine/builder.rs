@@ -163,7 +163,9 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use gaurast_hw::Precision;
+    use gaurast_math::Vec3;
     use gaurast_scene::generator::SceneParams;
+    use gaurast_scene::Camera;
 
     fn scene() -> GaussianScene {
         SceneParams::new(100).seed(3).generate().unwrap()
@@ -202,8 +204,8 @@ mod tests {
     #[test]
     fn precision_overrides_hw_config() {
         // The hardware configuration is the one place precision is set; an
-        // FP16 configuration must reach the enhanced backend.
-        let e = EngineBuilder::new(scene())
+        // FP16 configuration must reach the enhanced backend's billing.
+        let mut e = EngineBuilder::new(scene())
             .hw_config(RasterizerConfig {
                 precision: Precision::Fp16,
                 ..RasterizerConfig::prototype()
@@ -211,6 +213,24 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(e.hw_config.precision, Precision::Fp16);
-        assert!(e.backend_name().contains("Fp16"));
+        let mut fp32 = EngineBuilder::shared(Arc::clone(e.prepared()))
+            .hw_config(RasterizerConfig::prototype())
+            .build()
+            .unwrap();
+        let cam = Camera::look_at(
+            Vec3::new(0.0, 5.0, -25.0),
+            Vec3::zero(),
+            Vec3::new(0.0, 1.0, 0.0),
+            64,
+            64,
+            1.0,
+        )
+        .unwrap();
+        let (half, single) = (e.render_frame(&cam), fp32.render_frame(&cam));
+        assert!(half.energy_j > 0.0);
+        assert_ne!(
+            half.energy_j, single.energy_j,
+            "FP16 units bill FP16 energy"
+        );
     }
 }

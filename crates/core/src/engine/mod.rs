@@ -1,14 +1,17 @@
 //! The session-based rendering engine — the workspace's unified entry
 //! point over every execution substrate.
 //!
-//! An [`Engine`] owns a scene, a selected [`Backend`], and a per-session
-//! [`FrameArena`] whose Stage-2 buffers are recycled across frames instead
-//! of reallocated (a retained image gets a fresh framebuffer each frame,
-//! which moves into the report). Per frame it runs Stages 1–2 and one
-//! reference Stage-3 pass — in record-only mode unless images are
-//! retained — and hands the finalized workload to the backend:
+//! An [`Engine`] owns a scene, a selected [`BackendKind`], and a
+//! per-session [`FrameArena`] whose Stage-2 buffers are recycled across
+//! frames instead of reallocated (a retained image gets a fresh
+//! framebuffer each frame, which moves into the report). Every entry point
+//! bills a frame the same way: one reference pass (Stages 1–2 and a
+//! reference Stage 3, record-only unless images are retained), then
+//! [`BackendKind::execute`] of the finalized workload for each requested
+//! kind, then the reference image attached to the rows that serve it:
 //!
-//! * [`Engine::render_frame`] — one camera, one [`FrameReport`];
+//! * [`Engine::render_frame`] — one camera, one [`FrameReport`] on the
+//!   session's kind;
 //! * [`Engine::render_sequence`] — a camera path replayed through the
 //!   CUDA-collaborative two-stage pipeline
 //!   ([`gaurast_sched::sequence::replay`]), reporting throughput and
@@ -16,8 +19,8 @@
 //! * [`Engine::compare`] — the same frame executed on several substrates
 //!   for one-call cross-backend evaluation, returning the shared workload;
 //! * [`Engine::render_shared`] — the same, for serving: one report per
-//!   requested backend, each equal to that backend's
-//!   [`Engine::render_frame`], with the Stage-2 buffers recycled (the
+//!   requested backend, each equal to [`Engine::render_frame`] on a
+//!   session of that kind, with the Stage-2 buffers recycled (the
 //!   `RenderService` batch path).
 //!
 //! Build one with [`EngineBuilder`]:
@@ -44,10 +47,7 @@ mod builder;
 
 pub use builder::EngineBuilder;
 
-use crate::backend::{
-    Backend, BackendKind, CudaGpuBackend, CullStats, EnhancedRasterizerBackend, Frame, FrameReport,
-    GscoreBackend, ReferencePass, SoftwareBackend,
-};
+use crate::backend::{BackendKind, CullStats, FrameReport, ReferencePass};
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
@@ -154,14 +154,13 @@ impl std::fmt::Display for ComparisonReport {
 }
 
 /// A rendering session over one shared scene asset and one selected
-/// backend. See the [module docs](self) for the full picture and
+/// backend kind. See the [module docs](self) for the full picture and
 /// [`EngineBuilder`] for construction.
 ///
 /// The scene is held as an `Arc<`[`PreparedScene`]`>`: sessions never copy
 /// the scene or redo its precomputation, so spawning one per worker thread
-/// is cheap. `Clone` gives a fresh session (zero frames, fresh arena,
-/// freshly instantiated backend) over the same shared asset and
-/// configuration.
+/// is cheap. `Clone` gives a fresh session (zero frames, fresh arena)
+/// over the same shared asset and configuration.
 #[derive(Debug)]
 pub struct Engine {
     pub(crate) scene: Arc<PreparedScene>,
@@ -183,7 +182,6 @@ pub struct Engine {
     /// (the `RenderService` hands every session one cache).
     vis_cache: Arc<VisibilityCache>,
     pool: WorkerPool,
-    backend: Box<dyn Backend>,
     /// The Stage-2 buffers, handed to each frame's binning and taken back
     /// with [`RasterWorkload::recycle_into`], so steady-state frames run
     /// Stage 2 without allocating.
@@ -193,8 +191,7 @@ pub struct Engine {
 
 impl Clone for Engine {
     /// A fresh session over the same shared scene and configuration: the
-    /// `Arc<PreparedScene>` is shared (no scene copy), the backend is
-    /// re-instantiated from the session configuration, and the frame
+    /// `Arc<PreparedScene>` is shared (no scene copy), and the frame
     /// counter and frame arena start empty. The visibility cache is shared —
     /// cached visible sets are semantically transparent.
     fn clone(&self) -> Self {
@@ -225,7 +222,6 @@ impl Engine {
         vector_mode: VectorMode,
         vis_cache: Arc<VisibilityCache>,
     ) -> Self {
-        let backend = make_backend(kind, hw_config);
         Self {
             scene,
             tile_size,
@@ -238,7 +234,6 @@ impl Engine {
             level: vector_mode.resolve(),
             vis_cache,
             pool: WorkerPool::new(workers),
-            backend,
             arena: FrameArena::new(),
             frames: 0,
         }
@@ -259,11 +254,6 @@ impl Engine {
     /// The selected backend kind.
     pub fn backend_kind(&self) -> BackendKind {
         self.kind
-    }
-
-    /// Human-readable name of the selected backend.
-    pub fn backend_name(&self) -> String {
-        self.backend.name()
     }
 
     /// Tile edge in pixels.
@@ -310,11 +300,10 @@ impl Engine {
     /// frame arena. The frame counter continues.
     pub fn switch_backend(&mut self, kind: BackendKind) {
         self.kind = kind;
-        self.backend = make_backend(kind, self.hw_config);
     }
 
-    /// Replaces the enhanced-rasterizer hardware configuration and
-    /// rebuilds the backend (for design-space sweeps over one session).
+    /// Replaces the enhanced-rasterizer hardware configuration (for
+    /// design-space sweeps over one session).
     ///
     /// # Errors
     /// Returns [`EngineError`] when the configuration is invalid; the
@@ -324,8 +313,12 @@ impl Engine {
             .validate()
             .map_err(|e| EngineError(format!("invalid hardware configuration: {e}")))?;
         self.hw_config = config;
-        self.backend = make_backend(self.kind, config);
         Ok(())
+    }
+
+    /// Whether the session's reports carry images.
+    fn retain(&self) -> bool {
+        self.image_policy == ImagePolicy::Retain
     }
 
     /// Runs one frame through the render crate's frame driver
@@ -338,7 +331,8 @@ impl Engine {
     /// rasterizer's PE datapath computes the same bits; tests prove it by
     /// calling
     /// [`EnhancedRasterizer::render_gaussian`](gaurast_hw::EnhancedRasterizer::render_gaussian)
-    /// directly.
+    /// directly. Every frame runs exactly one reference pass, so this is
+    /// where the session counts frames.
     fn reference_pass(&mut self, camera: &Camera) -> (RasterWorkload, ReferencePass) {
         let (visible, cache_hit) = self.vis_cache.get_or_build(&self.scene, camera);
         let cull = CullStats {
@@ -348,7 +342,8 @@ impl Engine {
         };
         // The buffer moves into the reference pass (and from there into
         // the report) instead of being cloned every frame.
-        let mut image = (self.image_policy == ImagePolicy::Retain)
+        let mut image = self
+            .retain()
             .then(|| Framebuffer::new(camera.width(), camera.height()));
         // gaurast-check: allow(nondet): wall-clock stage timing. The
         // measured durations are reported *alongside* the frame, never fed
@@ -367,6 +362,7 @@ impl Engine {
             |stage| stage_done[stage as usize] = Instant::now(),
         );
         let [stage1_done, stage2_done, stage3_done] = stage_done;
+        self.frames += 1;
         (
             frame.workload,
             ReferencePass {
@@ -380,59 +376,25 @@ impl Engine {
         )
     }
 
-    /// Fills the workload-derived statistics every backend shares.
-    fn fill_common_stats(
-        report: &mut FrameReport,
-        workload: &RasterWorkload,
-        reference: &ReferencePass,
-    ) {
-        report.stats.blend_work = workload.blend_work();
-        report.stats.pairs = workload.total_pairs();
-        report.stats.mean_list = gaurast_gpu::mean_processed_len(workload);
-        report.stats.visible = reference.preprocess.visible;
-        report.stats.culled = reference.preprocess.culled;
-        report.stats.culled_non_finite = reference.preprocess.non_finite;
-        report.stats.cull = reference.cull;
-        report.stats.blends_committed = reference.raster.blends_committed;
-        report.stats.sort_s = reference.sort_wall_s;
-    }
-
-    /// Stages 1–2 time on the session's host device model for a finalized
+    /// Stages 1–2 time on the session's host device model for a billed
     /// frame — what stays on the CUDA cores under the collaborative
     /// schedule.
-    fn stages12_s(&self, reference: &ReferencePass, workload: &RasterWorkload) -> f64 {
-        self.host
-            .preprocess_time(reference.preprocess.visible as u64)
-            + self.host.sort_time(workload.total_pairs())
+    fn stages12_s(&self, report: &FrameReport) -> f64 {
+        self.host.preprocess_time(report.stats.visible as u64)
+            + self.host.sort_time(report.stats.pairs)
     }
 
-    /// Renders one frame on the selected backend.
+    /// Renders one frame on the session's backend kind.
     pub fn render_frame(&mut self, camera: &Camera) -> FrameReport {
-        let (report, _) = self.render_frame_inner(camera);
-        report
-    }
-
-    fn render_frame_inner(&mut self, camera: &Camera) -> (FrameReport, f64) {
-        let retain = self.image_policy == ImagePolicy::Retain;
-        let (workload, mut reference) = self.reference_pass(camera);
-        let mut report = self.backend.execute(Frame {
-            workload: &workload,
-            reference: &reference,
-            retain_image: retain,
-        });
-        // Backends whose modeled kernels compute the reference image report
-        // it; the buffer moves from the reference pass (only an FP16
-        // enhanced rasterizer renders its own through the PE datapath).
-        if retain && report.image.is_none() {
-            report.image = reference.image.take();
-        }
-        Self::fill_common_stats(&mut report, &workload, &reference);
-        let stages12 = self.stages12_s(&reference, &workload);
+        let (workload, reference) = self.reference_pass(camera);
+        let mut report = self
+            .kind
+            .execute(self.hw_config, &workload, &reference, self.retain());
+        attach_reference_image(std::slice::from_mut(&mut report), reference.image);
         // Recycle the Stage-2 buffers (CSR, processed counts) for the next
         // frame.
         workload.recycle_into(&mut self.arena);
-        self.frames += 1;
-        (report, stages12)
+        report
     }
 
     /// Renders a camera sequence and replays it through the
@@ -446,9 +408,9 @@ impl Engine {
         let mut reports = Vec::with_capacity(cameras.len());
         let mut costs = Vec::with_capacity(cameras.len());
         for camera in cameras {
-            let (report, stages12) = self.render_frame_inner(camera);
+            let report = self.render_frame(camera);
             costs.push(FrameCost {
-                stages12_s: stages12.max(MIN_STAGE_S),
+                stages12_s: self.stages12_s(&report).max(MIN_STAGE_S),
                 stage3_s: report.time_s.max(MIN_STAGE_S),
             });
             reports.push(report);
@@ -463,8 +425,7 @@ impl Engine {
 
     /// Executes the same frame on several substrates — one reference pass,
     /// one workload, one report per requested backend. The session's own
-    /// backend is untouched; requested kinds are instantiated from the
-    /// session configuration.
+    /// kind is untouched.
     ///
     /// The finalized workload moves into the returned report (for
     /// downstream analysis), so the binning buffers leave the session and
@@ -476,11 +437,11 @@ impl Engine {
 
     /// Renders one frame for several backends from one reference pass: one
     /// report per requested kind, in request order, each equal to what
-    /// [`Engine::render_frame`] reports on a session of that backend
-    /// (images bit-identical; the software backend's `time_s` is measured
+    /// [`Engine::render_frame`] reports on a session of that kind (images
+    /// bit-identical; the software backend's `time_s` is measured
     /// wall-clock time). As with [`Engine::compare`], the session's own
-    /// backend is untouched and the frame counts once; unlike it, the
-    /// Stage-2 buffers return to the session arena for the next frame.
+    /// kind is untouched and the frame counts once; unlike it, the Stage-2
+    /// buffers return to the session arena for the next frame.
     pub fn render_shared(&mut self, camera: &Camera, kinds: &[BackendKind]) -> Vec<FrameReport> {
         let (rows, workload) = self.shared_pass(camera, kinds);
         workload.recycle_into(&mut self.arena);
@@ -488,56 +449,37 @@ impl Engine {
     }
 
     /// One reference pass executed on every requested kind: the reports
-    /// with their common statistics filled in, and the workload they
-    /// billed.
+    /// and the workload they billed.
     fn shared_pass(
         &mut self,
         camera: &Camera,
         kinds: &[BackendKind],
     ) -> (Vec<FrameReport>, RasterWorkload) {
-        let retain = self.image_policy == ImagePolicy::Retain;
-        let (workload, mut reference) = self.reference_pass(camera);
+        let (workload, reference) = self.reference_pass(camera);
         let mut rows: Vec<FrameReport> = kinds
             .iter()
-            .map(|&kind| {
-                let mut backend = make_backend(kind, self.hw_config);
-                let mut report = backend.execute(Frame {
-                    workload: &workload,
-                    reference: &reference,
-                    retain_image: retain,
-                });
-                Self::fill_common_stats(&mut report, &workload, &reference);
-                report
-            })
+            .map(|kind| kind.execute(self.hw_config, &workload, &reference, self.retain()))
             .collect();
-        // Attach the reference image to every row whose modeled kernel
-        // computes it: clones for all but the last such row, which takes
-        // the buffer (copy-on-demand instead of one clone per backend).
-        if retain {
-            let last = rows.iter().rposition(|r| r.image.is_none());
-            for (i, row) in rows.iter_mut().enumerate() {
-                if row.image.is_none() {
-                    row.image = if Some(i) == last {
-                        reference.image.take()
-                    } else {
-                        reference.image.clone()
-                    };
-                }
-            }
-        }
-        self.frames += 1;
+        attach_reference_image(&mut rows, reference.image);
         (rows, workload)
     }
 }
 
-/// Instantiates a backend of the given kind from the session's hardware
-/// configuration.
-fn make_backend(kind: BackendKind, hw_config: RasterizerConfig) -> Box<dyn Backend> {
-    match kind {
-        BackendKind::Software => Box::new(SoftwareBackend::new()),
-        BackendKind::Enhanced => Box::new(EnhancedRasterizerBackend::new(hw_config)),
-        BackendKind::Cuda(preset) => Box::new(CudaGpuBackend::new(preset)),
-        BackendKind::Gscore => Box::new(GscoreBackend::published()),
+/// Attaches the reference image to every row that did not render its own
+/// (all but an FP16 enhanced rasterizer's): clones for all but the last
+/// such row, which takes the buffer, so one row costs no clone. A session
+/// that discards images has no reference image, and its rows stay
+/// image-less.
+fn attach_reference_image(rows: &mut [FrameReport], mut image: Option<Framebuffer>) {
+    let last = rows.iter().rposition(|r| r.image.is_none());
+    for (i, row) in rows.iter_mut().enumerate() {
+        if row.image.is_none() {
+            row.image = if Some(i) == last {
+                image.take()
+            } else {
+                image.clone()
+            };
+        }
     }
 }
 
@@ -672,7 +614,6 @@ mod tests {
         let mut e = engine(BackendKind::Enhanced, ImagePolicy::Discard);
         let cam = camera(64, 64);
         let before = e.render_frame(&cam);
-        let name_before = e.backend_name();
         let config_before = e.hw_config;
         let bad = RasterizerConfig {
             modules: 0,
@@ -682,7 +623,6 @@ mod tests {
         // The rejected configuration must leave the session untouched:
         // same config, same backend, same results.
         assert_eq!(e.hw_config, config_before);
-        assert_eq!(e.backend_name(), name_before);
         assert_eq!(e.backend_kind(), BackendKind::Enhanced);
         let after = e.render_frame(&cam);
         assert_eq!(after.time_s, before.time_s);
@@ -842,12 +782,7 @@ mod tests {
             sort_wall_s: MIN_STAGE_S,
             image: None,
         };
-        let mut b = SoftwareBackend::new().execute(Frame {
-            workload: &full.workload,
-            reference: &reference,
-            retain_image: true,
-        });
-        Engine::fill_common_stats(&mut b, &full.workload, &reference);
+        let b = BackendKind::Software.execute(culled.hw_config, &full.workload, &reference, true);
         assert_eq!(
             a.image.unwrap().mean_abs_diff(&image),
             0.0,

@@ -1,5 +1,5 @@
-//! Ablation studies for the design decisions of DESIGN.md §6: tile size,
-//! PE scaling, ping-pong buffering, input gating, and datapath precision.
+//! Ablation studies of the hardware's design decisions: tile size, PE
+//! scaling, ping-pong buffering, input gating, and datapath precision.
 //!
 //! These go beyond the paper's published data — they quantify *why* the
 //! design points the paper picked are sensible.
@@ -161,7 +161,7 @@ impl std::fmt::Display for AblationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "Ablations ({} scene) — DESIGN.md §6 design decisions",
+            "Ablations ({} scene) — hardware design decisions",
             self.scene
         )?;
         table("tile size:", &self.tile_size, f)?;

@@ -1,7 +1,8 @@
 //! Shared experiment machinery: scene evaluation at simulation scale and
 //! extrapolation to the paper's full scale.
 //!
-//! Every quantitative experiment follows the same recipe (DESIGN.md §2):
+//! The paper's checkpoints and its baseline GPU are not available to this
+//! reproduction, so every quantitative experiment follows the same recipe:
 //!
 //! 1. synthesize the statistically calibrated scene at a reduced
 //!    [`SceneScale`],
@@ -11,8 +12,8 @@
 //!    [`RasterWorkload`](gaurast_render::RasterWorkload) with exact
 //!    per-tile processed counts,
 //! 3. the *same workload* bills the baseline CUDA model and the GauRast
-//!    cycle simulator (the [`Backend`](crate::backend::Backend) contract
-//!    enforces this),
+//!    cycle simulator (every substrate bills through
+//!    [`BackendKind::execute`], which takes the frame's one workload),
 //! 4. extrapolate absolute numbers to paper scale by normalizing the
 //!    measured blend work to the per-scene calibrated work constant —
 //!    the same factor scales both systems, so every ratio (speedup,
@@ -239,8 +240,8 @@ pub fn evaluate_scene(
     let acc_mini = run_session(Arc::new(PreparedScene::prepare(mini_scene)), ctx, &desc);
 
     // Paper-scale work: both algorithms use the calibrated per-scene
-    // constants (DESIGN.md §8); the Mini-Splatting fractions come from its
-    // published workload reduction.
+    // constants (back-derived from Table III); the Mini-Splatting
+    // fractions come from its published workload reduction.
     let paper_work_orig = desc.raster_work_per_frame;
     let paper_work_mini = paper_work_orig * desc.mini_work_fraction;
     let paper_pairs_orig = desc.sort_pairs_per_frame;

@@ -10,9 +10,11 @@
 //! This crate is the facade. The front door is the session-based
 //! [`engine::Engine`]: build one with [`engine::EngineBuilder`], pick an
 //! execution substrate ([`backend::BackendKind`]), and render frames,
-//! camera sequences, or one-call cross-backend comparisons — every
-//! substrate consumes the identical finalized workload, so speedup and
-//! energy ratios compare identical work by construction.
+//! camera sequences, or one-call cross-backend comparisons. Every entry
+//! point bills a frame the same way — one reference pass, then
+//! [`backend::BackendKind::execute`] per requested substrate on its
+//! finalized workload — so speedup and energy ratios compare identical
+//! work by construction.
 //!
 //! * unified entry point: [`engine::EngineBuilder`] →
 //!   [`engine::Engine::render_frame`] / `render_sequence` / `compare`;
@@ -21,7 +23,8 @@
 //!   [`service::RenderService`] (named scenes, a `std::thread` worker
 //!   pool, in-order batch rendering with aggregate accounting);
 //! * execution substrates: [`backend`] (software reference, enhanced
-//!   rasterizer, CUDA baselines, GSCore);
+//!   rasterizer, CUDA baselines, GSCore, one `match` in
+//!   [`backend::BackendKind::execute`]);
 //! * paper artifacts: [`experiments::raster_perf::figure10`] and friends,
 //!   or `cargo run -p gaurast-bench --bin repro`;
 //! * the substrates themselves remain available directly
@@ -58,7 +61,7 @@ pub mod experiments;
 pub mod report;
 pub mod service;
 
-pub use backend::{Backend, BackendKind, CullStats, FrameReport, FrameStats, GpuPreset};
+pub use backend::{BackendKind, CullStats, FrameReport, FrameStats, GpuPreset};
 pub use engine::{Engine, EngineBuilder, EngineError, ImagePolicy};
 pub use service::{BatchReport, RenderRequest, RenderResponse, RenderService, ServiceError};
 

@@ -484,13 +484,9 @@ impl RenderService {
     /// [`ServiceError::UnknownScene`] when the request names an
     /// unregistered scene.
     pub fn submit(&self, request: RenderRequest) -> Result<RenderResponse, ServiceError> {
-        let prepared = self.lookup(&request.scene)?;
-        let mut engine = self.open_session(
-            Arc::clone(prepared),
-            request.backend,
-            self.frame_worker_budget(1),
-        )?;
-        let report = engine.render_frame(&request.camera);
+        let report = self
+            .session(&request.scene, request.backend)?
+            .render_frame(&request.camera);
         Ok(RenderResponse {
             scene: request.scene,
             worker: 0,
@@ -617,8 +613,6 @@ impl RenderService {
             };
             if !sessions.contains_key(frame.scene) {
                 let prepared = self.lookup(frame.scene)?;
-                // `render_shared` instantiates every requested backend, so
-                // the session's own backend is never used here.
                 let session =
                     self.open_session(Arc::clone(prepared), BackendKind::Enhanced, frame_budget)?;
                 sessions.insert(frame.scene, session);

@@ -15,7 +15,7 @@
 //!   III, the figure averages), used for calibration and for the
 //!   paper-vs-measured comparison in `EXPERIMENTS.md`.
 //!
-//! Calibration philosophy (DESIGN.md §2): the baseline cannot be
+//! Calibration philosophy: the baseline cannot be
 //! re-measured, so the model is *fit* to the paper's published per-scene
 //! runtimes and then *validated* on derived quantities it was not directly
 //! fit to (FPS bands, stage breakdown shares, cross-device ratios).

@@ -42,9 +42,11 @@ pub struct RasterizerConfig {
     /// Datapath precision.
     pub precision: Precision,
     /// Ping-pong (double-buffered) tile buffers; `false` is the
-    /// single-buffer ablation of DESIGN.md §6.2.
+    /// single-buffer ablation, which exposes the tile loads double
+    /// buffering hides behind compute.
     pub ping_pong: bool,
-    /// Input gating of mode-mismatched units (power ablation §6.3).
+    /// Input gating of mode-mismatched units (`false` is the power
+    /// ablation).
     pub input_gating: bool,
     /// Memory-interface words (FP values) transferred per cycle per module
     /// when filling a tile buffer.

@@ -4,8 +4,9 @@
 //! Energy = Σ unit activations × per-op energy (see [`crate::fpu`]) +
 //! tile-buffer SRAM traffic + a clock/control overhead fraction + leakage
 //! proportional to area and time. Input gating (the paper's power-saving
-//! measure) zeroes the inactive mode's unit-input toggling; disabling it
-//! (ablation, DESIGN.md §6.3) charges idle-mode units a toggle fraction.
+//! measure) zeroes the inactive mode's unit-input toggling; disabling it,
+//! the ablation that measures what gating saves, charges idle-mode units
+//! a toggle fraction.
 
 use crate::area::AreaModel;
 use crate::config::{Precision, RasterizerConfig};

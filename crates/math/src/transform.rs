@@ -11,8 +11,9 @@ use crate::vec::Vec3;
 /// rasterizer, where depth is the camera-space z).
 ///
 /// # Panics
-/// Panics in debug builds when `eye == target` or `up` is parallel to the
-/// view direction.
+/// Panics in every build when `eye == target`, when `up` is parallel to the
+/// view direction, or when either direction has no finite length (a
+/// non-finite input, or an offset that overflows `f32`).
 pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Mat4 {
     let forward = (target - eye)
         .try_normalized()

@@ -7,8 +7,7 @@
 //! tile-major, and an `offsets` table with one entry per tile plus a
 //! terminator, so tile `i`'s list is `values[offsets[i]..offsets[i + 1]]`.
 //! Both the CUDA baseline model and the GauRast cycle-accurate simulator
-//! consume this same structure, so the speedups compare identical work
-//! (DESIGN.md §6, decision 1).
+//! consume this same structure, so the speedups compare identical work.
 //!
 //! The CSR buffers (and the depth-order keys, tile rectangles, difference
 //! arrays and per-chunk counts that produce them — see [`crate::tile`])

@@ -59,9 +59,10 @@ impl Camera {
     /// field of view.
     ///
     /// # Errors
-    /// Returns [`SceneError::InvalidCamera`] for degenerate geometry
-    /// (`eye == target`), non-positive image dimensions, or a field of view
-    /// outside `(0, π)`.
+    /// Returns [`SceneError::InvalidCamera`] for a non-finite `eye`,
+    /// `target` or `up`, degenerate geometry (`eye == target`, `up`
+    /// parallel to the view direction, or offsets that overflow `f32`),
+    /// non-positive image dimensions, or a field of view outside `(0, π)`.
     pub fn look_at(
         eye: Vec3,
         target: Vec3,
@@ -80,14 +81,31 @@ impl Camera {
                 "vertical fov must be in (0, pi), got {fov_y}"
             )));
         }
+        // Every comparison with NaN is false, so a non-finite pose would
+        // pass the guards below and panic in `look_at`.
+        if !(eye.is_finite() && target.is_finite() && up.is_finite()) {
+            return Err(SceneError::InvalidCamera(format!(
+                "pose must be finite, got eye {eye:?}, target {target:?}, up {up:?}"
+            )));
+        }
         if (eye - target).length_squared() < 1e-12 {
             return Err(SceneError::InvalidCamera("eye and target coincide".into()));
         }
-        let dir = (target - eye).normalized();
-        if dir.cross(up).length_squared() < 1e-12 {
+        // `look_at` panics unless both of its normalizations succeed, which
+        // finite inputs defeat when an offset's length overflows `f32`.
+        let Some(dir) = (target - eye).try_normalized() else {
+            return Err(SceneError::InvalidCamera(
+                "eye-to-target distance overflows f32".into(),
+            ));
+        };
+        let side = dir.cross(up);
+        if side.length_squared() < 1e-12 {
             return Err(SceneError::InvalidCamera(
                 "up parallel to view direction".into(),
             ));
+        }
+        if side.try_normalized().is_none() {
+            return Err(SceneError::InvalidCamera("up length overflows f32".into()));
         }
         let f = focal_from_fov(fov_y, height as f32);
         Ok(Self {
@@ -393,6 +411,28 @@ mod tests {
             4.0
         )
         .is_err());
+        // Non-finite poses, and finite ones whose lengths overflow f32.
+        let (eye, target, up) = (
+            Vec3::new(0.0, 0.0, -5.0),
+            Vec3::zero(),
+            Vec3::new(0.0, 1.0, 0.0),
+        );
+        for (eye, target, up) in [
+            (Vec3::new(f32::NAN, 0.0, -5.0), target, up),
+            (Vec3::new(f32::INFINITY, 0.0, -5.0), target, up),
+            (eye, Vec3::new(0.0, f32::NAN, 0.0), up),
+            (eye, target, Vec3::new(0.0, f32::NAN, 0.0)),
+            (Vec3::new(3e38, 0.0, 0.0), Vec3::new(-3e38, 0.0, 0.0), up),
+            (eye, target, Vec3::new(1e30, 1.0, 0.0)),
+        ] {
+            assert!(
+                matches!(
+                    Camera::look_at(eye, target, up, 64, 64, 1.0),
+                    Err(SceneError::InvalidCamera(_))
+                ),
+                "{eye:?} -> {target:?}, up {up:?}"
+            );
+        }
     }
 
     #[test]

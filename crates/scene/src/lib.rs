@@ -3,7 +3,9 @@
 //! The paper evaluates on the seven real-world scenes of the NeRF-360
 //! dataset, rendered from trained 3D Gaussian Splatting checkpoints. Neither
 //! the images nor the checkpoints are available offline, so this crate
-//! provides (see `DESIGN.md` §2 for the substitution argument):
+//! synthesizes stand-ins calibrated to each scene's published statistics.
+//! Every substrate bills the same workload, so the paper's ratios depend
+//! on the workload's shape, not on what the image shows. It provides:
 //!
 //! * [`GaussianScene`] / [`Gaussian3`] — the 3D Gaussian representation with
 //!   exactly the parameters of the 3DGS paper (position, anisotropic scale,

@@ -74,7 +74,8 @@ impl Nerf360Scene {
         // `raster_work_per_frame` is the paper-scale number of
         // Gaussian-pixel blend operations per frame, back-derived from the
         // paper's Table III GauRast runtimes (15 × 16-PE modules @ 1 GHz,
-        // ~85 % utilization) — see DESIGN.md §8.
+        // ~85 % utilization): the paper publishes runtimes, not blend
+        // counts, so the count is inferred from the hardware that ran it.
         // `sort_pairs_per_frame` is the paper-scale (splat, tile) key count
         // of the Stage-2 radix sort, calibrated so the baseline stage
         // breakdown reproduces Fig. 5 (Stage 3 > 80 % everywhere) and the
@@ -172,7 +173,7 @@ pub struct SceneDescriptor {
     /// Rendering height.
     pub height: u32,
     /// Paper-scale Gaussian-pixel blend operations per frame (calibration
-    /// constant, DESIGN.md §8).
+    /// constant, back-derived from the paper's Table III GauRast runtime).
     pub raster_work_per_frame: f64,
     /// Paper-scale (splat, tile) sort-key count per frame (Stage-2
     /// calibration constant).

@@ -62,8 +62,8 @@ impl PipelineSchedule {
         1.0 / self.steady_state_period()
     }
 
-    /// Serial (unpipelined) frame time: `t₁₂ + t₃` — the ablation of
-    /// DESIGN.md §6.4.
+    /// Serial (unpipelined) frame time: `t₁₂ + t₃` — the ablation that
+    /// shows what overlapping Stages 1–2 with Stage 3 buys.
     pub fn serial_period(&self) -> f64 {
         self.stages12_s + self.stage3_s
     }

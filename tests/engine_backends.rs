@@ -1,4 +1,4 @@
-//! Integration tests of the unified Engine/Backend API: cross-backend
+//! Integration tests of the unified Engine API: cross-backend
 //! workload agreement, image bit-exactness, and pipelined sequence timing.
 //!
 //! At FP32 the Enhanced backend serves the reference pass's image. The

@@ -74,26 +74,28 @@ fn batch_over_four_workers_is_in_order_and_bit_identical() {
 }
 
 /// What a coalesced response must share with a dedicated session's frame:
-/// the workload facts, the modeled time and energy bits (the software
-/// backend's `time_s` is wall-clock, so it has none) and the image bits.
+/// every field of the report, floats by their bits, except the wall-clock
+/// ones (`stats.sort_s`, and the software backend's `time_s`, which leaves
+/// that backend no modeled time or energy bits), the visibility-cache
+/// flag, which tells only which session looked the pose up first, and
+/// `kind`, which the caller checks.
 #[allow(clippy::type_complexity)]
-fn facts(
-    r: &FrameReport,
-) -> (
-    (u64, u64, u64, u64, usize, usize),
-    Option<(u64, u64)>,
-    Option<Vec<u32>>,
-) {
+fn facts(r: &FrameReport) -> ([u64; 11], Option<(u64, u64)>, Option<Vec<u32>>) {
     let s = &r.stats;
     (
-        (
+        [
             r.ops,
             s.pairs,
             s.blend_work,
             s.blends_committed,
-            s.visible,
-            s.culled,
-        ),
+            s.visible as u64,
+            s.culled as u64,
+            s.culled_non_finite as u64,
+            s.cull.frustum_depth as u64,
+            s.cull.frustum_lateral as u64,
+            s.utilization.to_bits(),
+            s.mean_list.to_bits(),
+        ],
         (r.kind != BackendKind::Software).then(|| (r.time_s.to_bits(), r.energy_j.to_bits())),
         r.image.as_ref().map(image_bits),
     )

@@ -5,10 +5,7 @@
 //! sessions, and what the frustum dropped must be observable in the frame
 //! reports.
 
-use gaurast::backend::{
-    Backend, BackendKind, CudaGpuBackend, CullStats, EnhancedRasterizerBackend, Frame, GpuPreset,
-    GscoreBackend, ReferencePass, SoftwareBackend,
-};
+use gaurast::backend::{BackendKind, CullStats, GpuPreset, ReferencePass};
 use gaurast::engine::{EngineBuilder, ImagePolicy};
 use gaurast::hw::RasterizerConfig;
 use gaurast::render::pipeline::{run_frame, Stage1Input};
@@ -28,19 +25,6 @@ fn off_center_camera() -> Camera {
         1.05,
     )
     .unwrap()
-}
-
-/// The public backend implementation of `kind`, configured as an engine
-/// session's defaults configure it.
-fn backend(kind: BackendKind) -> Box<dyn Backend> {
-    match kind {
-        BackendKind::Software => Box::new(SoftwareBackend::new()),
-        BackendKind::Enhanced => {
-            Box::new(EnhancedRasterizerBackend::new(RasterizerConfig::scaled()))
-        }
-        BackendKind::Cuda(preset) => Box::new(CudaGpuBackend::new(preset)),
-        BackendKind::Gscore => Box::new(GscoreBackend::published()),
-    }
 }
 
 #[test]
@@ -80,13 +64,9 @@ fn all_backends_are_bit_identical_with_culling() {
             a.stats.cull.frustum_total() > 0,
             "{kind}: the frustum must drop work in this view"
         );
-        let mut model = backend(kind);
-        let b = model.execute(Frame {
-            workload: &full.workload,
-            reference: &reference,
-            retain_image: true,
-        });
-        // Every backend here leaves the image to the engine, which
+        // Billed as an engine session's defaults configure it.
+        let b = kind.execute(RasterizerConfig::scaled(), &full.workload, &reference, true);
+        // Every kind here leaves the image to the engine, which
         // attaches the reference image. At FP32 the enhanced rasterizer's
         // PE datapath computes the same bits; `tests/engine_backends.rs`
         // checks that with `render_gaussian`.
