@@ -289,9 +289,9 @@ impl Engine {
     }
 
     /// The session's visible-set cache. Sessions built through a
-    /// `RenderService` (and `Engine::clone`) share one cache, so batch
-    /// requests over the same scene and quantized camera pose build each
-    /// visible set exactly once.
+    /// `RenderService` (and `Engine::clone`) share one cache, so requests
+    /// over the same scene and a bit-identical camera build each visible
+    /// set once.
     pub fn visibility_cache(&self) -> &Arc<VisibilityCache> {
         &self.vis_cache
     }

@@ -13,7 +13,8 @@
 //! * [`energy`] — stage energy accounting;
 //! * [`paper`] — the ground-truth numbers published in the paper (Table
 //!   III, the figure averages), used for calibration and for the
-//!   paper-vs-measured comparison in `EXPERIMENTS.md`.
+//!   paper-vs-measured comparison that the `repro` binary prints and
+//!   `tests/paper_reproduction.rs` checks.
 //!
 //! Calibration philosophy: the baseline cannot be
 //! re-measured, so the model is *fit* to the paper's published per-scene

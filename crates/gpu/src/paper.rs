@@ -1,7 +1,8 @@
 //! Ground-truth numbers published in the GauRast paper.
 //!
 //! These are used (a) to calibrate the baseline GPU model and (b) as the
-//! "paper" column of every table/figure reproduction in `EXPERIMENTS.md`.
+//! "paper" column of every table/figure reproduction the `repro` binary
+//! prints and `tests/paper_reproduction.rs` checks.
 
 /// Scene order used by every per-scene array below (the paper's order):
 /// bicycle, stump, garden, room, counter, kitchen, bonsai.

@@ -46,8 +46,8 @@
 //! ```
 //!
 //! An additional absolute [`Frustum::with_slack`] widens every comparison
-//! to absorb camera-pose quantization (for cached visible sets reused
-//! across nearby cameras); a magnitude-scaled float-error padding is
+//! by a caller-supplied camera-space error bound (visible sets scale it
+//! to the scene's coordinates); a magnitude-scaled float-error padding is
 //! always applied on top, so even a zero-slack frustum never culls a
 //! sphere whose Stage-1 evaluation rounds the other way. Lateral
 //! certification additionally demands overflow headroom (see
@@ -109,8 +109,8 @@ pub struct Frustum {
     lateral: [LateralPlane; 4],
     /// `C`: multiplies world radii into camera-space lateral slack.
     radius_scale: f32,
-    /// Absolute ∞-norm bound on camera-space position error (float
-    /// evaluation plus pose quantization); 0 for an exact camera.
+    /// Absolute ∞-norm bound on camera-space position error, set by
+    /// [`Frustum::with_slack`]; 0 by default.
     slack: f32,
     /// World-space affine forms `(w, d)` with `w·p + d` equal to the
     /// camera-space z and the four lateral dot products — used for cheap
@@ -174,8 +174,9 @@ impl Frustum {
     /// Returns the frustum with an absolute conservative slack: an upper
     /// bound on the ∞-norm error of camera-space positions computed
     /// through this frustum's view matrix relative to the exact camera the
-    /// caller will render with (floating-point evaluation differences plus
-    /// any pose quantization). Every cull decision is widened by it.
+    /// caller will render with (floating-point evaluation differences, or
+    /// any approximation of the view matrix). Every cull decision is
+    /// widened by it.
     pub fn with_slack(mut self, slack: f32) -> Self {
         self.slack = slack.max(0.0);
         self

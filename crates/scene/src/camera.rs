@@ -37,9 +37,9 @@ pub struct CameraKey {
 impl Camera {
     /// The camera's exact key: equal keys mean bit-identical fields, so
     /// the two cameras render bit-identical frames of any scene. Unlike
-    /// `==` it tells `+0.0` from `-0.0`, and unlike the quantized
-    /// visibility [`PoseKey`](crate::visibility::PoseKey) it tells apart
-    /// poses that differ by less than the quantum.
+    /// `==` it tells `+0.0` from `-0.0`. Batches share a reference pass,
+    /// and [`VisibilityCache`](crate::VisibilityCache)s a visible set,
+    /// between cameras with equal keys.
     pub fn key(&self) -> CameraKey {
         CameraKey {
             view: std::array::from_fn(|i| self.view.at(i % 4, i / 4).to_bits()),
@@ -216,9 +216,8 @@ impl Camera {
     }
 
     /// Extracts this camera's conservative view frustum (exact pose, zero
-    /// slack). For visible sets meant to be cached across nearby poses,
-    /// use [`crate::visibility::quantized_frustum`] instead, which adds
-    /// the pose-quantization slack.
+    /// slack). [`PreparedScene::visible_set`](crate::PreparedScene::visible_set)
+    /// widens it by a float-evaluation slack before building a set.
     pub fn frustum(&self) -> Frustum {
         Frustum::new(
             self.view,

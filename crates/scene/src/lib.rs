@@ -15,8 +15,8 @@
 //!   covariances, 3σ radii, a coarse spatial index, summary statistics),
 //!   built once and served to any number of sessions behind an `Arc`;
 //! * [`visibility`] — the frustum-culled visible-set subsystem:
-//!   [`VisibleSet`]s over the spatial index, pose-quantized and cacheable
-//!   across sessions via [`VisibilityCache`];
+//!   [`VisibleSet`]s over the spatial index, keyed by [`Camera::key`] and
+//!   cacheable across sessions via [`VisibilityCache`];
 //! * [`TriangleMesh`] — the classic representation handled by the original
 //!   triangle rasterizer that GauRast extends;
 //! * [`Camera`] and orbit trajectories;

@@ -54,8 +54,8 @@ pub struct PreparedScene {
     max_sh_degree: u8,
     stats: SceneStats,
     index: SpatialIndex,
-    /// Largest L1 norm of any point inside `bounds` (conservative slack
-    /// input for quantized frustums).
+    /// Largest L1 norm of any point inside `bounds` (scales the float
+    /// slack of [`PreparedScene::visible_set`]'s frustums).
     coord_l1: f32,
     generation: u64,
 }
@@ -192,20 +192,23 @@ impl PreparedScene {
     }
 
     /// Largest L1 coordinate norm inside the scene bounds — the input for
-    /// [`visibility::quantized_frustum`]'s conservative slack.
+    /// [`PreparedScene::visible_set`]'s float slack.
     #[inline]
     pub fn coord_l1_bound(&self) -> f32 {
         self.coord_l1
     }
 
-    /// The visible set for a camera, using the pose-quantized conservative
-    /// frustum (so the result is reusable for every camera with the same
-    /// [`visibility::pose_key`]). Running Stage 1 over the set is
-    /// bit-identical to running it over the whole scene — the frustum only
-    /// drops Gaussians Stage 1 would cull anyway (see
-    /// [`crate::visibility`]).
+    /// The visible set for a camera, built from the camera's own
+    /// [`Camera::frustum`] widened by a slack that covers float evaluation
+    /// for coordinates up to [`PreparedScene::coord_l1_bound`] and the
+    /// camera's translation. Running Stage 1 over the set is bit-identical
+    /// to running it over the whole scene — the frustum only drops
+    /// Gaussians Stage 1 would cull anyway (see [`crate::visibility`]).
     pub fn visible_set(&self, camera: &Camera) -> VisibleSet {
-        self.visible_set_with(&visibility::quantized_frustum(camera, self.coord_l1))
+        let t = camera.view().translation();
+        let t_l1 = t.x.abs() + t.y.abs() + t.z.abs();
+        let slack = visibility::FLOAT_SLACK * (self.coord_l1 + t_l1 + 1.0);
+        self.visible_set_with(&camera.frustum().with_slack(slack))
     }
 
     /// The visible set for an explicit conservative [`Frustum`] (callers

@@ -1,5 +1,5 @@
 //! The visible-set subsystem: frustum-culled Gaussian index sets over a
-//! coarse spatial index, cacheable across nearby camera poses.
+//! coarse spatial index, cacheable per camera.
 //!
 //! The rasterizer's Stage 1 culls per primitive *inside* its projection
 //! loop; this module moves the certain culls in front of it. A
@@ -21,32 +21,25 @@
 //!   fixed off-screen bundle
 //!   (`gaurast_render::preprocess::OFFSCREEN_CULL_OPS`).
 //!
-//! # Pose-quantized caching
+//! # Caching
 //!
-//! Visible sets are keyed by a [`PoseKey`]: the camera's intrinsics
-//! (exact) plus its view matrix quantized to [`POSE_QUANT`]. The frustum
-//! is built from the *dequantized representative* pose with a
-//! conservative slack covering the whole quantization cell, so one cached
-//! set is valid — and still bit-identity-safe — for **every** camera that
-//! maps to the same key. A [`VisibilityCache`] shared across rendering
-//! sessions lets batch requests over the same scene and camera, and
-//! sequences with sub-quantum camera deltas, reuse one set.
+//! A set is built from the camera's own [`Camera::frustum`], widened by a
+//! float-evaluation slack (see [`PreparedScene::visible_set`]), so it is
+//! valid for that exact camera. A [`VisibilityCache`] files sets under
+//! `(scene generation,` [`Camera::key`]`)`: sessions sharing one cache
+//! build a set once per scene and bit-identical camera, and every
+//! sequence frame or `submit` that revisits that camera reuses it.
 
-use crate::{Camera, GaussianScene, PreparedScene};
+use crate::{Camera, CameraKey, GaussianScene, PreparedScene};
 use gaurast_math::{Aabb3, Frustum, Vec3, Visibility};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// View-matrix quantization step for [`PoseKey`] (2⁻¹⁰: fine enough that
-/// real camera paths rarely alias, coarse enough that re-renders of the
-/// same nominal pose hit the cache).
-pub const POSE_QUANT: f32 = 1.0 / 1024.0;
-
 /// Relative floating-point slack folded into conservative frustum tests
 /// (covers evaluation-order differences between the frustum's affine
 /// forms and Stage 1's `world_to_camera`).
-const FLOAT_SLACK: f32 = 1e-4;
+pub(crate) const FLOAT_SLACK: f32 = 1e-4;
 
 /// Target Gaussians per spatial-index cell (the grid resolution heuristic).
 const TARGET_PER_CELL: f64 = 64.0;
@@ -54,80 +47,10 @@ const TARGET_PER_CELL: f64 = 64.0;
 /// Maximum grid resolution per axis.
 const MAX_DIMS: usize = 32;
 
-/// Cache key identifying a camera pose for visible-set reuse: exact
-/// intrinsics plus the view matrix quantized to [`POSE_QUANT`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PoseKey {
-    /// Quantized affine view-matrix entries (rows 0–2 × cols 0–3).
-    view_q: [i64; 12],
-    /// Image dimensions (exact).
-    dims: [u32; 2],
-    /// Bit patterns of `fx, fy, cx, cy, near, far` (exact).
-    intrinsics: [u32; 6],
-}
-
-/// The pose key of a camera (see [`PoseKey`]).
-pub fn pose_key(camera: &Camera) -> PoseKey {
-    let mut view_q = [0i64; 12];
-    for row in 0..3 {
-        for col in 0..4 {
-            view_q[row * 4 + col] = quantize(camera.view().at(row, col));
-        }
-    }
-    PoseKey {
-        view_q,
-        dims: [camera.width(), camera.height()],
-        intrinsics: [
-            camera.focal().x.to_bits(),
-            camera.focal().y.to_bits(),
-            camera.principal().x.to_bits(),
-            camera.principal().y.to_bits(),
-            camera.near().to_bits(),
-            camera.far().to_bits(),
-        ],
-    }
-}
-
-#[inline]
-fn quantize(v: f32) -> i64 {
-    (v / POSE_QUANT).round() as i64
-}
-
-/// Builds the conservative frustum every camera with this camera's
-/// [`PoseKey`] shares: the dequantized representative pose, slackened to
-/// cover the quantization cell and float evaluation for scenes whose
-/// coordinates have L1 norm at most `coord_l1`.
-pub fn quantized_frustum(camera: &Camera, coord_l1: f32) -> Frustum {
-    let key = pose_key(camera);
-    // Dequantize into column-major entries; the bottom row of a rigid
-    // view is (0, 0, 0, 1) exactly.
-    let mut cols = [[0.0f32; 4]; 4];
-    for (i, &q) in key.view_q.iter().enumerate() {
-        let (row, col) = (i / 4, i % 4);
-        cols[col][row] = q as f32 * POSE_QUANT;
-    }
-    cols[3][3] = 1.0;
-    let view = gaurast_math::Mat4::from_cols(
-        gaurast_math::Vec4::new(cols[0][0], cols[0][1], cols[0][2], cols[0][3]),
-        gaurast_math::Vec4::new(cols[1][0], cols[1][1], cols[1][2], cols[1][3]),
-        gaurast_math::Vec4::new(cols[2][0], cols[2][1], cols[2][2], cols[2][3]),
-        gaurast_math::Vec4::new(cols[3][0], cols[3][1], cols[3][2], cols[3][3]),
-    );
-    let t = camera.view().translation();
-    let t_l1 = t.x.abs() + t.y.abs() + t.z.abs();
-    // Quantization moves any camera-space coordinate by at most
-    // (Q/2)·(|p|₁ + 1); the relative term covers float evaluation.
-    let slack = 0.5 * POSE_QUANT * (coord_l1 + 1.0) + FLOAT_SLACK * (coord_l1 + t_l1 + 1.0);
-    Frustum::new(
-        view,
-        camera.width(),
-        camera.height(),
-        camera.focal(),
-        camera.principal(),
-        camera.near(),
-        camera.far(),
-    )
-    .with_slack(slack)
+/// The key a [`VisibilityCache`] files a camera's set under:
+/// [`Camera::key`].
+pub fn pose_key(camera: &Camera) -> CameraKey {
+    camera.key()
 }
 
 /// One cell of the [`SpatialIndex`]: the tight AABB of its member
@@ -233,16 +156,6 @@ pub struct VisibleSet {
 }
 
 impl VisibleSet {
-    /// The trivial set keeping every Gaussian (what culling-off renders).
-    pub fn all(prepared: &PreparedScene) -> Self {
-        Self {
-            indices: (0..prepared.len() as u32).collect(),
-            culled_depth: 0,
-            culled_lateral: 0,
-            scene_generation: prepared.generation(),
-        }
-    }
-
     /// Ascending scene indices of the possibly-visible Gaussians.
     pub fn indices(&self) -> &[u32] {
         &self.indices
@@ -342,14 +255,16 @@ pub(crate) fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Upper bound for cached visible sets; when full the cache is emptied
-/// (the sets are cheap to rebuild and keys rarely churn in practice).
-const CACHE_CAPACITY: usize = 256;
+/// Upper bound for cached visible sets; when full the cache is emptied.
+/// A set holds one `u32` per possibly-visible Gaussian (about 20 MB for a
+/// paper-scale Garden frame), so the bound caps the cache's memory while
+/// still holding a 12-pose orbit ring whole.
+const CACHE_CAPACITY: usize = 32;
 
 /// A shared store of [`VisibleSet`]s keyed by `(scene generation,`
-/// [`PoseKey`]`)`. One cache can serve any number of rendering sessions
-/// concurrently; batch requests that share a scene and (quantized) camera
-/// pose build the set once and reuse it everywhere.
+/// [`Camera::key`]`)`. One cache can serve any number of rendering
+/// sessions concurrently; requests that share a scene and a bit-identical
+/// camera build the set once and reuse it everywhere.
 #[derive(Debug, Default)]
 pub struct VisibilityCache {
     sets: Mutex<CacheMap>,
@@ -358,7 +273,7 @@ pub struct VisibilityCache {
 }
 
 /// The map under the cache lock.
-type CacheMap = HashMap<(u64, PoseKey), Arc<VisibleSet>>;
+type CacheMap = HashMap<(u64, CameraKey), Arc<VisibleSet>>;
 
 impl VisibilityCache {
     /// An empty cache.
@@ -374,13 +289,13 @@ impl VisibilityCache {
         prepared: &PreparedScene,
         camera: &Camera,
     ) -> (Arc<VisibleSet>, bool) {
-        let key = (prepared.generation(), pose_key(camera));
+        let key = (prepared.generation(), camera.key());
         if let Some(set) = lock_sets(&self.sets).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(set), true);
         }
-        // Build outside the lock: concurrent misses on different poses
-        // proceed in parallel; a racing duplicate of the same pose is
+        // Build outside the lock: concurrent misses on different cameras
+        // proceed in parallel; a racing duplicate of the same camera is
         // discarded in favor of the first inserted set.
         let built = Arc::new(prepared.visible_set(camera));
         let mut sets = lock_sets(&self.sets);
@@ -485,29 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn all_set_covers_everything() {
-        let p = prepared(50, 1);
-        let set = VisibleSet::all(&p);
-        assert_eq!(set.len(), 50);
-        assert_eq!(set.culled_total(), 0);
-        assert_eq!(set.coverage(), 1.0);
-    }
-
-    #[test]
     fn empty_scene_has_empty_set() {
         let p = PreparedScene::prepare(GaussianScene::new());
         let set = p.visible_set(&camera(Vec3::new(0.0, 0.0, -5.0), Vec3::zero()));
         assert!(set.is_empty());
         assert_eq!(set.coverage(), 1.0);
-    }
-
-    #[test]
-    fn pose_key_is_stable_under_sub_quantum_jitter() {
-        let a = camera(Vec3::new(0.0, 5.0, -30.0), Vec3::zero());
-        let b = camera(Vec3::new(1e-5, 5.0, -30.0), Vec3::zero());
-        assert_eq!(pose_key(&a), pose_key(&b));
-        let c = camera(Vec3::new(0.5, 5.0, -30.0), Vec3::zero());
-        assert_ne!(pose_key(&a), pose_key(&c));
     }
 
     #[test]
@@ -526,23 +423,53 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeat_and_nearby_poses() {
+    fn cache_reuses_exact_revisits_within_capacity() {
         let p = prepared(300, 5);
         let cache = VisibilityCache::new();
-        let cam = camera(Vec3::new(0.0, 5.0, -30.0), Vec3::zero());
-        let (first, hit0) = cache.get_or_build(&p, &cam);
-        assert!(!hit0);
-        let (second, hit1) = cache.get_or_build(&p, &cam);
-        assert!(hit1);
-        assert!(Arc::ptr_eq(&first, &second));
-        // A sub-quantum camera delta reuses the same set.
-        let nearby = camera(Vec3::new(1e-5, 5.0, -30.0), Vec3::zero());
-        let (third, hit2) = cache.get_or_build(&p, &nearby);
-        assert!(hit2);
-        assert!(Arc::ptr_eq(&first, &third));
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
+        // A ring of 12 poses, lapped three times: the first lap builds,
+        // every later revisit hits the set the first lap stored.
+        let ring: Vec<Camera> = (0..12)
+            .map(|i| {
+                let theta = i as f32 / 12.0 * std::f32::consts::TAU;
+                camera(
+                    Vec3::new(30.0 * theta.sin(), 5.0, -30.0 * theta.cos()),
+                    Vec3::zero(),
+                )
+            })
+            .collect();
+        let first: Vec<_> = ring.iter().map(|c| cache.get_or_build(&p, c)).collect();
+        assert!(first.iter().all(|(_, hit)| !hit));
+        for _ in 0..2 {
+            for (cam, (set, _)) in ring.iter().zip(&first) {
+                let (again, hit) = cache.get_or_build(&p, cam);
+                assert!(hit);
+                assert!(Arc::ptr_eq(set, &again));
+            }
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (24, 12, 12));
+
+        // More distinct cameras than the capacity: a full cache is
+        // emptied, never grown past it.
+        for i in 0..CACHE_CAPACITY + 8 {
+            let eye = Vec3::new(i as f32, 5.0, -40.0);
+            cache.get_or_build(&p, &camera(eye, Vec3::zero()));
+            assert!(cache.len() <= CACHE_CAPACITY, "len {}", cache.len());
+        }
+
+        // Two cameras one view-matrix bit apart are two entries.
+        cache.clear();
+        let a = camera(Vec3::new(0.0, 0.0, -30.0), Vec3::zero());
+        let z = f32::from_bits((-30.0f32).to_bits() + 1);
+        let b = camera(Vec3::new(0.0, 0.0, z), Vec3::zero());
+        let bits = |c: &Camera, i: usize| c.view().at(i % 4, i / 4).to_bits();
+        let ulps: Vec<u32> = (0..16)
+            .map(|i| bits(&a, i).abs_diff(bits(&b, i)))
+            .filter(|&d| d != 0)
+            .collect();
+        assert_eq!(ulps, [1], "the views are one ulp apart in one entry");
+        assert!(!cache.get_or_build(&p, &a).1);
+        assert!(!cache.get_or_build(&p, &b).1);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

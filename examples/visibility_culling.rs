@@ -1,7 +1,7 @@
 //! The frustum-culled visible-set subsystem from the outside: one scene,
 //! two viewpoints, every engine frame bit-identical to the full pass over
-//! the whole scene, measurably less Stage-1 work, and cache hits across a
-//! camera sequence.
+//! the whole scene, measurably less Stage-1 work, and cache hits when a
+//! camera sequence revisits a pose.
 //!
 //! ```text
 //! cargo run --release --example visibility_culling
@@ -95,11 +95,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // A sequence of nearby viewpoints reuses one cached visible set.
-    let path: Vec<Camera> = (0..8)
+    // A path that laps four viewpoints twice builds each visible set on
+    // the first lap and reuses it, keyed by the exact camera, on the
+    // second.
+    const POSES: usize = 4;
+    let path: Vec<Camera> = (0..2 * POSES)
         .map(|i| {
             Camera::look_at(
-                Vec3::new(i as f32 * 1.0e-5, 2.0, 2.0),
+                Vec3::new((1 + i % POSES) as f32 * 0.5, 2.0, 2.0),
                 Vec3::new(0.0, 2.0, 60.0),
                 Vec3::new(0.0, 1.0, 0.0),
                 320,
@@ -120,5 +123,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         hits,
         out.reports.len() - hits,
     );
+    assert_eq!(hits, POSES, "the second lap must reuse every set");
     Ok(())
 }

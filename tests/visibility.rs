@@ -96,35 +96,35 @@ fn all_backends_are_bit_identical_with_culling() {
 }
 
 #[test]
-fn sequence_with_small_deltas_reuses_cached_sets() {
+fn sequence_reuses_cached_sets_on_exact_revisits() {
     let scene = SceneParams::new(1500).seed(9).generate().unwrap();
     let mut engine = EngineBuilder::new(scene)
         .backend(BackendKind::Cuda(GpuPreset::OrinNx))
         .build()
         .unwrap();
-    // Sub-quantum eye jitter: every pose maps to one key, so a sequence
-    // of "nearby" frames builds the visible set exactly once.
-    let cams: Vec<Camera> = (0..6)
-        .map(|i| {
-            Camera::look_at(
-                Vec3::new(0.0 + i as f32 * 1.0e-5, 5.0, -26.0),
-                Vec3::zero(),
-                Vec3::new(0.0, 1.0, 0.0),
-                64,
-                64,
-                1.05,
-            )
-            .unwrap()
-        })
-        .collect();
+    let look = |eye_z: f32| {
+        Camera::look_at(
+            Vec3::new(0.0, 5.0, eye_z),
+            Vec3::zero(),
+            Vec3::new(0.0, 1.0, 0.0),
+            64,
+            64,
+            1.05,
+        )
+        .unwrap()
+    };
+    // Sets are keyed by the exact camera: a repeated camera hits, an eye
+    // one ulp away is a different camera and builds its own set.
+    let cam = look(-26.0);
+    let ulp = look(f32::from_bits((-26.0f32).to_bits() + 1));
+    assert_ne!(cam.key(), ulp.key());
+    let cams = [&cam, &cam, &ulp, &cam, &ulp, &ulp].map(Camera::clone);
     let out = engine.render_sequence(&cams);
-    assert!(!out.reports[0].stats.cull.cache_hit, "first frame builds");
-    assert!(
-        out.reports[1..].iter().all(|r| r.stats.cull.cache_hit),
-        "subsequent sub-quantum frames must reuse the cached set"
-    );
-    assert_eq!(engine.visibility_cache().misses(), 1);
-    assert_eq!(engine.visibility_cache().hits(), 5);
+    let hits: Vec<bool> = out.reports.iter().map(|r| r.stats.cull.cache_hit).collect();
+    assert_eq!(hits, [false, true, false, true, true, true]);
+    assert_eq!(engine.visibility_cache().misses(), 2);
+    assert_eq!(engine.visibility_cache().hits(), 4);
+    assert_eq!(engine.visibility_cache().len(), 2);
 }
 
 #[test]
