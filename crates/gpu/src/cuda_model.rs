@@ -57,45 +57,6 @@ pub struct CudaGpuModel {
     pub raster_power_w: f64,
 }
 
-/// Per-stage times of one frame, seconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StageTimes {
-    /// Stage 1 — preprocessing.
-    pub preprocess_s: f64,
-    /// Stage 2 — sorting/binning.
-    pub sort_s: f64,
-    /// Stage 3 — Gaussian rasterization.
-    pub raster_s: f64,
-}
-
-impl StageTimes {
-    /// Total frame time.
-    pub fn total_s(&self) -> f64 {
-        self.preprocess_s + self.sort_s + self.raster_s
-    }
-
-    /// Stage-3 share of the frame (the paper's Fig. 5 metric).
-    pub fn raster_share(&self) -> f64 {
-        let t = self.total_s();
-        if t > 0.0 {
-            self.raster_s / t
-        } else {
-            0.0
-        }
-    }
-
-    /// Frames per second.
-    pub fn fps(&self) -> f64 {
-        1.0 / self.total_s()
-    }
-
-    /// Combined Stages 1–2 time (what stays on CUDA under the
-    /// CUDA-collaborative schedule).
-    pub fn stages_12_s(&self) -> f64 {
-        self.preprocess_s + self.sort_s
-    }
-}
-
 impl CudaGpuModel {
     /// Peak blend throughput (pairs/s) ignoring efficiency losses.
     pub fn peak_blend_rate(&self) -> f64 {
@@ -146,15 +107,6 @@ impl CudaGpuModel {
     /// passes at [`BYTES_PER_PAIR_SORT_PASS`] bytes per pair each).
     pub fn sort_time(&self, pairs: u64) -> f64 {
         pairs as f64 * BYTES_PER_PAIR_SORT / self.mem_bw_bytes_per_s
-    }
-
-    /// All three stage times for a workload at its own scale.
-    pub fn stage_times(&self, w: &RasterWorkload) -> StageTimes {
-        StageTimes {
-            preprocess_s: self.preprocess_time(w.splats().len() as u64),
-            sort_s: self.sort_time(w.total_pairs()),
-            raster_s: self.raster_time(w),
-        }
     }
 
     /// Energy spent rasterizing for `t` seconds, J.
@@ -286,10 +238,10 @@ mod tests {
         .unwrap();
         let out = render(&scene, &cam, &RenderConfig::default());
         let m = device::orin_nx();
-        let st = m.stage_times(&out.workload);
-        assert!(st.raster_s > 0.0 && st.preprocess_s > 0.0 && st.sort_s > 0.0);
-        assert!(st.total_s() > st.raster_s);
-        assert!((st.fps() - 1.0 / st.total_s()).abs() < 1e-9);
+        let w = &out.workload;
+        assert!(m.raster_time(w) > 0.0);
+        assert!(m.preprocess_time(w.splats().len() as u64) > 0.0);
+        assert!(m.sort_time(w.total_pairs()) > 0.0);
     }
 
     #[test]

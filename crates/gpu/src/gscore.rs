@@ -1,32 +1,16 @@
-//! GSCore envelope model (§V-C).
+//! GSCore area comparison (§V-C).
 //!
 //! GSCore (Lee et al., ASPLOS 2024) is the only previously published
 //! dedicated 3DGS accelerator. As in the paper, the comparison uses
 //! GSCore's *published* envelope — 3.95 mm² of dedicated FP16 silicon
-//! achieving a 20× rasterization speedup over its Jetson Xavier NX host —
-//! rather than a re-implementation. GauRast's cost at the iso-performance
-//! point is only the Gaussian *enhancement* of an existing 16-PE triangle
-//! rasterizer, re-synthesized in FP16.
+//! ([`GSCORE_AREA_MM2`]) achieving a 20× rasterization speedup over its
+//! Jetson Xavier NX host — rather than a re-implementation. GauRast's cost
+//! at the iso-performance point is only the Gaussian *enhancement* of an
+//! existing 16-PE triangle rasterizer, re-synthesized in FP16.
 
+use crate::paper::GSCORE_AREA_MM2;
 use gaurast_hw::area::AreaModel;
 use gaurast_hw::{Precision, RasterizerConfig};
-
-/// Published GSCore data.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GscoreEnvelope {
-    /// Dedicated accelerator area, mm² (FP16, 28 nm-class).
-    pub area_mm2: f64,
-    /// Rasterization speedup over the Xavier NX host.
-    pub speedup_vs_host: f64,
-}
-
-impl GscoreEnvelope {
-    /// The published envelope.
-    pub const PUBLISHED: GscoreEnvelope = GscoreEnvelope {
-        area_mm2: crate::paper::GSCORE_AREA_MM2,
-        speedup_vs_host: crate::paper::GSCORE_SPEEDUP_XAVIER,
-    };
-}
 
 /// Result of the §V-C comparison.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,8 +34,8 @@ pub fn compare() -> AreaEfficiencyComparison {
     let added = AreaModel::new(Precision::Fp16).enhancement_mm2(&config);
     AreaEfficiencyComparison {
         gaurast_added_mm2: added,
-        gscore_mm2: GscoreEnvelope::PUBLISHED.area_mm2,
-        ratio: GscoreEnvelope::PUBLISHED.area_mm2 / added,
+        gscore_mm2: GSCORE_AREA_MM2,
+        ratio: GSCORE_AREA_MM2 / added,
     }
 }
 
@@ -73,12 +57,5 @@ mod tests {
             "ratio {}",
             c.ratio
         );
-    }
-
-    #[test]
-    fn envelope_is_published_values() {
-        let e = GscoreEnvelope::PUBLISHED;
-        assert_eq!(e.area_mm2, 3.95);
-        assert_eq!(e.speedup_vs_host, 20.0);
     }
 }

@@ -9,8 +9,8 @@
 //! * [`CudaGpuModel`] — an SM-level throughput/efficiency model of CUDA
 //!   Gaussian rasterization plus bandwidth models of Stages 1–2, with
 //!   presets for the three devices ([`device`]);
-//! * [`gscore`] — the published GSCore envelope;
-//! * [`energy`] — stage energy accounting;
+//! * [`gscore`] — the §V-C area comparison against GSCore's published
+//!   area;
 //! * [`paper`] — the ground-truth numbers published in the paper (Table
 //!   III, the figure averages), used for calibration and for the
 //!   paper-vs-measured comparison that the `repro` binary prints and
@@ -38,11 +38,10 @@
 
 mod cuda_model;
 pub mod device;
-pub mod energy;
 pub mod gscore;
 pub mod paper;
 
 pub use cuda_model::{
-    mean_processed_len, CudaGpuModel, StageTimes, BYTES_PER_PAIR_SORT, BYTES_PER_PAIR_SORT_PASS,
+    mean_processed_len, CudaGpuModel, BYTES_PER_PAIR_SORT, BYTES_PER_PAIR_SORT_PASS,
     SORT_RADIX_PASSES,
 };

@@ -3,11 +3,12 @@
 //! **Measured on the workload** (no assumptions): the shape-aware pair cull
 //! and the subtile pixel work, computed exactly by [`crate::subtile`].
 //!
-//! **Taken from the GSCore paper's published envelope**: total area
-//! (3.95 mm², FP16, 28 nm-class) and the end-to-end 20× rasterization
-//! speedup on the Xavier NX, to which the VRU lane count is calibrated.
-//! The internal area split is an estimate from the paper's floorplan
-//! discussion and is marked as such.
+//! **Taken from the GSCore paper's published envelope**: the end-to-end
+//! 20× rasterization speedup on the Xavier NX, to which the VRU lane count
+//! is calibrated. The published area (3.95 mm², FP16, 28 nm-class) lives
+//! only in `gaurast_gpu::paper::GSCORE_AREA_MM2`, which §V-C's comparison
+//! reads; this model prices time, not silicon, so no internal area split
+//! is modeled.
 
 use crate::subtile::{refine, RefinedWork};
 use gaurast_render::RasterWorkload;
@@ -26,8 +27,6 @@ pub struct GscoreConfig {
     pub gsu_keys_per_cycle: u32,
     /// Clock, Hz.
     pub clock_hz: f64,
-    /// Published total accelerator area, mm².
-    pub area_mm2: f64,
 }
 
 impl GscoreConfig {
@@ -38,17 +37,7 @@ impl GscoreConfig {
             ccu_splats_per_cycle: 4,
             gsu_keys_per_cycle: 8,
             clock_hz: 1.0e9,
-            area_mm2: 3.95,
         }
-    }
-
-    /// Approximate internal area split (fractions of the total):
-    /// (CCU, GSU, VRU, SRAM). Estimated from the GSCore paper's floorplan
-    /// discussion — a dedicated accelerator must carry its own staging
-    /// SRAM and sorting network, which is exactly the area GauRast reuses
-    /// from the GPU.
-    pub fn area_split() -> (f64, f64, f64, f64) {
-        (0.15, 0.20, 0.35, 0.30)
     }
 }
 
@@ -217,12 +206,6 @@ mod tests {
             .blend_work()
             .div_ceil(u64::from(GscoreConfig::published().vru_lanes));
         assert!(r.vru_cycles < plain_cycles);
-    }
-
-    #[test]
-    fn area_split_sums_to_one() {
-        let (ccu, gsu, vru, sram) = GscoreConfig::area_split();
-        assert!((ccu + gsu + vru + sram - 1.0).abs() < 1e-9);
     }
 
     #[test]

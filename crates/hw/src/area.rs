@@ -35,9 +35,6 @@ pub const TECH_SCALE_AREA_28_TO_8: f64 = 0.12;
 /// Die area of the baseline Jetson Orin NX SoC in mm².
 pub const ORIN_NX_SOC_MM2: f64 = 450.0;
 
-/// GSCore's published accelerator area (ASPLOS 2024): 3.95 mm², FP16.
-pub const GSCORE_AREA_MM2: f64 = 3.95;
-
 /// Area breakdown of one rasterizer module (all µm² unless noted).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AreaBreakdown {
@@ -169,36 +166,6 @@ fn sram_scale(p: Precision) -> f64 {
     }
 }
 
-/// §V-C comparison: FP16 GauRast sized for GSCore-equivalent throughput.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GscoreComparison {
-    /// GauRast's added area (FP16 enhancement, 16-PE module), mm².
-    pub gaurast_added_mm2: f64,
-    /// GSCore's dedicated accelerator area, mm².
-    pub gscore_mm2: f64,
-    /// GSCore area / GauRast area (the paper's 24.7×).
-    pub area_efficiency_ratio: f64,
-}
-
-/// Computes the §V-C iso-performance area comparison. GSCore reaches a 20×
-/// rasterization speedup on the Xavier NX with 3.95 mm² of dedicated FP16
-/// silicon; a 16-PE FP16 GauRast module matches that throughput (the Xavier
-/// baseline is ~3× slower than the Orin's) while only *adding* the Gaussian
-/// datapath to the existing triangle rasterizer.
-pub fn gscore_comparison() -> GscoreComparison {
-    let model = AreaModel::new(Precision::Fp16);
-    let config = RasterizerConfig {
-        precision: Precision::Fp16,
-        ..RasterizerConfig::prototype()
-    };
-    let added = model.enhancement_mm2(&config);
-    GscoreComparison {
-        gaurast_added_mm2: added,
-        gscore_mm2: GSCORE_AREA_MM2,
-        area_efficiency_ratio: GSCORE_AREA_MM2 / added,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,21 +213,6 @@ mod tests {
         let model = AreaModel::new(Precision::Fp32);
         let frac = model.enhancement_soc_fraction(&RasterizerConfig::scaled());
         assert!((frac - 0.002).abs() < 0.0005, "SoC fraction {frac}");
-    }
-
-    #[test]
-    fn gscore_ratio_near_24_7() {
-        let c = gscore_comparison();
-        assert!(
-            (c.gaurast_added_mm2 - 0.16).abs() < 0.01,
-            "added {} mm²",
-            c.gaurast_added_mm2
-        );
-        assert!(
-            (c.area_efficiency_ratio - 24.7).abs() < 1.5,
-            "ratio {}",
-            c.area_efficiency_ratio
-        );
     }
 
     #[test]

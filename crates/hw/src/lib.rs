@@ -15,7 +15,7 @@
 //! * [`rasterizer`] — the frame-level cycle simulation for both Gaussian
 //!   and triangle modes;
 //! * [`area`] — the 28 nm floorplan model reproducing Fig. 9's breakdown
-//!   and the §V-C GSCore comparison;
+//!   and the enhancement area that §V-C compares against GSCore;
 //! * [`power`] — activity-based energy calibrated to the prototype's 1.7 W.
 //!
 //! # Example
@@ -41,7 +41,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod area;
-pub mod command;
 pub mod config;
 pub mod dispatch;
 pub mod fpu;

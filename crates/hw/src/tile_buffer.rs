@@ -3,8 +3,11 @@
 //! Each rasterizer instance owns two SRAM buffers. While the PE block
 //! processes the tile staged in one buffer, the memory interface fills the
 //! other with the next tile's primitive list and pixel state, hiding load
-//! latency. The model tracks the load/writeback cycle costs and the SRAM
-//! traffic for the power model.
+//! latency. The model prices loads and writebacks in cycles. The SRAM
+//! traffic the power model reads comes only from
+//! [`EnhancedRasterizer`](crate::EnhancedRasterizer)'s timing run, which
+//! sums the words those cycles move into
+//! [`FrameReport::buffer_traffic_words`](crate::FrameReport::buffer_traffic_words).
 
 /// FP words needed per staged Gaussian primitive: mean (2) + conic (3) +
 /// color (3) + opacity (1) = the "9 FP numbers" of Table II.
@@ -19,7 +22,7 @@ pub const WORDS_PER_TRIANGLE: u32 = 9;
 /// transmittance (1).
 pub const WORDS_PER_PIXEL: u32 = 4;
 
-/// Timing/traffic model of one instance's tile-buffer pair.
+/// Timing model of one instance's tile-buffer pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileBufferModel {
     /// Primitive capacity of one buffer (oversized lists load in chunks).
@@ -62,13 +65,6 @@ impl TileBufferModel {
     pub fn passes(&self, n: u32) -> u32 {
         n.div_ceil(self.capacity_primitives).max(1)
     }
-
-    /// SRAM words moved for a tile (load + writeback), for the power model.
-    pub fn traffic_words(&self, n: u32, words_each: u32, pixels: u32) -> u64 {
-        u64::from(n) * u64::from(words_each)
-            + u64::from(pixels) * u64::from(WORDS_PER_PIXEL)
-            + u64::from(pixels) * 3
-    }
 }
 
 #[cfg(test)]
@@ -105,14 +101,5 @@ mod tests {
         assert_eq!(b.passes(1024), 1);
         assert_eq!(b.passes(1025), 2);
         assert_eq!(b.passes(5000), 5);
-    }
-
-    #[test]
-    fn traffic_counts_both_directions() {
-        let b = TileBufferModel::new(16);
-        assert_eq!(
-            b.traffic_words(2, WORDS_PER_SPLAT, 4),
-            2 * 9 + 4 * 4 + 4 * 3
-        );
     }
 }

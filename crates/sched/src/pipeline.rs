@@ -1,6 +1,7 @@
 //! Two-stage pipeline arithmetic.
 
-use crate::timeline::{StageSpan, Timeline, Unit};
+use crate::sequence::{replay, FrameCost};
+use crate::timeline::{Timeline, Unit};
 use std::error::Error;
 use std::fmt;
 
@@ -82,36 +83,18 @@ impl PipelineSchedule {
         }
     }
 
-    /// Simulates `frames` frames and returns the Fig. 8 timeline. Frame
-    /// `i`'s Stage 3 starts once its Stages 1–2 finished *and* the
-    /// rasterizer is free; Stages 1–2 of frame `i+1` start as soon as the
-    /// CUDA cores are free.
+    /// Simulates `frames` frames and returns the Fig. 8 timeline: this is
+    /// [`replay`] over `frames` copies of this schedule's costs, so it
+    /// inherits `replay`'s single staging slot. Frame `i`'s Stage 3 starts
+    /// once its Stages 1–2 finished *and* the rasterizer is free; Stages
+    /// 1–2 of frame `i+1` start once the CUDA cores are free and frame
+    /// `i`'s Stage 3 has started.
     pub fn timeline(&self, frames: usize) -> Timeline {
-        let mut spans = Vec::with_capacity(frames * 2);
-        let mut cuda_free = 0.0f64;
-        let mut raster_free = 0.0f64;
-        for frame in 0..frames {
-            let s12_start = cuda_free;
-            let s12_end = s12_start + self.stages12_s;
-            cuda_free = s12_end;
-            spans.push(StageSpan {
-                frame,
-                unit: Unit::CudaCores,
-                start_s: s12_start,
-                end_s: s12_end,
-            });
-
-            let s3_start = s12_end.max(raster_free);
-            let s3_end = s3_start + self.stage3_s;
-            raster_free = s3_end;
-            spans.push(StageSpan {
-                frame,
-                unit: Unit::Rasterizer,
-                start_s: s3_start,
-                end_s: s3_end,
-            });
-        }
-        Timeline::new(spans)
+        let cost = FrameCost {
+            stages12_s: self.stages12_s,
+            stage3_s: self.stage3_s,
+        };
+        replay(&vec![cost; frames]).timeline
     }
 }
 
@@ -162,6 +145,38 @@ mod tests {
             let prev = tl.span(frame - 1, Unit::Rasterizer).unwrap();
             let cur = tl.span(frame, Unit::Rasterizer).unwrap();
             assert!(cur.start_s >= prev.end_s - 1e-12);
+        }
+    }
+
+    #[test]
+    fn timeline_keeps_one_staging_slot() {
+        // Rasterizer-bound: the CUDA cores may run one frame ahead, never
+        // more, so frame i+1's Stages 1-2 wait for frame i's Stage 3 to
+        // start.
+        let tl = PipelineSchedule::new(0.01, 0.03).unwrap().timeline(6);
+        for frame in 1..6 {
+            let s12 = tl.span(frame, Unit::CudaCores).unwrap();
+            let prev_s3 = tl.span(frame - 1, Unit::Rasterizer).unwrap();
+            assert!(
+                s12.start_s >= prev_s3.start_s,
+                "frame {frame} prep at {} before frame {} raster at {}",
+                s12.start_s,
+                frame - 1,
+                prev_s3.start_s
+            );
+        }
+        // CUDA-bound: the slot never binds, so the CUDA spans run back to
+        // back and each Stage 3 starts when its own Stages 1-2 end.
+        let tl = PipelineSchedule::new(0.03, 0.01).unwrap().timeline(6);
+        for frame in 0..6 {
+            let s12 = tl.span(frame, Unit::CudaCores).unwrap();
+            let s3 = tl.span(frame, Unit::Rasterizer).unwrap();
+            let prev_end = match frame {
+                0 => 0.0,
+                _ => tl.span(frame - 1, Unit::CudaCores).unwrap().end_s,
+            };
+            assert_eq!(s12.start_s, prev_end, "frame {frame}");
+            assert_eq!(s3.start_s, s12.end_s, "frame {frame}");
         }
     }
 
