@@ -157,7 +157,7 @@ impl BackendKind {
                 blends_committed: reference.raster.blends_committed,
                 sort_s: reference.sort_wall_s,
                 culled_non_finite: preprocess.non_finite,
-                cull: reference.cull,
+                cull: CullStats::default(),
                 utilization,
             },
         }
@@ -176,12 +176,6 @@ impl std::fmt::Display for BackendKind {
 pub struct ReferencePass {
     /// Stage-1 statistics of the frame.
     pub preprocess: PreprocessStats,
-    /// What the frame's visible set dropped before Stage 1 (the culled
-    /// Gaussians are *also* counted in `preprocess.culled` — the
-    /// visible-set path reproduces the full pass's accounting bit for bit,
-    /// this just attributes them). All zeros for a full pass with no
-    /// visible set.
-    pub cull: CullStats,
     /// Reference Stage-3 statistics (pairs, blends, FP-op tallies).
     pub raster: RasterStats,
     /// Host wall-clock seconds the reference Stage-3 pass took.
@@ -197,32 +191,13 @@ pub struct ReferencePass {
     pub image: Option<Framebuffer>,
 }
 
-/// Visible-set (frustum-culling) statistics for one frame. Every engine
-/// frame runs Stage 1 over the camera's visible set; the counts attribute
-/// a subset of the frame's Stage-1 culls to that prefilter and never
-/// change the totals — the visible-set path is bit-identical to the full
-/// pass.
+/// The field the benchmark harness reads for its cache hit rate. Stage 1
+/// runs over the whole scene and nothing is cached, so `cache_hit` is
+/// always `false`. Kept for that harness until ROADMAP item 4b.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CullStats {
-    /// Gaussians the visible set dropped by the depth (near/far) test.
-    pub frustum_depth: usize,
-    /// Gaussians the visible set dropped laterally (footprint certainly
-    /// off-image).
-    pub frustum_lateral: usize,
-    /// `true` when the visible set came from the session's
-    /// [`VisibilityCache`](gaurast_scene::VisibilityCache) instead of
-    /// being rebuilt. Reports that share one reference pass
-    /// ([`Engine::compare`](crate::engine::Engine::compare),
-    /// [`Engine::render_shared`](crate::engine::Engine::render_shared))
-    /// share its flag: the pass looks the set up once.
+    /// Always `false`: no frame looks anything up in a cache.
     pub cache_hit: bool,
-}
-
-impl CullStats {
-    /// Total Gaussians the visible set dropped before Stage 1.
-    pub fn frustum_total(&self) -> usize {
-        self.frustum_depth + self.frustum_lateral
-    }
 }
 
 /// Frame statistics common to every backend, all filled by
@@ -251,7 +226,8 @@ pub struct FrameStats {
     /// Of `culled`, Gaussians dropped for a non-finite projection
     /// (overflowed covariance).
     pub culled_non_finite: usize,
-    /// Visible-set (frustum-culling) statistics for the frame.
+    /// Always `CullStats { cache_hit: false }`; kept for the benchmark
+    /// harness until ROADMAP item 4b.
     pub cull: CullStats,
     /// Execution-unit utilization, when the backend models one (0 for
     /// analytical backends).

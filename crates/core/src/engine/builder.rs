@@ -5,7 +5,7 @@ use crate::backend::BackendKind;
 use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
-use gaurast_scene::{GaussianScene, PreparedScene, VisibilityCache};
+use gaurast_scene::{GaussianScene, PreparedScene};
 use std::sync::Arc;
 
 /// Builder for an [`Engine`] session.
@@ -43,7 +43,6 @@ pub struct EngineBuilder {
     host: CudaGpuModel,
     image_policy: ImagePolicy,
     vector_mode: VectorMode,
-    vis_cache: Option<Arc<VisibilityCache>>,
 }
 
 impl EngineBuilder {
@@ -66,7 +65,6 @@ impl EngineBuilder {
             host: device::orin_nx(),
             image_policy: ImagePolicy::Discard,
             vector_mode: VectorMode::default(),
-            vis_cache: None,
         }
     }
 
@@ -124,14 +122,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Shares an existing visible-set cache with this session (sessions
-    /// over the same scene and camera poses then build each set once).
-    /// By default every session gets its own cache.
-    pub fn visibility_cache(mut self, cache: Arc<VisibilityCache>) -> Self {
-        self.vis_cache = Some(cache);
-        self
-    }
-
     /// Validates the configuration and builds the session.
     ///
     /// # Errors
@@ -153,8 +143,6 @@ impl EngineBuilder {
             self.host,
             self.backend,
             self.vector_mode,
-            self.vis_cache
-                .unwrap_or_else(|| Arc::new(VisibilityCache::new())),
         ))
     }
 }

@@ -47,14 +47,14 @@ mod builder;
 
 pub use builder::EngineBuilder;
 
-use crate::backend::{BackendKind, CullStats, FrameReport, ReferencePass};
+use crate::backend::{BackendKind, FrameReport, ReferencePass};
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::pipeline::{run_frame, Stage1Input};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::{FrameArena, Framebuffer, RasterWorkload, SimdLevel, VectorMode};
-use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
+use gaurast_scene::{Camera, GaussianScene, PreparedScene};
 use gaurast_sched::{replay, FrameCost, SequenceReport};
 use std::sync::Arc;
 use std::time::Instant;
@@ -178,9 +178,6 @@ pub struct Engine {
     /// `vector_mode` resolved against the host CPU once at session
     /// construction; every reference-pass stage dispatches on this.
     level: SimdLevel,
-    /// Pose-keyed visible-set store, possibly shared with other sessions
-    /// (the `RenderService` hands every session one cache).
-    vis_cache: Arc<VisibilityCache>,
     pool: WorkerPool,
     /// The Stage-2 buffers, handed to each frame's binning and taken back
     /// with [`RasterWorkload::recycle_into`], so steady-state frames run
@@ -192,8 +189,7 @@ pub struct Engine {
 impl Clone for Engine {
     /// A fresh session over the same shared scene and configuration: the
     /// `Arc<PreparedScene>` is shared (no scene copy), and the frame
-    /// counter and frame arena start empty. The visibility cache is shared —
-    /// cached visible sets are semantically transparent.
+    /// counter, frame arena and worker pool start fresh.
     fn clone(&self) -> Self {
         Self::from_parts(
             Arc::clone(&self.scene),
@@ -204,7 +200,6 @@ impl Clone for Engine {
             self.host.clone(),
             self.kind,
             self.vector_mode,
-            Arc::clone(&self.vis_cache),
         )
     }
 }
@@ -220,7 +215,6 @@ impl Engine {
         host: CudaGpuModel,
         kind: BackendKind,
         vector_mode: VectorMode,
-        vis_cache: Arc<VisibilityCache>,
     ) -> Self {
         Self {
             scene,
@@ -232,7 +226,6 @@ impl Engine {
             kind,
             vector_mode,
             level: vector_mode.resolve(),
-            vis_cache,
             pool: WorkerPool::new(workers),
             arena: FrameArena::new(),
             frames: 0,
@@ -288,14 +281,6 @@ impl Engine {
         self.level
     }
 
-    /// The session's visible-set cache. Sessions built through a
-    /// `RenderService` (and `Engine::clone`) share one cache, so requests
-    /// over the same scene and a bit-identical camera build each visible
-    /// set once.
-    pub fn visibility_cache(&self) -> &Arc<VisibilityCache> {
-        &self.vis_cache
-    }
-
     /// Switches the session to another backend, keeping the scene and
     /// frame arena. The frame counter continues.
     pub fn switch_backend(&mut self, kind: BackendKind) {
@@ -322,8 +307,9 @@ impl Engine {
     }
 
     /// Runs one frame through the render crate's frame driver
-    /// ([`run_frame`]): Stage 1 over the camera's cached visible set,
-    /// Stage 2 into recycled session buffers, and the reference Stage-3
+    /// ([`run_frame`]): Stage 1 over every Gaussian of the prepared scene
+    /// (it culls by depth and screen bounds itself), Stage 2 into recycled
+    /// session buffers, and the reference Stage-3
     /// pass (record-only unless images are retained), producing the
     /// finalized workload every backend bills. When the session retains
     /// images the pass renders the reference image, and every backend but
@@ -334,12 +320,6 @@ impl Engine {
     /// directly. Every frame runs exactly one reference pass, so this is
     /// where the session counts frames.
     fn reference_pass(&mut self, camera: &Camera) -> (RasterWorkload, ReferencePass) {
-        let (visible, cache_hit) = self.vis_cache.get_or_build(&self.scene, camera);
-        let cull = CullStats {
-            frustum_depth: visible.culled_depth(),
-            frustum_lateral: visible.culled_lateral(),
-            cache_hit,
-        };
         // The buffer moves into the reference pass (and from there into
         // the report) instead of being cloned every frame.
         let mut image = self
@@ -350,7 +330,7 @@ impl Engine {
         // back into it — the image is a pure function of scene + camera.
         let mut stage_done = [Instant::now(); 3];
         let frame = run_frame(
-            Stage1Input::Prepared(&self.scene, Some(&*visible)),
+            Stage1Input::Prepared(&self.scene),
             camera,
             self.tile_size,
             self.level,
@@ -367,7 +347,6 @@ impl Engine {
             frame.workload,
             ReferencePass {
                 preprocess: frame.preprocess,
-                cull,
                 raster: frame.raster,
                 wall_s: (stage3_done - stage2_done).as_secs_f64().max(MIN_STAGE_S),
                 sort_wall_s: (stage2_done - stage1_done).as_secs_f64().max(MIN_STAGE_S),
@@ -737,16 +716,19 @@ mod tests {
         assert_eq!(a.stats.blends_committed, b.stats.blends_committed);
     }
 
+    /// Pins Stage 1's cull and op accounting on an off-center frame at the
+    /// scene's edge, where many of the 99 culls are by depth or off-image.
+    /// The values are those the removed visible-set path reported; it
+    /// dropped 22 of these culls by depth and 35 laterally before Stage 1
+    /// and billed them back.
     #[test]
-    fn culling_is_on_by_default_and_bit_identical() {
+    fn off_center_frame_pins_stage1_accounting() {
         let scene = SceneParams::new(1500).seed(31).generate().unwrap();
-        let mut culled = EngineBuilder::new(scene)
+        let mut e = EngineBuilder::new(scene)
             .backend(BackendKind::Software)
             .image_policy(ImagePolicy::Retain)
             .build()
             .unwrap();
-        // Off-center view at the scene's edge: the frustum must drop a
-        // real fraction while the frame stays bit-identical.
         let cam = Camera::look_at(
             Vec3::new(22.0, 5.0, -20.0),
             Vec3::new(12.0, 0.0, -2.0),
@@ -756,61 +738,31 @@ mod tests {
             1.05,
         )
         .unwrap();
-        let a = culled.render_frame(&cam);
-        assert!(
-            a.stats.cull.frustum_total() > 0,
-            "off-center camera should let the frustum drop something"
+        let r = e.render_frame(&cam);
+        let s = r.stats;
+        assert_eq!((s.visible, s.culled, s.culled_non_finite), (1401, 99, 0));
+        assert_eq!(
+            (s.pairs, s.blend_work, s.blends_committed, r.ops),
+            (6683, 703_232, 286_558, 466_138)
         );
-        // The full pass: the scalar Stage 1 over every Gaussian, billed
-        // through the software backend as the session bills its frames.
-        let mut image = Framebuffer::new(cam.width(), cam.height());
         let full = run_frame(
-            Stage1Input::Prepared(culled.prepared(), None),
+            Stage1Input::Prepared(e.prepared()),
             &cam,
-            culled.tile_size(),
+            e.tile_size(),
             SimdLevel::Scalar,
             &WorkerPool::serial(),
             &mut FrameArena::new(),
-            Some(&mut image),
+            None,
             |_| {},
         );
-        let reference = ReferencePass {
-            preprocess: full.preprocess,
-            cull: CullStats::default(),
-            raster: full.raster,
-            wall_s: MIN_STAGE_S,
-            sort_wall_s: MIN_STAGE_S,
-            image: None,
+        let stage1 = gaurast_render::ops::OpCounts {
+            add: 115_838,
+            mul: 189_045,
+            div: 2956,
+            exp: 0,
+            cmp: 12_994,
         };
-        let b = BackendKind::Software.execute(culled.hw_config, &full.workload, &reference, true);
-        assert_eq!(
-            a.image.unwrap().mean_abs_diff(&image),
-            0.0,
-            "culled frame must be bit-identical"
-        );
-        // (time_s is wall-clock on the software backend — not compared.)
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.stats.visible, b.stats.visible);
-        assert_eq!(a.stats.culled, b.stats.culled);
-        assert_eq!(a.stats.blend_work, b.stats.blend_work);
-        assert_eq!(a.stats.pairs, b.stats.pairs);
-        assert_eq!(a.stats.blends_committed, b.stats.blends_committed);
-    }
-
-    #[test]
-    fn repeated_frames_hit_the_visibility_cache() {
-        let mut e = engine(BackendKind::Enhanced, ImagePolicy::Discard);
-        let cam = camera(64, 64);
-        let first = e.render_frame(&cam);
-        assert!(!first.stats.cull.cache_hit, "first frame must build");
-        let second = e.render_frame(&cam);
-        assert!(second.stats.cull.cache_hit, "repeat pose must hit");
-        assert_eq!(first.time_s, second.time_s);
-        assert_eq!(e.visibility_cache().len(), 1);
-        assert_eq!(e.visibility_cache().hits(), 1);
-        // A sequence over one camera keeps hitting the same set.
-        let out = e.render_sequence(&vec![cam; 4]);
-        assert!(out.reports.iter().all(|r| r.stats.cull.cache_hit));
+        assert_eq!(full.preprocess.ops, stage1);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::pool::resolve_workers;
 use gaurast_render::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, CameraKey, GaussianScene, PreparedScene, VisibilityCache};
+use gaurast_scene::{Camera, CameraKey, GaussianScene, PreparedScene};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -153,8 +153,7 @@ pub struct RenderResponse {
     /// the request's backend would have produced it (images are
     /// bit-identical). In a batch, requests of one distinct frame share
     /// its reference pass, so their backend-independent statistics —
-    /// wall-clock Stage-2 time and the visibility-cache flag included —
-    /// are the same.
+    /// wall-clock Stage-2 time included — are the same.
     pub report: FrameReport,
 }
 
@@ -170,7 +169,7 @@ pub struct BatchReport {
     /// Worker threads the batch actually used: never more than the
     /// service's worker count or the batch's distinct frames.
     pub workers: usize,
-    /// Reference passes (visibility, Stages 1–3) the batch ran: one per
+    /// Reference passes (Stages 1–3) the batch ran: one per
     /// distinct frame, i.e. per distinct (scene, [`Camera::key`]) pair.
     pub passes: usize,
 }
@@ -374,7 +373,6 @@ impl RenderServiceBuilder {
             hw_config: self.hw_config,
             host: self.host,
             image_policy: self.image_policy,
-            vis_cache: Arc::new(VisibilityCache::new()),
         })
     }
 }
@@ -391,10 +389,6 @@ pub struct RenderService {
     hw_config: RasterizerConfig,
     host: CudaGpuModel,
     image_policy: ImagePolicy,
-    /// One visible-set cache shared by *every* session the service opens:
-    /// distinct frames and `submit`s sharing a scene and a bit-identical
-    /// camera build each set once, across workers.
-    vis_cache: Arc<VisibilityCache>,
 }
 
 impl RenderService {
@@ -645,12 +639,6 @@ impl RenderService {
             .ok_or_else(|| ServiceError::UnknownScene(name.to_string()))
     }
 
-    /// The service-wide visible-set cache (for introspection: hit/miss
-    /// counters, current size).
-    pub fn visibility_cache(&self) -> &Arc<VisibilityCache> {
-        &self.vis_cache
-    }
-
     /// Opens a per-request engine session. The configuration was
     /// validated when the service was built, so a builder failure here is
     /// an internal invariant breach — surfaced as a typed error, never a
@@ -668,7 +656,6 @@ impl RenderService {
             .hw_config(self.hw_config)
             .host(self.host.clone())
             .image_policy(self.image_policy)
-            .visibility_cache(Arc::clone(&self.vis_cache))
             .build()
             .map_err(|e| {
                 ServiceError::Internal(format!(
@@ -825,38 +812,6 @@ mod tests {
             svc.register("late", SceneParams::new(50).seed(2).generate().unwrap()),
             Err(ServiceError::DuplicateScene(_))
         ));
-    }
-
-    #[test]
-    fn batch_workers_share_one_visibility_cache() {
-        // Six identical requests are one distinct frame: one reference
-        // pass, one visible-set lookup.
-        let svc = service();
-        let cam = camera(0.4);
-        let requests: Vec<_> = (0..6)
-            .map(|_| RenderRequest::new("demo", cam.clone()))
-            .collect();
-        let batch = svc.render_batch(&requests).unwrap();
-        assert_eq!((batch.passes, batch.workers), (1, 1));
-        let cache = svc.visibility_cache();
-        assert_eq!(cache.len(), 1, "one camera, one cached set");
-        assert_eq!(cache.hits() + cache.misses(), 1);
-
-        // A later batch on both workers hits the set the first one stored
-        // and stores the new camera's set in the same service-wide cache,
-        // which submit() then hits for both cameras.
-        let other = camera(1.1);
-        let requests = [
-            RenderRequest::new("demo", cam.clone()),
-            RenderRequest::new("demo", other.clone()),
-        ];
-        let batch = svc.render_batch(&requests).unwrap();
-        assert_eq!((batch.passes, batch.workers), (2, 2));
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
-        for c in [cam, other] {
-            svc.submit(RenderRequest::new("demo", c)).unwrap();
-        }
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 2, 2));
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl Pe {
         self.activity
     }
 
-    /// Resets activity counts.
-    pub fn reset_activity(&mut self) {
-        self.activity = PeActivity::default();
-    }
-
     /// Issues one (splat, pixel) pair through the Gaussian datapath,
     /// updating `state` when the blend commits. Returns `true` on commit.
     ///

@@ -10,8 +10,6 @@
 //! * [`sh`] — spherical-harmonics color evaluation (degrees 0–3) exactly as
 //!   used by the 3DGS preprocessing stage,
 //! * [`Aabb2`] / [`Aabb3`] — bounding boxes for tile binning,
-//! * [`Frustum`] — conservative view-frustum culling tests for the
-//!   visible-set subsystem,
 //! * [`fp`] — FP16 bit-level conversion used by the hardware precision model,
 //! * [`expf`] — [`exp_f32`], the one single-precision exponential of every
 //!   Stage-3 blend (a transcription of glibc's `expf`, the same bits on
@@ -35,7 +33,6 @@
 mod aabb;
 pub mod expf;
 pub mod fp;
-mod frustum;
 mod mat;
 mod quat;
 pub mod sh;
@@ -44,7 +41,6 @@ mod vec;
 
 pub use aabb::{Aabb2, Aabb3};
 pub use expf::exp_f32;
-pub use frustum::{Frustum, Visibility, MARGIN_PX};
 pub use mat::{Mat2, Mat3, Mat4};
 pub use quat::Quat;
 pub use transform::{focal_from_fov, fov_from_focal, look_at, perspective};

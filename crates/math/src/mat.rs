@@ -83,12 +83,6 @@ impl Mat2 {
         Self::from_rows(self.at(0, 0), self.at(1, 0), self.at(0, 1), self.at(1, 1))
     }
 
-    /// `true` when symmetric within `tol`.
-    #[inline]
-    pub fn is_symmetric(&self, tol: f32) -> bool {
-        (self.at(0, 1) - self.at(1, 0)).abs() <= tol
-    }
-
     /// Eigenvalues of a symmetric 2×2 matrix, largest first.
     ///
     /// Used to compute the screen-space extent (3σ radius) of a projected

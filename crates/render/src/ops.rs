@@ -41,19 +41,6 @@ impl OpCounts {
         self.add + self.mul + self.div + self.exp + self.cmp
     }
 
-    /// Every count multiplied by `n` — bulk-billing `n` identical events
-    /// (e.g. the fixed off-screen cull bundle for every Gaussian a
-    /// visible set dropped laterally).
-    pub const fn scaled(&self, n: u64) -> OpCounts {
-        OpCounts {
-            add: self.add * n,
-            mul: self.mul * n,
-            div: self.div * n,
-            exp: self.exp * n,
-            cmp: self.cmp * n,
-        }
-    }
-
     /// Scales every count by an integer factor (for per-N averages).
     pub fn saturating_div(&self, n: u64) -> OpCounts {
         if n == 0 {

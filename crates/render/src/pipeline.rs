@@ -11,15 +11,14 @@ use crate::framebuffer::Framebuffer;
 use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::preprocess::{
-    preprocess_pooled_level, preprocess_prepared_pooled_level,
-    preprocess_prepared_visible_pooled_level, PreprocessOutput,
+    preprocess_pooled_level, preprocess_prepared_pooled_level, PreprocessOutput,
 };
 use crate::rasterize::{rasterize_with_level, RasterStats};
 use crate::simd::{detected_level, SimdLevel};
 use crate::tile::bin_splats_pooled;
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibleSet};
+use gaurast_scene::{Camera, GaussianScene, PreparedScene};
 
 /// Stage 2 as a method: [`Stage2Mode::bin`] forwards to
 /// [`bin_splats_pooled`], the one Stage 2. The type exists for
@@ -140,17 +139,16 @@ pub struct WorkloadOutput {
     pub raster: RasterStats,
 }
 
-/// Where one frame's Stage 1 reads its Gaussians from. Every input renders
+/// Where one frame's Stage 1 reads its Gaussians from. Stage 1 runs over
+/// every Gaussian of the scene either way, and both inputs render
 /// bit-identical frames for the same scene and camera.
 #[derive(Clone, Copy, Debug)]
 pub enum Stage1Input<'a> {
     /// A raw scene: Stage 1 builds each Gaussian's world covariance from
     /// its rotation and scale, so nothing is prepared up front.
     Raw(&'a GaussianScene),
-    /// A prepared scene's precomputed covariances, over every Gaussian or,
-    /// with a [`VisibleSet`] built from this scene, over only the set's
-    /// survivors.
-    Prepared(&'a PreparedScene, Option<&'a VisibleSet>),
+    /// A prepared scene: Stage 1 reads its precomputed covariances.
+    Prepared(&'a PreparedScene),
 }
 
 /// One of the three stages [`run_frame`] runs, in execution order.
@@ -182,9 +180,8 @@ pub enum Stage {
 /// back through [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
-/// Panics when `tile_size` is zero, when `image` does not match the
-/// camera's dimensions, or when the visible set was built from another
-/// prepared scene.
+/// Panics when `tile_size` is zero or when `image` does not match the
+/// camera's dimensions.
 #[allow(clippy::too_many_arguments)]
 // gaurast-check: hot-path
 pub fn run_frame(
@@ -199,11 +196,8 @@ pub fn run_frame(
 ) -> WorkloadOutput {
     let pre = match input {
         Stage1Input::Raw(scene) => preprocess_pooled_level(scene, camera, pool, level),
-        Stage1Input::Prepared(prepared, None) => {
+        Stage1Input::Prepared(prepared) => {
             preprocess_prepared_pooled_level(prepared, camera, pool, level)
-        }
-        Stage1Input::Prepared(prepared, Some(visible)) => {
-            preprocess_prepared_visible_pooled_level(prepared, camera, visible, pool, level)
         }
     };
     let preprocess = PreprocessStats::from(&pre);

@@ -15,7 +15,7 @@ use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::simd::SimdLevel;
 use gaurast_math::{exp_f32, Mat2, Mat3, Vec2, Vec3};
-use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibleSet};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene, VisibleSet};
 use std::ops::Range;
 
 /// Gaussians per parallel Stage-1 job. The chunking is *fixed-size*, not
@@ -84,26 +84,6 @@ pub struct PreprocessOutput {
     /// FP operations spent (Stage 1 contributes to the end-to-end model).
     pub ops: OpCounts,
 }
-
-/// The exact Stage-1 op tally charged for a Gaussian that survives the
-/// depth clip but is culled at the sub-pixel-radius or off-screen branch:
-/// projection of the mean, the EWA Jacobian, both 3×3 covariance
-/// products, the low-pass filter, the conic inversion, and the
-/// eigenvalue/radius computation — everything before the cull that ends
-/// it. Both late branches charge identically (the `radius < 1` and
-/// screen-bounds tests tally nothing before `continue`).
-///
-/// A [`VisibleSet`] bills this bundle for every Gaussian it culled
-/// laterally, which is what keeps visible-set Stage 1 bit-identical in
-/// `ops` to the full pass (`tests::offscreen_cull_bundle_matches_kernel`
-/// pins it to the kernel).
-pub const OFFSCREEN_CULL_OPS: OpCounts = OpCounts {
-    add: 67,
-    mul: 108,
-    div: 2,
-    exp: 0,
-    cmp: 5,
-};
 
 /// Runs Stage 1 over a scene.
 ///
@@ -176,56 +156,18 @@ pub fn preprocess_prepared_pooled_level(
     preprocess_chunked(prepared.scene(), camera, |i, _| covariances[i], pool, level)
 }
 
-/// [`preprocess_prepared_pooled_level`] restricted to a [`VisibleSet`]:
-/// Stage 1 only iterates the set's surviving indices, in fixed
-/// [`PREPROCESS_CHUNK`]-sized chunks of the visible index list, then
-/// accounts for the frustum-dropped remainder exactly as the full pass
-/// would have — depth-culled Gaussians add to the cull count with zero
-/// ops, laterally-culled ones add the fixed [`OFFSCREEN_CULL_OPS`] bundle
-/// each. The output is therefore **bit-identical** (splats, order,
-/// `source` ids, cull counts, op tallies) to the full pass over the whole
-/// scene at every worker count and level; only the wall-clock time
-/// shrinks.
-///
-/// # Panics
-/// Panics when the set's generation tag does not match `prepared` (the
-/// set was built from a different scene).
+/// [`preprocess_prepared_pooled_level`] under the name the benchmark
+/// harness's traced replay calls: a [`VisibleSet`] stands for the whole
+/// scene, so this runs Stage 1 over every Gaussian. Kept for that replay
+/// until ROADMAP item 4b deletes it.
 pub fn preprocess_prepared_visible_pooled_level(
     prepared: &PreparedScene,
     camera: &Camera,
-    visible: &VisibleSet,
+    _visible: &VisibleSet,
     pool: &WorkerPool,
     level: SimdLevel,
 ) -> PreprocessOutput {
-    assert_eq!(
-        visible.scene_generation(),
-        prepared.generation(),
-        "visible set belongs to a different prepared scene"
-    );
-    let covariances = prepared.covariances();
-    let covariance_of = |i: usize, _: &gaurast_scene::Gaussian3| covariances[i];
-    let scene = prepared.scene();
-    let idx = visible.indices();
-    let mut out = if pool.is_serial() || idx.len() <= PREPROCESS_CHUNK {
-        preprocess_indices(scene, camera, &covariance_of, idx, level)
-    } else {
-        let n_chunks = idx.len().div_ceil(PREPROCESS_CHUNK);
-        // gaurast-check: allow(alloc): one output slot per Stage-1 chunk,
-        // O(visible / PREPROCESS_CHUNK) per frame; each chunk owns the
-        // splats it emits until `stitch` merges them into the frame's list.
-        let mut chunks: Vec<PreprocessOutput> = vec![PreprocessOutput::default(); n_chunks];
-        pool.run_mut(&mut chunks, |c, chunk| {
-            let start = c * PREPROCESS_CHUNK;
-            let end = (start + PREPROCESS_CHUNK).min(idx.len());
-            *chunk = preprocess_indices(scene, camera, &covariance_of, &idx[start..end], level);
-        });
-        stitch(chunks)
-    };
-    // The frustum only drops Gaussians Stage 1 would have culled; bill
-    // them exactly as the skipped branches would have.
-    out.culled += visible.culled_total();
-    out.ops += OFFSCREEN_CULL_OPS.scaled(visible.culled_lateral() as u64);
-    out
+    preprocess_prepared_pooled_level(prepared, camera, pool, level)
 }
 
 /// The shared chunked Stage-1 driver: splits the Gaussian index space into
@@ -235,12 +177,12 @@ pub fn preprocess_prepared_visible_pooled_level(
 fn preprocess_chunked(
     scene: &GaussianScene,
     camera: &Camera,
-    covariance_of: impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync,
+    covariance_of: impl Fn(usize, &Gaussian3) -> Mat3 + Sync,
     pool: &WorkerPool,
     level: SimdLevel,
 ) -> PreprocessOutput {
     if pool.is_serial() || scene.len() <= PREPROCESS_CHUNK {
-        return preprocess_range_level(scene, camera, &covariance_of, 0..scene.len(), level);
+        return preprocess_over_level(scene, camera, &covariance_of, 0..scene.len(), level);
     }
     let n_chunks = scene.len().div_ceil(PREPROCESS_CHUNK);
     // gaurast-check: allow(alloc): one output slot per Stage-1 chunk,
@@ -250,7 +192,7 @@ fn preprocess_chunked(
     pool.run_mut(&mut chunks, |i, chunk| {
         let start = i * PREPROCESS_CHUNK;
         let end = (start + PREPROCESS_CHUNK).min(scene.len());
-        *chunk = preprocess_range_level(scene, camera, &covariance_of, start..end, level);
+        *chunk = preprocess_over_level(scene, camera, &covariance_of, start..end, level);
     });
     stitch(chunks)
 }
@@ -270,76 +212,43 @@ fn stitch(chunks: Vec<PreprocessOutput>) -> PreprocessOutput {
     out
 }
 
-/// The Stage-1 loop over one contiguous Gaussian index range (see
-/// [`preprocess_over`]).
-fn preprocess_range_level(
-    scene: &GaussianScene,
-    camera: &Camera,
-    covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),
-    range: Range<usize>,
-    level: SimdLevel,
-) -> PreprocessOutput {
-    let len = range.len();
-    preprocess_over_level(scene, camera, covariance_of, len, range, level)
-}
-
-/// The Stage-1 loop over an explicit ascending index list (the visible-set
-/// path; see [`preprocess_over`]).
-fn preprocess_indices(
-    scene: &GaussianScene,
-    camera: &Camera,
-    covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),
-    indices: &[u32],
-    level: SimdLevel,
-) -> PreprocessOutput {
-    preprocess_over_level(
-        scene,
-        camera,
-        covariance_of,
-        indices.len(),
-        indices.iter().map(|&i| i as usize),
-        level,
-    )
-}
-
-/// Dispatches one Stage-1 index sequence to the AVX2 lane-group kernel
-/// (`crate::simd::stage1`) or the scalar reference kernel — bit-identical
-/// either way. The single Stage-1 dispatch: it clamps `level` to
-/// [`crate::simd::detected_level`], so every public entry point is sound
-/// for any requested level.
+/// Dispatches Stage 1 over the Gaussians of one contiguous index range to
+/// the AVX2 lane-group kernel (`crate::simd::stage1`) or the scalar
+/// reference kernel — bit-identical either way. The single Stage-1
+/// dispatch: it clamps `level` to [`crate::simd::detected_level`], so
+/// every public entry point is sound for any requested level. The range
+/// lies within the scene (the chunked driver cuts it from
+/// `0..scene.len()`); a range past the end would project no Gaussian.
 fn preprocess_over_level(
     scene: &GaussianScene,
     camera: &Camera,
-    covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),
-    count: usize,
-    indices: impl Iterator<Item = usize>,
+    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
+    range: Range<usize>,
     level: SimdLevel,
 ) -> PreprocessOutput {
+    let first = range.start;
+    let gaussians = scene.as_slice().get(range).unwrap_or_default();
     match level.min(crate::simd::detected_level()) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
-            crate::simd::stage1::preprocess_over_avx2(scene, camera, covariance_of, count, indices)
+            crate::simd::stage1::preprocess_over_avx2(gaussians, first, camera, covariance_of)
         }
-        _ => preprocess_over(scene, camera, covariance_of, count, indices),
+        _ => preprocess_over(gaussians, first, camera, covariance_of),
     }
 }
 
-/// The Stage-1 loop over an arbitrary ascending Gaussian index sequence,
-/// parameterised over where each Gaussian's world-space covariance comes
-/// from (computed on the fly for a raw scene, read back for a prepared
-/// one). One code path serves the full-range and visible-set entry points,
-/// so their per-Gaussian arithmetic — and therefore their outputs — are
-/// identical by construction. Emitted `source` ids are global scene
-/// indices regardless of the sequence.
+/// The scalar Stage-1 loop over `gaussians`, the scene's Gaussians from
+/// index `first` on, parameterised over where each Gaussian's world-space
+/// covariance comes from (computed on the fly for a raw scene, read back
+/// for a prepared one). Emitted `source` ids are global scene indices.
 fn preprocess_over(
-    scene: &GaussianScene,
+    gaussians: &[Gaussian3],
+    first: usize,
     camera: &Camera,
-    covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),
-    count: usize,
-    indices: impl Iterator<Item = usize>,
+    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
 ) -> PreprocessOutput {
     let mut out = PreprocessOutput::default();
-    out.splats.reserve(count);
+    out.splats.reserve(gaussians.len());
     let cam_pos = camera.position();
     let view_rot = camera.view().upper_left_3x3();
     let focal = camera.focal();
@@ -349,10 +258,7 @@ fn preprocess_over(
     let tan_half_x = 0.5 * w / focal.x;
     let tan_half_y = 0.5 * h / focal.y;
 
-    for i in indices {
-        // gaurast-check: allow(panic): visible-set indices are drawn from
-        // `0..scene.len()` over this same scene when the set is built.
-        let g = scene.get(i).expect("index within scene");
+    for (i, g) in (first..).zip(gaussians) {
         let p_cam = camera.world_to_camera(g.position);
         // Near-plane cull (reference: z <= 0.2 in scene units scaled; we use
         // the camera's configured near plane).
@@ -611,8 +517,11 @@ mod tests {
     #[test]
     fn offscreen_cull_bundle_matches_kernel() {
         // A Gaussian that passes the depth clip but is culled at the
-        // screen-bounds branch must charge exactly OFFSCREEN_CULL_OPS —
-        // the constant a VisibleSet bills per laterally-dropped Gaussian.
+        // screen-bounds branch charges everything before that cull: the
+        // mean projection, the EWA Jacobian, both 3×3 covariance products,
+        // the low-pass filter, the conic inversion and the eigenvalue and
+        // radius computation. The sub-pixel-radius cull charges the same
+        // bundle (its test tallies nothing before `continue`).
         let scene = single(Gaussian3::isotropic(
             Vec3::new(100.0, 0.0, 0.0),
             0.01,
@@ -623,7 +532,14 @@ mod tests {
         assert!(out.splats.is_empty());
         assert_eq!(out.culled, 1);
         assert_eq!(out.culled_non_finite, 0);
-        assert_eq!(out.ops, OFFSCREEN_CULL_OPS, "bundle drifted from kernel");
+        let bundle = OpCounts {
+            add: 67,
+            mul: 108,
+            div: 2,
+            exp: 0,
+            cmp: 5,
+        };
+        assert_eq!(out.ops, bundle, "bundle drifted from kernel");
     }
 
     #[test]
@@ -639,93 +555,6 @@ mod tests {
         assert!(out.splats.is_empty(), "non-finite splat reached output");
         assert_eq!(out.culled, 1);
         assert_eq!(out.culled_non_finite, 1);
-    }
-
-    #[test]
-    fn visible_set_path_is_bit_identical() {
-        use gaurast_scene::generator::SceneParams;
-        use gaurast_scene::PreparedScene;
-        let scene = SceneParams::new(3000).seed(13).generate().unwrap();
-        let cam = Camera::look_at(
-            Vec3::new(20.0, 4.0, -18.0),
-            Vec3::new(8.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            96,
-            64,
-            1.05,
-        )
-        .unwrap();
-        let prepared = PreparedScene::prepare(scene);
-        let full = preprocess_prepared_pooled_level(
-            &prepared,
-            &cam,
-            &WorkerPool::serial(),
-            SimdLevel::Scalar,
-        );
-        let visible = prepared.visible_set(&cam);
-        for workers in [1usize, 4] {
-            let pool = WorkerPool::new(workers);
-            let culled = preprocess_prepared_visible_pooled_level(
-                &prepared,
-                &cam,
-                &visible,
-                &pool,
-                SimdLevel::Scalar,
-            );
-            assert_eq!(
-                culled, full,
-                "visible-set Stage 1 diverged ({workers} workers)"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_visible_set_reproduces_full_cull_accounting() {
-        use gaurast_scene::generator::SceneParams;
-        use gaurast_scene::PreparedScene;
-        let scene = SceneParams::new(400).seed(2).generate().unwrap();
-        // Looking straight away from the scene: every Gaussian is behind.
-        let cam = Camera::look_at(
-            Vec3::new(0.0, 0.0, -80.0),
-            Vec3::new(0.0, 0.0, -160.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            64,
-            64,
-            1.0,
-        )
-        .unwrap();
-        let prepared = PreparedScene::prepare(scene);
-        let visible = prepared.visible_set(&cam);
-        assert!(visible.is_empty());
-        let serial = WorkerPool::serial();
-        let culled = preprocess_prepared_visible_pooled_level(
-            &prepared,
-            &cam,
-            &visible,
-            &serial,
-            SimdLevel::Scalar,
-        );
-        let full = preprocess_prepared_pooled_level(&prepared, &cam, &serial, SimdLevel::Scalar);
-        assert_eq!(culled, full);
-        assert_eq!(culled.culled, 400);
-    }
-
-    #[test]
-    #[should_panic(expected = "different prepared scene")]
-    fn visible_set_generation_mismatch_panics() {
-        use gaurast_scene::generator::SceneParams;
-        use gaurast_scene::PreparedScene;
-        let a = PreparedScene::prepare(SceneParams::new(10).seed(1).generate().unwrap());
-        let b = PreparedScene::prepare(SceneParams::new(10).seed(1).generate().unwrap());
-        let cam = camera();
-        let set = a.visible_set(&cam);
-        let _ = preprocess_prepared_visible_pooled_level(
-            &b,
-            &cam,
-            &set,
-            &WorkerPool::serial(),
-            SimdLevel::Scalar,
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The rules:
 //!
 //! * Gaussians are processed in lane groups of 8. The partial tail group
-//!   of an index sequence runs through the same kernel with its unused
+//!   of an index range runs through the same kernel with its unused
 //!   lanes zeroed; only the gathered lanes are finalized.
 //! * The scalar kernel culls with early `continue`s; the vector kernel
 //!   computes every stage unconditionally and then classifies each lane by
@@ -35,7 +35,7 @@ use core::arch::x86_64::{
     _CMP_UNORD_Q,
 };
 use gaurast_math::{Mat3, Vec2, Vec3};
-use gaurast_scene::{Camera, Gaussian3, GaussianScene};
+use gaurast_scene::{Camera, Gaussian3};
 
 /// Gaussians per lane group (8 × f32 in one AVX2 register).
 const LANES: usize = 8;
@@ -135,20 +135,19 @@ impl FrameConsts {
     }
 }
 
-/// AVX2 twin of `preprocess::preprocess_over`: projects `indices` in lane
-/// groups of 8 Gaussians, the last group partial when the count is not a
-/// multiple of 8.
+/// AVX2 twin of `preprocess::preprocess_over`: projects `gaussians`, the
+/// scene's Gaussians from index `first` on, in lane groups of 8, the last
+/// group partial when the count is not a multiple of 8.
 ///
 /// The host must support AVX2: `preprocess::preprocess_over_level`, the
 /// one Stage-1 dispatch, reaches this kernel only at a level clamped to
 /// [`crate::simd::detected_level`].
 // gaurast-check: hot-path
 pub(crate) fn preprocess_over_avx2(
-    scene: &GaussianScene,
+    gaussians: &[Gaussian3],
+    first: usize,
     camera: &Camera,
     covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
-    count: usize,
-    indices: impl Iterator<Item = usize>,
 ) -> PreprocessOutput {
     debug_assert_eq!(
         detected_level(),
@@ -156,52 +155,44 @@ pub(crate) fn preprocess_over_avx2(
         "AVX2 Stage-1 kernel reached on a host without AVX2"
     );
     let mut out = PreprocessOutput::default();
-    out.splats.reserve(count);
+    out.splats.reserve(gaussians.len());
     let fc = FrameConsts::new(camera);
     let cam_pos = camera.position();
-
-    let mut idx = [0usize; LANES];
-    let mut n = 0;
-    for i in indices {
-        idx[n] = i;
-        n += 1;
-        if n == LANES {
-            run_group(&mut out, scene, covariance_of, &idx, &fc, cam_pos);
-            n = 0;
-        }
-    }
-    if n > 0 {
-        run_group(&mut out, scene, covariance_of, &idx[..n], &fc, cam_pos);
+    for (g, group) in gaussians.chunks(LANES).enumerate() {
+        run_group(
+            &mut out,
+            group,
+            first + g * LANES,
+            covariance_of,
+            &fc,
+            cam_pos,
+        );
     }
     out
 }
 
-/// Gathers up to 8 Gaussians into lanes (a partial group leaves its
-/// unused lanes zero), runs the vector kernel, and finalizes the gathered
-/// lanes in lane order.
+/// Gathers a group of up to 8 Gaussians, the first at scene index
+/// `first`, into lanes (a partial group leaves its unused lanes zero),
+/// runs the vector kernel, and finalizes the gathered lanes in lane order.
 fn run_group(
     out: &mut PreprocessOutput,
-    scene: &GaussianScene,
+    group: &[Gaussian3],
+    first: usize,
     covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
-    idx: &[usize],
     fc: &FrameConsts,
     cam_pos: Vec3,
 ) {
-    debug_assert!(!idx.is_empty() && idx.len() <= LANES);
+    debug_assert!(!group.is_empty() && group.len() <= LANES);
     let mut pos = [[0.0f32; LANES]; 3];
     // Column-major 3×3 covariance, one lane row per element:
     // `cov[c * 3 + r][lane] = cov3.at(r, c)`.
     let mut cov = [[0.0f32; LANES]; 9];
-    let mut gs: [Option<&Gaussian3>; LANES] = [None; LANES];
-    for (lane, &i) in idx.iter().enumerate() {
-        // gaurast-check: allow(panic): indices come from an in-bounds range
-        // or a validated `VisibleSet`; out-of-range is a constructor bug.
-        let g = scene.get(i).expect("index within scene");
+    for (lane, g) in group.iter().enumerate() {
         // Hoisted ahead of the depth cull (the reference evaluates it
         // after); `covariance_of` is pure, so the extra evaluation on
         // depth-culled lanes changes no output. Gathering whole lane
         // groups needs the hoist.
-        let cov3 = covariance_of(i, g);
+        let cov3 = covariance_of(first + lane, g);
         pos[0][lane] = g.position.x;
         pos[1][lane] = g.position.y;
         pos[2][lane] = g.position.z;
@@ -210,20 +201,16 @@ fn run_group(
             cols[1][lane] = cov3.at(1, c);
             cols[2][lane] = cov3.at(2, c);
         }
-        gs[lane] = Some(g);
     }
 
-    let mut group = GroupOut::default();
+    let mut lanes = GroupOut::default();
     // SAFETY: `preprocess_over_level`, the only caller of
     // `preprocess_over_avx2`, clamps its level to
     // `simd::detected_level()`, so the AVX2 feature is present on this CPU.
-    unsafe { group_avx2(fc, &pos, &cov, &mut group) }
+    unsafe { group_avx2(fc, &pos, &cov, &mut lanes) }
 
-    for (lane, &i) in idx.iter().enumerate() {
-        // gaurast-check: allow(panic): filled by the gather loop above for
-        // every gathered lane.
-        let g = gs[lane].expect("lane gathered above");
-        finalize_lane(out, i, g, &group, lane, cam_pos);
+    for (lane, g) in group.iter().enumerate() {
+        finalize_lane(out, first + lane, g, &lanes, lane, cam_pos);
     }
 }
 
@@ -271,8 +258,9 @@ fn finalize_lane(
             out.culled += 1;
         }
         CODE_NON_FINITE | CODE_RADIUS | CODE_OFFSCREEN => {
-            // Identical to `preprocess::OFFSCREEN_CULL_OPS` — the late cull
-            // branches all charge the full pre-cull bundle.
+            // The late cull branches all charge the full pre-cull bundle
+            // (`preprocess::tests::offscreen_cull_bundle_matches_kernel`
+            // pins it on the scalar kernel).
             charge_through_low_pass(&mut out.ops);
             charge_inverse_and_radius(&mut out.ops);
             out.culled += 1;

@@ -30,7 +30,6 @@ fn hundred_frame_session_spawns_nothing_in_steady_state() {
         1.05,
     )
     .expect("fixed camera");
-    let visible = prepared.visible_set(&camera);
     let level = VectorMode::default().resolve();
 
     // Session setup: one counted construction per `WorkerPool::new`, which
@@ -44,12 +43,12 @@ fn hundred_frame_session_spawns_nothing_in_steady_state() {
     assert_eq!(spawned_thread_count(), spawned + 3);
     let mut arena = FrameArena::new();
 
-    // The engine's frame shape: a prepared scene over its visible set,
-    // imaged, through one pool and one recycled arena.
+    // The engine's frame shape: a prepared scene, imaged, through one pool
+    // and one recycled arena.
     let frame = |arena: &mut FrameArena| -> (Framebuffer, WorkloadOutput) {
         let mut image = Framebuffer::new(camera.width(), camera.height());
         let out = run_frame(
-            Stage1Input::Prepared(&prepared, Some(&visible)),
+            Stage1Input::Prepared(&prepared),
             &camera,
             DEFAULT_TILE_SIZE,
             level,

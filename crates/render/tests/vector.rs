@@ -11,10 +11,7 @@
 use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pipeline::{render, run_frame, RenderConfig, Stage1Input, WorkloadOutput};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{
-    preprocess_pooled_level, preprocess_prepared_pooled_level,
-    preprocess_prepared_visible_pooled_level,
-};
+use gaurast_render::preprocess::{preprocess_pooled_level, preprocess_prepared_pooled_level};
 use gaurast_render::rasterize::rasterize_with_level;
 use gaurast_render::tile::bin_splats;
 use gaurast_render::{FrameArena, Framebuffer, SimdLevel, Splat2D, DEFAULT_TILE_SIZE};
@@ -154,9 +151,8 @@ proptest! {
         assert_levels_identical(&scene, &cam, workers);
     }
 
-    /// Stage 1 in isolation: the raw, prepared and visible-set `_level`
-    /// entry points must agree across levels on splats, cull counts, and
-    /// op tallies.
+    /// Stage 1 in isolation: the raw and prepared `_level` entry points
+    /// must agree across levels on splats, cull counts, and op tallies.
     #[test]
     fn preprocess_levels_agree(
         n in 1usize..900,
@@ -168,15 +164,11 @@ proptest! {
         let pool = WorkerPool::new(workers);
         let reference = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
         let prepared = PreparedScene::prepare(scene.clone());
-        let set = prepared.visible_set(&cam);
         for level in LEVELS {
             let raw = preprocess_pooled_level(&scene, &cam, &pool, level);
             prop_assert_eq!(&reference, &raw, "raw at {:?}", level);
             let full = preprocess_prepared_pooled_level(&prepared, &cam, &pool, level);
             prop_assert_eq!(&reference, &full, "prepared at {:?}", level);
-            let culled =
-                preprocess_prepared_visible_pooled_level(&prepared, &cam, &set, &pool, level);
-            prop_assert_eq!(&reference, &culled, "visible set at {:?}", level);
         }
     }
 }
@@ -283,7 +275,6 @@ fn stage1_clamps_a_level_above_the_host() {
         .expect("valid scene");
     let cam = camera(96, 64);
     let prepared = PreparedScene::prepare(scene.clone());
-    let set = prepared.visible_set(&cam);
     for workers in [1, 3] {
         let pool = WorkerPool::new(workers);
         let scalar = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
@@ -291,10 +282,6 @@ fn stage1_clamps_a_level_above_the_host() {
         assert_eq!(preprocess_pooled_level(&scene, &cam, &pool, avx2), scalar);
         assert_eq!(
             preprocess_prepared_pooled_level(&prepared, &cam, &pool, avx2),
-            scalar
-        );
-        assert_eq!(
-            preprocess_prepared_visible_pooled_level(&prepared, &cam, &set, &pool, avx2),
             scalar
         );
         let (reference_image, reference) = frame(
@@ -306,8 +293,7 @@ fn stage1_clamps_a_level_above_the_host() {
         );
         for (label, input) in [
             ("raw", Stage1Input::Raw(&scene)),
-            ("prepared", Stage1Input::Prepared(&prepared, None)),
-            ("visible set", Stage1Input::Prepared(&prepared, Some(&set))),
+            ("prepared", Stage1Input::Prepared(&prepared)),
         ] {
             let (image, out) = frame(input, &cam, avx2, &pool, true);
             assert_eq!(image, reference_image, "{label} (workers {workers})");

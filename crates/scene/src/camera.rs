@@ -5,7 +5,7 @@
 //! synthetic scenes.
 
 use crate::SceneError;
-use gaurast_math::{focal_from_fov, look_at, Frustum, Mat4, Vec2, Vec3};
+use gaurast_math::{focal_from_fov, look_at, Mat4, Vec2, Vec3};
 
 /// A pinhole camera: world-to-camera rigid transform plus intrinsics.
 ///
@@ -37,8 +37,7 @@ pub struct CameraKey {
 impl Camera {
     /// The camera's exact key: equal keys mean bit-identical fields, so
     /// the two cameras render bit-identical frames of any scene. Unlike
-    /// `==` it tells `+0.0` from `-0.0`. Batches share a reference pass,
-    /// and [`VisibilityCache`](crate::VisibilityCache)s a visible set,
+    /// `==` it tells `+0.0` from `-0.0`. Batches share a reference pass
     /// between cameras with equal keys.
     pub fn key(&self) -> CameraKey {
         CameraKey {
@@ -152,12 +151,6 @@ impl Camera {
         self.height
     }
 
-    /// Total pixel count.
-    #[inline]
-    pub fn pixel_count(&self) -> u64 {
-        u64::from(self.width) * u64::from(self.height)
-    }
-
     /// Focal lengths `(fx, fy)` in pixels.
     #[inline]
     pub fn focal(&self) -> Vec2 {
@@ -213,21 +206,6 @@ impl Camera {
     #[inline]
     pub fn world_to_pixel(&self, p: Vec3) -> Option<Vec2> {
         self.camera_to_pixel(self.world_to_camera(p))
-    }
-
-    /// Extracts this camera's conservative view frustum (exact pose, zero
-    /// slack). [`PreparedScene::visible_set`](crate::PreparedScene::visible_set)
-    /// widens it by a float-evaluation slack before building a set.
-    pub fn frustum(&self) -> Frustum {
-        Frustum::new(
-            self.view,
-            self.width,
-            self.height,
-            self.focal,
-            self.principal,
-            self.near,
-            self.far,
-        )
     }
 }
 

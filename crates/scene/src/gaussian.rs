@@ -228,12 +228,6 @@ impl GaussianScene {
         b
     }
 
-    /// Consumes the scene, returning the raw Gaussians.
-    #[inline]
-    pub fn into_gaussians(self) -> Vec<Gaussian3> {
-        self.gaussians
-    }
-
     /// Gaussians as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[Gaussian3] {

@@ -12,11 +12,11 @@
 //!   rotation quaternion, opacity, spherical-harmonics color);
 //! * [`PreparedScene`] — the immutable share-ready asset: a validated scene
 //!   plus every camera-independent precomputation (bounds, world
-//!   covariances, 3σ radii, a coarse spatial index, summary statistics),
-//!   built once and served to any number of sessions behind an `Arc`;
-//! * [`visibility`] — the frustum-culled visible-set subsystem:
-//!   [`VisibleSet`]s over the spatial index, keyed by [`Camera::key`] and
-//!   cacheable across sessions via [`VisibilityCache`];
+//!   covariances, summary statistics), built once and served to any number
+//!   of sessions behind an `Arc`;
+//! * [`visibility`] — names the benchmark harness's traced replay still
+//!   calls, standing for the whole scene until ROADMAP item 4b deletes
+//!   them;
 //! * [`TriangleMesh`] — the classic representation handled by the original
 //!   triangle rasterizer that GauRast extends;
 //! * [`Camera`] and orbit trajectories;

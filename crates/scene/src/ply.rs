@@ -11,7 +11,7 @@
 
 use crate::{Gaussian3, GaussianScene, SceneError, ShColor};
 use gaurast_math::{sh, Quat, Vec3};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Read};
 
 /// Inverse sigmoid: opacity (0, 1) → stored logit.
 fn logit(p: f32) -> f32 {
@@ -242,18 +242,6 @@ pub fn from_ply(bytes: &[u8]) -> Result<GaussianScene, SceneError> {
         });
     }
     GaussianScene::from_gaussians(gaussians)
-}
-
-/// Writes a scene as PLY to any writer.
-///
-/// # Errors
-/// Propagates serialization and I/O failures (I/O errors are wrapped into
-/// [`SceneError::InvalidParameter`] with the underlying message).
-pub fn write_ply<W: Write>(scene: &GaussianScene, mut writer: W) -> Result<(), SceneError> {
-    let bytes = to_ply(scene)?;
-    writer
-        .write_all(&bytes)
-        .map_err(|e| SceneError::InvalidParameter(format!("ply write failed: {e}")))
 }
 
 #[cfg(test)]

@@ -76,11 +76,10 @@ fn batch_over_four_workers_is_in_order_and_bit_identical() {
 /// What a coalesced response must share with a dedicated session's frame:
 /// every field of the report, floats by their bits, except the wall-clock
 /// ones (`stats.sort_s`, and the software backend's `time_s`, which leaves
-/// that backend no modeled time or energy bits), the visibility-cache
-/// flag, which tells only which session looked the pose up first, and
-/// `kind`, which the caller checks.
+/// that backend no modeled time or energy bits), `stats.cull`, which is
+/// always `false`, and `kind`, which the caller checks.
 #[allow(clippy::type_complexity)]
-fn facts(r: &FrameReport) -> ([u64; 11], Option<(u64, u64)>, Option<Vec<u32>>) {
+fn facts(r: &FrameReport) -> ([u64; 9], Option<(u64, u64)>, Option<Vec<u32>>) {
     let s = &r.stats;
     (
         [
@@ -91,8 +90,6 @@ fn facts(r: &FrameReport) -> ([u64; 11], Option<(u64, u64)>, Option<Vec<u32>>) {
             s.visible as u64,
             s.culled as u64,
             s.culled_non_finite as u64,
-            s.cull.frustum_depth as u64,
-            s.cull.frustum_lateral as u64,
             s.utilization.to_bits(),
             s.mean_list.to_bits(),
         ],
