@@ -1,9 +1,12 @@
-//! Measured (not asserted-by-inspection) zero-allocation contracts, with
-//! the counting allocator installed as this binary's global allocator:
+//! Measured (not asserted-by-inspection) allocation contracts, with the
+//! counting allocator installed as this binary's global allocator:
 //! steady-state `WorkerPool::run` dispatches — the per-frame
 //! wakeup/claim/park protocol — and steady-state Stage 2
 //! (`bin_splats_pooled` over a warm arena) must perform **zero** heap
-//! allocations.
+//! allocations, and the frame driver's fused Stages 2–3
+//! (`bin_and_rasterize_chunked`: scatter rounds and resumable Stage 3
+//! over a warm arena) allocate only Stage 3's O(tiles) job staging, the
+//! same count every frame.
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so the measured windows must not race another test's allocations in
@@ -11,10 +14,11 @@
 
 use gaurast_bench::alloc_counter::{allocation_count, CountingAllocator};
 use gaurast_math::Vec3;
+use gaurast_render::pipeline::bin_and_rasterize_chunked;
 use gaurast_render::pool::{spawned_thread_count, WorkerPool};
 use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::tile::{bin_splats_pooled, BIN_CHUNK};
-use gaurast_render::{FrameArena, SimdLevel, Splat2D};
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel, Splat2D};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::Camera;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,5 +100,48 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
         allocation_count(),
         allocs_before,
         "steady-state Stage 2 must not allocate"
+    );
+
+    // Steady-state Stages 2–3 as the frame driver runs them, on the same
+    // width-4 pool and arena: Stage 2's data path, the scatter rounds and
+    // the tiles' pixel state between rounds allocate nothing. Stage 3
+    // stages one job list per frame and, when imaged, the tile views
+    // (`Framebuffer::tile_views_mut`: the view list plus a color and a
+    // transmittance row list per tile).
+    let (width, height) = (camera.width(), camera.height());
+    let tiles = (width.div_ceil(16) * height.div_ceil(16)) as usize;
+    let mut image = Framebuffer::new(width, height);
+    for imaged in [false, true] {
+        let staging = if imaged { 2 + 2 * tiles } else { 1 };
+        let mut frame = |splats: Vec<Splat2D>, arena: &mut FrameArena| {
+            let (workload, stats) = bin_and_rasterize_chunked(
+                splats,
+                (width, height, 16),
+                SimdLevel::Avx2,
+                &pool,
+                arena,
+                imaged.then_some(&mut image),
+                BIN_CHUNK,
+                || {},
+            );
+            assert!(stats.blends_committed > 0, "the frame must blend");
+            workload.recycle_into(arena);
+        };
+        frame(splats.clone(), &mut arena);
+        let frames: Vec<Vec<Splat2D>> = (0..8).map(|_| splats.clone()).collect();
+        for copy in frames {
+            let allocs_before = allocation_count();
+            frame(copy, &mut arena);
+            assert_eq!(
+                allocation_count() - allocs_before,
+                staging as u64,
+                "steady-state Stages 2-3 (imaged {imaged}) may allocate only Stage 3's job staging"
+            );
+        }
+    }
+    assert_eq!(
+        spawned_thread_count(),
+        spawned_before,
+        "frames must not spawn threads"
     );
 }

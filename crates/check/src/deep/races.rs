@@ -13,7 +13,7 @@
 //! `unsafe` block that no `race_region!` covers, and any such event
 //! transitively reachable from the hot roots fails here with the full
 //! witness chain, e.g.
-//! `render::pipeline::run_frame → render::tile::bin_splats_pooled → render::tile::bin_splats_chunked → … → *… = … (crates/render/src/tile.rs:…)`.
+//! `render::pipeline::run_frame → render::pipeline::bin_and_rasterize_chunked → render::tile::Binning::scatter → … → *… = … (crates/render/src/tile.rs:…)`.
 //!
 //! Roots are the hot-marked functions — the same roots as hot-path
 //! purity, because those subtrees are exactly the code the pool runs

@@ -65,12 +65,31 @@ pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/tile.rs", "tile_rect"),
     ("crates/render/src/tile.rs", "new"),
     ("crates/render/src/tile.rs", "range"),
+    // Stage 2 split for the frame driver's saturation-aware rounds:
+    // placement, the round-wise scatter, the filled-slot rows Stage 3
+    // resumes up to, and the hand-back into the workload.
+    ("crates/render/src/tile.rs", "place"),
+    ("crates/render/src/tile.rs", "scatter"),
+    ("crates/render/src/tile.rs", "filled_ends"),
+    ("crates/render/src/tile.rs", "into_workload"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
+    // The resumable Stage 3: job staging, one round over the waiting
+    // tiles, the tiles' arena-held pixel state, the saturation flags the
+    // next scatter round reads, and the merge.
+    ("crates/render/src/rasterize.rs", "new"),
+    ("crates/render/src/rasterize.rs", "resume"),
+    ("crates/render/src/rasterize.rs", "of_slot"),
+    ("crates/render/src/rasterize.rs", "start"),
+    ("crates/render/src/rasterize.rs", "write_back"),
+    ("crates/render/src/rasterize.rs", "flag_saturated"),
+    ("crates/render/src/rasterize.rs", "into_stats"),
     // The one frame driver: marking it puts the whole per-frame subtree
     // (all three stages, the pool dispatch path) of every engine and free
     // `render` frame under the deep no-alloc/no-spawn purity rule, so
     // re-introducing a per-frame thread spawn or allocation there fails CI.
     ("crates/render/src/pipeline.rs", "run_frame"),
+    // Its fused Stages 2–3: the scatter rounds and Stage-3 resumes.
+    ("crates/render/src/pipeline.rs", "bin_and_rasterize_chunked"),
     // The AVX2 lane-group kernels: Stage 1's projection/conic groups and
     // Stage 3's per-row conic evaluation + blending run per frame in
     // steady state; marking them keeps fresh allocations (and, via the

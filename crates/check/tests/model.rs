@@ -15,7 +15,11 @@
 //!   always joins its workers at drop (a lost wakeup shows up as a
 //!   scheduler-detected deadlock);
 //! * **disjoint scatter ranges** — Stage 2's placement prefix gives every
-//!   (tile, chunk) an output range no other chunk writes.
+//!   (tile, chunk) an output range no other chunk writes;
+//! * **ordered scatter rounds** — the frame driver's saturation-aware
+//!   rounds (scatter, then resume Stage 3, then the next scatter) equal the
+//!   serial frame, with every saturation flag written before the next
+//!   round's scatter reads it.
 //!
 //! Single-dispatch pool lifecycles at width 2 (spawn → dispatch → drop)
 //! are **exhaustively** enumerated — those reports assert `exhaustive`.
@@ -26,7 +30,8 @@
 //!
 //! Each invariant is paired with a *mutant*: the classic broken variant
 //! (load-then-store claim, missed generation bump, inclusive instead of
-//! exclusive prefix) written against the same `gaurast_render::sync`
+//! exclusive prefix, a scatter round fused into the previous round's
+//! Stage-3 dispatch) written against the same `gaurast_render::sync`
 //! facade. The checker must produce a
 //! [`gaurast_check::model::Violation`] for every mutant — that regression
 //! is what CI runs, proving the checker actually has the power to reject
@@ -34,12 +39,14 @@
 #![cfg(gaurast_model_check)]
 
 use gaurast_check::model::Model;
+use gaurast_check::races::{read_range, write_range};
 use gaurast_math::{Vec2, Vec3};
+use gaurast_render::pipeline::bin_and_rasterize_chunked;
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::sync::atomic::{AtomicUsize, Ordering};
 use gaurast_render::sync::thread;
 use gaurast_render::tile::bin_splats_chunked;
-use gaurast_render::{FrameArena, Splat2D};
+use gaurast_render::{FrameArena, Framebuffer, SimdLevel, Splat2D};
 use std::sync::Arc;
 
 // Verification counters use plain `std` atomics on purpose: the scheduler
@@ -249,16 +256,10 @@ fn mutant_missed_generation_bump_is_caught() {
     );
 }
 
-#[test]
-fn binning_scatter_is_correct_under_interleavings() {
-    // 6 splats in 2 chunks of 3 on 2 workers over a 2×2 tile grid, with
-    // tied depths and boxes spanning several tiles, so both chunks write
-    // into the same tiles' runs. Three dispatches on one persistent pool
-    // (the splat-order pass, the count and the scatter) put the full state
-    // space beyond enumeration, so this checks the DFS prefix plus seeded
-    // samples of the production protocol — with the race detector
-    // watching every key and rectangle range, difference and count row,
-    // and scatter slot — against the serial result.
+/// 6 splats over a 2×2 grid of 16-pixel tiles, with tied depths and
+/// boxes spanning several tiles, so every chunking of them writes several
+/// chunks into the same tiles' runs.
+fn six_splats() -> Vec<Splat2D> {
     let splat = |x: f32, y: f32, radius: f32, depth: f32| Splat2D {
         mean: Vec2::new(x, y),
         conic: [0.05, 0.0, 0.05],
@@ -268,14 +269,26 @@ fn binning_scatter_is_correct_under_interleavings() {
         radius,
         source: 0,
     };
-    let splats = vec![
+    vec![
         splat(16.0, 16.0, 6.0, 2.0),
         splat(8.0, 8.0, 3.0, 1.0),
         splat(24.0, 8.0, 10.0, 2.0),
         splat(16.0, 24.0, 5.0, 0.5),
         splat(8.0, 24.0, 12.0, 1.0),
         splat(24.0, 24.0, 3.0, 3.0),
-    ];
+    ]
+}
+
+#[test]
+fn binning_scatter_is_correct_under_interleavings() {
+    // The six splats in 2 chunks of 3 on 2 workers. Three dispatches on
+    // one persistent pool (the splat-order pass, the count and the
+    // scatter) put the full state space beyond enumeration, so this checks
+    // the DFS prefix plus seeded samples of the production protocol —
+    // with the race detector watching every key and rectangle range,
+    // difference and count row, and scatter slot — against the serial
+    // result.
+    let splats = six_splats();
     let bin = |pool: &WorkerPool| {
         bin_splats_chunked(splats.clone(), 32, 32, 16, &mut FrameArena::new(), pool, 3)
     };
@@ -290,6 +303,104 @@ fn binning_scatter_is_correct_under_interleavings() {
         })
         .expect("splat pass/count/prefix/scatter holds on every explored schedule");
     assert!(report.schedules > 1);
+}
+
+/// The frame driver's saturation-aware Stages 2–3 on the same six splats
+/// in 3 chunks of 2: round 0 scatters chunk 0 and round 1 chunks 1–2, and
+/// Stage 3 resumes the tiles after each. Six dispatches (splat pass,
+/// count, and a scatter and a Stage-3 round per round) on one persistent
+/// pool, checked on the DFS prefix plus seeded samples with the race
+/// detector watching every scatter slot and its reads by Stage 3, the
+/// saturation flags, every tile's pixel-state range and framebuffer rows
+/// — against the serial frame.
+#[test]
+fn fused_scatter_rounds_are_correct_under_interleavings() {
+    let splats = six_splats();
+    let frame = |pool: &WorkerPool| {
+        let mut image = Framebuffer::new(32, 32);
+        let (workload, stats) = bin_and_rasterize_chunked(
+            splats.clone(),
+            (32, 32, 16),
+            SimdLevel::Scalar,
+            pool,
+            &mut FrameArena::new(),
+            Some(&mut image),
+            2,
+            || {},
+        );
+        (workload, stats, image)
+    };
+    let expected = frame(&WorkerPool::serial());
+    assert!(
+        expected.0.total_pairs() > 6,
+        "boxes must span several tiles"
+    );
+    assert!(expected.1.blends_committed > 0, "the frame must blend");
+    let report = Model::new()
+        .max_schedules(3_000)
+        .samples(192)
+        .check(|| {
+            let got = frame(&WorkerPool::new(2));
+            assert!(got == expected, "the rounds must equal the serial frame");
+        })
+        .expect("scatter rounds and Stage-3 resumes hold on every explored schedule");
+    assert!(report.schedules > 1);
+}
+
+/// The round protocol replicated on the production pool: Stage 3 of
+/// round `r` writes each tile's saturation flag, and round `r + 1`'s
+/// scatter reads every flag to skip saturated tiles. Run in two
+/// dispatches, as the frame driver does, the pool's completion edge
+/// orders every flag write before every read (`correct`); with the
+/// scatter issued in the same dispatch as the previous round's Stage 3,
+/// a scatter job can read a tile's flag before that tile's job has
+/// finished, and the race detector must reject it.
+fn saturation_flag_rounds(fused: bool) {
+    const TILES: usize = 2;
+    const CHUNKS: usize = 2;
+    let pool = WorkerPool::new(2);
+    let flags = [false; TILES];
+    let base = flags.as_ptr() as usize;
+    let stage3 = |tile: usize| write_range(base + tile, 1, "model.rs:stage3-flag");
+    let scatter = |_chunk: usize| read_range(base, TILES, "model.rs:scatter-flags");
+    if fused {
+        // BUG under test: one dispatch for both steps.
+        pool.run(TILES + CHUNKS, |j| {
+            if j < TILES {
+                stage3(j);
+            } else {
+                scatter(j - TILES);
+            }
+        });
+    } else {
+        pool.run(TILES, stage3);
+        pool.run(CHUNKS, scatter);
+    }
+}
+
+#[test]
+fn saturation_flags_are_ordered_between_rounds() {
+    let report = Model::new()
+        .max_schedules(3_000)
+        .samples(192)
+        .check(|| saturation_flag_rounds(false))
+        .expect("separate dispatches order every flag write before its reads");
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn mutant_scatter_in_the_previous_stage3_dispatch_is_caught() {
+    let violation = Model::new()
+        .max_schedules(3_000)
+        .samples(192)
+        .check(|| saturation_flag_rounds(true))
+        .expect_err("a scatter reading flags beside the Stage-3 jobs must race");
+    assert!(
+        violation.message.contains("data race")
+            && violation.message.contains("model.rs:stage3-flag")
+            && violation.message.contains("model.rs:scatter-flags"),
+        "unexpected violation: {violation}"
+    );
 }
 
 /// Re-derivation of the scatter-disjointness argument with per-slot claim

@@ -179,9 +179,10 @@ pub struct Engine {
     /// construction; every reference-pass stage dispatches on this.
     level: SimdLevel,
     pool: WorkerPool,
-    /// The Stage-2 buffers, handed to each frame's binning and taken back
-    /// with [`RasterWorkload::recycle_into`], so steady-state frames run
-    /// Stage 2 without allocating.
+    /// The Stage-2 and Stage-3 buffers (CSR, processed counts, the
+    /// tiles' pixel state between scatter rounds), handed to each frame
+    /// and taken back with [`RasterWorkload::recycle_into`], so
+    /// steady-state frames run those data paths without allocating.
     arena: FrameArena,
     frames: u64,
 }
@@ -308,10 +309,12 @@ impl Engine {
 
     /// Runs one frame through the render crate's frame driver
     /// ([`run_frame`]): Stage 1 over every Gaussian of the prepared scene
-    /// (it culls by depth and screen bounds itself), Stage 2 into recycled
-    /// session buffers, and the reference Stage-3
-    /// pass (record-only unless images are retained), producing the
-    /// finalized workload every backend bills. When the session retains
+    /// (it culls by depth and screen bounds itself), then Stage 2 into
+    /// recycled session buffers and the reference Stage-3 pass
+    /// (record-only unless images are retained) in saturation-aware
+    /// scatter rounds, producing the finalized workload every backend
+    /// bills. The Stage-2 clock stops before the scatter, which the
+    /// Stage-3 clock times with the pass. When the session retains
     /// images the pass renders the reference image, and every backend but
     /// an FP16 enhanced rasterizer serves it. At FP32 the enhanced
     /// rasterizer's PE datapath computes the same bits; tests prove it by
@@ -408,7 +411,9 @@ impl Engine {
     ///
     /// The finalized workload moves into the returned report (for
     /// downstream analysis), so the binning buffers leave the session and
-    /// the frame after a `compare` re-seeds them once.
+    /// the frame after a `compare` re-seeds them once. It holds what every
+    /// backend bills: each tile's processed prefix and full list length
+    /// (the frame's scatter rounds never write a saturated tile's tail).
     pub fn compare(&mut self, camera: &Camera, kinds: &[BackendKind]) -> ComparisonReport {
         let (rows, workload) = self.shared_pass(camera, kinds);
         ComparisonReport { rows, workload }

@@ -16,6 +16,11 @@
 //! 3. **Gaussian rasterization** ([`rasterize`]) — per pixel, front-to-back
 //!    alpha blending of the covering splats, one job per sorted CSR range.
 //!
+//! The frame driver runs the scatter in rounds of growing depth-order
+//! chunks and resumes Stage 3 after each, skipping tiles that have already
+//! saturated, so a tile's list is written only as far as Stage 3 reads it
+//! (its *processed prefix*, which is all the workload holds afterwards).
+//!
 //! It also implements the triangle pipeline ([`triangle`]) that the original
 //! rasterizer hardware supports, with the same four subtasks the paper's
 //! Table II contrasts, and full operation counting ([`ops`]) so that table
@@ -29,8 +34,9 @@
 //! Gaussian chunks, Stage 2's splat pass in fixed chunks of the splat
 //! order and its count and scatter in fixed chunks of the depth order
 //! ([`tile::BIN_CHUNK`]), and Stage 3 as independent per-tile
-//! jobs (each tile reads its sorted CSR range and writes its own disjoint
-//! framebuffer view) over a persistent [`pool::WorkerPool`] whose threads
+//! jobs (each tile reads its sorted CSR range, keeps its pixel state in
+//! the arena between rounds and writes its own disjoint framebuffer view)
+//! over a persistent [`pool::WorkerPool`] whose threads
 //! are spawned once and parked between dispatches. One driver,
 //! [`pipeline::run_frame`], sequences the three stages for every caller —
 //! engine sessions and the free [`pipeline::render`] functions alike.

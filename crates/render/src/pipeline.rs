@@ -1,28 +1,30 @@
 //! End-to-end orchestration of the three-stage 3DGS pipeline.
 //!
 //! [`run_frame`] is the one frame driver: it runs Stage 1
-//! (preprocessing), Stage 2 ([`bin_splats_pooled`]) and the reference
-//! Stage-3 pass over a caller-held [`WorkerPool`] and [`FrameArena`], and
-//! reports each stage boundary to the caller. Engine sessions and the free
-//! functions here ([`render`], [`render_with_pool`],
-//! [`render_record_only`], [`build_workload`]) all render through it.
+//! (preprocessing), then Stage 2 and the reference Stage-3 pass fused into
+//! saturation-aware rounds ([`bin_and_rasterize_chunked`]) over a
+//! caller-held [`WorkerPool`] and [`FrameArena`], and reports each stage
+//! boundary to the caller. Engine sessions and the free functions here
+//! ([`render`], [`render_with_pool`], [`render_record_only`],
+//! [`build_workload`]) all render through it.
 
 use crate::framebuffer::Framebuffer;
 use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::preprocess::{
-    preprocess_pooled_level, preprocess_prepared_pooled_level, PreprocessOutput,
+    preprocess_pooled_level, preprocess_prepared_pooled_level, PreprocessOutput, Splat2D,
 };
-use crate::rasterize::{rasterize_with_level, RasterStats};
+use crate::rasterize::{RasterStats, Stage3};
 use crate::simd::{detected_level, SimdLevel};
-use crate::tile::bin_splats_pooled;
+use crate::tile::{bin_splats_pooled, Binning, BIN_CHUNK};
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
 use gaurast_scene::{Camera, GaussianScene, PreparedScene};
 
 /// Stage 2 as a method: [`Stage2Mode::bin`] forwards to
-/// [`bin_splats_pooled`], the one Stage 2. The type exists for
-/// `perfbench/src/trace.rs`, whose traced replay calls
+/// [`bin_splats_pooled`], Stage 2 in one scatter round (the frame driver
+/// runs the same placement and scatter code in saturation-aware rounds).
+/// The type exists for `perfbench/src/trace.rs`, whose traced replay calls
 /// `Stage2Mode::default().bin(..)`; everything else calls
 /// [`bin_splats_pooled`] directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -156,28 +158,38 @@ pub enum Stage1Input<'a> {
 pub enum Stage {
     /// Stage 1: Gaussians projected to screen-space splats.
     Preprocess,
-    /// Stage 2: splats binned to tiles and depth-sorted into the CSR
-    /// workload.
+    /// Stage 2 up to its scatter: splats keyed, depth-sorted, counted per
+    /// tile and given their CSR slots.
     Bin,
-    /// Stage 3: the reference rasterization pass.
+    /// Stage 2's scatter rounds and the reference rasterization pass they
+    /// feed.
     Rasterize,
 }
 
-/// Runs one frame: Stage 1 over `input`, Stage 2 out of `arena`, then the
-/// reference Stage-3 pass, fanned over `pool`. Stages 1 and 3 run the
-/// kernels of SIMD `level`, clamped to [`detected_level`] (every level
-/// renders the same bits; [`SimdLevel::Scalar`] is the reference). The
-/// pass writes pixels only when `image` is given; processed counts and
-/// statistics come from the same tile jobs either way, so record-only and
-/// imaged frames agree bit for bit.
+/// Runs one frame: Stage 1 over `input`, then Stage 2 and the reference
+/// Stage-3 pass out of `arena` in saturation-aware rounds
+/// ([`bin_and_rasterize_chunked`] with [`BIN_CHUNK`]), fanned over
+/// `pool`. Stages 1 and 3 run the kernels of SIMD `level`, clamped to
+/// [`detected_level`] (every level renders the same bits;
+/// [`SimdLevel::Scalar`] is the reference). The pass writes pixels only
+/// when `image` is given; processed counts and statistics come from the
+/// same tile jobs either way, so record-only and imaged frames agree bit
+/// for bit. The workload holds each tile's processed prefix and full list
+/// length, and equals what [`bin_splats_pooled`] followed by
+/// [`crate::rasterize::rasterize_with_level`] leave.
 ///
-/// `on_stage_done` is called after each stage, in order. The driver reads
-/// no clock: a caller that times stages reads one in the closure, which
-/// keeps wall-clock time out of this deterministic crate.
+/// `on_stage_done` is called after each stage, in order. [`Stage::Bin`]
+/// fires once Stage 2 has placed every pair, before the scatter, so a
+/// caller timing stages sees the scatter rounds in Stage 3's time: the
+/// engine's `stats.sort_s` no longer includes the scatter, and the
+/// Software backend's `time_s` does. The driver reads no clock: a caller
+/// that times stages reads one in the closure, which keeps wall-clock time
+/// out of this deterministic crate.
 ///
 /// Over a persistent pool, frames spawn no threads; once `arena` is warm
-/// the Stage-2 data path allocates nothing, provided each workload goes
-/// back through [`RasterWorkload::recycle_into`].
+/// the Stage-2 and Stage-3 data paths allocate nothing (Stage 3 stages
+/// O(tiles) jobs per frame), provided each workload goes back through
+/// [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
 /// Panics when `tile_size` is zero or when `image` does not match the
@@ -202,22 +214,92 @@ pub fn run_frame(
     };
     let preprocess = PreprocessStats::from(&pre);
     on_stage_done(Stage::Preprocess);
-    let mut workload = bin_splats_pooled(
+    let (workload, raster) = bin_and_rasterize_chunked(
         pre.splats,
-        camera.width(),
-        camera.height(),
-        tile_size,
-        arena,
+        (camera.width(), camera.height(), tile_size),
+        level,
         pool,
+        arena,
+        image,
+        BIN_CHUNK,
+        || on_stage_done(Stage::Bin),
     );
-    on_stage_done(Stage::Bin);
-    let raster = rasterize_with_level(&mut workload, image, pool, level);
     on_stage_done(Stage::Rasterize);
     WorkloadOutput {
         workload,
         preprocess,
         raster,
     }
+}
+
+/// Stages 2 and 3 of [`run_frame`] over `splats` on a `width × height`
+/// image of `tile_size` tiles, in `chunk`-splat chunks of the depth order.
+///
+/// Stage 2 keys, depth-sorts and counts the splats and places every
+/// (splat, tile) pair, as [`crate::tile::bin_splats_chunked`] does; then
+/// `on_placed` runs. The scatter then goes in rounds of 1, 2, 4, … chunks
+/// of the depth order. Each round writes only into tiles that have not
+/// saturated, and after it the resumable Stage 3 carries every tile that
+/// is not done through the entries written so far, its pixel state held
+/// in `arena` between rounds. The rounds stop once no tile waits for
+/// entries. So Stage 3 does exactly the work of one pass over the whole
+/// lists, and the scatter writes at most every pair: all of them, in
+/// ⌈log2(chunks + 1)⌉ rounds, only when no tile saturates.
+///
+/// The workload, image, processed counts and statistics equal those of
+/// [`crate::tile::bin_splats_chunked`] followed by
+/// [`crate::rasterize::rasterize_with_level`] at any width, level and
+/// chunk size. Production passes [`BIN_CHUNK`]; the parameter lets tests
+/// and the `gaurast-check` model suite run several rounds on a handful of
+/// splats.
+///
+/// # Panics
+/// Panics when `tile_size` or `chunk` is zero, the image is empty, `image`
+/// does not match it, or the frame has more than `u32::MAX` pairs.
+#[allow(clippy::too_many_arguments)]
+// gaurast-check: hot-path
+pub fn bin_and_rasterize_chunked(
+    splats: Vec<Splat2D>,
+    (width, height, tile_size): (u32, u32, u32),
+    level: SimdLevel,
+    pool: &WorkerPool,
+    arena: &mut FrameArena,
+    image: Option<&mut Framebuffer>,
+    chunk: usize,
+    on_placed: impl FnOnce(),
+) -> (RasterWorkload, RasterStats) {
+    let mut bins = Binning::place(splats, width, height, tile_size, arena, pool, chunk);
+    on_placed();
+    let mut pixels = std::mem::take(&mut arena.pixels);
+    let mut stage3 = Stage3::new(
+        (width, height, tile_size),
+        &bins.offsets,
+        image,
+        &mut pixels,
+        level,
+    );
+    let (mut first, mut size) = (0, 1);
+    loop {
+        let end = (first + size).min(bins.chunks);
+        bins.scatter(first..end, pool);
+        let last = end == bins.chunks;
+        let filled = bins.filled_ends(end);
+        stage3.resume(
+            &bins.splats,
+            &bins.values,
+            &bins.offsets,
+            filled,
+            last,
+            pool,
+        );
+        if !stage3.flag_saturated(&mut bins.saturated) || last {
+            break;
+        }
+        (first, size) = (end, 2 * size);
+    }
+    let mut processed = std::mem::take(&mut arena.processed);
+    let raster = stage3.into_stats(&mut processed);
+    (bins.into_workload(arena, processed, pixels), raster)
 }
 
 /// Runs Stages 1–3 for one frame.

@@ -8,13 +8,21 @@
 //! * full FP-operation accounting per Table II subtask ([`crate::ops`]),
 //! * per-tile *processed counts* written back into the workload so the
 //!   architecture models bill exactly the work this reference performed.
+//!
+//! Stage 3 is resumable: each tile keeps its pixel state and its progress
+//! through its list between rounds, so the frame driver can rasterize the
+//! part of every list that Stage 2 has scattered so far and stop
+//! scattering into tiles that have saturated. A tile ends up with exactly
+//! the pixels, counts and statistics of one pass over its whole list,
+//! because the per-pixel arithmetic runs over the same splats in the same
+//! order and every tally is an integer sum.
 
 use crate::framebuffer::{Framebuffer, TileViewMut};
 use crate::ops::{Subtask, SubtaskCounts};
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
 use crate::simd::SimdLevel;
-use crate::workload::RasterWorkload;
+use crate::workload::{tile_pixel_rect, RasterWorkload};
 use crate::{ALPHA_CUTOFF, TRANSMITTANCE_EPS};
 use gaurast_math::{exp_f32, Vec2, Vec3};
 
@@ -71,16 +79,315 @@ pub fn rasterize(workload: &mut RasterWorkload) -> (Framebuffer, RasterStats) {
     (fb, stats)
 }
 
-/// One tile's rasterization job: its depth-sorted CSR slice, its exclusive
-/// framebuffer view (absent in record-only mode), and its output slot.
-struct TileJob<'l, 'fb> {
-    list: &'l [u32],
-    view: Option<TileViewMut<'fb>>,
-    processed: u32,
-    stats: RasterStats,
+/// Pixels per lane group of the AVX2 kernel. Rows of the Stage-3 pixel
+/// state are padded to whole groups, for both kernels, so one layout
+/// serves every level.
+pub(crate) const LANES: usize = 8;
+
+/// One tile's pixel state between Stage-3 rounds, split out of its slot of
+/// the arena's pixel buffer: the accumulated color in three channel
+/// planes, the transmittance plane, each `stride × h` pixels with rows
+/// padded to whole lane groups, and the row's pixel-center x coordinates.
+/// The padding pixels start dead (transmittance 0).
+pub(crate) struct TilePixels<'a> {
+    /// Row stride in pixels: the tile width rounded up to [`LANES`].
+    pub(crate) stride: usize,
+    /// Red channel.
+    pub(crate) red: &'a mut [f32],
+    /// Green channel.
+    pub(crate) grn: &'a mut [f32],
+    /// Blue channel.
+    pub(crate) blu: &'a mut [f32],
+    /// Transmittance.
+    pub(crate) trans: &'a mut [f32],
+    /// Pixel-center x of each column of the row, `stride` entries (0 in
+    /// the padding).
+    pub(crate) xc: &'a mut [f32],
 }
 
-/// The tile-major rasterization pass — the single Stage-3 code path
+/// Floats of one tile's slot in the pixel buffer: four planes and the
+/// pixel-center row for the largest tile of a `width × height` grid of
+/// `tile_size` tiles (tiles are clipped to the image).
+fn slot_len(width: u32, height: u32, tile_size: u32) -> usize {
+    let stride = (tile_size.min(width) as usize).div_ceil(LANES) * LANES;
+    stride * (4 * tile_size.min(height) as usize + 1)
+}
+
+impl<'a> TilePixels<'a> {
+    /// The planes of a `w × h` tile in `slot`.
+    // gaurast-check: hot-path
+    fn of_slot(slot: &'a mut [f32], w: usize, h: usize) -> Self {
+        let stride = w.div_ceil(LANES) * LANES;
+        let n = stride * h;
+        let (red, rest) = slot.split_at_mut(n);
+        let (grn, rest) = rest.split_at_mut(n);
+        let (blu, rest) = rest.split_at_mut(n);
+        let (trans, rest) = rest.split_at_mut(n);
+        Self {
+            stride,
+            red,
+            grn,
+            blu,
+            trans,
+            xc: &mut rest[..stride],
+        }
+    }
+
+    /// The state before the tile's first splat: black, transmittance 1,
+    /// padding dead, pixel centers of the tile at column `x0` on, computed
+    /// with the scalar kernel's exact expression.
+    // gaurast-check: hot-path
+    fn start(&mut self, x0: u32, w: usize) {
+        self.red.fill(0.0);
+        self.grn.fill(0.0);
+        self.blu.fill(0.0);
+        for row in self.trans.chunks_exact_mut(self.stride) {
+            let (real, padding) = row.split_at_mut(w);
+            real.fill(1.0);
+            padding.fill(0.0);
+        }
+        self.xc.fill(0.0);
+        for (px, x) in self.xc.iter_mut().take(w).enumerate() {
+            *x = (x0 + px as u32) as f32 + 0.5;
+        }
+    }
+
+    /// Writes the tile back through its exclusive framebuffer view
+    /// (background stays black, as in the reference with a black
+    /// background color). The remaining transmittance is kept for
+    /// downstream compositing (see `compose`).
+    // gaurast-check: hot-path
+    fn write_back(&self, view: &mut TileViewMut<'_>) {
+        let (w, h) = (view.width(), view.height());
+        let rows = self
+            .red
+            .chunks_exact(self.stride)
+            .zip(self.grn.chunks_exact(self.stride))
+            .zip(self.blu.chunks_exact(self.stride))
+            .zip(self.trans.chunks_exact(self.stride));
+        for (py, (((red, grn), blu), trans)) in (0..h).zip(rows) {
+            let row = red.iter().zip(grn).zip(blu).zip(trans);
+            for (px, (((&r, &g), &b), &t)) in (0..w).zip(row) {
+                view.write(px, py, Vec3::new(r, g, b), t);
+            }
+        }
+    }
+}
+
+/// A tile's progress through its list, carried from one Stage-3 round to
+/// the next.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TileProgress {
+    /// Splats of the list read so far: the processed count once the tile
+    /// is done.
+    pub(crate) processed: u32,
+    /// Real pixels whose transmittance is still at or above
+    /// [`TRANSMITTANCE_EPS`]; 0 once the tile has saturated.
+    pub(crate) alive: u32,
+    /// The tile's statistics so far.
+    pub(crate) stats: RasterStats,
+}
+
+/// One tile's Stage-3 job, kept across rounds: its rectangle, exclusive
+/// framebuffer view (absent in record-only mode), pixel-state slot, full
+/// list length and progress.
+struct TileJob<'fb, 'px> {
+    rect: (u32, u32, u32, u32),
+    view: Option<TileViewMut<'fb>>,
+    slot: &'px mut [f32],
+    len: u32,
+    progress: TileProgress,
+    /// The tile has nothing left to do: its list is empty, or it has
+    /// saturated, or it has read its whole list, or the last round is
+    /// over; its pixels are written back.
+    done: bool,
+}
+
+/// Stage 3 as resumable rounds over one frame's tiles. Each round runs the
+/// tiles that are not done over the part of their list that is filled so
+/// far; a tile's pixels wait in the arena's pixel buffer between rounds.
+/// [`rasterize_with_level`] is the one-round instance over a finished
+/// workload, and the frame driver
+/// ([`crate::pipeline::bin_and_rasterize_chunked`]) runs one round after
+/// each scatter round.
+pub(crate) struct Stage3<'fb, 'px> {
+    level: SimdLevel,
+    jobs: Vec<TileJob<'fb, 'px>>,
+}
+
+impl<'fb, 'px> Stage3<'fb, 'px> {
+    /// Stages one job per tile of the `width × height` grid of `tile_size`
+    /// tiles whose full lists `offsets` delimits, with a slot of `pixels`
+    /// each, at SIMD `level` clamped to the host's. A given framebuffer is
+    /// cleared in place and gets the tiles' pixels as they finish.
+    ///
+    /// # Panics
+    /// Panics when a given framebuffer's dimensions do not match.
+    // gaurast-check: hot-path
+    pub(crate) fn new(
+        (width, height, tile_size): (u32, u32, u32),
+        offsets: &[u32],
+        fb: Option<&'fb mut Framebuffer>,
+        pixels: &'px mut Vec<f32>,
+        level: SimdLevel,
+    ) -> Self {
+        let level = level.min(crate::simd::detected_level());
+        let tiles_x = width.div_ceil(tile_size);
+        let n_tiles = offsets.len() - 1;
+        let slot = slot_len(width, height, tile_size);
+        // Every slot is set up by its tile's first round before it is
+        // read, so the buffer is resized without clearing.
+        pixels.resize(n_tiles * slot, 0.0);
+        let mut views = match fb {
+            Some(fb) => {
+                assert_eq!(
+                    (fb.width(), fb.height()),
+                    (width, height),
+                    "framebuffer dimensions must match the workload"
+                );
+                fb.clear();
+                // gaurast-check: allow(alloc): borrowed per-frame tile
+                // views cannot outlive the framebuffer borrow, so they
+                // cannot be arena-cached; O(tiles), not O(pairs).
+                Some(fb.tile_views_mut(tile_size).into_iter())
+            }
+            None => None,
+        };
+        let jobs = pixels
+            .chunks_exact_mut(slot)
+            .zip(offsets.iter().zip(offsets.iter().skip(1)))
+            .zip(0..)
+            .map(|((slot, (&first, &end)), i)| {
+                // One grid authority: the rectangle the workload exposes
+                // to the architecture models shapes the job and matches
+                // the view.
+                let rect = tile_pixel_rect((width, height, tile_size), i % tiles_x, i / tiles_x);
+                let len = end - first;
+                TileJob {
+                    rect,
+                    view: views.as_mut().and_then(Iterator::next),
+                    slot,
+                    len,
+                    progress: TileProgress {
+                        alive: (rect.2 - rect.0) * (rect.3 - rect.1),
+                        ..TileProgress::default()
+                    },
+                    done: len == 0,
+                }
+            })
+            // gaurast-check: allow(alloc): per-frame job list, O(tiles);
+            // holds the borrowed views and slots and dies with the frame.
+            .collect();
+        Self { level, jobs }
+    }
+
+    /// One round: every tile `t` that is not done reads its list on from
+    /// its processed count up to slot `filled[t]` of `values` (CSR slots;
+    /// tile `t`'s list starts at `offsets[t]`), over `pool`. A tile that
+    /// saturates or reads its whole list is written back, and after the
+    /// `last` round every started tile is.
+    // gaurast-check: hot-path
+    pub(crate) fn resume(
+        &mut self,
+        splats: &[Splat2D],
+        values: &[u32],
+        offsets: &[u32],
+        filled: &[u32],
+        last: bool,
+        pool: &WorkerPool,
+    ) {
+        let level = self.level;
+        pool.run_mut(&mut self.jobs, |t, job| {
+            if job.done {
+                return;
+            }
+            let start = offsets[t] as usize + job.progress.processed as usize;
+            let entries = &values[start..(filled[t] as usize).max(start)];
+            crate::race_read!(entries.as_ptr(), entries.len());
+            // Shadow race detection: claim this tile's pixel state, which
+            // only its own job touches, in every round.
+            crate::race_write!(job.slot.as_ptr(), job.slot.len());
+            let rect = job.rect;
+            let (w, h) = ((rect.2 - rect.0) as usize, (rect.3 - rect.1) as usize);
+            let mut pixels = TilePixels::of_slot(job.slot, w, h);
+            if !entries.is_empty() {
+                // Full-scan front-to-back check, debug builds only
+                // (demoted from the hot path; `is_depth_sorted` stays
+                // public for tests).
+                debug_assert!(
+                    crate::sort::is_depth_sorted(entries, splats),
+                    "tile {t} list reached Stage 3 unsorted"
+                );
+                if job.progress.processed == 0 {
+                    pixels.start(rect.0, w);
+                }
+                let tile = &mut job.progress;
+                match level {
+                    #[cfg(target_arch = "x86_64")]
+                    SimdLevel::Avx2 => crate::simd::stage3::rasterize_tile_avx2(
+                        splats,
+                        entries,
+                        job.len,
+                        rect,
+                        &mut pixels,
+                        tile,
+                    ),
+                    _ => rasterize_tile(splats, entries, job.len, rect, &mut pixels, tile),
+                }
+            }
+            let started = job.progress.processed > 0;
+            if last || job.progress.alive == 0 || job.progress.processed == job.len {
+                job.done = true;
+                if let (true, Some(view)) = (started, &mut job.view) {
+                    // Shadow race detection: claim this job's disjoint
+                    // pixel rows.
+                    view.race_register();
+                    debug_assert_eq!(
+                        (rect.0, rect.1, w, h),
+                        (
+                            view.x0(),
+                            view.y0(),
+                            view.width() as usize,
+                            view.height() as usize
+                        ),
+                        "tile view must cover exactly the workload's tile rect"
+                    );
+                    pixels.write_back(view);
+                }
+            }
+        });
+    }
+
+    /// Writes each tile's saturation into `saturated` (one flag per tile)
+    /// for the next scatter round, and returns whether any tile is not
+    /// done yet.
+    // gaurast-check: hot-path
+    pub(crate) fn flag_saturated(&self, saturated: &mut [bool]) -> bool {
+        crate::race_write!(saturated.as_ptr(), saturated.len());
+        let mut waiting = false;
+        for (flag, job) in saturated.iter_mut().zip(&self.jobs) {
+            *flag = job.progress.alive == 0;
+            waiting |= !job.done;
+        }
+        waiting
+    }
+
+    /// The frame's statistics, merged in tile order, with each tile's
+    /// processed count written into `processed` (cleared first).
+    // gaurast-check: hot-path
+    pub(crate) fn into_stats(self, processed: &mut Vec<u32>) -> RasterStats {
+        processed.clear();
+        let mut stats = RasterStats::default();
+        for job in &self.jobs {
+            stats += job.progress.stats;
+            processed.push(job.progress.processed);
+        }
+        stats
+    }
+}
+
+/// The tile-major rasterization pass over a finished workload — the
+/// one-round instance of the resumable Stage 3 the frame driver runs
 /// (behind [`rasterize`] too). Tiles run the 8-pixel lane-group AVX2
 /// kernel (`crate::simd::stage3`) at [`SimdLevel::Avx2`] and the verbatim
 /// scalar kernel at [`SimdLevel::Scalar`], both over the workload's
@@ -88,15 +395,20 @@ struct TileJob<'l, 'fb> {
 /// down, so a host without AVX2 runs the scalar kernel (sound, because
 /// both levels agree bit for bit).
 ///
-/// Each tile is an independent job over its own depth-sorted CSR range of
-/// the workload (Stage 2 wrote every range in depth order up front via
-/// its depth sort and counting scatter — there is no in-job sort),
-/// rasterizing into its own
-/// disjoint framebuffer view ([`Framebuffer::tile_views_mut`]) with no
-/// locking. Jobs are fanned over `pool`; per-tile statistics and processed
-/// counts are merged in tile order on the calling thread, so every output
-/// — image bytes, op tallies, processed counts — is bit-identical for
-/// every worker count and level, including the serial scalar pass.
+/// Each tile is an independent job over the list the workload holds for
+/// it (Stage 2 wrote every list in depth order up front via its depth sort
+/// and counting scatter — there is no in-job sort), rasterizing into its
+/// own disjoint framebuffer view ([`Framebuffer::tile_views_mut`]) with no
+/// locking, its pixel state in the workload's recycled scratch. Jobs are
+/// fanned over `pool`; per-tile statistics and processed counts are
+/// merged in tile order on the calling thread, so every output — image
+/// bytes, op tallies, processed counts — is bit-identical for every worker
+/// count and level, including the serial scalar pass.
+///
+/// Afterwards the workload holds each tile's processed prefix. A workload
+/// that already holds prefixes rasterizes them to the same image, counts
+/// and statistics, because each tile saturates (or ends) exactly where its
+/// prefix ends.
 ///
 /// Passing `None` for `fb` selects record-only mode: per-tile processed
 /// counts and statistics are recorded exactly as with an image (the
@@ -108,143 +420,91 @@ struct TileJob<'l, 'fb> {
 /// ([`crate::sort::is_depth_sorted`] is a full scan — too expensive for
 /// the hot path); both binning entry points establish it by construction.
 ///
-/// The framebuffer is cleared once up front (only the depth plane actually
-/// needs it for the Gaussian path: tile views cover and overwrite every
-/// color/transmittance pixel), never inside the per-tile hot loop.
-///
 /// # Panics
 /// Panics when a provided framebuffer's dimensions do not match the
 /// workload.
 pub fn rasterize_with_level(
     workload: &mut RasterWorkload,
-    mut fb: Option<&mut Framebuffer>,
+    fb: Option<&mut Framebuffer>,
     pool: &WorkerPool,
     level: SimdLevel,
 ) -> RasterStats {
-    let level = level.min(crate::simd::detected_level());
-    if let Some(fb) = fb.as_deref_mut() {
-        assert_eq!(
-            (fb.width(), fb.height()),
-            (workload.width(), workload.height()),
-            "framebuffer dimensions must match the workload"
-        );
-        fb.clear();
-    }
-    let (tiles_x, tile_size) = (workload.tiles_x(), workload.tile_size());
-    let n_tiles = workload.tile_count();
-    // Recycled counts buffer: refilled below, handed back via
-    // `set_processed` (no per-frame allocation in steady state).
-    let mut processed = workload.take_processed_scratch();
-
-    // One grid authority: the same tile_rect the workload exposes to the
-    // architecture models also shapes the jobs (and matches the views
-    // `tile_views_mut` builds on the identical grid).
-    let rects: Vec<(u32, u32, u32, u32)> = (0..n_tiles as u32)
-        .map(|i| workload.tile_rect(i % tiles_x, i / tiles_x))
-        // gaurast-check: allow(alloc): per-frame tile-job staging, O(tiles)
-        // not O(pairs); the Stage-2 data path stays arena-recycled.
-        .collect();
-
-    let mut views: Vec<Option<TileViewMut<'_>>> = match fb {
-        // gaurast-check: allow(alloc): borrowed per-frame tile views cannot
-        // outlive the framebuffer borrow, so they cannot be arena-cached.
-        Some(fb) => fb.tile_views_mut(tile_size).into_iter().map(Some).collect(),
-        None => (0..n_tiles).map(|_| None).collect(), // gaurast-check: allow(alloc): same staging list, record-only shape
-    };
-    let splats = workload.splats();
-    let mut jobs: Vec<TileJob<'_, '_>> = (0..n_tiles)
-        .zip(views.drain(..))
-        .map(|(i, view)| TileJob {
-            list: workload.tile_list_at(i),
-            view,
-            processed: 0,
-            stats: RasterStats::default(),
-        })
-        // gaurast-check: allow(alloc): per-frame job list, O(tiles); holds
-        // the borrowed views above and dies with the frame.
-        .collect();
-
-    pool.run_mut(&mut jobs, |i, job| {
-        // Full-scan front-to-back check, debug builds only (demoted from
-        // the hot path; `is_depth_sorted` stays public for tests).
-        debug_assert!(
-            crate::sort::is_depth_sorted(job.list, splats),
-            "tile {i} list reached Stage 3 unsorted"
-        );
-        let rect = rects[i];
-        if let Some(view) = &job.view {
-            // Shadow race detection: claim this job's disjoint pixel rows.
-            view.race_register();
-            debug_assert_eq!(
-                (rect.0, rect.1, rect.2 - rect.0, rect.3 - rect.1),
-                (view.x0(), view.y0(), view.width(), view.height()),
-                "tile view must cover exactly the workload's tile rect"
-            );
+    let mut pixels = std::mem::take(&mut workload.pixels);
+    let mut processed = std::mem::take(&mut workload.processed);
+    let geometry = (workload.width(), workload.height(), workload.tile_size());
+    let offsets = &workload.offsets;
+    let mut stage3 = Stage3::new(geometry, offsets, fb, &mut pixels, level);
+    // The end of each tile's held list: its processed prefix when a pass
+    // recorded one (the counts become slots in place), else its whole
+    // list.
+    let held: &[u32] = if processed.is_empty() {
+        &offsets[1..]
+    } else {
+        for (p, &start) in processed.iter_mut().zip(offsets) {
+            *p += start;
         }
-        (job.processed, job.stats) = match level {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => {
-                crate::simd::stage3::rasterize_tile_avx2(splats, job.list, rect, job.view.as_mut())
-            }
-            _ => rasterize_tile(splats, job.list, rect, job.view.as_mut()),
-        };
-    });
-
-    let mut stats = RasterStats::default();
-    processed.reserve(n_tiles);
-    for job in jobs {
-        stats += job.stats;
-        processed.push(job.processed);
-    }
+        &processed
+    };
+    stage3.resume(
+        workload.splats(),
+        &workload.values,
+        offsets,
+        held,
+        true,
+        pool,
+    );
+    let stats = stage3.into_stats(&mut processed);
+    workload.pixels = pixels;
     workload.set_processed(processed);
     stats
 }
 
-/// Rasterizes one tile; returns how many splats of its list were processed
-/// before every pixel saturated, plus the tile-local statistics.
+/// Resumes one tile over `entries`, the next splats of its depth-sorted
+/// list of `len` splats, from the state in `pixels` and `tile`; stops when
+/// every pixel has saturated.
 // gaurast-check: hot-path
 fn rasterize_tile(
     splats: &[Splat2D],
-    list: &[u32],
+    entries: &[u32],
+    len: u32,
     rect: (u32, u32, u32, u32),
-    view: Option<&mut TileViewMut<'_>>,
-) -> (u32, RasterStats) {
-    let mut stats = RasterStats::default();
-    if list.is_empty() {
-        return (0, stats);
-    }
+    pixels: &mut TilePixels<'_>,
+    tile: &mut TileProgress,
+) {
     let (x0, y0, x1, y1) = rect;
     let w = (x1 - x0) as usize;
     let h = (y1 - y0) as usize;
-    let n_px = w * h;
 
-    // Per-pixel accumulation state, tile-local (this is the pixel data held
-    // in GauRast's tile buffers).
-    // gaurast-check: allow(alloc): tile-local pixel buffers, one bounded
-    // (tile_size²) allocation per tile job — ROADMAP item: move into a
-    // per-worker arena.
-    let mut color = vec![Vec3::zero(); n_px];
-    // gaurast-check: allow(alloc): same tile-local buffer as above.
-    let mut transmittance = vec![1.0f32; n_px];
-    let mut alive = n_px as u32;
+    // Per-pixel accumulation state of the tile (this is the pixel data
+    // held in GauRast's tile buffers), resumed from the previous round.
+    let TilePixels {
+        stride,
+        red,
+        grn,
+        blu,
+        trans: transmittance,
+        ..
+    } = pixels;
+    let stride = *stride;
+    let mut alive = tile.alive;
+    let mut processed = tile.processed;
+    let stats = &mut tile.stats;
 
-    let mut processed = 0u32;
-
-    // Local op tallies; folded into stats once per tile to keep the inner
+    // Local op tallies; folded into stats once per call to keep the inner
     // loop lean.
     let (mut shift_add, mut det_add, mut det_mul, mut det_exp, mut det_cmp) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     let (mut wgt_mul, mut red_add, mut red_mul, mut red_cmp) = (0u64, 0u64, 0u64, 0u64);
     let mut pairs = 0u64;
 
-    'list: for &si in list {
+    'list: for &si in entries {
         processed += 1;
         let s = &splats[si as usize];
         let (a, b, c) = (s.conic[0], s.conic[1], s.conic[2]);
 
         for py in 0..h {
             for px in 0..w {
-                let i = py * w + px;
+                let i = py * stride + px;
                 if transmittance[i] < TRANSMITTANCE_EPS {
                     continue;
                 }
@@ -277,7 +537,9 @@ fn rasterize_tile(
                 wgt_mul += 4;
 
                 // Subtask 4: accumulate and update transmittance.
-                color[i] += contribution;
+                red[i] += contribution.x;
+                grn[i] += contribution.y;
+                blu[i] += contribution.z;
                 transmittance[i] *= 1.0 - alpha;
                 red_add += 4;
                 red_mul += 1;
@@ -289,7 +551,7 @@ fn rasterize_tile(
                     if alive == 0 {
                         // Whole tile saturated: the reference kernel's warps
                         // all exit; later splats cost nothing.
-                        if processed < list.len() as u32 {
+                        if processed < len {
                             stats.tiles_early_terminated += 1;
                         }
                         break 'list;
@@ -298,21 +560,10 @@ fn rasterize_tile(
             }
         }
     }
+    tile.alive = alive;
+    tile.processed = processed;
 
-    // Write the tile back through its exclusive framebuffer view
-    // (background stays black, as in the reference with a black background
-    // color). The remaining transmittance is kept for downstream
-    // compositing (see `compose`). In record-only mode there is no view
-    // and the writeback is skipped.
-    if let Some(view) = view {
-        for py in 0..h {
-            for px in 0..w {
-                let i = py * w + px;
-                view.write(px as u32, py as u32, color[i], transmittance[i]);
-            }
-        }
-    }
-
+    let stats = &mut tile.stats;
     stats.pairs_evaluated += pairs;
     stats.ops.pairs += pairs;
     stats.ops.at(Subtask::CoordinateShift).add += shift_add;
@@ -326,8 +577,6 @@ fn rasterize_tile(
     red.add += red_add;
     red.mul += red_mul;
     red.cmp += red_cmp;
-
-    (processed, stats)
 }
 
 #[cfg(test)]

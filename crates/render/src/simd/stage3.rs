@@ -40,10 +40,9 @@
 //! The `tests/vector.rs` suites prove the kernel bit-identical to
 //! `rasterize_tile` on every AVX2 host, at every edge-tile row width.
 
-use crate::framebuffer::TileViewMut;
 use crate::ops::Subtask;
 use crate::preprocess::Splat2D;
-use crate::rasterize::RasterStats;
+use crate::rasterize::{TilePixels, TileProgress, LANES};
 use crate::simd::{detected_level, SimdLevel};
 use crate::{ALPHA_CUTOFF, TRANSMITTANCE_EPS};
 use core::arch::x86_64::{
@@ -56,10 +55,6 @@ use core::arch::x86_64::{
     _mm256_sub_ps, _CMP_LT_OQ, _CMP_NGT_UQ, _CMP_NLT_UQ, _CMP_UNORD_Q,
 };
 use gaurast_math::expf::{C0, C1, C2, INV_LN2_N, SHIFT, TABLE, UNDERFLOW_BOUND};
-use gaurast_math::Vec3;
-
-/// Pixels per lane group (8 × f32 in one AVX2 register).
-const LANES: usize = 8;
 
 /// `power` threshold of the group skip: for `power < -5.6`,
 /// `exp_f32(power) < exp(-5.6)·(1 + 2⁻²¹) ≈ 0.003699`, so for a finite
@@ -74,7 +69,7 @@ const LANES: usize = 8;
 /// exponential underflows to 0, and NaN clamps to an alpha of 0.99.
 const EXP_SKIP_THRESHOLD: f32 = -5.6;
 
-/// Tile-local op tallies, folded into [`RasterStats`] once per tile
+/// Tile-local op tallies, folded into the tile's statistics once per call
 /// exactly like the scalar kernel's local counters.
 #[derive(Default)]
 struct Tallies {
@@ -132,8 +127,8 @@ fn exp4(x: __m128) -> __m128 {
 
 /// One splat across one padded tile row, one lane group at a time. Every
 /// slice has the same length, a whole number of lane groups. Safe to call
-/// only in an AVX2-enabled context (enforced by the dispatch in
-/// `rasterize_with_level`).
+/// only in an AVX2-enabled context (enforced by the Stage-3 dispatch,
+/// which clamps its level to the host's).
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 fn row_avx2(
@@ -262,87 +257,66 @@ fn row_avx2(
     }
 }
 
-/// Rasterizes one tile in 8-pixel lane groups; the drop-in counterpart of
-/// the scalar `rasterize_tile`, reading the same splats, with
-/// bit-identical outputs (image, processed count, every statistic).
+/// Resumes one tile in 8-pixel lane groups over `entries`, the next
+/// splats of its depth-sorted list of `len` splats, from the state in
+/// `pixels` and `tile`; the drop-in counterpart of the scalar
+/// `rasterize_tile`, reading the same splats and state, with bit-identical
+/// outputs (pixels, processed count, every statistic).
 ///
-/// The host must support AVX2: `rasterize_with_level`, the one Stage-3
-/// dispatch, reaches this kernel only at a level clamped to
+/// The host must support AVX2: the Stage-3 rounds, the one Stage-3
+/// dispatch, reach this kernel only at a level clamped to
 /// [`crate::simd::detected_level`].
 // gaurast-check: hot-path
 pub(crate) fn rasterize_tile_avx2(
     splats: &[Splat2D],
-    list: &[u32],
+    entries: &[u32],
+    len: u32,
     rect: (u32, u32, u32, u32),
-    view: Option<&mut TileViewMut<'_>>,
-) -> (u32, RasterStats) {
+    pixels: &mut TilePixels<'_>,
+    tile: &mut TileProgress,
+) {
     debug_assert_eq!(
         detected_level(),
         SimdLevel::Avx2,
         "AVX2 tile kernel reached on a host without AVX2"
     );
-    let mut stats = RasterStats::default();
-    if list.is_empty() {
-        return (0, stats);
-    }
-    let (x0, y0, x1, y1) = rect;
-    let w = (x1 - x0) as usize;
+    let (_, y0, _, y1) = rect;
     let h = (y1 - y0) as usize;
-    // Row stride: `w` rounded up to whole lane groups.
-    let stride = w.div_ceil(LANES) * LANES;
-    let n_px = stride * h;
+    // The tile's channel planes (the scalar kernel's per-pixel state,
+    // transposed so a lane group loads and stores contiguously), rows
+    // padded to whole lane groups with dead pixels, and the pixel-center x
+    // coordinates, precomputed with the scalar kernel's exact expression
+    // (same bits, hoisted out of the splat loop).
+    let TilePixels {
+        stride,
+        red,
+        grn,
+        blu,
+        trans,
+        xc,
+    } = pixels;
+    let stride = *stride;
 
-    // Tile-local pixel planes: the same per-pixel state as the scalar
-    // kernel's `Vec<Vec3>` color + `Vec<f32>` transmittance, transposed
-    // into channel planes so a lane group loads/stores contiguously.
-    // gaurast-check: allow(alloc): tile-local pixel buffers, one bounded
-    // (tile_size²) allocation per tile job — ROADMAP item: move into a
-    // per-worker arena.
-    let mut red = vec![0.0f32; n_px];
-    // gaurast-check: allow(alloc): same tile-local buffer as above.
-    let mut grn = vec![0.0f32; n_px];
-    // gaurast-check: allow(alloc): same tile-local buffer as above.
-    let mut blu = vec![0.0f32; n_px];
-    // gaurast-check: allow(alloc): same tile-local buffer as above.
-    let mut trans = vec![1.0f32; n_px];
-    // The padding pixels start dead.
-    for row in trans.chunks_exact_mut(stride) {
-        row[w..].fill(0.0);
-    }
-    // Pixel-center x coordinates, precomputed with the scalar kernel's
-    // exact expression (same bits, hoisted out of the splat loop). The
-    // padding entries stay 0; the dead-pixel gate masks their lanes off.
-    // gaurast-check: allow(alloc): tile-local buffer, O(tile_size).
-    let mut xc = vec![0.0f32; stride];
-    for (px, x) in xc.iter_mut().take(w).enumerate() {
-        *x = (x0 + px as u32) as f32 + 0.5;
-    }
-
-    let mut alive = (w * h) as u32;
-    let mut processed = 0u32;
+    let mut alive = tile.alive;
+    let mut processed = tile.processed;
     let mut t = Tallies::default();
+    let stats = &mut tile.stats;
 
-    'list: for &si in list {
+    'list: for &si in entries {
         processed += 1;
         let s = &splats[si as usize];
-        for py in 0..h {
+        let rows = red
+            .chunks_exact_mut(stride)
+            .zip(grn.chunks_exact_mut(stride))
+            .zip(blu.chunks_exact_mut(stride))
+            .zip(trans.chunks_exact_mut(stride));
+        for (py, (((red, grn), blu), trans)) in (0..h).zip(rows) {
             let yc = (y0 + py as u32) as f32 + 0.5;
-            let (lo, hi) = (py * stride, (py + 1) * stride);
             // SAFETY: the Stage-3 dispatch clamps its level to
             // `simd::detected_level()`, so AVX2 was detected on this CPU
             // before this kernel could be reached.
             unsafe {
-                row_avx2(
-                    s,
-                    &xc,
-                    yc,
-                    &mut red[lo..hi],
-                    &mut grn[lo..hi],
-                    &mut blu[lo..hi],
-                    &mut trans[lo..hi],
-                    &mut t,
-                    &mut alive,
-                );
+                row_avx2(s, xc, yc, red, grn, blu, trans, &mut t, &mut alive);
             }
             if alive == 0 {
                 break;
@@ -352,27 +326,16 @@ pub(crate) fn rasterize_tile_avx2(
             // Whole tile saturated. The scalar kernel breaks at the exact
             // pixel where `alive` hit zero; every pixel this end-of-row
             // check "skips" is dead and would have tallied nothing.
-            if processed < list.len() as u32 {
+            if processed < len {
                 stats.tiles_early_terminated += 1;
             }
             break 'list;
         }
     }
+    tile.alive = alive;
+    tile.processed = processed;
 
-    if let Some(view) = view {
-        for py in 0..h {
-            for px in 0..w {
-                let i = py * stride + px;
-                view.write(
-                    px as u32,
-                    py as u32,
-                    Vec3::new(red[i], grn[i], blu[i]),
-                    trans[i],
-                );
-            }
-        }
-    }
-
+    let stats = &mut tile.stats;
     stats.pairs_evaluated += t.pairs;
     stats.blends_committed += t.blends;
     stats.ops.pairs += t.pairs;
@@ -387,8 +350,6 @@ pub(crate) fn rasterize_tile_avx2(
     red_ops.add += t.red_add;
     red_ops.mul += t.red_mul;
     red_ops.cmp += t.red_cmp;
-
-    (processed, stats)
 }
 
 #[cfg(test)]

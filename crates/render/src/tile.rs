@@ -27,6 +27,26 @@
 //! stable sort of the `(tile, depth)` pairs in submission order gives. The
 //! chunk boundaries depend only on the data, so the workload is
 //! bit-identical at every worker count.
+//!
+//! Steps 1–4 are `Binning::place` and step 5 is `Binning::scatter`,
+//! which scatters any range of chunks and skips the tiles flagged as
+//! saturated. [`bin_splats_pooled`] scatters every chunk in one round. The
+//! frame driver ([`crate::pipeline::run_frame`]) instead scatters the
+//! depth order in rounds of 1, 2, 4, … chunks and lets Stage 3 resume the
+//! still-alive tiles after each round, so a tile that saturates early
+//! never has the rest of its list written. Stage 3 reads only a tile's
+//! processed prefix, which every chunk before the tile saturated fills,
+//! so both paths give every reader the same lists.
+//!
+//! ```text
+//!  splats ─▶ 1 keys + rects ─▶ 2 sort ─▶ 3 count ─▶ 4 placement
+//!                                                        │
+//!        ┌───────────────────────────────────────────────┘
+//!        ▼
+//!  round r: 5 scatter chunks 2^r−1 .. 2^(r+1)−1, skipping saturated
+//!           tiles ─▶ Stage 3 resumes every unsaturated tile ─▶ next
+//!           round, until no tile waits for entries
+//! ```
 
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
@@ -34,6 +54,7 @@ use crate::sort::depth_key_bits;
 use crate::workload::{FrameArena, RasterWorkload};
 use gaurast_math::{Aabb2, Vec2};
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Splats per binning chunk. The chunks are *fixed-size* (like
 /// [`crate::preprocess::PREPROCESS_CHUNK`]): they never depend on the
@@ -198,7 +219,10 @@ impl<'a, T> Disjoint<'a, T> {
     }
 }
 
-/// [`bin_splats_pooled`] with an explicit chunk size.
+/// [`bin_splats_pooled`] with an explicit chunk size: `Binning::place`,
+/// then one scatter round over every chunk with no tile skipped — the
+/// one-round, nothing-rasterized instance of the frame driver's Stage 2
+/// ([`crate::pipeline::bin_and_rasterize_chunked`]).
 ///
 /// Production always passes [`BIN_CHUNK`]; the parameter exists so the
 /// `gaurast-check` model tests can shrink the protocol to a handful of
@@ -219,176 +243,308 @@ pub fn bin_splats_chunked(
     pool: &WorkerPool,
     chunk: usize,
 ) -> RasterWorkload {
-    assert!(tile_size > 0 && width > 0 && height > 0);
-    assert!(chunk > 0, "chunk size must be positive");
-    let tiles_x = width.div_ceil(tile_size) as usize;
-    let tiles_y = height.div_ceil(tile_size) as usize;
-    let tiles = tiles_x * tiles_y;
-    let n = splats.len();
-    let chunks = n.div_ceil(chunk);
-    let span = |c: usize| c * chunk..((c + 1) * chunk).min(n);
+    let mut bins = Binning::place(splats, width, height, tile_size, arena, pool, chunk);
+    bins.scatter(0..bins.chunks, pool);
+    let mut processed = std::mem::take(&mut arena.processed);
+    processed.clear();
+    let pixels = std::mem::take(&mut arena.pixels);
+    bins.into_workload(arena, processed, pixels)
+}
 
-    // 1. Splat-order pass: chunk `c` reads its splats once and writes their
-    // keys and rectangles. Every element below `n` is written, so the
-    // buffers are resized without clearing.
-    let mut order = std::mem::take(&mut arena.order);
-    order.resize(n, 0);
-    let mut rects = std::mem::take(&mut arena.rects);
-    rects.resize(n, TileRect::default());
-    let keys_out = Disjoint::new(&mut order);
-    let rects_out = Disjoint::new(&mut rects);
-    pool.run(chunks, |c| {
-        let rows = span(c);
-        let (start, len) = (rows.start, rows.len());
-        // SAFETY: the keys hold `n` entries, chunk `c`'s splat range lies
-        // below `n` and belongs to no other chunk, and `run` yields each
-        // chunk index exactly once.
-        let keys = unsafe { keys_out.range(start, len) };
-        // SAFETY: likewise for the `n` rectangles.
-        let chunk_rects = unsafe { rects_out.range(start, len) };
-        for ((s, (key, rect)), i) in splats[rows]
-            .iter()
-            .zip(keys.iter_mut().zip(chunk_rects))
-            .zip(start..)
-        {
-            *key = (u64::from(depth_key_bits(s.depth)) << 32) | i as u64;
-            *rect = tile_rect(s, width, height, tile_size);
-        }
-    });
+/// One frame's Stage 2 after placement (steps 1–4 of the module docs):
+/// the depth order, the splats' rectangles, each chunk's first output slot
+/// per tile and the CSR offsets, with a value buffer of one slot per pair
+/// that [`Binning::scatter`] fills a range of chunks at a time. Its buffers
+/// come from a [`FrameArena`] and go back to it in `Binning::into_workload`.
+#[derive(Debug)]
+pub(crate) struct Binning {
+    width: u32,
+    height: u32,
+    tile_size: u32,
+    tiles_x: usize,
+    /// Tiles in the grid.
+    tiles: usize,
+    /// Splats per chunk of the depth order.
+    chunk: usize,
+    /// Chunks of the depth order.
+    pub(crate) chunks: usize,
+    /// The frame's splats, in submission order.
+    pub(crate) splats: Vec<Splat2D>,
+    /// Depth-order keys (`depth_key_bits << 32 | index`), sorted.
+    order: Vec<u64>,
+    /// Each splat's tile rectangle, in splat order.
+    rects: Vec<TileRect>,
+    /// `chunks` rows of per-tile placement cursors (row `c`: chunk `c`'s
+    /// next output slot per tile), then the count pass's difference
+    /// arrays.
+    table: Vec<u32>,
+    /// The CSR offsets, `tiles + 1` entries.
+    pub(crate) offsets: Vec<u32>,
+    /// The CSR value buffer, one slot per pair.
+    pub(crate) values: Vec<u32>,
+    /// One flag per tile, all clear after placement: set, the tile has
+    /// saturated and [`Binning::scatter`] skips its slots.
+    pub(crate) saturated: Vec<bool>,
+}
 
-    // 2. Depth order. Every key is unique (the splat index is its low
-    // half), so the in-place unstable sort is deterministic and allocates
-    // nothing.
-    order.sort_unstable();
-    let chunk_keys = |c: usize| &order[span(c)];
+impl Binning {
+    /// Steps 1–4 of the module docs in `chunk`-splat chunks over `pool`:
+    /// the splat-order pass, the depth sort, the count and the placement.
+    /// Nothing is scattered yet.
+    ///
+    /// # Panics
+    /// Panics when `tile_size` or `chunk` is zero, the image is empty, or
+    /// the frame has more than `u32::MAX` (splat, tile) pairs.
+    // gaurast-check: hot-path
+    pub(crate) fn place(
+        splats: Vec<Splat2D>,
+        width: u32,
+        height: u32,
+        tile_size: u32,
+        arena: &mut FrameArena,
+        pool: &WorkerPool,
+        chunk: usize,
+    ) -> Self {
+        assert!(tile_size > 0 && width > 0 && height > 0);
+        assert!(chunk > 0, "chunk size must be positive");
+        let tiles_x = width.div_ceil(tile_size) as usize;
+        let tiles_y = height.div_ceil(tile_size) as usize;
+        let tiles = tiles_x * tiles_y;
+        let n = splats.len();
+        let chunks = n.div_ceil(chunk);
+        let span = |c: usize| c * chunk..((c + 1) * chunk).min(n);
 
-    // 3. Count: chunk `c` adds +1 at its rectangles' top-left and
-    // bottom-right corners and −1 (`u32::MAX` in wrapping arithmetic) at
-    // the other two, in a difference array one column and one row wider
-    // than the grid, then prefix-sums it into row `c` of the chunks ×
-    // tiles table. The extra column and row take the updates of
-    // rectangles that end at the grid's edge. The difference arrays sit
-    // behind the table in the same buffer; every entry of both is written
-    // here, so it is resized without clearing.
-    let stride = tiles_x + 1;
-    let diff_len = stride * (tiles_y + 1);
-    let mut table = std::mem::take(&mut arena.counts);
-    table.resize(chunks * (tiles + diff_len), 0);
-    let (count_table, diff_table) = table.split_at_mut(chunks * tiles);
-    let count_rows = Disjoint::new(count_table);
-    let diff_rows = Disjoint::new(diff_table);
-    pool.run(chunks, |c| {
-        // SAFETY: the count and difference tables hold `chunks` rows of
-        // `tiles` and `diff_len` entries, and `run` yields each chunk
-        // index exactly once.
-        let (diff, row) = unsafe {
-            (
-                diff_rows.range(c * diff_len, diff_len),
-                count_rows.range(c * tiles, tiles),
-            )
-        };
-        diff.fill(0);
-        for &key in chunk_keys(c) {
-            let r = rects[key as u32 as usize];
-            let (top, bottom) = (r.y0 as usize * stride, r.y1 as usize * stride);
-            let (left, right) = (r.x0 as usize, r.x1 as usize);
-            for (at, delta) in [
-                (top + left, 1),
-                (top + right, u32::MAX),
-                (bottom + left, u32::MAX),
-                (bottom + right, 1),
-            ] {
-                let d = &mut diff[at];
-                *d = d.wrapping_add(delta);
+        // 1. Splat-order pass: chunk `c` reads its splats once and writes
+        // their keys and rectangles. Every element below `n` is written,
+        // so the buffers are resized without clearing.
+        let mut order = std::mem::take(&mut arena.order);
+        order.resize(n, 0);
+        let mut rects = std::mem::take(&mut arena.rects);
+        rects.resize(n, TileRect::default());
+        let keys_out = Disjoint::new(&mut order);
+        let rects_out = Disjoint::new(&mut rects);
+        pool.run(chunks, |c| {
+            let rows = span(c);
+            let (start, len) = (rows.start, rows.len());
+            // SAFETY: the keys hold `n` entries, chunk `c`'s splat range
+            // lies below `n` and belongs to no other chunk, and `run`
+            // yields each chunk index exactly once.
+            let keys = unsafe { keys_out.range(start, len) };
+            // SAFETY: likewise for the `n` rectangles.
+            let chunk_rects = unsafe { rects_out.range(start, len) };
+            for ((s, (key, rect)), i) in splats[rows]
+                .iter()
+                .zip(keys.iter_mut().zip(chunk_rects))
+                .zip(start..)
+            {
+                *key = (u64::from(depth_key_bits(s.depth)) << 32) | i as u64;
+                *rect = tile_rect(s, width, height, tile_size);
             }
-        }
-        // Tile (x, y)'s count is the sum of the differences at or above
-        // and left of it: a running sum along each line plus the line
-        // above's counts.
-        let mut above: &[u32] = &[];
-        for (line, deltas) in row.chunks_exact_mut(tiles_x).zip(diff.chunks_exact(stride)) {
-            let mut run = 0u32;
-            let ups = above.iter().chain(std::iter::repeat(&0));
-            for ((count, &delta), &up) in line.iter_mut().zip(deltas).zip(ups) {
-                run = run.wrapping_add(delta);
-                *count = run.wrapping_add(up);
-            }
-            above = line;
-        }
-    });
+        });
 
-    // 4. Placement: exclusive prefix over (tile, chunk). Row `c` becomes
-    // chunk `c`'s first output slot per tile, and `offsets[t]` tile `t`'s
-    // first slot.
-    let mut offsets = std::mem::take(&mut arena.offsets);
-    offsets.clear();
-    offsets.resize(tiles + 1, 0);
-    let mut running = 0u64;
-    for (t, offset) in offsets.iter_mut().enumerate().take(tiles) {
-        *offset = running as u32;
-        for c in 0..chunks {
-            let slot = &mut table[c * tiles + t];
-            let count = *slot;
-            *slot = running as u32;
-            running += u64::from(count);
-        }
-    }
-    assert!(
-        running <= u64::from(u32::MAX),
-        "CSR offsets are u32: at most 2^32-1 (splat, tile) pairs"
-    );
-    let pairs = running as usize;
-    offsets[tiles] = running as u32;
+        // 2. Depth order. Every key is unique (the splat index is its low
+        // half), so the in-place unstable sort is deterministic and
+        // allocates nothing.
+        order.sort_unstable();
+        let chunk_keys = |c: usize| &order[span(c)];
 
-    // 5. Scatter: chunk `c` writes each splat's index to the next slot of
-    // its range for every tile of the splat's rectangle, so every tile's
-    // run keeps the depth order. Every slot below `pairs` is written once,
-    // so the value buffer is resized without clearing.
-    let mut values = std::mem::take(&mut arena.values);
-    values.resize(pairs, 0);
-    let cursors = Disjoint::new(&mut table);
-    let out = &Disjoint::new(&mut values);
-    pool.run(chunks, |c| {
-        // SAFETY: as in the count pass; the row now holds chunk `c`'s
-        // placement cursors.
-        let cursor = unsafe { cursors.range(c * tiles, tiles) };
-        for &key in chunk_keys(c) {
-            let index = key as u32;
-            let r = rects[index as usize];
-            for ty in r.y0 as usize..r.y1 as usize {
-                let line = ty * tiles_x;
-                for slot in &mut cursor[line + r.x0 as usize..line + r.x1 as usize] {
-                    let at = *slot as usize;
-                    *slot += 1;
-                    // The count read the same rectangles, so the cursor
-                    // stays in range; the write below relies on it.
-                    assert!(at < pairs, "scatter slot outside the values");
-                    crate::race_region!("disjoint scatter slots", {
-                        crate::race_write!(out.0.wrapping_add(at), 1);
-                        // SAFETY: `at < pairs`, the length the value buffer
-                        // was resized to, is asserted above; and the
-                        // exclusive prefix over exact counts gives every
-                        // (tile, chunk) a range no other chunk receives,
-                        // inside which the cursor of chunk `c` stays.
-                        unsafe { *out.0.add(at) = index };
-                    });
+        // 3. Count: chunk `c` adds +1 at its rectangles' top-left and
+        // bottom-right corners and −1 (`u32::MAX` in wrapping arithmetic)
+        // at the other two, in a difference array one column and one row
+        // wider than the grid, then prefix-sums it into row `c` of the
+        // chunks × tiles table. The extra column and row take the updates
+        // of rectangles that end at the grid's edge. The difference arrays
+        // sit behind the table in the same buffer; every entry of both is
+        // written here, so it is resized without clearing.
+        let stride = tiles_x + 1;
+        let diff_len = stride * (tiles_y + 1);
+        let mut table = std::mem::take(&mut arena.counts);
+        table.resize(chunks * (tiles + diff_len), 0);
+        let (count_table, diff_table) = table.split_at_mut(chunks * tiles);
+        let count_rows = Disjoint::new(count_table);
+        let diff_rows = Disjoint::new(diff_table);
+        pool.run(chunks, |c| {
+            // SAFETY: the count and difference tables hold `chunks` rows of
+            // `tiles` and `diff_len` entries, and `run` yields each chunk
+            // index exactly once.
+            let (diff, row) = unsafe {
+                (
+                    diff_rows.range(c * diff_len, diff_len),
+                    count_rows.range(c * tiles, tiles),
+                )
+            };
+            diff.fill(0);
+            for &key in chunk_keys(c) {
+                let r = rects[key as u32 as usize];
+                let (top, bottom) = (r.y0 as usize * stride, r.y1 as usize * stride);
+                let (left, right) = (r.x0 as usize, r.x1 as usize);
+                for (at, delta) in [
+                    (top + left, 1),
+                    (top + right, u32::MAX),
+                    (bottom + left, u32::MAX),
+                    (bottom + right, 1),
+                ] {
+                    let d = &mut diff[at];
+                    *d = d.wrapping_add(delta);
                 }
             }
-        }
-    });
+            // Tile (x, y)'s count is the sum of the differences at or
+            // above and left of it: a running sum along each line plus the
+            // line above's counts.
+            let mut above: &[u32] = &[];
+            for (line, deltas) in row.chunks_exact_mut(tiles_x).zip(diff.chunks_exact(stride)) {
+                let mut run = 0u32;
+                let ups = above.iter().chain(std::iter::repeat(&0));
+                for ((count, &delta), &up) in line.iter_mut().zip(deltas).zip(ups) {
+                    run = run.wrapping_add(delta);
+                    *count = run.wrapping_add(up);
+                }
+                above = line;
+            }
+        });
 
-    arena.order = order;
-    arena.rects = rects;
-    arena.counts = table;
-    RasterWorkload::from_csr(
-        width,
-        height,
-        tile_size,
-        splats,
-        values,
-        offsets,
-        std::mem::take(&mut arena.processed),
-    )
+        // 4. Placement: exclusive prefix over (tile, chunk). Row `c`
+        // becomes chunk `c`'s first output slot per tile, and `offsets[t]`
+        // tile `t`'s first slot.
+        let mut offsets = std::mem::take(&mut arena.offsets);
+        offsets.clear();
+        offsets.resize(tiles + 1, 0);
+        let mut running = 0u64;
+        for (t, offset) in offsets.iter_mut().enumerate().take(tiles) {
+            *offset = running as u32;
+            for c in 0..chunks {
+                let slot = &mut table[c * tiles + t];
+                let count = *slot;
+                *slot = running as u32;
+                running += u64::from(count);
+            }
+        }
+        assert!(
+            running <= u64::from(u32::MAX),
+            "CSR offsets are u32: at most 2^32-1 (splat, tile) pairs"
+        );
+        offsets[tiles] = running as u32;
+        // The scatter writes only the slots it reaches, so the value buffer
+        // is resized without clearing.
+        let mut values = std::mem::take(&mut arena.values);
+        values.resize(running as usize, 0);
+        let mut saturated = std::mem::take(&mut arena.saturated);
+        saturated.clear();
+        saturated.resize(tiles, false);
+
+        Self {
+            width,
+            height,
+            tile_size,
+            tiles_x,
+            tiles,
+            chunk,
+            chunks,
+            splats,
+            order,
+            rects,
+            table,
+            offsets,
+            values,
+            saturated,
+        }
+    }
+
+    /// Each tile's end of the slots that the chunks before `chunk` fill:
+    /// chunk `chunk`'s first slot per tile, or the list ends once `chunk`
+    /// is past the last chunk. The rows of chunks not yet scattered still
+    /// hold their placement, so this holds between scatter rounds too.
+    // gaurast-check: hot-path
+    pub(crate) fn filled_ends(&self, chunk: usize) -> &[u32] {
+        let row = self
+            .table
+            .chunks_exact(self.tiles)
+            .take(self.chunks)
+            .nth(chunk);
+        row.unwrap_or_else(|| self.offsets.get(1..).unwrap_or_default())
+    }
+
+    /// Step 5 of the module docs for the chunks in `chunks`, one pool job
+    /// per chunk: each writes its splats' indices into its own slots of
+    /// every covered tile whose saturation flag is clear, so every tile's
+    /// run keeps the depth order.
+    ///
+    /// # Panics
+    /// Panics when `chunks` reaches past the last chunk.
+    // gaurast-check: hot-path
+    pub(crate) fn scatter(&mut self, chunks: Range<usize>, pool: &WorkerPool) {
+        assert!(chunks.end <= self.chunks, "scatter past the last chunk");
+        let (tiles, tiles_x, chunk, n) = (self.tiles, self.tiles_x, self.chunk, self.splats.len());
+        let pairs = self.values.len();
+        let (order, rects, saturated) = (&self.order, &self.rects, &self.saturated);
+        let cursors = Disjoint::new(&mut self.table);
+        let out = &Disjoint::new(&mut self.values);
+        let first = chunks.start;
+        pool.run(chunks.len(), |job| {
+            let c = first + job;
+            // The flags were last written between dispatches, by the
+            // thread that issued this one.
+            crate::race_read!(saturated.as_ptr(), saturated.len());
+            // SAFETY: the table holds `chunks` rows of `tiles` cursors
+            // first, row `c` belongs to chunk `c` alone, and `run` yields
+            // each job index exactly once.
+            let cursor = unsafe { cursors.range(c * tiles, tiles) };
+            for &key in &order[c * chunk..((c + 1) * chunk).min(n)] {
+                let index = key as u32;
+                let r = rects[index as usize];
+                for ty in r.y0 as usize..r.y1 as usize {
+                    let (from, to) = (ty * tiles_x + r.x0 as usize, ty * tiles_x + r.x1 as usize);
+                    for (slot, &done) in cursor[from..to].iter_mut().zip(&saturated[from..to]) {
+                        if done {
+                            continue;
+                        }
+                        let at = *slot as usize;
+                        *slot += 1;
+                        // The count read the same rectangles, so the
+                        // cursor stays in range; the write below relies on
+                        // it.
+                        assert!(at < pairs, "scatter slot outside the values");
+                        crate::race_region!("disjoint scatter slots", {
+                            crate::race_write!(out.0.wrapping_add(at), 1);
+                            // SAFETY: `at < pairs`, the length the value
+                            // buffer was resized to, is asserted above; and
+                            // the exclusive prefix over exact counts gives
+                            // every (tile, chunk) a range no other chunk
+                            // receives, inside which the cursor of chunk
+                            // `c` stays.
+                            unsafe { *out.0.add(at) = index };
+                        });
+                    }
+                }
+            }
+        });
+    }
+
+    /// Hands the Stage-2 scratch back to `arena` and assembles the
+    /// workload: `processed` empty when nothing was rasterized, else the
+    /// reference pass's counts; `pixels` is Stage 3's pixel-state scratch.
+    // gaurast-check: hot-path
+    pub(crate) fn into_workload(
+        self,
+        arena: &mut FrameArena,
+        processed: Vec<u32>,
+        pixels: Vec<f32>,
+    ) -> RasterWorkload {
+        arena.order = self.order;
+        arena.rects = self.rects;
+        arena.counts = self.table;
+        arena.saturated = self.saturated;
+        RasterWorkload::from_csr(
+            self.width,
+            self.height,
+            self.tile_size,
+            self.splats,
+            self.values,
+            self.offsets,
+            processed,
+            pixels,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -2,23 +2,41 @@
 //! and the architecture models.
 //!
 //! Stages 1–2 produce a [`RasterWorkload`]: the preprocessed splats plus a
-//! flat **CSR** (compressed sparse row) table of depth-sorted splat indices
-//! — one contiguous `values` buffer holding every (splat, tile) pair
+//! **CSR** (compressed sparse row) layout of depth-sorted splat indices —
+//! one `values` buffer with a slot for every (splat, tile) pair,
 //! tile-major, and an `offsets` table with one entry per tile plus a
-//! terminator, so tile `i`'s list is `values[offsets[i]..offsets[i + 1]]`.
+//! terminator, so tile `i`'s full list occupies
+//! `values[offsets[i]..offsets[i + 1]]`.
+//!
+//! A tile's list matters only up to its *processed prefix*: the splats
+//! the reference Stage-3 pass read before every pixel of the tile
+//! saturated. After a reference pass the workload holds each tile's
+//! processed prefix and its full list length, which is all any consumer
+//! reads — Stage 3, the PE render, GSCore's refinement and every billing
+//! model stop at the prefix, and the pair count comes from the offsets.
+//! The frame driver ([`crate::pipeline::run_frame`]) scatters the depth
+//! order in rounds and skips tiles that have saturated, so slots past a
+//! tile's prefix may never be written; [`RasterWorkload::tile_list_at`]
+//! and equality see only the prefixes. Before a reference pass (a bare
+//! Stage-2 product) every tile's prefix is its whole list.
 //! Both the CUDA baseline model and the GauRast cycle-accurate simulator
 //! consume this same structure, so the speedups compare identical work.
 //!
 //! The CSR buffers (and the depth-order keys, tile rectangles, difference
-//! arrays and per-chunk counts that produce them — see [`crate::tile`])
-//! live in a per-session [`FrameArena`], so steady-state frames run
-//! Stage 2 without allocating.
+//! arrays and per-chunk counts that produce them — see [`crate::tile`]),
+//! the processed counts and Stage 3's per-tile pixel state live in a
+//! per-session [`FrameArena`], so steady-state frames run Stages 2 and 3
+//! without touching the allocator on their data paths.
 
 use crate::preprocess::Splat2D;
 use crate::tile::TileRect;
 
 /// Per-tile, depth-ordered rasterization work for one frame, in CSR form.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equality compares the grid, the splats, the offsets and each tile's
+/// held prefix ([`RasterWorkload::tile_list_at`]); slots past a prefix are
+/// not part of the workload.
+#[derive(Clone)]
 pub struct RasterWorkload {
     width: u32,
     height: u32,
@@ -26,15 +44,45 @@ pub struct RasterWorkload {
     tiles_x: u32,
     tiles_y: u32,
     splats: Vec<Splat2D>,
-    /// Flat, tile-major splat-index buffer: every (splat, tile) pair once,
-    /// each tile's run depth-sorted.
-    values: Vec<u32>,
-    /// CSR offset table, `tile_count() + 1` entries: tile `i` owns
-    /// `values[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
+    /// Flat, tile-major splat-index buffer with a slot for every (splat,
+    /// tile) pair. Each tile's held prefix sits at the start of its run,
+    /// depth-sorted; slots after it may hold anything.
+    pub(crate) values: Vec<u32>,
+    /// CSR offset table, `tile_count() + 1` entries: tile `i`'s full list
+    /// occupies `values[offsets[i]..offsets[i + 1]]`.
+    pub(crate) offsets: Vec<u32>,
     /// Per-tile processed counts recorded by the reference rasterizer;
-    /// empty until [`RasterWorkload::set_processed`] runs.
-    processed: Vec<u32>,
+    /// empty until a pass (or [`RasterWorkload::set_processed`]) fills it.
+    pub(crate) processed: Vec<u32>,
+    /// Stage 3's per-tile pixel state, carried only so a later
+    /// [`crate::rasterize::rasterize_with_level`] and the next frame reuse
+    /// its allocation; not part of the workload.
+    pub(crate) pixels: Vec<f32>,
+}
+
+impl PartialEq for RasterWorkload {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, self.height, self.tile_size) == (other.width, other.height, other.tile_size)
+            && self.splats == other.splats
+            && self.offsets == other.offsets
+            && (0..self.tile_count()).all(|t| self.tile_list_at(t) == other.tile_list_at(t))
+    }
+}
+
+impl std::fmt::Debug for RasterWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lists: Vec<&[u32]> = (0..self.tile_count())
+            .map(|t| self.tile_list_at(t))
+            .collect();
+        f.debug_struct("RasterWorkload")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("tile_size", &self.tile_size)
+            .field("splats", &self.splats)
+            .field("offsets", &self.offsets)
+            .field("held", &lists)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RasterWorkload {
@@ -86,19 +134,23 @@ impl RasterWorkload {
             values,
             offsets,
             Vec::new(),
+            Vec::new(),
         )
     }
 
     /// Assembles a workload directly from CSR buffers (the arena-backed
-    /// binning path). `processed` may carry a recycled (cleared) counts
-    /// buffer whose capacity is reused by the next
-    /// [`RasterWorkload::set_processed`].
+    /// binning path). `processed` is either empty (every tile holds its
+    /// whole list) or one count per tile (each tile holds that prefix, as
+    /// after a reference pass); an empty buffer may carry recycled
+    /// capacity. `pixels` is Stage 3's recycled pixel-state scratch.
     ///
     /// # Panics
     /// Panics when the offset table does not match the grid or is not a
-    /// monotone cover of `values`. Index bounds are a `debug_assert` — the
-    /// binning paths emit indices straight from the splat iteration, and
-    /// this constructor is on the per-frame hot path.
+    /// monotone cover of `values`, or when a processed count does not fit
+    /// its list. Index bounds of the held prefixes are a `debug_assert` —
+    /// the binning paths emit indices straight from the splat iteration,
+    /// and this constructor is on the per-frame hot path.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_csr(
         width: u32,
         height: u32,
@@ -106,7 +158,8 @@ impl RasterWorkload {
         splats: Vec<Splat2D>,
         values: Vec<u32>,
         offsets: Vec<u32>,
-        mut processed: Vec<u32>,
+        processed: Vec<u32>,
+        pixels: Vec<f32>,
     ) -> Self {
         assert!(tile_size > 0, "tile size must be positive");
         assert!(width > 0 && height > 0, "image dimensions must be positive");
@@ -124,12 +177,11 @@ impl RasterWorkload {
             "offset table must end at the value count"
         );
         assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
+            offsets
+                .iter()
+                .zip(offsets.iter().skip(1))
+                .all(|(a, b)| a <= b),
             "offset table must be monotone"
-        );
-        debug_assert!(
-            values.iter().all(|&i| (i as usize) < splats.len()),
-            "splat index out of bounds in CSR values"
         );
         // Debug-only finiteness gate: Stage 1 culls non-finite splats and
         // `tile_range` refuses to bin them, so a non-finite mean, radius,
@@ -141,8 +193,7 @@ impl RasterWorkload {
                 .all(|s| s.mean.is_finite() && s.radius.is_finite() && s.depth.is_finite()),
             "non-finite splat reached RasterWorkload"
         );
-        processed.clear();
-        Self {
+        let mut workload = Self {
             width,
             height,
             tile_size,
@@ -152,7 +203,20 @@ impl RasterWorkload {
             values,
             offsets,
             processed,
+            pixels,
+        };
+        if !workload.processed.is_empty() {
+            let processed = std::mem::take(&mut workload.processed);
+            workload.set_processed(processed);
         }
+        debug_assert!(
+            (0..workload.tile_count()).all(|t| workload
+                .tile_list_at(t)
+                .iter()
+                .all(|&i| (i as usize) < workload.splats.len())),
+            "splat index out of bounds in CSR values"
+        );
+        workload
     }
 
     /// Image width in pixels.
@@ -197,30 +261,32 @@ impl RasterWorkload {
         &self.splats
     }
 
-    /// The flat CSR value buffer: every (splat, tile) pair, tile-major,
-    /// depth-sorted within each tile's run.
-    #[inline]
-    pub fn values(&self) -> &[u32] {
-        &self.values
-    }
-
-    /// The CSR offset table (`tile_count() + 1` entries).
+    /// The CSR offset table (`tile_count() + 1` entries): tile `i`'s full
+    /// list length is `offsets[i + 1] - offsets[i]`.
     #[inline]
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
-    /// Depth-sorted splat indices for the linear tile index
-    /// (`ty * tiles_x + tx`) — a zero-copy slice of the CSR value buffer.
+    /// The depth-sorted splat indices the workload holds for the linear
+    /// tile index (`ty * tiles_x + tx`) — a zero-copy slice of the CSR
+    /// value buffer: the tile's processed prefix after a reference pass,
+    /// its whole list before one.
     ///
     /// # Panics
     /// Panics when the index is out of range.
     #[inline]
     pub fn tile_list_at(&self, tile: usize) -> &[u32] {
-        &self.values[self.offsets[tile] as usize..self.offsets[tile + 1] as usize]
+        let start = self.offsets[tile];
+        let end = match self.processed.get(tile) {
+            Some(&p) => start + p,
+            None => self.offsets[tile + 1],
+        };
+        &self.values[start as usize..end as usize]
     }
 
-    /// Depth-sorted splat indices for tile `(tx, ty)`.
+    /// The splat indices the workload holds for tile `(tx, ty)`
+    /// ([`RasterWorkload::tile_list_at`]).
     ///
     /// # Panics
     /// Panics when the tile coordinate is out of range.
@@ -231,8 +297,8 @@ impl RasterWorkload {
     }
 
     /// Iterates the tiles in linear (tile-major) order, yielding each
-    /// tile's CSR range, rectangle, and processed count — the one traversal
-    /// every architecture model shares.
+    /// tile's held prefix, rectangle, and processed count — the one
+    /// traversal every architecture model shares.
     pub fn tiles(&self) -> impl Iterator<Item = TileRef<'_>> + '_ {
         (0..self.tile_count()).map(move |i| {
             let (tx, ty) = (i as u32 % self.tiles_x, i as u32 / self.tiles_x);
@@ -250,14 +316,7 @@ impl RasterWorkload {
     /// Pixel rectangle of tile `(tx, ty)`: `(x0, y0, x1, y1)`, exclusive
     /// upper bounds, clipped to the image.
     pub fn tile_rect(&self, tx: u32, ty: u32) -> (u32, u32, u32, u32) {
-        let x0 = tx * self.tile_size;
-        let y0 = ty * self.tile_size;
-        (
-            x0,
-            y0,
-            (x0 + self.tile_size).min(self.width),
-            (y0 + self.tile_size).min(self.height),
-        )
+        tile_pixel_rect((self.width, self.height, self.tile_size), tx, ty)
     }
 
     /// Number of pixels in tile `(tx, ty)` (edge tiles may be partial).
@@ -266,35 +325,27 @@ impl RasterWorkload {
         u64::from(x1 - x0) * u64::from(y1 - y0)
     }
 
-    /// Total (splat, tile) pairs — the CSR value count, i.e. the
-    /// sort/binning workload of Stage 2.
+    /// Total (splat, tile) pairs — the sum of the full list lengths, i.e.
+    /// the sort/binning workload of Stage 2.
     pub fn total_pairs(&self) -> u64 {
-        self.values.len() as u64
+        self.offsets.last().map_or(0, |&n| u64::from(n))
     }
 
     /// Records how many splats of each tile's list were actually processed
     /// before the whole tile saturated (filled in by the reference
     /// rasterizer; both architecture models bill exactly this much work).
+    /// From then on each tile holds only that prefix of its list.
     ///
     /// # Panics
     /// Panics when the vector length does not match the tile count or when
-    /// any count exceeds the corresponding CSR range length.
+    /// any count exceeds the tile's held list.
     pub fn set_processed(&mut self, processed: Vec<u32>) {
         assert_eq!(processed.len(), self.tile_count(), "one count per tile");
         for (i, p) in processed.iter().enumerate() {
-            let len = self.offsets[i + 1] - self.offsets[i];
+            let len = self.tile_list_at(i).len() as u32;
             assert!(*p <= len, "processed count {p} exceeds list length {len}");
         }
         self.processed = processed;
-    }
-
-    /// Hands out the (cleared) processed-count buffer so the reference
-    /// rasterization pass can refill it without allocating; the pass gives
-    /// it back through [`RasterWorkload::set_processed`].
-    pub(crate) fn take_processed_scratch(&mut self) -> Vec<u32> {
-        let mut p = std::mem::take(&mut self.processed);
-        p.clear();
-        p
     }
 
     /// Processed splat count for tile `(tx, ty)`: the recorded count if the
@@ -317,18 +368,20 @@ impl RasterWorkload {
             .sum()
     }
 
-    /// Moves this workload's CSR and processed-count buffers back into a
-    /// session arena so the next frame reuses the allocations
-    /// ([`FrameArena`] is the steady-state zero-allocation contract of
-    /// Stage 2's data path). The splats are dropped — their allocation
-    /// belongs to Stage 1, which produces a fresh `Vec` per frame.
+    /// Moves this workload's CSR, processed-count and pixel-state buffers
+    /// back into a session arena so the next frame reuses the allocations
+    /// ([`FrameArena`] is the steady-state zero-allocation contract of the
+    /// Stage-2 and Stage-3 data paths). The splats are dropped — their
+    /// allocation belongs to Stage 1, which produces a fresh `Vec` per
+    /// frame.
     pub fn recycle_into(self, arena: &mut FrameArena) {
         arena.values = self.values;
         arena.offsets = self.offsets;
         arena.processed = self.processed;
+        arena.pixels = self.pixels;
     }
 
-    /// Length of the longest tile list (load-imbalance metric).
+    /// Length of the longest full tile list (load-imbalance metric).
     pub fn max_list_len(&self) -> usize {
         self.offsets
             .windows(2)
@@ -337,13 +390,32 @@ impl RasterWorkload {
             .unwrap_or(0)
     }
 
-    /// Mean tile-list length.
+    /// Mean full tile-list length.
     pub fn mean_list_len(&self) -> f64 {
         if self.tile_count() == 0 {
             return 0.0;
         }
         self.total_pairs() as f64 / self.tile_count() as f64
     }
+}
+
+/// Pixel rectangle of tile `(tx, ty)` on a `width × height` image of
+/// `tile_size` tiles: `(x0, y0, x1, y1)`, exclusive upper bounds, clipped
+/// to the image — the one grid authority that shapes Stage 3's tile jobs
+/// and the rectangles the architecture models bill.
+pub(crate) fn tile_pixel_rect(
+    (width, height, tile_size): (u32, u32, u32),
+    tx: u32,
+    ty: u32,
+) -> (u32, u32, u32, u32) {
+    let x0 = tx * tile_size;
+    let y0 = ty * tile_size;
+    (
+        x0,
+        y0,
+        (x0 + tile_size).min(width),
+        (y0 + tile_size).min(height),
+    )
 }
 
 /// One tile's view of a CSR workload (see [`RasterWorkload::tiles`]).
@@ -355,9 +427,11 @@ pub struct TileRef<'a> {
     pub tx: u32,
     /// Tile row.
     pub ty: u32,
-    /// The tile's depth-sorted CSR range of splat indices.
+    /// The tile's held prefix of depth-sorted splat indices
+    /// ([`RasterWorkload::tile_list_at`]).
     pub list: &'a [u32],
-    /// Processed count (list length when no reference pass recorded one).
+    /// Processed count (the full list length when no reference pass
+    /// recorded one).
     pub processed: u32,
     /// Pixel rectangle `(x0, y0, x1, y1)`, exclusive upper bounds.
     pub rect: (u32, u32, u32, u32),
@@ -372,12 +446,14 @@ impl TileRef<'_> {
     }
 }
 
-/// Per-session Stage-2 scratch: the key, rectangle, difference, per-chunk
-/// count, CSR and processed-count buffers a frame needs, recycled
-/// across frames so steady-state Stage 2 allocates nothing.
+/// Per-session Stage-2 and Stage-3 scratch: the key, rectangle,
+/// difference, per-chunk count, CSR, saturation-flag, processed-count and
+/// tile pixel-state buffers a frame needs, recycled across frames so the
+/// steady-state data paths allocate nothing.
 ///
-/// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
-/// the buffers back with [`RasterWorkload::recycle_into`] after the frame.
+/// Thread one arena through [`crate::pipeline::run_frame`] (or
+/// [`crate::tile::bin_splats_pooled`]) and give the buffers back with
+/// [`RasterWorkload::recycle_into`] after the frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
     /// Depth-order keys, one per splat (`depth_key_bits << 32 | index`),
@@ -394,8 +470,14 @@ pub struct FrameArena {
     pub(crate) values: Vec<u32>,
     /// CSR offset table under construction.
     pub(crate) offsets: Vec<u32>,
+    /// One flag per tile: the tile saturated in an earlier scatter round,
+    /// so later rounds skip its slots; only live during binning.
+    pub(crate) saturated: Vec<bool>,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
+    /// Stage 3's per-tile pixel state, kept here between rounds
+    /// ([`crate::rasterize`]).
+    pub(crate) pixels: Vec<f32>,
 }
 
 impl FrameArena {
@@ -444,7 +526,7 @@ mod tests {
     #[test]
     fn csr_layout_matches_lists() {
         let w = workload_2x2();
-        assert_eq!(w.values(), &[0, 1, 0, 1]);
+        assert_eq!(w.values, &[0, 1, 0, 1]);
         assert_eq!(w.offsets(), &[0, 2, 3, 3, 4]);
         assert_eq!(w.tile_list(0, 0), &[0, 1]);
         assert_eq!(w.tile_list(1, 0), &[0]);
@@ -514,6 +596,25 @@ mod tests {
     }
 
     #[test]
+    fn processed_workload_holds_prefixes_and_full_lengths() {
+        let mut w = workload_2x2();
+        w.set_processed(vec![1, 0, 0, 1]);
+        assert_eq!(w.tile_list(0, 0), &[0]);
+        assert!(w.tile_list(1, 0).is_empty());
+        assert_eq!(w.tile_list(1, 1), &[1]);
+        // The pair count and the full lengths stay those of the lists.
+        assert_eq!(w.total_pairs(), 4);
+        assert_eq!(w.max_list_len(), 2);
+        // Slots past a prefix are not part of the workload.
+        let mut other = w.clone();
+        other.values[1] = 7;
+        other.values[2] = 9;
+        assert_eq!(other, w);
+        other.values[0] = 1;
+        assert_ne!(other, w);
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds list length")]
     fn processed_cannot_exceed_list() {
         let mut w = workload_2x2();
@@ -537,6 +638,7 @@ mod tests {
             vec![0, 0],
             vec![0, 2, 1, 1, 2],
             Vec::new(),
+            Vec::new(),
         );
     }
 
@@ -550,6 +652,7 @@ mod tests {
             vec![splat()],
             vec![0, 0],
             vec![0, 1, 1, 1, 1],
+            Vec::new(),
             Vec::new(),
         );
     }

@@ -42,11 +42,22 @@ fn oracle(splats: &[Splat2D], width: u32, height: u32, tile_size: u32) -> (Vec<u
     (pairs.iter().map(|&(_, _, i)| i).collect(), offsets)
 }
 
-/// Asserts `w`'s CSR table equals the oracle's for its own splats.
+/// Asserts `w`'s CSR table equals the oracle's for its own splats: the
+/// same offsets (so every full list length), and each tile's held prefix
+/// equal to the oracle's list cut at the tile's processed count (the whole
+/// list when nothing was rasterized).
 fn assert_matches_oracle(w: &RasterWorkload, what: &str) {
     let (values, offsets) = oracle(w.splats(), w.width(), w.height(), w.tile_size());
-    assert_eq!(w.values(), values.as_slice(), "{what}: values");
     assert_eq!(w.offsets(), offsets.as_slice(), "{what}: offsets");
+    for t in w.tiles() {
+        let list = &values[offsets[t.index] as usize..offsets[t.index + 1] as usize];
+        assert_eq!(
+            t.list,
+            &list[..t.processed as usize],
+            "{what}: tile {}",
+            t.index
+        );
+    }
 }
 
 /// Random splats with deliberately nasty Stage-2 shapes: quantized depths
@@ -179,16 +190,17 @@ proptest! {
         let offsets = w.offsets();
         prop_assert_eq!(offsets.len(), w.tile_count() + 1);
         prop_assert_eq!(offsets[0], 0);
-        prop_assert_eq!(*offsets.last().unwrap() as usize, w.values().len());
+        prop_assert_eq!(u64::from(*offsets.last().unwrap()), w.total_pairs());
         prop_assert!(offsets.windows(2).all(|x| x[0] <= x[1]));
-        prop_assert_eq!(w.total_pairs(), w.values().len() as u64);
-        // Per-tile slices tile the value buffer exactly.
+        // Before a reference pass every tile holds its whole list, and
+        // the per-tile slices add up to every pair.
         let mut reassembled = Vec::new();
         for t in w.tiles() {
             prop_assert_eq!(t.list, w.tile_list(t.tx, t.ty));
+            prop_assert_eq!(t.list.len(), (offsets[t.index + 1] - offsets[t.index]) as usize);
             reassembled.extend_from_slice(t.list);
         }
-        prop_assert_eq!(reassembled.as_slice(), w.values());
+        prop_assert_eq!(reassembled.len() as u64, w.total_pairs());
     }
 
     /// The ordered-u32 depth mapping is exactly total_cmp order — over
@@ -243,15 +255,18 @@ fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
                 chunk,
             );
             assert_eq!(
-                w.values(),
-                values.as_slice(),
-                "width {workers}, chunk {chunk}"
-            );
-            assert_eq!(
                 w.offsets(),
                 offsets.as_slice(),
                 "width {workers}, chunk {chunk}"
             );
+            for t in w.tiles() {
+                assert_eq!(
+                    t.list,
+                    &values[offsets[t.index] as usize..offsets[t.index + 1] as usize],
+                    "width {workers}, chunk {chunk}, tile {}",
+                    t.index
+                );
+            }
         }
     }
 }
@@ -277,14 +292,15 @@ fn arena_reuse_is_pointer_stable_across_frames() {
 
     // The warm-up frame sizes every buffer.
     let w = bin_splats_pooled(splats.clone(), 96, 48, 16, &mut arena, &pool);
-    let (values, offsets) = (w.values().as_ptr(), w.offsets().as_ptr());
+    // Tile 0's list starts the value buffer.
+    let (values, offsets) = (w.tile_list_at(0).as_ptr(), w.offsets().as_ptr());
     w.recycle_into(&mut arena);
 
     // Steady-state frames must hand back those same buffers.
     for _ in 0..4 {
         let w = bin_splats_pooled(splats.clone(), 96, 48, 16, &mut arena, &pool);
         assert_eq!(
-            w.values().as_ptr(),
+            w.tile_list_at(0).as_ptr(),
             values,
             "steady-state Stage 2 allocated a new value buffer"
         );

@@ -3,7 +3,7 @@
 //!
 //! A [`GaussianScene`] is validated but *raw*: every renderer that opens a
 //! session over it would redo the same camera-independent work — world-space
-//! covariances, the scene bounding box, summary statistics. A
+//! covariances and the scene bounding box. A
 //! [`PreparedScene`] runs that precomputation exactly once in
 //! [`PreparedScene::prepare`] and then never changes, so it can sit behind
 //! an `Arc` and serve any number of concurrent sessions without copies:
@@ -29,7 +29,6 @@
 //! removing the two quaternion-to-matrix products per Gaussian per frame
 //! that the raw-scene path pays.
 
-use crate::stats::SceneStats;
 use crate::GaussianScene;
 use gaurast_math::{Aabb3, Mat3};
 
@@ -37,9 +36,11 @@ use gaurast_math::{Aabb3, Mat3};
 /// camera-independent precomputation. The per-Gaussian world covariances
 /// feed Stage 1, which runs over every Gaussian of the scene each frame
 /// (`preprocess_prepared_pooled_level` reads them back instead of
-/// rebuilding them per frame); the bounds and summary statistics serve the
-/// serving layer — capacity planning, placement, and workload
-/// introspection over a registry of named scenes.
+/// rebuilding them per frame); the bounds serve the serving layer —
+/// capacity planning and placement over a registry of named scenes.
+/// Summary statistics are computed on demand from [`PreparedScene::scene`]
+/// ([`crate::stats::SceneStats::compute`]), so registering a scene does
+/// not pay for them.
 ///
 /// Built once with [`PreparedScene::prepare`]; from then on the asset only
 /// hands out references, so an `Arc<PreparedScene>` is safe to share
@@ -50,7 +51,6 @@ pub struct PreparedScene {
     scene: GaussianScene,
     bounds: Aabb3,
     covariances: Vec<Mat3>,
-    stats: SceneStats,
 }
 
 impl PreparedScene {
@@ -65,7 +65,6 @@ impl PreparedScene {
         Self {
             bounds: scene.bounds(),
             covariances,
-            stats: SceneStats::compute(&scene),
             scene,
         }
     }
@@ -100,12 +99,6 @@ impl PreparedScene {
     #[inline]
     pub fn covariances(&self) -> &[Mat3] {
         &self.covariances
-    }
-
-    /// Summary statistics computed at preparation time.
-    #[inline]
-    pub fn stats(&self) -> &SceneStats {
-        &self.stats
     }
 
     /// Consumes the asset, returning the raw scene (the precomputation is
@@ -153,11 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_stats_match_scene() {
+    fn bounds_match_scene() {
         let s = scene();
         let prepared = PreparedScene::prepare(s.clone());
         assert_eq!(prepared.bounds(), s.bounds());
-        assert_eq!(prepared.stats(), &SceneStats::compute(&s));
     }
 
     #[test]

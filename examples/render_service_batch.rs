@@ -13,6 +13,7 @@
 
 use gaurast::backend::BackendKind;
 use gaurast::scene::generator::SceneParams;
+use gaurast::scene::stats::SceneStats;
 use gaurast::scene::{Camera, PreparedScene};
 use gaurast::service::{RenderRequest, RenderService};
 use gaurast_math::Vec3;
@@ -48,9 +49,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     ));
     println!(
         "prepared assets: town ({} gaussians, extent {:.1}), museum ({} gaussians, extent {:.1})",
-        town.stats().count,
+        SceneStats::compute(town.scene()).count,
         town.bounds().diagonal(),
-        museum.stats().count,
+        SceneStats::compute(museum.scene()).count,
         museum.bounds().diagonal()
     );
 

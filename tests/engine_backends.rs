@@ -115,6 +115,103 @@ fn fp32_pe_datapath_matches_the_reference_at_repro_scale() {
     }
 }
 
+/// FNV-1a over [`image_bits`]: color, transmittance and depth.
+fn image_hash(fb: &gaurast::render::Framebuffer) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for v in image_bits(fb) {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01B3);
+        }
+    }
+    h
+}
+
+#[test]
+fn served_enhanced_frames_are_pinned_at_repro_scale() {
+    // The served Enhanced frame of two orbit poses each of Garden and
+    // Counter, recorded from the single-pass Stage 2 (every pair
+    // scattered, then one Stage-3 pass). The frame driver scatters in
+    // rounds and skips saturated tiles; a round that dropped or reordered
+    // an entry some tile reads would move the processed counts, the
+    // billed work, the modeled time and energy, or the image.
+    // (scene, theta, pairs, Σ processed, blend_work, blends_committed,
+    //  time_s bits, energy_j bits, image hash)
+    type Pin = (Nerf360Scene, f32, u64, u64, u64, u64, u64, u64, u64);
+    const PINS: [Pin; 4] = [
+        (
+            Nerf360Scene::Garden,
+            0.7,
+            1_663_188,
+            3_927,
+            867_510,
+            663_390,
+            0x3ED4_252E_9649_0ABE,
+            0x3F04_F8B3_E0FF_EBB8,
+            0x1641_7502_CB24_0FDB,
+        ),
+        (
+            Nerf360Scene::Garden,
+            3.9,
+            1_555_208,
+            6_537,
+            1_443_690,
+            956_252,
+            0x3EE0_75E6_5886_7649,
+            0x3F11_5ADE_78AE_9409,
+            0x24E2_F562_115E_F49E,
+        ),
+        (
+            Nerf360Scene::Counter,
+            0.7,
+            251_374,
+            20_646,
+            4_528_086,
+            2_127_482,
+            0x3EF7_1AB4_F34D_7B44,
+            0x3F2A_7227_6B50_0700,
+            0xA7DA_73A5_1C03_2BE9,
+        ),
+        (
+            Nerf360Scene::Counter,
+            3.9,
+            238_966,
+            10_490,
+            2_241_662,
+            1_533_992,
+            0x3EE6_00D9_7FF4_BE14,
+            0x3F19_F3F7_4E5B_1CEE,
+            0xCC7E_8C2B_C05F_F658,
+        ),
+    ];
+    for scene in [Nerf360Scene::Garden, Nerf360Scene::Counter] {
+        let desc = scene.descriptor();
+        let mut engine = EngineBuilder::new(desc.synthesize(SceneScale::REPRO))
+            .backend(BackendKind::Enhanced)
+            .image_policy(ImagePolicy::Retain)
+            .build()
+            .unwrap();
+        for &(_, theta, pairs, processed, work, blends, time, energy, hash) in
+            PINS.iter().filter(|p| p.0 == scene)
+        {
+            let what = format!("{scene:?} at {theta}");
+            let cam = desc.camera(SceneScale::REPRO, theta).unwrap();
+            let report = engine.render_frame(&cam);
+            assert_eq!(report.stats.pairs, pairs, "{what}: pairs");
+            assert_eq!(report.stats.blend_work, work, "{what}: blend work");
+            assert_eq!(report.stats.blends_committed, blends, "{what}: blends");
+            assert_eq!(report.time_s.to_bits(), time, "{what}: time_s");
+            assert_eq!(report.energy_j.to_bits(), energy, "{what}: energy_j");
+            let image = report.image.as_ref().expect("retained image");
+            assert_eq!(image_hash(image), hash, "{what}: image");
+            // The same frame's workload, for its processed counts.
+            let cmp = engine.compare(&cam, &[BackendKind::Enhanced]);
+            let held: u64 = cmp.workload.tiles().map(|t| u64::from(t.processed)).sum();
+            assert_eq!(held, processed, "{what}: processed");
+            assert_eq!(cmp.rows[0].time_s.to_bits(), time, "{what}: compare row");
+        }
+    }
+}
+
 #[test]
 fn fp16_frames_stay_on_the_pe_datapath() {
     let fp16 = RasterizerConfig {
