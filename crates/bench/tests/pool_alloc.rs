@@ -1,12 +1,11 @@
 //! Measured (not asserted-by-inspection) allocation contracts, with the
 //! counting allocator installed as this binary's global allocator:
-//! steady-state `WorkerPool::run` dispatches — the per-frame
-//! wakeup/claim/park protocol — and steady-state Stage 2
-//! (`bin_splats_pooled` over a warm arena) must perform **zero** heap
-//! allocations, and the frame driver's fused Stages 2–3
-//! (`bin_and_rasterize_chunked`: scatter rounds and resumable Stage 3
-//! over a warm arena) allocate only Stage 3's O(tiles) job staging, the
-//! same count every frame.
+//! three steady-state paths must perform **zero** heap allocations:
+//! `WorkerPool::run` dispatches (the per-frame wakeup/claim/park
+//! protocol), Stage 2 (`bin_splats_pooled` over a warm arena) and the
+//! frame driver's fused Stages 2–3 (`bin_and_rasterize_chunked`: scatter
+//! rounds, resumable Stage 3 and the end-of-frame image write over a warm
+//! arena, imaged and record-only).
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so the measured windows must not race another test's allocations in
@@ -103,16 +102,12 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
     );
 
     // Steady-state Stages 2–3 as the frame driver runs them, on the same
-    // width-4 pool and arena: Stage 2's data path, the scatter rounds and
-    // the tiles' pixel state between rounds allocate nothing. Stage 3
-    // stages one job list per frame and, when imaged, the tile views
-    // (`Framebuffer::tile_views_mut`: the view list plus a color and a
-    // transmittance row list per tile).
+    // width-4 pool and arena: Stage 2's data path, the scatter rounds,
+    // Stage 3's tile jobs (kept in the arena with their pixel planes) and
+    // the image write allocate nothing.
     let (width, height) = (camera.width(), camera.height());
-    let tiles = (width.div_ceil(16) * height.div_ceil(16)) as usize;
     let mut image = Framebuffer::new(width, height);
     for imaged in [false, true] {
-        let staging = if imaged { 2 + 2 * tiles } else { 1 };
         let mut frame = |splats: Vec<Splat2D>, arena: &mut FrameArena| {
             let (workload, stats) = bin_and_rasterize_chunked(
                 splats,
@@ -134,8 +129,8 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
             frame(copy, &mut arena);
             assert_eq!(
                 allocation_count() - allocs_before,
-                staging as u64,
-                "steady-state Stages 2-3 (imaged {imaged}) may allocate only Stage 3's job staging"
+                0,
+                "steady-state Stages 2-3 (imaged {imaged}) must not allocate"
             );
         }
     }

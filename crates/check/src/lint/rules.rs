@@ -73,16 +73,17 @@ pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/tile.rs", "filled_ends"),
     ("crates/render/src/tile.rs", "into_workload"),
     ("crates/render/src/rasterize.rs", "rasterize_tile"),
-    // The resumable Stage 3: job staging, one round over the waiting
-    // tiles, the tiles' arena-held pixel state, the saturation flags the
-    // next scatter round reads, and the merge.
+    // The resumable Stage 3: restaging the arena-held jobs, one round
+    // over the waiting tiles, a job's pixel planes, the saturation flags
+    // the next scatter round reads, and the end of the frame: the merge
+    // and each tile's write-back into the image.
     ("crates/render/src/rasterize.rs", "new"),
     ("crates/render/src/rasterize.rs", "resume"),
     ("crates/render/src/rasterize.rs", "of_slot"),
     ("crates/render/src/rasterize.rs", "start"),
-    ("crates/render/src/rasterize.rs", "write_back"),
     ("crates/render/src/rasterize.rs", "flag_saturated"),
-    ("crates/render/src/rasterize.rs", "into_stats"),
+    ("crates/render/src/rasterize.rs", "end_frame"),
+    ("crates/render/src/rasterize.rs", "write_back"),
     // The one frame driver: marking it puts the whole per-frame subtree
     // (all three stages, the pool dispatch path) of every engine and free
     // `render` frame under the deep no-alloc/no-spawn purity rule, so

@@ -311,8 +311,9 @@ fn binning_scatter_is_correct_under_interleavings() {
 /// count, and a scatter and a Stage-3 round per round) on one persistent
 /// pool, checked on the DFS prefix plus seeded samples with the race
 /// detector watching every scatter slot and its reads by Stage 3, the
-/// saturation flags, every tile's pixel-state range and framebuffer rows
-/// — against the serial frame.
+/// saturation flags, and every tile's pixel planes, written by the
+/// rounds' jobs and read by the end-of-frame image write — against the
+/// serial frame.
 #[test]
 fn fused_scatter_rounds_are_correct_under_interleavings() {
     let splats = six_splats();

@@ -64,3 +64,59 @@ fn the_workspace_passes_deep_analysis_clean() {
         );
     }
 }
+
+/// The deep resolver maps a method call whose name is in its std
+/// vocabulary to no workspace function, so a frame kernel named like a
+/// std method would silently leave the serving graph (and with it every
+/// deep rule) with no unresolved call to show for it. The serving graph
+/// is every function reachable from the serving-panic rule's roots
+/// (`RenderService::{submit, render_batch}`); it must reach the reference
+/// pass and the engine's image-policy check, Stage 2's scatter, Stage 3's
+/// rounds, end of frame and tile write-back, and both tile kernels.
+#[test]
+fn the_serving_graph_reaches_the_frame_kernels() {
+    use gaurast_check::deep::panics::{ROOT_METHODS, ROOT_OWNER};
+    use gaurast_check::graph::CallGraph;
+    use gaurast_check::resolve::{resolve, CrateDeps};
+
+    let root = workspace_root();
+    let graph = CallGraph::build(root).expect("call graph");
+    let res = resolve(&graph, &CrateDeps::discover(root));
+    let is = |i: usize, owner: Option<&str>, name: &str| {
+        graph.nodes[i].owner.as_deref() == owner && graph.nodes[i].name == name
+    };
+    let mut stack: Vec<usize> = (0..graph.nodes.len())
+        .filter(|&i| ROOT_METHODS.iter().any(|m| is(i, Some(ROOT_OWNER), m)))
+        .collect();
+    assert_eq!(
+        stack.len(),
+        ROOT_METHODS.len(),
+        "every serving entry point is in the graph"
+    );
+    let mut reached = vec![false; graph.nodes.len()];
+    while let Some(i) = stack.pop() {
+        if !std::mem::replace(&mut reached[i], true) {
+            stack.extend(res.edges[i].iter().map(|&(callee, _)| callee));
+        }
+    }
+    for (owner, name) in [
+        (Some("Engine"), "reference_pass"),
+        (Some("Engine"), "retains_images"),
+        (Some("Binning"), "scatter"),
+        (Some("Stage3"), "resume"),
+        (Some("Stage3"), "end_frame"),
+        (Some("TileJob"), "write_back"),
+        (None, "rasterize_tile"),
+        (None, "rasterize_tile_avx2"),
+    ] {
+        let nodes: Vec<usize> = (0..graph.nodes.len())
+            .filter(|&i| is(i, owner, name))
+            .collect();
+        let what = owner.map_or(String::new(), |o| format!("{o}::")) + name;
+        assert!(!nodes.is_empty(), "{what} is not in the call graph");
+        assert!(
+            nodes.iter().any(|&i| reached[i]),
+            "the serving graph does not reach {what}"
+        );
+    }
+}

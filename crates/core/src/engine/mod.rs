@@ -2,13 +2,14 @@
 //! point over every execution substrate.
 //!
 //! An [`Engine`] owns a scene, a selected [`BackendKind`], and a
-//! per-session [`FrameArena`] whose Stage-2 buffers are recycled across
-//! frames instead of reallocated (a retained image gets a fresh
-//! framebuffer each frame, which moves into the report). Every entry point
-//! bills a frame the same way: one reference pass (Stages 1–2 and a
-//! reference Stage 3, record-only unless images are retained), then
-//! [`BackendKind::execute`] of the finalized workload for each requested
-//! kind, then the reference image attached to the rows that serve it:
+//! per-session [`FrameArena`] whose Stage-2 and Stage-3 buffers are
+//! recycled across frames instead of reallocated (a retained image gets
+//! a fresh framebuffer each frame, which moves into the report). Every
+//! entry point bills a frame the same way: one reference pass (Stages
+//! 1–2 and a reference Stage 3, record-only unless images are retained),
+//! then [`BackendKind::execute`] of the finalized workload for each
+//! requested kind, then the reference image attached to the rows that
+//! serve it:
 //!
 //! * [`Engine::render_frame`] — one camera, one [`FrameReport`] on the
 //!   session's kind;
@@ -179,10 +180,10 @@ pub struct Engine {
     /// construction; every reference-pass stage dispatches on this.
     level: SimdLevel,
     pool: WorkerPool,
-    /// The Stage-2 and Stage-3 buffers (CSR, processed counts, the
-    /// tiles' pixel state between scatter rounds), handed to each frame
-    /// and taken back with [`RasterWorkload::recycle_into`], so
-    /// steady-state frames run those data paths without allocating.
+    /// The Stage-2 and Stage-3 buffers (CSR, processed counts, Stage 3's
+    /// tile jobs with their pixel planes), handed to each frame; the
+    /// workload's buffers come back with [`RasterWorkload::recycle_into`],
+    /// so steady-state frames run Stages 2 and 3 without allocating.
     arena: FrameArena,
     frames: u64,
 }
@@ -303,7 +304,7 @@ impl Engine {
     }
 
     /// Whether the session's reports carry images.
-    fn retain(&self) -> bool {
+    fn retains_images(&self) -> bool {
         self.image_policy == ImagePolicy::Retain
     }
 
@@ -326,7 +327,7 @@ impl Engine {
         // The buffer moves into the reference pass (and from there into
         // the report) instead of being cloned every frame.
         let mut image = self
-            .retain()
+            .retains_images()
             .then(|| Framebuffer::new(camera.width(), camera.height()));
         // gaurast-check: allow(nondet): wall-clock stage timing. The
         // measured durations are reported *alongside* the frame, never fed
@@ -369,9 +370,9 @@ impl Engine {
     /// Renders one frame on the session's backend kind.
     pub fn render_frame(&mut self, camera: &Camera) -> FrameReport {
         let (workload, reference) = self.reference_pass(camera);
-        let mut report = self
-            .kind
-            .execute(self.hw_config, &workload, &reference, self.retain());
+        let mut report =
+            self.kind
+                .execute(self.hw_config, &workload, &reference, self.retains_images());
         attach_reference_image(std::slice::from_mut(&mut report), reference.image);
         // Recycle the Stage-2 buffers (CSR, processed counts) for the next
         // frame.
@@ -410,8 +411,9 @@ impl Engine {
     /// kind is untouched.
     ///
     /// The finalized workload moves into the returned report (for
-    /// downstream analysis), so the binning buffers leave the session and
-    /// the frame after a `compare` re-seeds them once. It holds what every
+    /// downstream analysis), so its CSR and processed-count buffers leave
+    /// the session and the frame after a `compare` re-seeds them once;
+    /// Stage 3's tile jobs stay in the session arena. It holds what every
     /// backend bills: each tile's processed prefix and full list length
     /// (the frame's scatter rounds never write a saturated tile's tail).
     pub fn compare(&mut self, camera: &Camera, kinds: &[BackendKind]) -> ComparisonReport {
@@ -442,7 +444,7 @@ impl Engine {
         let (workload, reference) = self.reference_pass(camera);
         let mut rows: Vec<FrameReport> = kinds
             .iter()
-            .map(|kind| kind.execute(self.hw_config, &workload, &reference, self.retain()))
+            .map(|kind| kind.execute(self.hw_config, &workload, &reference, self.retains_images()))
             .collect();
         attach_reference_image(&mut rows, reference.image);
         (rows, workload)

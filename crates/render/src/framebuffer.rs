@@ -164,73 +164,6 @@ impl Framebuffer {
         lit as f32 / self.color.len() as f32
     }
 
-    /// Iterates over the image rows top to bottom, yielding each row's
-    /// color and transmittance planes as disjoint mutable slices — the
-    /// safe chunking primitive [`Framebuffer::tile_views_mut`] builds its
-    /// per-tile views from.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = (&mut [Vec3], &mut [f32])> {
-        let w = self.width as usize;
-        self.color
-            .chunks_mut(w)
-            .zip(self.transmittance.chunks_mut(w))
-    }
-
-    /// Splits the framebuffer into disjoint mutable tile views on a
-    /// `tile_size` grid, in row-major tile order — the same grid and order
-    /// as [`RasterWorkload`](crate::RasterWorkload) tile lists, so view
-    /// `ty * tiles_x + tx` is exactly tile `(tx, ty)`.
-    ///
-    /// Each [`TileViewMut`] owns its tile's pixels and nothing else; the
-    /// views can therefore be written by concurrent per-tile jobs with no
-    /// locking and no aliasing (the split is pure `chunks_mut` /
-    /// `split_at_mut`, no `unsafe`). The depth plane is not part of the
-    /// view: the Gaussian path never writes it.
-    ///
-    /// # Panics
-    /// Panics when `tile_size` is zero.
-    pub fn tile_views_mut(&mut self, tile_size: u32) -> Vec<TileViewMut<'_>> {
-        assert!(tile_size > 0, "tile size must be positive");
-        let (width, height) = (self.width, self.height);
-        let tiles_x = width.div_ceil(tile_size) as usize;
-        let tiles_y = height.div_ceil(tile_size) as usize;
-        let ts = tile_size as usize;
-
-        let mut views: Vec<TileViewMut<'_>> = (0..tiles_y * tiles_x)
-            .map(|i| {
-                let (tx, ty) = ((i % tiles_x) as u32, (i / tiles_x) as u32);
-                let x0 = tx * tile_size;
-                let y0 = ty * tile_size;
-                TileViewMut {
-                    x0,
-                    y0,
-                    width: (x0 + tile_size).min(width) - x0,
-                    height: (y0 + tile_size).min(height) - y0,
-                    // gaurast-check: allow(alloc): row-pointer holders for
-                    // the borrowed tile views; O(tiles × tile_rows) tiny
-                    // Vecs that cannot outlive the framebuffer borrow.
-                    color: Vec::with_capacity(ts),
-                    transmittance: Vec::with_capacity(ts), // gaurast-check: allow(alloc): see above
-                }
-            })
-            // gaurast-check: allow(alloc): per-frame view list, O(tiles).
-            .collect();
-
-        for (y, (mut color_row, mut trans_row)) in self.rows_mut().enumerate() {
-            let band = y / ts;
-            for tx in 0..tiles_x {
-                let view = &mut views[band * tiles_x + tx];
-                let w = view.width as usize;
-                let (c, c_rest) = color_row.split_at_mut(w);
-                let (t, t_rest) = trans_row.split_at_mut(w);
-                view.color.push(c);
-                view.transmittance.push(t);
-                color_row = c_rest;
-                trans_row = t_rest;
-            }
-        }
-        views
-    }
-
     /// Serializes to a binary PPM (P6) byte vector, for eyeballing example
     /// output. Channels are clamped to `[0, 1]` and quantized to 8 bits.
     pub fn to_ppm(&self) -> Vec<u8> {
@@ -242,77 +175,6 @@ impl Framebuffer {
             out.push(q.z.round() as u8);
         }
         out
-    }
-}
-
-/// An exclusive view of one tile's pixels inside a [`Framebuffer`],
-/// produced by [`Framebuffer::tile_views_mut`]. Rows are borrowed
-/// mutably and disjointly from the parent buffer, so one view per tile
-/// job gives lock-free parallel writeback.
-#[derive(Debug)]
-pub struct TileViewMut<'a> {
-    x0: u32,
-    y0: u32,
-    width: u32,
-    height: u32,
-    /// One color slice per tile row, `width` pixels each.
-    color: Vec<&'a mut [Vec3]>,
-    /// One transmittance slice per tile row, matching `color`.
-    transmittance: Vec<&'a mut [f32]>,
-}
-
-impl TileViewMut<'_> {
-    /// Leftmost image column covered by this view.
-    #[inline]
-    pub fn x0(&self) -> u32 {
-        self.x0
-    }
-
-    /// Topmost image row covered by this view.
-    #[inline]
-    pub fn y0(&self) -> u32 {
-        self.y0
-    }
-
-    /// View width in pixels (edge tiles may be partial).
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// View height in pixels (edge tiles may be partial).
-    #[inline]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Writes the color and transmittance of the pixel at *tile-local*
-    /// coordinates `(px, py)`.
-    ///
-    /// # Panics
-    /// Panics when the coordinate is outside the view.
-    #[inline]
-    pub fn write(&mut self, px: u32, py: u32, color: Vec3, transmittance: f32) {
-        self.color[py as usize][px as usize] = color;
-        self.transmittance[py as usize][px as usize] = transmittance;
-    }
-
-    /// Registers this view's row ranges as written by the calling thread
-    /// on the shadow race detector ([`crate::race_write!`]). The tile jobs
-    /// call this on entry, so a binning bug that hands two jobs
-    /// overlapping views fails a model run as a data race instead of
-    /// silently corrupting pixels. Empty in ordinary builds.
-    #[inline]
-    pub fn race_register(&self) {
-        #[cfg(gaurast_model_check)]
-        {
-            for row in &self.color {
-                crate::race_write!(row.as_ptr(), row.len());
-            }
-            for row in &self.transmittance {
-                crate::race_write!(row.as_ptr(), row.len());
-            }
-        }
     }
 }
 
@@ -383,63 +245,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_dims_panic() {
         let _ = Framebuffer::new(0, 4);
-    }
-
-    #[test]
-    fn rows_mut_covers_every_pixel_once() {
-        let mut fb = Framebuffer::new(5, 3);
-        let mut rows = 0;
-        for (color, trans) in fb.rows_mut() {
-            assert_eq!(color.len(), 5);
-            assert_eq!(trans.len(), 5);
-            for c in color.iter_mut() {
-                *c = Vec3::one();
-            }
-            rows += 1;
-        }
-        assert_eq!(rows, 3);
-        assert_eq!(fb.coverage(), 1.0);
-    }
-
-    #[test]
-    fn tile_views_match_grid_and_write_through() {
-        // 20x18 with 16px tiles: 2x2 grid with partial edge tiles.
-        let mut fb = Framebuffer::new(20, 18);
-        {
-            let mut views = fb.tile_views_mut(16);
-            assert_eq!(views.len(), 4);
-            assert_eq!((views[0].width(), views[0].height()), (16, 16));
-            assert_eq!((views[3].width(), views[3].height()), (4, 2));
-            assert_eq!((views[3].x0(), views[3].y0()), (16, 16));
-            views[3].write(1, 1, Vec3::new(0.2, 0.4, 0.6), 0.5);
-            views[0].write(0, 0, Vec3::one(), 0.0);
-        }
-        assert_eq!(fb.color_at(17, 17), Vec3::new(0.2, 0.4, 0.6));
-        assert_eq!(fb.transmittance_at(17, 17), 0.5);
-        assert_eq!(fb.color_at(0, 0), Vec3::one());
-        assert_eq!(fb.transmittance_at(0, 0), 0.0);
-    }
-
-    #[test]
-    fn tile_views_are_disjoint_and_cover_everything() {
-        let mut fb = Framebuffer::new(33, 17);
-        let mut painted = 0u64;
-        for view in &mut fb.tile_views_mut(16) {
-            for py in 0..view.height() {
-                for px in 0..view.width() {
-                    view.write(px, py, Vec3::one(), 0.0);
-                    painted += 1;
-                }
-            }
-        }
-        // Disjoint views that cover everything paint each pixel once.
-        assert_eq!(painted, 33 * 17);
-        assert_eq!(fb.coverage(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_tile_size_views_panic() {
-        let _ = Framebuffer::new(4, 4).tile_views_mut(0);
     }
 }

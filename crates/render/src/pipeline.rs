@@ -187,8 +187,9 @@ pub enum Stage {
 /// out of this deterministic crate.
 ///
 /// Over a persistent pool, frames spawn no threads; once `arena` is warm
-/// the Stage-2 and Stage-3 data paths allocate nothing (Stage 3 stages
-/// O(tiles) jobs per frame), provided each workload goes back through
+/// Stages 2 and 3 allocate nothing (Stage 3's tile jobs and their pixel
+/// planes stay in the arena, and the image is written once, from the
+/// jobs), provided each workload goes back through
 /// [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
@@ -241,10 +242,11 @@ pub fn run_frame(
 /// of the depth order. Each round writes only into tiles that have not
 /// saturated, and after it the resumable Stage 3 carries every tile that
 /// is not done through the entries written so far, its pixel state held
-/// in `arena` between rounds. The rounds stop once no tile waits for
-/// entries. So Stage 3 does exactly the work of one pass over the whole
-/// lists, and the scatter writes at most every pair: all of them, in
-/// ⌈log2(chunks + 1)⌉ rounds, only when no tile saturates.
+/// in its job in `arena` between rounds. The rounds stop once no tile
+/// waits for entries, and the end of the frame writes `image`. So Stage 3
+/// does exactly the work of one pass over the whole lists, and the
+/// scatter writes at most every pair: all of them, in ⌈log2(chunks + 1)⌉
+/// rounds, only when no tile saturates.
 ///
 /// The workload, image, processed counts and statistics equal those of
 /// [`crate::tile::bin_splats_chunked`] followed by
@@ -270,14 +272,8 @@ pub fn bin_and_rasterize_chunked(
 ) -> (RasterWorkload, RasterStats) {
     let mut bins = Binning::place(splats, width, height, tile_size, arena, pool, chunk);
     on_placed();
-    let mut pixels = std::mem::take(&mut arena.pixels);
-    let mut stage3 = Stage3::new(
-        (width, height, tile_size),
-        &bins.offsets,
-        image,
-        &mut pixels,
-        level,
-    );
+    let jobs = std::mem::take(&mut arena.jobs);
+    let mut stage3 = Stage3::new((width, height, tile_size), &bins.offsets, jobs, level);
     let (mut first, mut size) = (0, 1);
     loop {
         let end = (first + size).min(bins.chunks);
@@ -298,8 +294,9 @@ pub fn bin_and_rasterize_chunked(
         (first, size) = (end, 2 * size);
     }
     let mut processed = std::mem::take(&mut arena.processed);
-    let raster = stage3.into_stats(&mut processed);
-    (bins.into_workload(arena, processed, pixels), raster)
+    let (raster, jobs) = stage3.end_frame(image, &mut processed);
+    arena.jobs = jobs;
+    (bins.into_workload(arena, processed), raster)
 }
 
 /// Runs Stages 1–3 for one frame.

@@ -62,8 +62,8 @@
 //!
 //! 1. split the frame into jobs along boundaries the serial code already
 //!    had (Gaussian index ranges, tiles);
-//! 2. give each job its own output slot (a chunk result, a disjoint
-//!    framebuffer tile view);
+//! 2. give each job its own output slot (a chunk result, a tile's pixel
+//!    planes);
 //! 3. merge the slots **in job-index order** on the calling thread.
 //!
 //! Because no job reads another job's output and the merge order is fixed,

@@ -9,15 +9,18 @@
 //! * per-tile *processed counts* written back into the workload so the
 //!   architecture models bill exactly the work this reference performed.
 //!
-//! Stage 3 is resumable: each tile keeps its pixel state and its progress
-//! through its list between rounds, so the frame driver can rasterize the
-//! part of every list that Stage 2 has scattered so far and stop
-//! scattering into tiles that have saturated. A tile ends up with exactly
-//! the pixels, counts and statistics of one pass over its whole list,
-//! because the per-pixel arithmetic runs over the same splats in the same
-//! order and every tally is an integer sum.
+//! Stage 3 is resumable: each tile's job keeps its pixel state and its
+//! progress through its list between rounds, so the frame driver can
+//! rasterize the part of every list that Stage 2 has scattered so far and
+//! stop scattering into tiles that have saturated. A tile ends up with
+//! exactly the pixels, counts and statistics of one pass over its whole
+//! list, because the per-pixel arithmetic runs over the same splats in the
+//! same order and every tally is an integer sum. The jobs are plain data
+//! that the session's arena keeps across frames, and the image is written
+//! once per frame, after the last round: as in GauRast's tile buffers and
+//! the reference kernel, each pixel is drained once, after its blending.
 
-use crate::framebuffer::{Framebuffer, TileViewMut};
+use crate::framebuffer::Framebuffer;
 use crate::ops::{Subtask, SubtaskCounts};
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
@@ -84,11 +87,11 @@ pub fn rasterize(workload: &mut RasterWorkload) -> (Framebuffer, RasterStats) {
 /// serves every level.
 pub(crate) const LANES: usize = 8;
 
-/// One tile's pixel state between Stage-3 rounds, split out of its slot of
-/// the arena's pixel buffer: the accumulated color in three channel
-/// planes, the transmittance plane, each `stride × h` pixels with rows
-/// padded to whole lane groups, and the row's pixel-center x coordinates.
-/// The padding pixels start dead (transmittance 0).
+/// One tile's pixel state between Stage-3 rounds, split out of its job's
+/// pixel planes: the accumulated color in three channel planes, the
+/// transmittance plane, each `stride × h` pixels with rows padded to whole
+/// lane groups, and the row's pixel-center x coordinates. The padding
+/// pixels start dead (transmittance 0).
 pub(crate) struct TilePixels<'a> {
     /// Row stride in pixels: the tile width rounded up to [`LANES`].
     pub(crate) stride: usize,
@@ -103,14 +106,6 @@ pub(crate) struct TilePixels<'a> {
     /// Pixel-center x of each column of the row, `stride` entries (0 in
     /// the padding).
     pub(crate) xc: &'a mut [f32],
-}
-
-/// Floats of one tile's slot in the pixel buffer: four planes and the
-/// pixel-center row for the largest tile of a `width × height` grid of
-/// `tile_size` tiles (tiles are clipped to the image).
-fn slot_len(width: u32, height: u32, tile_size: u32) -> usize {
-    let stride = (tile_size.min(width) as usize).div_ceil(LANES) * LANES;
-    stride * (4 * tile_size.min(height) as usize + 1)
 }
 
 impl<'a> TilePixels<'a> {
@@ -151,27 +146,6 @@ impl<'a> TilePixels<'a> {
             *x = (x0 + px as u32) as f32 + 0.5;
         }
     }
-
-    /// Writes the tile back through its exclusive framebuffer view
-    /// (background stays black, as in the reference with a black
-    /// background color). The remaining transmittance is kept for
-    /// downstream compositing (see `compose`).
-    // gaurast-check: hot-path
-    fn write_back(&self, view: &mut TileViewMut<'_>) {
-        let (w, h) = (view.width(), view.height());
-        let rows = self
-            .red
-            .chunks_exact(self.stride)
-            .zip(self.grn.chunks_exact(self.stride))
-            .zip(self.blu.chunks_exact(self.stride))
-            .zip(self.trans.chunks_exact(self.stride));
-        for (py, (((red, grn), blu), trans)) in (0..h).zip(rows) {
-            let row = red.iter().zip(grn).zip(blu).zip(trans);
-            for (px, (((&r, &g), &b), &t)) in (0..w).zip(row) {
-                view.write(px, py, Vec3::new(r, g, b), t);
-            }
-        }
-    }
 }
 
 /// A tile's progress through its list, carried from one Stage-3 round to
@@ -188,104 +162,116 @@ pub(crate) struct TileProgress {
     pub(crate) stats: RasterStats,
 }
 
-/// One tile's Stage-3 job, kept across rounds: its rectangle, exclusive
-/// framebuffer view (absent in record-only mode), pixel-state slot, full
-/// list length and progress.
-struct TileJob<'fb, 'px> {
+/// One tile's Stage-3 job: plain data that lives in the session's
+/// [`FrameArena`](crate::FrameArena) across frames and is restaged in
+/// place every frame. It holds the tile's rectangle, full list length,
+/// progress and its own pixel planes in the [`TilePixels`] layout — the
+/// pixel state GauRast keeps in its tile buffers.
+#[derive(Debug, Default)]
+pub(crate) struct TileJob {
     rect: (u32, u32, u32, u32),
-    view: Option<TileViewMut<'fb>>,
-    slot: &'px mut [f32],
     len: u32,
     progress: TileProgress,
     /// The tile has nothing left to do: its list is empty, or it has
     /// saturated, or it has read its whole list, or the last round is
-    /// over; its pixels are written back.
+    /// over.
     done: bool,
+    /// Four planes and the pixel-center row ([`TilePixels::of_slot`]).
+    pixels: Vec<f32>,
+}
+
+impl TileJob {
+    /// Writes the tile's pixels into `image` (background stays black, as
+    /// in the reference with a black background color). The remaining
+    /// transmittance is kept for downstream compositing (see `compose`).
+    // gaurast-check: hot-path
+    fn write_back(&mut self, image: &mut Framebuffer) {
+        // Shadow race detection: the calling thread reads the planes the
+        // rounds' jobs wrote.
+        crate::race_read!(self.pixels.as_ptr(), self.pixels.len());
+        let (x0, y0, x1, y1) = self.rect;
+        let pixels = TilePixels::of_slot(&mut self.pixels, (x1 - x0) as usize, (y1 - y0) as usize);
+        let rows = pixels
+            .red
+            .chunks_exact(pixels.stride)
+            .zip(pixels.grn.chunks_exact(pixels.stride))
+            .zip(pixels.blu.chunks_exact(pixels.stride))
+            .zip(pixels.trans.chunks_exact(pixels.stride));
+        for (y, (((red, grn), blu), trans)) in (y0..y1).zip(rows) {
+            let row = red.iter().zip(grn).zip(blu).zip(trans);
+            for (x, (((&r, &g), &b), &t)) in (x0..x1).zip(row) {
+                image.set_color(x, y, Vec3::new(r, g, b));
+                image.set_transmittance(x, y, t);
+            }
+        }
+    }
 }
 
 /// Stage 3 as resumable rounds over one frame's tiles. Each round runs the
 /// tiles that are not done over the part of their list that is filled so
-/// far; a tile's pixels wait in the arena's pixel buffer between rounds.
+/// far; a tile's pixels wait in its job between rounds, and
+/// [`Stage3::end_frame`] writes the image once.
 /// [`rasterize_with_level`] is the one-round instance over a finished
 /// workload, and the frame driver
 /// ([`crate::pipeline::bin_and_rasterize_chunked`]) runs one round after
 /// each scatter round.
-pub(crate) struct Stage3<'fb, 'px> {
+pub(crate) struct Stage3 {
     level: SimdLevel,
-    jobs: Vec<TileJob<'fb, 'px>>,
+    /// The image's width and height.
+    size: (u32, u32),
+    jobs: Vec<TileJob>,
 }
 
-impl<'fb, 'px> Stage3<'fb, 'px> {
-    /// Stages one job per tile of the `width × height` grid of `tile_size`
-    /// tiles whose full lists `offsets` delimits, with a slot of `pixels`
-    /// each, at SIMD `level` clamped to the host's. A given framebuffer is
-    /// cleared in place and gets the tiles' pixels as they finish.
-    ///
-    /// # Panics
-    /// Panics when a given framebuffer's dimensions do not match.
+impl Stage3 {
+    /// Restages `jobs` in place as one job per tile of the `width ×
+    /// height` grid of `tile_size` tiles whose full lists `offsets`
+    /// delimits, at SIMD `level` clamped to the host's.
     // gaurast-check: hot-path
     pub(crate) fn new(
         (width, height, tile_size): (u32, u32, u32),
         offsets: &[u32],
-        fb: Option<&'fb mut Framebuffer>,
-        pixels: &'px mut Vec<f32>,
+        mut jobs: Vec<TileJob>,
         level: SimdLevel,
     ) -> Self {
         let level = level.min(crate::simd::detected_level());
         let tiles_x = width.div_ceil(tile_size);
-        let n_tiles = offsets.len() - 1;
-        let slot = slot_len(width, height, tile_size);
-        // Every slot is set up by its tile's first round before it is
-        // read, so the buffer is resized without clearing.
-        pixels.resize(n_tiles * slot, 0.0);
-        let mut views = match fb {
-            Some(fb) => {
-                assert_eq!(
-                    (fb.width(), fb.height()),
-                    (width, height),
-                    "framebuffer dimensions must match the workload"
-                );
-                fb.clear();
-                // gaurast-check: allow(alloc): borrowed per-frame tile
-                // views cannot outlive the framebuffer borrow, so they
-                // cannot be arena-cached; O(tiles), not O(pairs).
-                Some(fb.tile_views_mut(tile_size).into_iter())
-            }
-            None => None,
-        };
-        let jobs = pixels
-            .chunks_exact_mut(slot)
-            .zip(offsets.iter().zip(offsets.iter().skip(1)))
-            .zip(0..)
-            .map(|((slot, (&first, &end)), i)| {
-                // One grid authority: the rectangle the workload exposes
-                // to the architecture models shapes the job and matches
-                // the view.
-                let rect = tile_pixel_rect((width, height, tile_size), i % tiles_x, i / tiles_x);
-                let len = end - first;
-                TileJob {
-                    rect,
-                    view: views.as_mut().and_then(Iterator::next),
-                    slot,
-                    len,
-                    progress: TileProgress {
-                        alive: (rect.2 - rect.0) * (rect.3 - rect.1),
-                        ..TileProgress::default()
-                    },
-                    done: len == 0,
-                }
-            })
-            // gaurast-check: allow(alloc): per-frame job list, O(tiles);
-            // holds the borrowed views and slots and dies with the frame.
-            .collect();
-        Self { level, jobs }
+        jobs.resize_with(offsets.len() - 1, TileJob::default);
+        let lists = offsets.iter().zip(offsets.iter().skip(1));
+        for ((job, (&first, &end)), i) in jobs.iter_mut().zip(lists).zip(0..) {
+            // One grid authority: the rectangle the workload exposes to
+            // the architecture models shapes the job.
+            let rect = tile_pixel_rect((width, height, tile_size), i % tiles_x, i / tiles_x);
+            let (w, h) = (rect.2 - rect.0, rect.3 - rect.1);
+            let mut pixels = std::mem::take(&mut job.pixels);
+            // The tile's first round sets up every plane before reading
+            // it, so the planes are resized without clearing.
+            pixels.resize(
+                (w as usize).div_ceil(LANES) * LANES * (4 * h as usize + 1),
+                0.0,
+            );
+            *job = TileJob {
+                rect,
+                len: end - first,
+                progress: TileProgress {
+                    alive: w * h,
+                    ..TileProgress::default()
+                },
+                done: end == first,
+                pixels,
+            };
+        }
+        Self {
+            level,
+            size: (width, height),
+            jobs,
+        }
     }
 
     /// One round: every tile `t` that is not done reads its list on from
     /// its processed count up to slot `filled[t]` of `values` (CSR slots;
     /// tile `t`'s list starts at `offsets[t]`), over `pool`. A tile that
-    /// saturates or reads its whole list is written back, and after the
-    /// `last` round every started tile is.
+    /// saturates or reads its whole list is done, and after the `last`
+    /// round every tile is.
     // gaurast-check: hot-path
     pub(crate) fn resume(
         &mut self,
@@ -304,12 +290,9 @@ impl<'fb, 'px> Stage3<'fb, 'px> {
             let start = offsets[t] as usize + job.progress.processed as usize;
             let entries = &values[start..(filled[t] as usize).max(start)];
             crate::race_read!(entries.as_ptr(), entries.len());
-            // Shadow race detection: claim this tile's pixel state, which
+            // Shadow race detection: claim this tile's pixel planes, which
             // only its own job touches, in every round.
-            crate::race_write!(job.slot.as_ptr(), job.slot.len());
-            let rect = job.rect;
-            let (w, h) = ((rect.2 - rect.0) as usize, (rect.3 - rect.1) as usize);
-            let mut pixels = TilePixels::of_slot(job.slot, w, h);
+            crate::race_write!(job.pixels.as_ptr(), job.pixels.len());
             if !entries.is_empty() {
                 // Full-scan front-to-back check, debug builds only
                 // (demoted from the hot path; `is_depth_sorted` stays
@@ -318,6 +301,10 @@ impl<'fb, 'px> Stage3<'fb, 'px> {
                     crate::sort::is_depth_sorted(entries, splats),
                     "tile {t} list reached Stage 3 unsorted"
                 );
+                let rect = job.rect;
+                let w = (rect.2 - rect.0) as usize;
+                let mut pixels =
+                    TilePixels::of_slot(&mut job.pixels, w, (rect.3 - rect.1) as usize);
                 if job.progress.processed == 0 {
                     pixels.start(rect.0, w);
                 }
@@ -335,26 +322,7 @@ impl<'fb, 'px> Stage3<'fb, 'px> {
                     _ => rasterize_tile(splats, entries, job.len, rect, &mut pixels, tile),
                 }
             }
-            let started = job.progress.processed > 0;
-            if last || job.progress.alive == 0 || job.progress.processed == job.len {
-                job.done = true;
-                if let (true, Some(view)) = (started, &mut job.view) {
-                    // Shadow race detection: claim this job's disjoint
-                    // pixel rows.
-                    view.race_register();
-                    debug_assert_eq!(
-                        (rect.0, rect.1, w, h),
-                        (
-                            view.x0(),
-                            view.y0(),
-                            view.width() as usize,
-                            view.height() as usize
-                        ),
-                        "tile view must cover exactly the workload's tile rect"
-                    );
-                    pixels.write_back(view);
-                }
-            }
+            job.done = last || job.progress.alive == 0 || job.progress.processed == job.len;
         });
     }
 
@@ -372,17 +340,40 @@ impl<'fb, 'px> Stage3<'fb, 'px> {
         waiting
     }
 
-    /// The frame's statistics, merged in tile order, with each tile's
-    /// processed count written into `processed` (cleared first).
+    /// Ends the frame on the calling thread: merges the statistics in tile
+    /// order, writes each tile's processed count into `processed`
+    /// (cleared first) and, given an image, clears it and writes every
+    /// tile that read a splat into it. Returns the statistics and the
+    /// jobs, for the arena to keep.
+    ///
+    /// # Panics
+    /// Panics when a given image's dimensions do not match the frame's.
     // gaurast-check: hot-path
-    pub(crate) fn into_stats(self, processed: &mut Vec<u32>) -> RasterStats {
+    pub(crate) fn end_frame(
+        mut self,
+        image: Option<&mut Framebuffer>,
+        processed: &mut Vec<u32>,
+    ) -> (RasterStats, Vec<TileJob>) {
         processed.clear();
         let mut stats = RasterStats::default();
         for job in &self.jobs {
             stats += job.progress.stats;
             processed.push(job.progress.processed);
         }
-        stats
+        if let Some(image) = image {
+            assert_eq!(
+                (image.width(), image.height()),
+                self.size,
+                "framebuffer dimensions must match the workload"
+            );
+            image.clear();
+            for job in &mut self.jobs {
+                if job.progress.processed > 0 {
+                    job.write_back(image);
+                }
+            }
+        }
+        (stats, self.jobs)
     }
 }
 
@@ -397,13 +388,14 @@ impl<'fb, 'px> Stage3<'fb, 'px> {
 ///
 /// Each tile is an independent job over the list the workload holds for
 /// it (Stage 2 wrote every list in depth order up front via its depth sort
-/// and counting scatter — there is no in-job sort), rasterizing into its
-/// own disjoint framebuffer view ([`Framebuffer::tile_views_mut`]) with no
-/// locking, its pixel state in the workload's recycled scratch. Jobs are
-/// fanned over `pool`; per-tile statistics and processed counts are
-/// merged in tile order on the calling thread, so every output — image
-/// bytes, op tallies, processed counts — is bit-identical for every worker
-/// count and level, including the serial scalar pass.
+/// and counting scatter — there is no in-job sort), blending into its own
+/// pixel planes with no locking. Jobs are fanned over `pool`; per-tile
+/// statistics and processed counts are merged and the image is written
+/// in tile order on the calling thread, so every output — image bytes, op
+/// tallies, processed counts — is bit-identical for every worker count
+/// and level, including the serial scalar pass. The jobs are staged
+/// fresh for each call: this pass serves tests and replays, while served
+/// frames keep theirs in the session's arena.
 ///
 /// Afterwards the workload holds each tile's processed prefix. A workload
 /// that already holds prefixes rasterizes them to the same image, counts
@@ -429,11 +421,10 @@ pub fn rasterize_with_level(
     pool: &WorkerPool,
     level: SimdLevel,
 ) -> RasterStats {
-    let mut pixels = std::mem::take(&mut workload.pixels);
     let mut processed = std::mem::take(&mut workload.processed);
     let geometry = (workload.width(), workload.height(), workload.tile_size());
     let offsets = &workload.offsets;
-    let mut stage3 = Stage3::new(geometry, offsets, fb, &mut pixels, level);
+    let mut stage3 = Stage3::new(geometry, offsets, Vec::new(), level);
     // The end of each tile's held list: its processed prefix when a pass
     // recorded one (the counts become slots in place), else its whole
     // list.
@@ -453,8 +444,7 @@ pub fn rasterize_with_level(
         true,
         pool,
     );
-    let stats = stage3.into_stats(&mut processed);
-    workload.pixels = pixels;
+    let (stats, _) = stage3.end_frame(fb, &mut processed);
     workload.set_processed(processed);
     stats
 }

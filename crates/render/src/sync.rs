@@ -42,8 +42,9 @@
 //!
 //! The renderer's `unsafe` disjoint-write sites (Stage-2 key and
 //! rectangle ranges, difference and count rows and scatter ranges, pool
-//! job-slot publication, framebuffer tile rows) are annotated with three
-//! macros:
+//! job-slot publication) and Stage 3's tile pixel planes, written by the
+//! rounds' jobs and read by the end-of-frame image write, are annotated
+//! with three macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker
 //!   wrapping the unsafe block; the static

@@ -247,8 +247,7 @@ pub fn bin_splats_chunked(
     bins.scatter(0..bins.chunks, pool);
     let mut processed = std::mem::take(&mut arena.processed);
     processed.clear();
-    let pixels = std::mem::take(&mut arena.pixels);
-    bins.into_workload(arena, processed, pixels)
+    bins.into_workload(arena, processed)
 }
 
 /// One frame's Stage 2 after placement (steps 1–4 of the module docs):
@@ -522,13 +521,12 @@ impl Binning {
 
     /// Hands the Stage-2 scratch back to `arena` and assembles the
     /// workload: `processed` empty when nothing was rasterized, else the
-    /// reference pass's counts; `pixels` is Stage 3's pixel-state scratch.
+    /// reference pass's counts.
     // gaurast-check: hot-path
     pub(crate) fn into_workload(
         self,
         arena: &mut FrameArena,
         processed: Vec<u32>,
-        pixels: Vec<f32>,
     ) -> RasterWorkload {
         arena.order = self.order;
         arena.rects = self.rects;
@@ -542,7 +540,6 @@ impl Binning {
             self.values,
             self.offsets,
             processed,
-            pixels,
         )
     }
 }

@@ -24,11 +24,12 @@
 //!
 //! The CSR buffers (and the depth-order keys, tile rectangles, difference
 //! arrays and per-chunk counts that produce them — see [`crate::tile`]),
-//! the processed counts and Stage 3's per-tile pixel state live in a
-//! per-session [`FrameArena`], so steady-state frames run Stages 2 and 3
-//! without touching the allocator on their data paths.
+//! the processed counts and Stage 3's tile jobs with their pixel planes
+//! live in a per-session [`FrameArena`], so steady-state frames run
+//! Stages 2 and 3 without touching the allocator.
 
 use crate::preprocess::Splat2D;
+use crate::rasterize::TileJob;
 use crate::tile::TileRect;
 
 /// Per-tile, depth-ordered rasterization work for one frame, in CSR form.
@@ -54,10 +55,6 @@ pub struct RasterWorkload {
     /// Per-tile processed counts recorded by the reference rasterizer;
     /// empty until a pass (or [`RasterWorkload::set_processed`]) fills it.
     pub(crate) processed: Vec<u32>,
-    /// Stage 3's per-tile pixel state, carried only so a later
-    /// [`crate::rasterize::rasterize_with_level`] and the next frame reuse
-    /// its allocation; not part of the workload.
-    pub(crate) pixels: Vec<f32>,
 }
 
 impl PartialEq for RasterWorkload {
@@ -134,7 +131,6 @@ impl RasterWorkload {
             values,
             offsets,
             Vec::new(),
-            Vec::new(),
         )
     }
 
@@ -142,7 +138,7 @@ impl RasterWorkload {
     /// binning path). `processed` is either empty (every tile holds its
     /// whole list) or one count per tile (each tile holds that prefix, as
     /// after a reference pass); an empty buffer may carry recycled
-    /// capacity. `pixels` is Stage 3's recycled pixel-state scratch.
+    /// capacity.
     ///
     /// # Panics
     /// Panics when the offset table does not match the grid or is not a
@@ -150,7 +146,6 @@ impl RasterWorkload {
     /// its list. Index bounds of the held prefixes are a `debug_assert` —
     /// the binning paths emit indices straight from the splat iteration,
     /// and this constructor is on the per-frame hot path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_csr(
         width: u32,
         height: u32,
@@ -159,7 +154,6 @@ impl RasterWorkload {
         values: Vec<u32>,
         offsets: Vec<u32>,
         processed: Vec<u32>,
-        pixels: Vec<f32>,
     ) -> Self {
         assert!(tile_size > 0, "tile size must be positive");
         assert!(width > 0 && height > 0, "image dimensions must be positive");
@@ -203,7 +197,6 @@ impl RasterWorkload {
             values,
             offsets,
             processed,
-            pixels,
         };
         if !workload.processed.is_empty() {
             let processed = std::mem::take(&mut workload.processed);
@@ -368,8 +361,8 @@ impl RasterWorkload {
             .sum()
     }
 
-    /// Moves this workload's CSR, processed-count and pixel-state buffers
-    /// back into a session arena so the next frame reuses the allocations
+    /// Moves this workload's CSR and processed-count buffers back into a
+    /// session arena so the next frame reuses the allocations
     /// ([`FrameArena`] is the steady-state zero-allocation contract of the
     /// Stage-2 and Stage-3 data paths). The splats are dropped — their
     /// allocation belongs to Stage 1, which produces a fresh `Vec` per
@@ -378,7 +371,6 @@ impl RasterWorkload {
         arena.values = self.values;
         arena.offsets = self.offsets;
         arena.processed = self.processed;
-        arena.pixels = self.pixels;
     }
 
     /// Length of the longest full tile list (load-imbalance metric).
@@ -447,9 +439,10 @@ impl TileRef<'_> {
 }
 
 /// Per-session Stage-2 and Stage-3 scratch: the key, rectangle,
-/// difference, per-chunk count, CSR, saturation-flag, processed-count and
-/// tile pixel-state buffers a frame needs, recycled across frames so the
-/// steady-state data paths allocate nothing.
+/// difference, per-chunk count, CSR, saturation-flag and processed-count
+/// buffers a frame needs and Stage 3's tile jobs with their pixel planes,
+/// recycled across frames so steady-state Stages 2 and 3 allocate
+/// nothing.
 ///
 /// Thread one arena through [`crate::pipeline::run_frame`] (or
 /// [`crate::tile::bin_splats_pooled`]) and give the buffers back with
@@ -475,9 +468,10 @@ pub struct FrameArena {
     pub(crate) saturated: Vec<bool>,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Stage 3's per-tile pixel state, kept here between rounds
+    /// Stage 3's tile jobs, one per tile of the last frame, each with its
+    /// pixel planes; restaged in place every frame
     /// ([`crate::rasterize`]).
-    pub(crate) pixels: Vec<f32>,
+    pub(crate) jobs: Vec<TileJob>,
 }
 
 impl FrameArena {
@@ -638,7 +632,6 @@ mod tests {
             vec![0, 0],
             vec![0, 2, 1, 1, 2],
             Vec::new(),
-            Vec::new(),
         );
     }
 
@@ -652,7 +645,6 @@ mod tests {
             vec![splat()],
             vec![0, 0],
             vec![0, 1, 1, 1, 1],
-            Vec::new(),
             Vec::new(),
         );
     }

@@ -336,3 +336,82 @@ fn empty_frames_render_empty() {
         assert_eq!(image, Framebuffer::new(48, 40));
     }
 }
+
+/// Deterministic splats over a `width × height` image, varied by `seed`:
+/// tie-heavy depths, means on and off the image, and a mix of opaque flat
+/// splats and faint peaked ones, so some tiles saturate and some read
+/// their whole list.
+fn grid_splats(width: u32, height: u32, seed: u32) -> Vec<Splat2D> {
+    (0..60u32)
+        .map(|i| {
+            let x = ((i * 37 + seed * 11) % (width + 16)) as f32 - 8.0;
+            let y = ((i * 23 + seed * 5) % (height + 16)) as f32 - 8.0;
+            let opacity = [0.02, 0.3, 0.8, 0.99][(i % 4) as usize];
+            let radius = 2.0 + (i * 13 % 20) as f32;
+            Splat2D {
+                source: i,
+                ..splat(
+                    x,
+                    y,
+                    radius,
+                    1.0 + (i % 6) as f32 * 0.5,
+                    opacity,
+                    i % 3 == 0,
+                )
+            }
+        })
+        .collect()
+}
+
+/// One arena carried through frames of larger, smaller and ragged grids
+/// must leave every frame exactly what a fresh arena leaves: Stage 3's
+/// jobs are restaged in place, so a smaller grid must drop the surplus
+/// jobs of a larger one and a larger grid must size every job's pixel
+/// planes anew. Each frame images into a dirty caller framebuffer, which
+/// must come out equal to a fresh one.
+#[test]
+fn one_arena_serves_every_grid() {
+    let grids = [
+        (80, 64, 16),
+        (30, 22, 8),
+        (72, 56, 16),
+        (17, 9, 16),
+        (80, 64, 16),
+    ];
+    let pool = WorkerPool::new(2);
+    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        let mut arena = FrameArena::new();
+        for (frame, (width, height, tile_size)) in (0u32..).zip(grids) {
+            let what =
+                format!("{level:?}, frame {frame}: {width}x{height} on {tile_size}-pixel tiles");
+            let splats = grid_splats(width, height, frame);
+            let render = |arena: &mut FrameArena, image: &mut Framebuffer| {
+                bin_and_rasterize_chunked(
+                    splats.clone(),
+                    (width, height, tile_size),
+                    level,
+                    &pool,
+                    arena,
+                    Some(image),
+                    7,
+                    || {},
+                )
+            };
+            let mut dirty = Framebuffer::new(width, height);
+            for y in 0..height {
+                for x in 0..width {
+                    dirty.set_color(x, y, Vec3::new(0.3, 0.6, 0.9));
+                    dirty.set_transmittance(x, y, 0.25);
+                    dirty.set_depth(x, y, 2.0);
+                }
+            }
+            let (workload, stats) = render(&mut arena, &mut dirty);
+            let carried = (workload, stats, Some(dirty));
+            let mut image = Framebuffer::new(width, height);
+            let (workload, stats) = render(&mut FrameArena::new(), &mut image);
+            assert!(stats.blends_committed > 0, "{what}: the frame must blend");
+            assert_same(&carried, &(workload, stats, Some(image)), &what);
+            carried.0.recycle_into(&mut arena);
+        }
+    }
+}
