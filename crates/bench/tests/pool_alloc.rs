@@ -63,8 +63,8 @@ fn steady_state_dispatches_allocate_and_spawn_nothing() {
     assert_eq!(sum.load(Ordering::Relaxed), 103 * (63 * 64 / 2));
 
     // Steady-state Stage 2 on the same width-4 pool: a multi-chunk frame
-    // (splat pass, depth sort, count and scatter dispatches) over a warm
-    // arena.
+    // (splat pass, then one round's key sort, count and scatter
+    // dispatches) over a warm arena.
     let scene = SceneParams::new(12_000)
         .seed(42)
         .generate()

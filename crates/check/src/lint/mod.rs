@@ -6,7 +6,8 @@
 //! must not allocate, deterministic pipeline code must not read clocks or
 //! the environment, and hot loops must not hide O(n) assertion scans in
 //! release builds. [`lint_source`] checks one file, [`lint_tree`] walks
-//! the workspace and adds tree-level rules (crate-wide `unsafe` bans).
+//! the workspace and adds tree-level rules (crate-wide `unsafe` bans, and
+//! that every required hot-path function still exists).
 //!
 //! Run against the repository with `cargo run -p gaurast-check -- lint`;
 //! the binary exits non-zero when any finding is produced, which is how CI
@@ -44,6 +45,7 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(lint_source(rel_str, content));
     }
     rule_forbid_unsafe_crates(&sources, &mut findings);
+    rules::rule_required_hot_fns_exist(&sources, &mut findings);
     findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     Ok(findings)
 }

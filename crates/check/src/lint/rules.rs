@@ -60,15 +60,21 @@ pub const HOT_FILES: &[&str] = &[
 pub const REQUIRED_HOT_FNS: &[(&str, &str)] = &[
     ("crates/render/src/tile.rs", "bin_splats_pooled"),
     ("crates/render/src/tile.rs", "bin_splats_chunked"),
-    // Stage 2's per-splat helpers: the tile rectangle and the chunk-owned
-    // ranges of the shared buffers.
+    // Stage 2's per-splat helpers: the tile rectangle, the chunk-owned
+    // ranges of the shared buffers, a rectangle's difference-array corners
+    // and the prefix sum that turns an array into per-tile counts.
     ("crates/render/src/tile.rs", "tile_rect"),
     ("crates/render/src/tile.rs", "new"),
     ("crates/render/src/tile.rs", "range"),
-    // Stage 2 split for the frame driver's saturation-aware rounds:
-    // placement, the round-wise scatter, the filled-slot rows Stage 3
-    // resumes up to, and the hand-back into the workload.
+    ("crates/render/src/tile.rs", "add_corners"),
+    ("crates/render/src/tile.rs", "integrate_counts"),
+    // Stage 2 split for the frame driver's saturation-aware rounds: the
+    // splat pass with the tile totals, one round (ordering its keys,
+    // counting and placing its chunks, the scatter), the tile cursors
+    // Stage 3 resumes up to, and the hand-back into the workload.
     ("crates/render/src/tile.rs", "place"),
+    ("crates/render/src/tile.rs", "order_keys"),
+    ("crates/render/src/tile.rs", "count_chunks"),
     ("crates/render/src/tile.rs", "scatter"),
     ("crates/render/src/tile.rs", "filled_ends"),
     ("crates/render/src/tile.rs", "into_workload"),
@@ -460,9 +466,18 @@ fn find_plain_assert(code: &str) -> Option<usize> {
     None
 }
 
-/// The functions in [`REQUIRED_HOT_FNS`] must exist *and* be marked: the
-/// marker is what puts their bodies under the allocation rule, so deleting
-/// it silently un-polices the hot path.
+/// The line of `lines` that defines a function named exactly `name`.
+fn defines(lines: &[Line], name: &str) -> Option<usize> {
+    lines
+        .iter()
+        .position(|l| has_word(&l.code, "fn") && fn_name(&l.code).as_deref() == Some(name))
+}
+
+/// The functions in [`REQUIRED_HOT_FNS`] must be marked: the marker is
+/// what puts their bodies under the allocation rule, so deleting it
+/// silently un-polices the hot path. That every entry names a function
+/// at all is a property of the tree, checked by
+/// [`rule_required_hot_fns_exist`].
 fn rule_required_hot_markers(
     path: &str,
     lines: &[Line],
@@ -473,10 +488,9 @@ fn rule_required_hot_markers(
         if *file != path {
             continue;
         }
-        let defined = lines
-            .iter()
-            .position(|l| has_word(&l.code, "fn") && l.code.contains(&format!("fn {required}")));
-        let Some(def_line) = defined else { continue };
+        let Some(def_line) = defines(lines, required) else {
+            continue;
+        };
         if !hot.iter().any(|(name, _, _)| name == required) {
             out.push(Finding {
                 rule: "hot-marker",
@@ -485,6 +499,34 @@ fn rule_required_hot_markers(
                 message: format!(
                     "steady-state fn `{required}` must carry `// {HOT_MARKER}` directly \
                      above its signature so the allocation rule polices its body"
+                ),
+            });
+        }
+    }
+}
+
+/// Tree-level half of the `hot-marker` rule: every [`REQUIRED_HOT_FNS`]
+/// entry must name a function that its file defines outside the file's
+/// test module. Otherwise a renamed or deleted steady-state function
+/// leaves an entry that polices nothing.
+pub(super) fn rule_required_hot_fns_exist(sources: &[(String, String)], out: &mut Vec<Finding>) {
+    for (file, required) in REQUIRED_HOT_FNS {
+        let defined = sources
+            .iter()
+            .find(|(path, _)| path == file)
+            .is_some_and(|(_, content)| {
+                let lines = classify(content);
+                let end = test_region_start(&lines);
+                defines(&lines[..end], required).is_some()
+            });
+        if !defined {
+            out.push(Finding {
+                rule: "hot-marker",
+                path: file.to_string(),
+                line: 1,
+                message: format!(
+                    "`REQUIRED_HOT_FNS` lists `{required}`, but {file} defines no such fn \
+                     outside its tests; rename or remove the entry"
                 ),
             });
         }
@@ -625,6 +667,33 @@ pub fn bin_splats_chunked() {}
             rules_of(&lint_source("crates/render/src/tile.rs", src)),
             ["hot-marker"]
         );
+    }
+
+    #[test]
+    fn a_listed_function_missing_from_its_file_is_flagged() {
+        let path = "crates/render/src/tile.rs";
+        // A marked definition of every tile.rs entry except `skip`.
+        let source = |skip: &str| -> String {
+            REQUIRED_HOT_FNS
+                .iter()
+                .filter(|(file, name)| *file == path && *name != skip)
+                .map(|(_, name)| format!("// {HOT_MARKER}\nfn {name}() {{}}\n"))
+                .collect()
+        };
+        let findings = |content: String| {
+            let mut out = Vec::new();
+            rule_required_hot_fns_exist(&[(path.to_string(), content)], &mut out);
+            out.retain(|f| f.path == path);
+            out
+        };
+        assert!(findings(source("")).is_empty());
+        let missing = findings(source("filled_ends"));
+        assert_eq!(rules_of(&missing), ["hot-marker"]);
+        assert!(missing[0].message.contains("`filled_ends`"), "{missing:?}");
+        // Neither a longer name nor a definition in the test module counts.
+        let near_misses = source("filled_ends")
+            + "fn filled_ends_of() {}\n#[cfg(test)]\nmod tests {\n    fn filled_ends() {}\n}\n";
+        assert_eq!(rules_of(&findings(near_misses)), ["hot-marker"]);
     }
 
     #[test]

@@ -199,6 +199,7 @@ const UBIQUITOUS_METHODS: &[&str] = &[
     "sort_by_key",
     "sort_unstable",
     "sort_unstable_by",
+    "select_nth_unstable",
     "binary_search",
     "binary_search_by",
     "swap",

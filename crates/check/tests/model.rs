@@ -281,13 +281,14 @@ fn six_splats() -> Vec<Splat2D> {
 
 #[test]
 fn binning_scatter_is_correct_under_interleavings() {
-    // The six splats in 2 chunks of 3 on 2 workers. Three dispatches on
-    // one persistent pool (the splat-order pass, the count and the
-    // scatter) put the full state space beyond enumeration, so this checks
-    // the DFS prefix plus seeded samples of the production protocol —
-    // with the race detector watching every key and rectangle range,
-    // difference and count row, and scatter slot — against the serial
-    // result.
+    // The six splats in 2 chunks of 3 on 2 workers, in one round. Two
+    // dispatches on one persistent pool (the splat-order pass and the
+    // round's scatter; the round counts only its first chunk, a single
+    // job that runs on the calling thread) put the full state space beyond
+    // enumeration, so this checks the DFS prefix plus seeded samples of
+    // the production protocol — with the race detector watching every key
+    // and rectangle range, difference array and count row, and scatter
+    // slot — against the serial result.
     let splats = six_splats();
     let bin = |pool: &WorkerPool| {
         bin_splats_chunked(splats.clone(), 32, 32, 16, &mut FrameArena::new(), pool, 3)
@@ -306,10 +307,12 @@ fn binning_scatter_is_correct_under_interleavings() {
 }
 
 /// The frame driver's saturation-aware Stages 2–3 on the same six splats
-/// in 3 chunks of 2: round 0 scatters chunk 0 and round 1 chunks 1–2, and
-/// Stage 3 resumes the tiles after each. Six dispatches (splat pass,
-/// count, and a scatter and a Stage-3 round per round) on one persistent
-/// pool, checked on the DFS prefix plus seeded samples with the race
+/// in 3 chunks of 2: round 0 selects, sorts and scatters chunk 0 and
+/// round 1 sorts, counts and scatters chunks 1–2, and Stage 3 resumes the
+/// tiles after each. Four dispatches (the splat pass, a Stage-3 round per
+/// round, and round 1's scatter; round 0's scatter and round 1's count
+/// are single jobs on the calling thread) on one persistent pool, checked
+/// on the DFS prefix plus seeded samples with the race
 /// detector watching every scatter slot and its reads by Stage 3, the
 /// saturation flags, and every tile's pixel planes, written by the
 /// rounds' jobs and read by the end-of-frame image write — against the

@@ -71,8 +71,9 @@ fn the_workspace_passes_deep_analysis_clean() {
 /// deep rule) with no unresolved call to show for it. The serving graph
 /// is every function reachable from the serving-panic rule's roots
 /// (`RenderService::{submit, render_batch}`); it must reach the reference
-/// pass and the engine's image-policy check, Stage 2's scatter, Stage 3's
-/// rounds, end of frame and tile write-back, and both tile kernels.
+/// pass and the engine's image-policy check, Stage 2's splat pass and its
+/// rounds (ordering the keys, counting and scattering), Stage 3's rounds,
+/// end of frame and tile write-back, and both tile kernels.
 #[test]
 fn the_serving_graph_reaches_the_frame_kernels() {
     use gaurast_check::deep::panics::{ROOT_METHODS, ROOT_OWNER};
@@ -102,6 +103,9 @@ fn the_serving_graph_reaches_the_frame_kernels() {
     for (owner, name) in [
         (Some("Engine"), "reference_pass"),
         (Some("Engine"), "retains_images"),
+        (Some("Binning"), "place"),
+        (Some("Binning"), "order_keys"),
+        (Some("Binning"), "count_chunks"),
         (Some("Binning"), "scatter"),
         (Some("Stage3"), "resume"),
         (Some("Stage3"), "end_frame"),

@@ -179,12 +179,13 @@ pub struct ReferencePass {
     /// Reference Stage-3 statistics (pairs, blends, FP-op tallies).
     pub raster: RasterStats,
     /// Host wall-clock seconds the reference Stage-3 pass took, including
-    /// Stage 2's scatter rounds, which the frame driver interleaves with
-    /// it (the Software backend's `time_s`).
+    /// Stage 2's scatter rounds — each one's key ordering, count,
+    /// placement and scatter — which the frame driver interleaves with it
+    /// (the Software backend's `time_s`).
     pub wall_s: f64,
-    /// Host wall-clock seconds Stage 2 took up to its scatter: the
-    /// splat pass, depth sort, per-chunk count and placement of every
-    /// (splat, tile) pair.
+    /// Host wall-clock seconds of Stage 2's splat pass: the keys, the
+    /// rectangles, the per-tile pair totals and the CSR offsets. The depth
+    /// ordering happens in the rounds, which `wall_s` times.
     pub sort_wall_s: f64,
     /// The reference image, present whenever the session retains images.
     /// [`BackendKind::execute`] leaves it in place; the engine moves it
@@ -221,10 +222,11 @@ pub struct FrameStats {
     pub culled: usize,
     /// Blends the reference pass committed (identical across backends).
     pub blends_committed: u64,
-    /// Host wall-clock seconds of the reference pass's Stage 2 up to its
-    /// scatter — splat pass, depth sort, per-chunk count and placement;
-    /// the scatter rounds run interleaved with Stage 3 and count in the
-    /// Software backend's `time_s` (the modeled device-side Stage-2 cost
+    /// Host wall-clock seconds of the reference pass's Stage-2 splat pass
+    /// — keys, rectangles, per-tile pair totals and CSR offsets; the
+    /// scatter rounds, which depth-order the keys they reach, count and
+    /// scatter, run interleaved with Stage 3 and count in the Software
+    /// backend's `time_s` (the modeled device-side Stage-2 cost
     /// lives in the host model's radix-sort estimate,
     /// [`gaurast_gpu::CudaGpuModel::sort_time`]).
     pub sort_s: f64,

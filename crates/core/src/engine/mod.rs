@@ -314,8 +314,9 @@ impl Engine {
     /// recycled session buffers and the reference Stage-3 pass
     /// (record-only unless images are retained) in saturation-aware
     /// scatter rounds, producing the finalized workload every backend
-    /// bills. The Stage-2 clock stops before the scatter, which the
-    /// Stage-3 clock times with the pass. When the session retains
+    /// bills. The Stage-2 clock stops after the splat pass and the CSR
+    /// offsets; each round's depth ordering, count and scatter fall in
+    /// the Stage-3 clock, which times them with the pass. When the session retains
     /// images the pass renders the reference image, and every backend but
     /// an FP16 enhanced rasterizer serves it. At FP32 the enhanced
     /// rasterizer's PE datapath computes the same bits; tests prove it by

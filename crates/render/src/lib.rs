@@ -32,12 +32,12 @@
 //!
 //! The pipeline is data-parallel *within* a frame: Stage 1 runs in fixed
 //! Gaussian chunks, Stage 2's splat pass in fixed chunks of the splat
-//! order and its count and scatter in fixed chunks of the depth order
-//! ([`tile::BIN_CHUNK`]), and Stage 3 as independent per-tile jobs (each
-//! tile reads its sorted CSR range and blends into its own pixel planes,
-//! which the arena keeps; the image is written once, after the last
-//! round) over a persistent [`pool::WorkerPool`] whose threads are spawned
-//! once and parked between dispatches. One driver,
+//! order and each scatter round's count and scatter in fixed chunks of
+//! the depth order ([`tile::BIN_CHUNK`]), and Stage 3 as independent
+//! per-tile jobs (each tile reads its sorted CSR range and blends into its
+//! own pixel planes, which the arena keeps; the image is written once,
+//! after the last round) over a persistent [`pool::WorkerPool`] whose
+//! threads are spawned once and parked between dispatches. One driver,
 //! [`pipeline::run_frame`], sequences the three stages for every caller —
 //! engine sessions and the free [`pipeline::render`] functions alike.
 //! Output is bit-identical for every worker count — `workers = 1` is

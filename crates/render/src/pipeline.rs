@@ -54,12 +54,14 @@ pub struct RenderConfig {
     /// Tile edge in pixels (16 in the reference and in GauRast).
     pub tile_size: u32,
     /// Intra-frame worker threads: Stage 1 runs in Gaussian chunks,
-    /// Stage 2's splat pass in chunks of the splat order and its count
-    /// and scatter in chunks of the depth order, and
-    /// Stage 3 as per-tile jobs over a pool this wide. `0` (the default) resolves to the
-    /// `GAURAST_WORKERS` environment variable or the machine's available
-    /// parallelism ([`crate::pool::resolve_workers`]); `1` is exactly the
-    /// historical serial path. Output is bit-identical for every value.
+    /// Stage 2's splat pass in chunks of the splat order and each scatter
+    /// round's count and scatter in chunks of the depth order (the rounds'
+    /// key ordering and the placement prefixes run on the calling thread),
+    /// and Stage 3 as per-tile jobs over a pool this wide. `0` (the
+    /// default) resolves to the `GAURAST_WORKERS` environment variable or
+    /// the machine's available parallelism
+    /// ([`crate::pool::resolve_workers`]); `1` is exactly the historical
+    /// serial path. Output is bit-identical for every value.
     pub workers: usize,
 }
 
@@ -158,10 +160,12 @@ pub enum Stage1Input<'a> {
 pub enum Stage {
     /// Stage 1: Gaussians projected to screen-space splats.
     Preprocess,
-    /// Stage 2 up to its scatter: splats keyed, depth-sorted, counted per
-    /// tile and given their CSR slots.
+    /// Stage 2's splat pass: splats keyed and given their rectangles, the
+    /// pairs totalled per tile and the CSR offsets laid out. Nothing is
+    /// depth-ordered yet.
     Bin,
-    /// Stage 2's scatter rounds and the reference rasterization pass they
+    /// Stage 2's scatter rounds, each ordering, counting, placing and
+    /// scattering its keys, and the reference rasterization pass they
     /// feed.
     Rasterize,
 }
@@ -179,12 +183,13 @@ pub enum Stage {
 /// [`crate::rasterize::rasterize_with_level`] leave.
 ///
 /// `on_stage_done` is called after each stage, in order. [`Stage::Bin`]
-/// fires once Stage 2 has placed every pair, before the scatter, so a
-/// caller timing stages sees the scatter rounds in Stage 3's time: the
-/// engine's `stats.sort_s` no longer includes the scatter, and the
-/// Software backend's `time_s` does. The driver reads no clock: a caller
-/// that times stages reads one in the closure, which keeps wall-clock time
-/// out of this deterministic crate.
+/// fires once Stage 2's splat pass has laid out the CSR offsets, before
+/// the first round, so a caller timing stages sees the rounds — each one's
+/// key ordering, count, placement and scatter — in Stage 3's time: the
+/// engine's `stats.sort_s` includes neither the depth ordering nor the
+/// scatter, and the Software backend's `time_s` includes both. The driver
+/// reads no clock: a caller that times stages reads one in the closure,
+/// which keeps wall-clock time out of this deterministic crate.
 ///
 /// Over a persistent pool, frames spawn no threads; once `arena` is warm
 /// Stages 2 and 3 allocate nothing (Stage 3's tile jobs and their pixel
@@ -236,17 +241,20 @@ pub fn run_frame(
 /// Stages 2 and 3 of [`run_frame`] over `splats` on a `width × height`
 /// image of `tile_size` tiles, in `chunk`-splat chunks of the depth order.
 ///
-/// Stage 2 keys, depth-sorts and counts the splats and places every
-/// (splat, tile) pair, as [`crate::tile::bin_splats_chunked`] does; then
-/// `on_placed` runs. The scatter then goes in rounds of 1, 2, 4, … chunks
-/// of the depth order. Each round writes only into tiles that have not
-/// saturated, and after it the resumable Stage 3 carries every tile that
-/// is not done through the entries written so far, its pixel state held
-/// in its job in `arena` between rounds. The rounds stop once no tile
-/// waits for entries, and the end of the frame writes `image`. So Stage 3
-/// does exactly the work of one pass over the whole lists, and the
-/// scatter writes at most every pair: all of them, in ⌈log2(chunks + 1)⌉
-/// rounds, only when no tile saturates.
+/// Stage 2's splat pass keys the splats, totals their pairs per tile and
+/// lays out the CSR offsets, as [`crate::tile::bin_splats_chunked`] does;
+/// then `on_placed` runs. The depth order is then scattered in rounds of
+/// 1, 2, 4, … chunks. Each round first depth-orders only its own keys (a
+/// selection of the nearest keys not yet sorted, then a sort of those),
+/// counts and places its chunks, and writes only into tiles that have not
+/// saturated; after it the resumable Stage 3 carries every tile that is
+/// not done through the entries written so far, its pixel state held in
+/// its job in `arena` between rounds. The rounds stop once no tile waits
+/// for entries, and the end of the frame writes `image`. So Stage 3 does
+/// exactly the work of one pass over the whole lists, keys no round
+/// reaches are never sorted, and the scatter writes at most every pair:
+/// all of them, in ⌈log2(chunks + 1)⌉ rounds, only when no tile
+/// saturates.
 ///
 /// The workload, image, processed counts and statistics equal those of
 /// [`crate::tile::bin_splats_chunked`] followed by
@@ -279,7 +287,7 @@ pub fn bin_and_rasterize_chunked(
         let end = (first + size).min(bins.chunks);
         bins.scatter(first..end, pool);
         let last = end == bins.chunks;
-        let filled = bins.filled_ends(end);
+        let filled = bins.filled_ends();
         stage3.resume(
             &bins.splats,
             &bins.values,

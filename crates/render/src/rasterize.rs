@@ -387,8 +387,8 @@ impl Stage3 {
 /// both levels agree bit for bit).
 ///
 /// Each tile is an independent job over the list the workload holds for
-/// it (Stage 2 wrote every list in depth order up front via its depth sort
-/// and counting scatter — there is no in-job sort), blending into its own
+/// it (Stage 2 wrote every list in depth order up front via its ordered
+/// keys and counting scatter — there is no in-job sort), blending into its own
 /// pixel planes with no locking. Jobs are fanned over `pool`; per-tile
 /// statistics and processed counts are merged and the image is written
 /// in tile order on the calling thread, so every output — image bytes, op

@@ -3,9 +3,9 @@
 //! Every tile must see its splats front to back. [`depth_key_bits`] maps a
 //! camera depth to an ordered `u32` (bit-compatible with
 //! [`f32::total_cmp`]), so integer order on the mapped bits equals
-//! comparison order exactly; Stage 2's binning ([`crate::tile`]) sorts the
-//! splats once by `depth_key_bits(depth) << 32 | index` and scatters them
-//! into their tiles in that order.
+//! comparison order exactly; Stage 2's binning ([`crate::tile`]) orders
+//! the splats by `depth_key_bits(depth) << 32 | index`, one scatter round
+//! at a time, and scatters them into their tiles in that order.
 //!
 //! The comparison-based helpers ([`sort_indices_by_depth`] and friends)
 //! order per-tile lists for [`crate::RasterWorkload::new`] and check the

@@ -5,7 +5,7 @@
 //!
 //! The persistent worker pool's park/wake generation handoff and claim
 //! cursor ([`crate::pool::WorkerPool::run`]) and Stage 2's splat
-//! pass→count→prefix→scatter protocol
+//! pass→totals, then per round count→prefix→scatter protocol
 //! ([`crate::tile::bin_splats_chunked`]) are
 //! lock-free by construction; their correctness arguments (exactly-once
 //! claims, no lost wakeups, disjoint scatter ranges) are stated in

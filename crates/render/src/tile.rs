@@ -2,50 +2,66 @@
 //!
 //! Stage 2 hands Stage 3 and the hardware models one CSR workload
 //! ([`RasterWorkload`]) in which every tile's splats run front to back.
-//! [`bin_splats_pooled`] builds it in five steps, reading each splat once:
+//! [`bin_splats_pooled`] builds it in two steps, reading each splat once:
 //!
-//! 1. **splat-order pass** — fixed-size chunks of the splats in their
-//!    submission order ([`BIN_CHUNK`] splats, one pool job per chunk)
-//!    write each splat's depth key `depth_key_bits(depth) << 32 | index`,
-//!    and its tile rectangle ([`tile_range`] with exclusive bounds, 16
-//!    bytes), so the splats are read once, sequentially;
-//! 2. **depth order** — the keys are sorted in place; every key is unique;
-//! 3. **count** — fixed-size chunks of that order add 4 updates per splat
-//!    to a 2D difference array over the tile grid, gathering the splat's
-//!    rectangle by index, and a 2D prefix sum turns the array into the
-//!    chunk's pair count per tile in its own row of a chunks × tiles
-//!    table, one pool job per chunk;
-//! 4. **placement** — an exclusive prefix over (tile, chunk) on the
-//!    calling thread turns the rows into each chunk's first output slot
-//!    per tile, and the tile totals into the CSR offsets;
-//! 5. **scatter** — each chunk walks its part of the order again, reads
-//!    each splat's rectangle, and writes the splat index into its own slots
-//!    of every covered tile, one pool job per chunk.
+//! 1. **splat pass** — fixed-size chunks of the splats in their submission
+//!    order ([`BIN_CHUNK`] splats, one pool job per chunk) write each
+//!    splat's depth key `depth_key_bits(depth) << 32 | index` and its tile
+//!    rectangle ([`tile_range`] with exclusive bounds, 16 bytes), and add
+//!    the rectangle's four corner updates to the chunk's own 2D difference
+//!    array over the tile grid. A tile's pair total does not depend on the
+//!    depth order, so nothing is sorted here: the calling thread sums the
+//!    arrays, prefix-sums the sum into every tile's total, and an
+//!    exclusive prefix over the tiles gives the CSR offsets. Each tile's
+//!    cursor, its first unwritten slot, starts at its offset.
+//! 2. **rounds** — the depth order is then scattered in rounds of whole
+//!    chunks, front to back. Each round
+//!    - *orders* its keys: `select_nth_unstable` moves them, the nearest of
+//!      the keys not yet sorted, in front of the rest (the last round,
+//!      whose keys are the rest, skips this), and `sort_unstable` sorts
+//!      them;
+//!    - *counts* every chunk of the round but its last, one pool job per
+//!      chunk: 4 updates per splat to the chunk's 2D difference array,
+//!      gathering the splat's rectangle by index, then the array's prefix
+//!      sum is the chunk's pair count per tile;
+//!    - *places* the chunks on the calling thread: a chunk's first slot per
+//!      tile is the tile's cursor plus the counts of the round's chunks
+//!      before it, and the round's last chunk starts at the cursor itself;
+//!    - *scatters*, one pool job per chunk: each chunk walks its keys, reads
+//!      each splat's rectangle, and writes the splat index into its own
+//!      slots of every covered tile that has not saturated. The last chunk
+//!      advances the cursors, which then end what the round filled.
 //!
 //! A splat adds at most one pair per tile, so each tile's run comes out in
 //! the sort order — depth, then splat index — which is exactly what a
-//! stable sort of the `(tile, depth)` pairs in submission order gives. The
-//! chunk boundaries depend only on the data, so the workload is
-//! bit-identical at every worker count.
+//! stable sort of the `(tile, depth)` pairs in submission order gives.
+//! Keys are unique, so ordering one round at a time puts every key where
+//! one sort of the whole order would. The chunk boundaries depend only on
+//! the data, so the workload is bit-identical at every worker count.
 //!
-//! Steps 1–4 are `Binning::place` and step 5 is `Binning::scatter`,
-//! which scatters any range of chunks and skips the tiles flagged as
-//! saturated. [`bin_splats_pooled`] scatters every chunk in one round. The
-//! frame driver ([`crate::pipeline::run_frame`]) instead scatters the
-//! depth order in rounds of 1, 2, 4, … chunks and lets Stage 3 resume the
-//! still-alive tiles after each round, so a tile that saturates early
-//! never has the rest of its list written. Stage 3 reads only a tile's
-//! processed prefix, which every chunk before the tile saturated fills,
-//! so both paths give every reader the same lists.
+//! Step 1 is `Binning::place` and step 2 is `Binning::scatter`, which runs
+//! one round over the next range of chunks and skips the tiles flagged as
+//! saturated. [`bin_splats_pooled`] scatters every chunk in one round: one
+//! sort of the whole order and no selection. The frame driver
+//! ([`crate::pipeline::run_frame`]) instead runs rounds of 1, 2, 4, …
+//! chunks and lets Stage 3 resume the still-alive tiles after each, so a
+//! tile that saturates early never has the rest of its list written, and
+//! keys no round reaches are never sorted. A frame that needs every round
+//! makes at most ⌈log2(chunks + 1)⌉ − 1 selections, each over what the
+//! earlier rounds left, and sorts each key once, in pieces. Stage 3 reads
+//! only a tile's processed prefix, which every chunk before the tile
+//! saturated fills, so both paths give every reader the same lists.
 //!
 //! ```text
-//!  splats ─▶ 1 keys + rects ─▶ 2 sort ─▶ 3 count ─▶ 4 placement
-//!                                                        │
-//!        ┌───────────────────────────────────────────────┘
+//!  splats ─▶ 1 keys + rects + per-chunk differences ─▶ tile totals
+//!                                                          │
+//!        ┌─────────────────────────────────────────────────┘
 //!        ▼
-//!  round r: 5 scatter chunks 2^r−1 .. 2^(r+1)−1, skipping saturated
-//!           tiles ─▶ Stage 3 resumes every unsaturated tile ─▶ next
-//!           round, until no tile waits for entries
+//!  CSR offsets, cursors ─▶ round r over chunks 2^r−1 .. 2^(r+1)−1:
+//!           select + sort its keys ─▶ count ─▶ place from the cursors
+//!           ─▶ scatter, skipping saturated tiles ─▶ Stage 3 resumes
+//!           every unsaturated tile ─▶ next round, until no tile waits
+//!           for entries
 //! ```
 
 use crate::pool::WorkerPool;
@@ -182,14 +198,14 @@ pub fn bin_splats_pooled(
 
 /// Raw pointer handing the chunk jobs of one dispatch disjoint ranges of
 /// one buffer, which it borrows for `'a`: their own splats' keys or
-/// rectangles, their own row of a per-chunk table, or their own placement
-/// slots of the CSR value buffer.
+/// rectangles, their own slab of the per-chunk table, or their own
+/// placement slots of the CSR value buffer.
 #[derive(Clone, Copy)]
 struct Disjoint<'a, T>(*mut T, PhantomData<&'a mut [T]>);
 // SAFETY: shared across workers only to reach index sets no other chunk
 // job touches — chunk `c` owns splats `c * chunk..` up to the next chunk,
-// row `c` of each per-chunk table, and the value ranges the exclusive
-// (tile, chunk) prefix gives it and no other chunk; `T: Send` lets the
+// one slab of the per-chunk table, and the value ranges the exclusive
+// placement prefix gives it and no other chunk; `T: Send` lets the
 // elements be written from another thread.
 unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
 
@@ -219,10 +235,54 @@ impl<'a, T> Disjoint<'a, T> {
     }
 }
 
+/// Adds the four corner updates of `r` to the 2D difference array `diff`,
+/// `stride` entries per line: +1 at its top-left and bottom-right corners
+/// and −1 (`u32::MAX` in wrapping arithmetic) at the other two. The array
+/// is one column and one row wider than the grid, so the updates of a
+/// rectangle that ends at the grid's edge still land in it.
+#[inline]
+// gaurast-check: hot-path
+fn add_corners(diff: &mut [u32], r: TileRect, stride: usize) {
+    let (top, bottom) = (r.y0 as usize * stride, r.y1 as usize * stride);
+    let (left, right) = (r.x0 as usize, r.x1 as usize);
+    for (at, delta) in [
+        (top + left, 1),
+        (top + right, u32::MAX),
+        (bottom + left, u32::MAX),
+        (bottom + right, 1),
+    ] {
+        let d = &mut diff[at];
+        *d = d.wrapping_add(delta);
+    }
+}
+
+/// Writes into `counts` (one entry per tile, `tiles_x` per line) the
+/// per-tile sums of the 2D difference array `diff` (`tiles_x + 1` per
+/// line): tile (x, y)'s count is the sum of the differences at or above
+/// and left of it, a running sum along each line plus the line above's
+/// counts.
+// gaurast-check: hot-path
+fn integrate_counts(diff: &[u32], counts: &mut [u32], tiles_x: usize) {
+    let mut above: &[u32] = &[];
+    for (line, deltas) in counts
+        .chunks_exact_mut(tiles_x)
+        .zip(diff.chunks_exact(tiles_x + 1))
+    {
+        let mut run = 0u32;
+        let ups = above.iter().chain(std::iter::repeat(&0));
+        for ((count, &delta), &up) in line.iter_mut().zip(deltas).zip(ups) {
+            run = run.wrapping_add(delta);
+            *count = run.wrapping_add(up);
+        }
+        above = line;
+    }
+}
+
 /// [`bin_splats_pooled`] with an explicit chunk size: `Binning::place`,
 /// then one scatter round over every chunk with no tile skipped — the
 /// one-round, nothing-rasterized instance of the frame driver's Stage 2
-/// ([`crate::pipeline::bin_and_rasterize_chunked`]).
+/// ([`crate::pipeline::bin_and_rasterize_chunked`]). Its round sorts the
+/// whole depth order at once.
 ///
 /// Production always passes [`BIN_CHUNK`]; the parameter exists so the
 /// `gaurast-check` model tests can shrink the protocol to a handful of
@@ -250,10 +310,10 @@ pub fn bin_splats_chunked(
     bins.into_workload(arena, processed)
 }
 
-/// One frame's Stage 2 after placement (steps 1–4 of the module docs):
-/// the depth order, the splats' rectangles, each chunk's first output slot
-/// per tile and the CSR offsets, with a value buffer of one slot per pair
-/// that [`Binning::scatter`] fills a range of chunks at a time. Its buffers
+/// One frame's Stage 2 after its splat pass (step 1 of the module docs):
+/// the keys, the splats' rectangles, the CSR offsets and each tile's
+/// cursor, with a value buffer of one slot per pair that
+/// [`Binning::scatter`] fills one round of chunks at a time. Its buffers
 /// come from a [`FrameArena`] and go back to it in `Binning::into_workload`.
 #[derive(Debug)]
 pub(crate) struct Binning {
@@ -265,18 +325,28 @@ pub(crate) struct Binning {
     tiles: usize,
     /// Splats per chunk of the depth order.
     chunk: usize,
-    /// Chunks of the depth order.
+    /// Chunks of the depth order; at least one, so an empty frame has one
+    /// empty chunk.
     pub(crate) chunks: usize,
+    /// Chunks scattered so far; the next round starts here.
+    scattered: usize,
     /// The frame's splats, in submission order.
     pub(crate) splats: Vec<Splat2D>,
-    /// Depth-order keys (`depth_key_bits << 32 | index`), sorted.
+    /// Depth-order keys (`depth_key_bits << 32 | index`), sorted one round
+    /// at a time: the keys of the chunks scattered so far are in depth
+    /// order, and the rest are the keys no round has reached yet, in no
+    /// particular order.
     order: Vec<u64>,
     /// Each splat's tile rectangle, in splat order.
     rects: Vec<TileRect>,
-    /// `chunks` rows of per-tile placement cursors (row `c`: chunk `c`'s
-    /// next output slot per tile), then the count pass's difference
-    /// arrays.
+    /// `chunks` slabs of [`Binning::pitch`] entries, each a row of `tiles`
+    /// entries and then a 2D difference array. Slab 0's row holds the tile
+    /// cursors for the whole frame. The splat pass writes one difference
+    /// array per chunk of the splat order; each round's count then reuses
+    /// slabs 1, 2, … for its chunks' rows and difference arrays.
     table: Vec<u32>,
+    /// Entries per slab of `table`.
+    pitch: usize,
     /// The CSR offsets, `tiles + 1` entries.
     pub(crate) offsets: Vec<u32>,
     /// The CSR value buffer, one slot per pair.
@@ -287,9 +357,10 @@ pub(crate) struct Binning {
 }
 
 impl Binning {
-    /// Steps 1–4 of the module docs in `chunk`-splat chunks over `pool`:
-    /// the splat-order pass, the depth sort, the count and the placement.
-    /// Nothing is scattered yet.
+    /// Step 1 of the module docs in `chunk`-splat chunks over `pool`: the
+    /// splat pass with each chunk's difference array, then the tile
+    /// totals, the CSR offsets and the cursors. Nothing is sorted or
+    /// scattered yet.
     ///
     /// # Panics
     /// Panics when `tile_size` or `chunk` is zero, the image is empty, or
@@ -310,18 +381,26 @@ impl Binning {
         let tiles_y = height.div_ceil(tile_size) as usize;
         let tiles = tiles_x * tiles_y;
         let n = splats.len();
-        let chunks = n.div_ceil(chunk);
+        let chunks = n.div_ceil(chunk).max(1);
         let span = |c: usize| c * chunk..((c + 1) * chunk).min(n);
+        let stride = tiles_x + 1;
+        let diff_len = stride * (tiles_y + 1);
+        let pitch = tiles + diff_len;
 
-        // 1. Splat-order pass: chunk `c` reads its splats once and writes
-        // their keys and rectangles. Every element below `n` is written,
-        // so the buffers are resized without clearing.
+        // Splat pass: chunk `c` reads its splats once, writes their keys
+        // and rectangles, and adds the rectangles' corners to the
+        // difference array of slab `c`. Every key, rectangle and
+        // difference entry is written here, so the buffers are resized
+        // without clearing.
         let mut order = std::mem::take(&mut arena.order);
         order.resize(n, 0);
         let mut rects = std::mem::take(&mut arena.rects);
         rects.resize(n, TileRect::default());
+        let mut table = std::mem::take(&mut arena.counts);
+        table.resize(chunks * pitch, 0);
         let keys_out = Disjoint::new(&mut order);
         let rects_out = Disjoint::new(&mut rects);
+        let diffs_out = Disjoint::new(&mut table);
         pool.run(chunks, |c| {
             let rows = span(c);
             let (start, len) = (rows.start, rows.len());
@@ -331,6 +410,10 @@ impl Binning {
             let keys = unsafe { keys_out.range(start, len) };
             // SAFETY: likewise for the `n` rectangles.
             let chunk_rects = unsafe { rects_out.range(start, len) };
+            // SAFETY: the table holds `chunks` slabs of `pitch` entries,
+            // and slab `c`'s difference array belongs to chunk `c` alone.
+            let diff = unsafe { diffs_out.range(c * pitch + tiles, diff_len) };
+            diff.fill(0);
             for ((s, (key, rect)), i) in splats[rows]
                 .iter()
                 .zip(keys.iter_mut().zip(chunk_rects))
@@ -338,85 +421,31 @@ impl Binning {
             {
                 *key = (u64::from(depth_key_bits(s.depth)) << 32) | i as u64;
                 *rect = tile_rect(s, width, height, tile_size);
+                add_corners(diff, *rect, stride);
             }
         });
 
-        // 2. Depth order. Every key is unique (the splat index is its low
-        // half), so the in-place unstable sort is deterministic and
-        // allocates nothing.
-        order.sort_unstable();
-        let chunk_keys = |c: usize| &order[span(c)];
-
-        // 3. Count: chunk `c` adds +1 at its rectangles' top-left and
-        // bottom-right corners and −1 (`u32::MAX` in wrapping arithmetic)
-        // at the other two, in a difference array one column and one row
-        // wider than the grid, then prefix-sums it into row `c` of the
-        // chunks × tiles table. The extra column and row take the updates
-        // of rectangles that end at the grid's edge. The difference arrays
-        // sit behind the table in the same buffer; every entry of both is
-        // written here, so it is resized without clearing.
-        let stride = tiles_x + 1;
-        let diff_len = stride * (tiles_y + 1);
-        let mut table = std::mem::take(&mut arena.counts);
-        table.resize(chunks * (tiles + diff_len), 0);
-        let (count_table, diff_table) = table.split_at_mut(chunks * tiles);
-        let count_rows = Disjoint::new(count_table);
-        let diff_rows = Disjoint::new(diff_table);
-        pool.run(chunks, |c| {
-            // SAFETY: the count and difference tables hold `chunks` rows of
-            // `tiles` and `diff_len` entries, and `run` yields each chunk
-            // index exactly once.
-            let (diff, row) = unsafe {
-                (
-                    diff_rows.range(c * diff_len, diff_len),
-                    count_rows.range(c * tiles, tiles),
-                )
-            };
-            diff.fill(0);
-            for &key in chunk_keys(c) {
-                let r = rects[key as u32 as usize];
-                let (top, bottom) = (r.y0 as usize * stride, r.y1 as usize * stride);
-                let (left, right) = (r.x0 as usize, r.x1 as usize);
-                for (at, delta) in [
-                    (top + left, 1),
-                    (top + right, u32::MAX),
-                    (bottom + left, u32::MAX),
-                    (bottom + right, 1),
-                ] {
-                    let d = &mut diff[at];
-                    *d = d.wrapping_add(delta);
-                }
+        // Tile totals: slab 0's difference array gathers the others', and
+        // its prefix sum lands in slab 0's row. An exclusive prefix over
+        // the tiles then turns the totals into the CSR offsets, and each
+        // tile's cursor starts at its first slot.
+        let (first, rest) = table.split_at_mut(pitch);
+        let (cursors, sum) = first.split_at_mut(tiles);
+        for slab in rest.chunks_exact(pitch) {
+            for (s, &d) in sum.iter_mut().zip(slab.iter().skip(tiles)) {
+                *s = s.wrapping_add(d);
             }
-            // Tile (x, y)'s count is the sum of the differences at or
-            // above and left of it: a running sum along each line plus the
-            // line above's counts.
-            let mut above: &[u32] = &[];
-            for (line, deltas) in row.chunks_exact_mut(tiles_x).zip(diff.chunks_exact(stride)) {
-                let mut run = 0u32;
-                let ups = above.iter().chain(std::iter::repeat(&0));
-                for ((count, &delta), &up) in line.iter_mut().zip(deltas).zip(ups) {
-                    run = run.wrapping_add(delta);
-                    *count = run.wrapping_add(up);
-                }
-                above = line;
-            }
-        });
-
-        // 4. Placement: exclusive prefix over (tile, chunk). Row `c`
-        // becomes chunk `c`'s first output slot per tile, and `offsets[t]`
-        // tile `t`'s first slot.
+        }
+        integrate_counts(sum, cursors, tiles_x);
         let mut offsets = std::mem::take(&mut arena.offsets);
         offsets.clear();
         offsets.resize(tiles + 1, 0);
         let mut running = 0u64;
-        for (t, offset) in offsets.iter_mut().enumerate().take(tiles) {
+        for (cursor, offset) in cursors.iter_mut().zip(offsets.iter_mut()) {
+            let total = u64::from(*cursor);
             *offset = running as u32;
-            for c in 0..chunks {
-                let slot = &mut table[c * tiles + t];
-                let count = *slot;
-                *slot = running as u32;
-                running += u64::from(count);
-            }
+            *cursor = running as u32;
+            running += total;
         }
         assert!(
             running <= u64::from(u32::MAX),
@@ -439,55 +468,118 @@ impl Binning {
             tiles,
             chunk,
             chunks,
+            scattered: 0,
             splats,
             order,
             rects,
             table,
+            pitch,
             offsets,
             values,
             saturated,
         }
     }
 
-    /// Each tile's end of the slots that the chunks before `chunk` fill:
-    /// chunk `chunk`'s first slot per tile, or the list ends once `chunk`
-    /// is past the last chunk. The rows of chunks not yet scattered still
-    /// hold their placement, so this holds between scatter rounds too.
+    /// Each tile's cursor: the end of the slots the rounds so far filled
+    /// for it, or its first slot before any round. Once a tile has
+    /// saturated, its cursor marks nothing, and Stage 3 reads it no more.
     // gaurast-check: hot-path
-    pub(crate) fn filled_ends(&self, chunk: usize) -> &[u32] {
-        let row = self
-            .table
-            .chunks_exact(self.tiles)
-            .take(self.chunks)
-            .nth(chunk);
-        row.unwrap_or_else(|| self.offsets.get(1..).unwrap_or_default())
+    pub(crate) fn filled_ends(&self) -> &[u32] {
+        self.table.split_at(self.tiles).0
     }
 
-    /// Step 5 of the module docs for the chunks in `chunks`, one pool job
-    /// per chunk: each writes its splats' indices into its own slots of
+    /// Puts the keys of chunks `chunks`, the next round, in depth order:
+    /// unless the round reaches the last chunk, `select_nth_unstable`
+    /// first moves the nearest keys not yet sorted in front of the rest,
+    /// as many as the round holds. Keys are unique, so they are exactly
+    /// the keys one sort of the whole order puts there.
+    // gaurast-check: hot-path
+    fn order_keys(&mut self, chunks: Range<usize>) {
+        let n = self.order.len();
+        let (start, end) = (chunks.start * self.chunk, (chunks.end * self.chunk).min(n));
+        let unsorted = self.order.split_at_mut(start).1;
+        if end < n {
+            unsorted.select_nth_unstable(end - start);
+        }
+        unsorted.split_at_mut(end - start).0.sort_unstable();
+    }
+
+    /// Counts and places the chunks in `chunks`, whose keys are in depth
+    /// order: every chunk but the last counts its pairs per tile into its
+    /// own slab's row, one pool job per chunk, and the calling thread then
+    /// turns the rows into first slots from the cursors. Chunk
+    /// `chunks.start + j` gets slab `j + 1`, and the cursors move to the
+    /// last chunk's first slots.
+    // gaurast-check: hot-path
+    fn count_chunks(&mut self, chunks: Range<usize>, pool: &WorkerPool) {
+        let (tiles, tiles_x, pitch) = (self.tiles, self.tiles_x, self.pitch);
+        let (chunk, n) = (self.chunk, self.order.len());
+        let counted = chunks.len().saturating_sub(1);
+        let (order, rects) = (&self.order, &self.rects);
+        let (first, slabs) = self.table.split_at_mut(pitch);
+        let slabs_out = Disjoint::new(slabs);
+        pool.run(counted, |j| {
+            let c = chunks.start + j;
+            // SAFETY: the table holds a slab per chunk and a round holds
+            // at most every chunk, so slab `j + 1` exists; it belongs to
+            // job `j` alone, and `run` yields each job index exactly once.
+            let slab = unsafe { slabs_out.range(j * pitch, pitch) };
+            let (row, diff) = slab.split_at_mut(tiles);
+            diff.fill(0);
+            for &key in &order[c * chunk..((c + 1) * chunk).min(n)] {
+                add_corners(diff, rects[key as u32 as usize], tiles_x + 1);
+            }
+            integrate_counts(diff, row, tiles_x);
+        });
+        // Placement: each counted row becomes its chunk's first slot per
+        // tile, and the cursor moves past the chunk's pairs.
+        let cursors = first.split_at_mut(tiles).0;
+        for row in slabs.chunks_exact_mut(pitch).take(counted) {
+            for (slot, cursor) in row.iter_mut().zip(cursors.iter_mut()) {
+                let count = *slot;
+                *slot = *cursor;
+                *cursor += count;
+            }
+        }
+    }
+
+    /// Step 2 of the module docs for the chunks in `chunks`, the next
+    /// round: orders, counts and places them, then scatters one pool job
+    /// per chunk. Each writes its splats' indices into its own slots of
     /// every covered tile whose saturation flag is clear, so every tile's
-    /// run keeps the depth order.
+    /// run keeps the depth order; the round's last chunk advances the
+    /// cursors.
     ///
     /// # Panics
-    /// Panics when `chunks` reaches past the last chunk.
+    /// Panics when `chunks` does not start at the first chunk not yet
+    /// scattered or reaches past the last chunk.
     // gaurast-check: hot-path
     pub(crate) fn scatter(&mut self, chunks: Range<usize>, pool: &WorkerPool) {
-        assert!(chunks.end <= self.chunks, "scatter past the last chunk");
-        let (tiles, tiles_x, chunk, n) = (self.tiles, self.tiles_x, self.chunk, self.splats.len());
+        assert!(
+            chunks.start == self.scattered && chunks.end <= self.chunks,
+            "scatter rounds run front to back, up to the last chunk"
+        );
+        let (first, end) = (chunks.start, chunks.end);
+        self.order_keys(first..end);
+        self.count_chunks(first..end, pool);
+        self.scattered = end;
+        let (tiles, tiles_x, pitch) = (self.tiles, self.tiles_x, self.pitch);
+        let (chunk, n) = (self.chunk, self.order.len());
         let pairs = self.values.len();
         let (order, rects, saturated) = (&self.order, &self.rects, &self.saturated);
-        let cursors = Disjoint::new(&mut self.table);
+        let rows = Disjoint::new(&mut self.table);
         let out = &Disjoint::new(&mut self.values);
-        let first = chunks.start;
-        pool.run(chunks.len(), |job| {
+        let jobs = end - first;
+        pool.run(jobs, |job| {
             let c = first + job;
             // The flags were last written between dispatches, by the
             // thread that issued this one.
             crate::race_read!(saturated.as_ptr(), saturated.len());
-            // SAFETY: the table holds `chunks` rows of `tiles` cursors
-            // first, row `c` belongs to chunk `c` alone, and `run` yields
-            // each job index exactly once.
-            let cursor = unsafe { cursors.range(c * tiles, tiles) };
+            // SAFETY: the table holds at least `jobs` slabs whose rows
+            // start it, job `job` takes slab `(job + 1) % jobs` (its
+            // counted row, or the cursors for the last job) and no other
+            // job does, and `run` yields each job index exactly once.
+            let cursor = unsafe { rows.range(((job + 1) % jobs) * pitch, tiles) };
             for &key in &order[c * chunk..((c + 1) * chunk).min(n)] {
                 let index = key as u32;
                 let r = rects[index as usize];
@@ -507,10 +599,11 @@ impl Binning {
                             crate::race_write!(out.0.wrapping_add(at), 1);
                             // SAFETY: `at < pairs`, the length the value
                             // buffer was resized to, is asserted above; and
-                            // the exclusive prefix over exact counts gives
-                            // every (tile, chunk) a range no other chunk
-                            // receives, inside which the cursor of chunk
-                            // `c` stays.
+                            // the exclusive prefix over exact counts, from
+                            // the cursor that every earlier round's last
+                            // chunk left, gives every (tile, chunk) a range
+                            // no other chunk receives, inside which the
+                            // cursor of chunk `c` stays.
                             unsafe { *out.0.add(at) = index };
                         });
                     }

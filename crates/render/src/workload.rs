@@ -439,7 +439,7 @@ impl TileRef<'_> {
 }
 
 /// Per-session Stage-2 and Stage-3 scratch: the key, rectangle,
-/// difference, per-chunk count, CSR, saturation-flag and processed-count
+/// difference-array and count, CSR, saturation-flag and processed-count
 /// buffers a frame needs and Stage 3's tile jobs with their pixel planes,
 /// recycled across frames so steady-state Stages 2 and 3 allocate
 /// nothing.
@@ -450,14 +450,19 @@ impl TileRef<'_> {
 #[derive(Debug, Default)]
 pub struct FrameArena {
     /// Depth-order keys, one per splat (`depth_key_bits << 32 | index`),
-    /// written in splat order and then sorted; only live during binning.
+    /// written in splat order and then sorted one scatter round at a
+    /// time, so keys no round reaches stay unsorted; only live during
+    /// binning.
     pub(crate) order: Vec<u64>,
     /// Each splat's tile rectangle, in splat order (16 bytes per splat),
-    /// read by the count and the scatter; only live during binning.
+    /// read by the splat pass, the rounds' count and the scatter; only live
+    /// during binning.
     pub(crate) rects: Vec<TileRect>,
-    /// Per-chunk per-tile pair counts, then placement cursors, followed by
-    /// one 2D difference array per chunk of `(tiles_x + 1) × (tiles_y + 1)`
-    /// entries; only live during binning.
+    /// One slab per chunk of `tiles + (tiles_x + 1) × (tiles_y + 1)`
+    /// entries, a row of per-tile counts or cursors and a 2D difference
+    /// array: first the splat pass's difference arrays, one per chunk of
+    /// the splat order, then the tile cursors and the current round's
+    /// rows; only live during binning.
     pub(crate) counts: Vec<u32>,
     /// CSR value buffer under construction.
     pub(crate) values: Vec<u32>,

@@ -1,5 +1,6 @@
-//! Stage-2 suite: the depth sort plus counting scatter of
-//! `gaurast_render::tile` must equal a test-local oracle — emit one
+//! Stage-2 suite: the splat pass, the rounds' depth ordering and the
+//! counting scatter of `gaurast_render::tile` must equal a test-local
+//! oracle — emit one
 //! `(tile, depth_key_bits, index)` pair per covered tile in splat order,
 //! stably sort the pairs by `(tile, depth bits)`, and rebuild the CSR
 //! table — for random scenes, cameras, tie-heavy depth distributions,
@@ -7,10 +8,10 @@
 //! tiles are partial, every worker count 1–8 and every chunk size.
 
 use gaurast_math::{Vec2, Vec3};
-use gaurast_render::pipeline::{render, RenderConfig};
+use gaurast_render::pipeline::{bin_and_rasterize_chunked, render, RenderConfig};
 use gaurast_render::sort::{depth_key_bits, is_depth_sorted};
 use gaurast_render::tile::{bin_splats_chunked, bin_splats_pooled, tile_range, BIN_CHUNK};
-use gaurast_render::{FrameArena, RasterWorkload, Splat2D, WorkerPool};
+use gaurast_render::{FrameArena, RasterWorkload, SimdLevel, Splat2D, WorkerPool};
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
 
@@ -219,7 +220,11 @@ proptest! {
 
 /// Inputs spanning several production-size chunks (10,000 splats → 3
 /// chunks of [`BIN_CHUNK`]) equal the oracle at chunk sizes 1, 3 and
-/// [`BIN_CHUNK`] and widths 1–8.
+/// [`BIN_CHUNK`] and widths 1–8, both as the two-call path's whole lists
+/// and as the frame driver's record-only rounds, whose held prefixes are
+/// the oracle's lists cut at each tile's processed count. At
+/// [`BIN_CHUNK`] some tile reads past the first chunk of the depth order,
+/// so the rounds' selections and later sorts meet the oracle too.
 #[test]
 fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
     let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -242,9 +247,20 @@ fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
         })
         .collect();
     let (values, offsets) = oracle(&splats, 256, 192, 16);
+    // The splats of the first production chunk of the depth order.
+    let mut keys: Vec<u64> = (0u64..)
+        .zip(&splats)
+        .map(|(i, s)| u64::from(depth_key_bits(s.depth)) << 32 | i)
+        .collect();
+    keys.sort_unstable();
+    let mut in_first_chunk = vec![false; splats.len()];
+    for &key in &keys[..BIN_CHUNK] {
+        in_first_chunk[key as u32 as usize] = true;
+    }
     for workers in 1..=8 {
         let pool = WorkerPool::new(workers);
         for chunk in [1, 3, BIN_CHUNK] {
+            let what = format!("width {workers}, chunk {chunk}");
             let w = bin_splats_chunked(
                 splats.clone(),
                 256,
@@ -254,17 +270,32 @@ fn multi_chunk_inputs_equal_oracle_at_every_chunk_size() {
                 &pool,
                 chunk,
             );
-            assert_eq!(
-                w.offsets(),
-                offsets.as_slice(),
-                "width {workers}, chunk {chunk}"
-            );
+            assert_eq!(w.offsets(), offsets.as_slice(), "{what}");
             for t in w.tiles() {
                 assert_eq!(
                     t.list,
                     &values[offsets[t.index] as usize..offsets[t.index + 1] as usize],
-                    "width {workers}, chunk {chunk}, tile {}",
+                    "{what}, tile {}",
                     t.index
+                );
+            }
+            let (rounds, _) = bin_and_rasterize_chunked(
+                splats.clone(),
+                (256, 192, 16),
+                SimdLevel::Avx2,
+                &pool,
+                &mut FrameArena::new(),
+                None,
+                chunk,
+                || {},
+            );
+            assert_matches_oracle(&rounds, &format!("{what}, rounds"));
+            if chunk == BIN_CHUNK {
+                assert!(
+                    rounds
+                        .tiles()
+                        .any(|t| t.list.iter().any(|&i| !in_first_chunk[i as usize])),
+                    "{what}: some tile must read past the first chunk"
                 );
             }
         }

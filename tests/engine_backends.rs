@@ -12,9 +12,11 @@ use common::image_bits;
 use gaurast::backend::{BackendKind, GpuPreset};
 use gaurast::engine::{EngineBuilder, ImagePolicy};
 use gaurast::hw::{EnhancedRasterizer, Precision, RasterizerConfig};
+use gaurast::render::sort::depth_key_bits;
+use gaurast::render::tile::BIN_CHUNK;
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::nerf360::{Nerf360Scene, SceneScale};
-use gaurast::scene::Camera;
+use gaurast::scene::{Camera, OrbitTrajectory};
 use gaurast::sched::PipelineSchedule;
 use gaurast::service::{RenderRequest, RenderService};
 use gaurast_math::Vec3;
@@ -126,21 +128,34 @@ fn image_hash(fb: &gaurast::render::Framebuffer) -> u64 {
     h
 }
 
+/// Where a pinned frame's camera stands.
+#[derive(Clone, Copy, Debug)]
+enum Pose {
+    /// The descriptor's own camera at this orbit angle.
+    Descriptor(f32),
+    /// An orbit at six times perfbench's orbit radius (7.5 × the scene's
+    /// extent, 2.7 × extent high), at this angle: the whole scene is in
+    /// view and small, so Stage 2 needs more than one scatter round.
+    Far(f32),
+}
+
 #[test]
 fn served_enhanced_frames_are_pinned_at_repro_scale() {
     // The served Enhanced frame of two orbit poses each of Garden and
-    // Counter, recorded from the single-pass Stage 2 (every pair
-    // scattered, then one Stage-3 pass). The frame driver scatters in
-    // rounds and skips saturated tiles; a round that dropped or reordered
-    // an entry some tile reads would move the processed counts, the
-    // billed work, the modeled time and energy, or the image.
-    // (scene, theta, pairs, Σ processed, blend_work, blends_committed,
+    // Counter and one far pose of each, recorded from the single-pass
+    // Stage 2 (every pair scattered, then one Stage-3 pass) before the
+    // rounds ordered their own keys. The frame driver scatters in rounds,
+    // depth-orders only the keys they reach and skips saturated tiles; a
+    // round that dropped or reordered an entry some tile reads would move
+    // the processed counts, the billed work, the modeled time and energy,
+    // or the image.
+    // (scene, pose, pairs, Σ processed, blend_work, blends_committed,
     //  time_s bits, energy_j bits, image hash)
-    type Pin = (Nerf360Scene, f32, u64, u64, u64, u64, u64, u64, u64);
-    const PINS: [Pin; 4] = [
+    type Pin = (Nerf360Scene, Pose, u64, u64, u64, u64, u64, u64, u64);
+    const PINS: [Pin; 6] = [
         (
             Nerf360Scene::Garden,
-            0.7,
+            Pose::Descriptor(0.7),
             1_663_188,
             3_927,
             867_510,
@@ -151,7 +166,7 @@ fn served_enhanced_frames_are_pinned_at_repro_scale() {
         ),
         (
             Nerf360Scene::Garden,
-            3.9,
+            Pose::Descriptor(3.9),
             1_555_208,
             6_537,
             1_443_690,
@@ -161,8 +176,19 @@ fn served_enhanced_frames_are_pinned_at_repro_scale() {
             0x24E2_F562_115E_F49E,
         ),
         (
+            Nerf360Scene::Garden,
+            Pose::Far(0.7),
+            733_922,
+            24_349,
+            5_179_942,
+            1_408_286,
+            0x3F04_DC85_FD5A_8938,
+            0x3F31_42CF_4BA8_051A,
+            0x2FDE_AB03_F2AB_AAD2,
+        ),
+        (
             Nerf360Scene::Counter,
-            0.7,
+            Pose::Descriptor(0.7),
             251_374,
             20_646,
             4_528_086,
@@ -173,7 +199,7 @@ fn served_enhanced_frames_are_pinned_at_repro_scale() {
         ),
         (
             Nerf360Scene::Counter,
-            3.9,
+            Pose::Descriptor(3.9),
             238_966,
             10_490,
             2_241_662,
@@ -182,19 +208,43 @@ fn served_enhanced_frames_are_pinned_at_repro_scale() {
             0x3F19_F3F7_4E5B_1CEE,
             0xCC7E_8C2B_C05F_F658,
         ),
+        (
+            Nerf360Scene::Counter,
+            Pose::Far(0.7),
+            70_591,
+            17_688,
+            4_068_806,
+            1_170_953,
+            0x3EFA_08B7_2B1C_5ACC,
+            0x3F29_3CEC_AD02_9CC2,
+            0x73AD_F87F_9240_3CEC,
+        ),
     ];
     for scene in [Nerf360Scene::Garden, Nerf360Scene::Counter] {
         let desc = scene.descriptor();
+        let (width, height) = desc.resolution_at(SceneScale::REPRO);
         let mut engine = EngineBuilder::new(desc.synthesize(SceneScale::REPRO))
             .backend(BackendKind::Enhanced)
             .image_policy(ImagePolicy::Retain)
             .build()
             .unwrap();
-        for &(_, theta, pairs, processed, work, blends, time, energy, hash) in
+        for &(_, pose, pairs, processed, work, blends, time, energy, hash) in
             PINS.iter().filter(|p| p.0 == scene)
         {
-            let what = format!("{scene:?} at {theta}");
-            let cam = desc.camera(SceneScale::REPRO, theta).unwrap();
+            let what = format!("{scene:?} at {pose:?}");
+            let cam = match pose {
+                Pose::Descriptor(theta) => desc.camera(SceneScale::REPRO, theta).unwrap(),
+                Pose::Far(theta) => OrbitTrajectory::new(
+                    Vec3::zero(),
+                    7.5 * desc.extent,
+                    2.7 * desc.extent,
+                    width,
+                    height,
+                    1.05,
+                )
+                .and_then(|orbit| orbit.camera_at(theta))
+                .unwrap(),
+            };
             let report = engine.render_frame(&cam);
             assert_eq!(report.stats.pairs, pairs, "{what}: pairs");
             assert_eq!(report.stats.blend_work, work, "{what}: blend work");
@@ -208,6 +258,26 @@ fn served_enhanced_frames_are_pinned_at_repro_scale() {
             let held: u64 = cmp.workload.tiles().map(|t| u64::from(t.processed)).sum();
             assert_eq!(held, processed, "{what}: processed");
             assert_eq!(cmp.rows[0].time_s.to_bits(), time, "{what}: compare row");
+            if let Pose::Far(_) = pose {
+                // Some tile reads a splat outside the nearest `BIN_CHUNK`
+                // by depth key, so the frame's later rounds were read.
+                let splats = cmp.workload.splats();
+                let mut keys: Vec<u64> = (0u64..)
+                    .zip(splats)
+                    .map(|(i, s)| u64::from(depth_key_bits(s.depth)) << 32 | i)
+                    .collect();
+                keys.sort_unstable();
+                let mut nearest = vec![false; splats.len()];
+                for &key in keys.iter().take(BIN_CHUNK) {
+                    nearest[key as u32 as usize] = true;
+                }
+                assert!(
+                    cmp.workload
+                        .tiles()
+                        .any(|t| t.list.iter().any(|&i| !nearest[i as usize])),
+                    "{what}: no tile reads past round 0"
+                );
+            }
         }
     }
 }
