@@ -5,7 +5,7 @@ use crate::backend::BackendKind;
 use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::{VectorMode, DEFAULT_TILE_SIZE};
-use gaurast_scene::{GaussianScene, PreparedScene};
+use gaurast_scene::GaussianScene;
 use std::sync::Arc;
 
 /// Builder for an [`Engine`] session.
@@ -15,19 +15,18 @@ use std::sync::Arc;
 /// [`BackendKind::Enhanced`] backend, and images discarded after
 /// statistics are recorded.
 ///
-/// Sessions share scenes: [`EngineBuilder::new`] prepares a raw scene on
-/// the spot, while [`EngineBuilder::shared`] opens a session over an
-/// existing `Arc<`[`PreparedScene`]`>` without copying anything —
-/// the pattern the multi-session [`RenderService`](crate::service)
-/// builds on:
+/// Sessions share scenes: [`EngineBuilder::new`] takes a scene by value,
+/// while [`EngineBuilder::shared`] opens a session over an existing
+/// `Arc<`[`GaussianScene`]`>` without copying anything — the pattern the
+/// multi-session [`RenderService`](crate::service) builds on:
 ///
 /// ```
 /// use gaurast::engine::EngineBuilder;
-/// use gaurast::scene::{generator::SceneParams, PreparedScene};
+/// use gaurast::scene::generator::SceneParams;
 /// use std::sync::Arc;
 ///
 /// let scene = SceneParams::new(200).seed(11).generate()?;
-/// let shared = Arc::new(PreparedScene::prepare(scene));
+/// let shared = Arc::new(scene);
 /// let a = EngineBuilder::shared(Arc::clone(&shared)).build()?;
 /// let b = EngineBuilder::shared(Arc::clone(&shared)).build()?;
 /// assert!(Arc::ptr_eq(a.prepared(), b.prepared()));
@@ -35,7 +34,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct EngineBuilder {
-    scene: Arc<PreparedScene>,
+    scene: Arc<GaussianScene>,
     tile_size: u32,
     workers: usize,
     backend: BackendKind,
@@ -46,16 +45,14 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Starts a builder over a raw scene with the defaults above. The
-    /// scene is prepared ([`PreparedScene::prepare`]) here, once; use
-    /// [`EngineBuilder::shared`] to reuse an already-prepared asset.
+    /// Starts a builder over `scene` with the defaults above; use
+    /// [`EngineBuilder::shared`] to open sessions over one scene.
     pub fn new(scene: GaussianScene) -> Self {
-        Self::shared(Arc::new(PreparedScene::prepare(scene)))
+        Self::shared(Arc::new(scene))
     }
 
-    /// Starts a builder over a shared prepared-scene asset (no copy, no
-    /// re-preparation).
-    pub fn shared(scene: Arc<PreparedScene>) -> Self {
+    /// Starts a builder over a shared scene (no copy).
+    pub fn shared(scene: Arc<GaussianScene>) -> Self {
         Self {
             scene,
             tile_size: DEFAULT_TILE_SIZE,

@@ -52,10 +52,10 @@ use crate::backend::{BackendKind, FrameReport, ReferencePass};
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
-use gaurast_render::pipeline::{run_frame, Stage1Input};
+use gaurast_render::pipeline::run_frame;
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::{FrameArena, Framebuffer, RasterWorkload, SimdLevel, VectorMode};
-use gaurast_scene::{Camera, GaussianScene, PreparedScene};
+use gaurast_scene::{Camera, GaussianScene};
 use gaurast_sched::{replay, FrameCost, SequenceReport};
 use std::sync::Arc;
 use std::time::Instant;
@@ -154,17 +154,17 @@ impl std::fmt::Display for ComparisonReport {
     }
 }
 
-/// A rendering session over one shared scene asset and one selected
-/// backend kind. See the [module docs](self) for the full picture and
+/// A rendering session over one shared scene and one selected backend
+/// kind. See the [module docs](self) for the full picture and
 /// [`EngineBuilder`] for construction.
 ///
-/// The scene is held as an `Arc<`[`PreparedScene`]`>`: sessions never copy
-/// the scene or redo its precomputation, so spawning one per worker thread
-/// is cheap. `Clone` gives a fresh session (zero frames, fresh arena)
-/// over the same shared asset and configuration.
+/// The scene is held as an `Arc<`[`GaussianScene`]`>`: sessions never copy
+/// it, and it carries its world covariances, so spawning one session per
+/// worker thread is cheap. `Clone` gives a fresh session (zero frames,
+/// fresh arena) over the same shared scene and configuration.
 #[derive(Debug)]
 pub struct Engine {
-    pub(crate) scene: Arc<PreparedScene>,
+    pub(crate) scene: Arc<GaussianScene>,
     pub(crate) tile_size: u32,
     /// Requested intra-frame worker count (0 = auto); `pool` is the
     /// resolved policy actually used.
@@ -190,7 +190,7 @@ pub struct Engine {
 
 impl Clone for Engine {
     /// A fresh session over the same shared scene and configuration: the
-    /// `Arc<PreparedScene>` is shared (no scene copy), and the frame
+    /// `Arc<GaussianScene>` is shared (no scene copy), and the frame
     /// counter, frame arena and worker pool start fresh.
     fn clone(&self) -> Self {
         Self::from_parts(
@@ -209,7 +209,7 @@ impl Clone for Engine {
 impl Engine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        scene: Arc<PreparedScene>,
+        scene: Arc<GaussianScene>,
         tile_size: u32,
         workers: usize,
         image_policy: ImagePolicy,
@@ -236,13 +236,13 @@ impl Engine {
 
     /// The scene this session renders.
     pub fn scene(&self) -> &GaussianScene {
-        self.scene.scene()
+        &self.scene
     }
 
-    /// The shared prepared-scene asset this session renders from. Clone
-    /// the `Arc` to open further sessions over the identical asset
-    /// (e.g. via [`EngineBuilder::shared`]).
-    pub fn prepared(&self) -> &Arc<PreparedScene> {
+    /// The shared scene this session renders. Clone the `Arc` to open
+    /// further sessions over the identical scene (e.g. via
+    /// [`EngineBuilder::shared`]).
+    pub fn prepared(&self) -> &Arc<GaussianScene> {
         &self.scene
     }
 
@@ -309,7 +309,7 @@ impl Engine {
     }
 
     /// Runs one frame through the render crate's frame driver
-    /// ([`run_frame`]): Stage 1 over every Gaussian of the prepared scene
+    /// ([`run_frame`]): Stage 1 over every Gaussian of the scene
     /// (it culls by depth and screen bounds itself), then Stage 2 into
     /// recycled session buffers and the reference Stage-3 pass
     /// (record-only unless images are retained) in saturation-aware
@@ -335,7 +335,7 @@ impl Engine {
         // back into it — the image is a pure function of scene + camera.
         let mut stage_done = [Instant::now(); 3];
         let frame = run_frame(
-            Stage1Input::Prepared(&self.scene),
+            &self.scene,
             camera,
             self.tile_size,
             self.level,
@@ -754,7 +754,7 @@ mod tests {
             (6683, 703_232, 286_558, 466_138)
         );
         let full = run_frame(
-            Stage1Input::Prepared(e.prepared()),
+            e.scene(),
             &cam,
             e.tile_size(),
             SimdLevel::Scalar,

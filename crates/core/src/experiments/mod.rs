@@ -26,7 +26,7 @@ use gaurast_hw::RasterizerConfig;
 use gaurast_render::pipeline::RenderConfig;
 use gaurast_scene::mini_splatting::{simplify, MiniSplatConfig};
 use gaurast_scene::nerf360::{Nerf360Scene, SceneScale};
-use gaurast_scene::PreparedScene;
+use gaurast_scene::GaussianScene;
 use gaurast_sched::EndToEnd;
 use std::sync::Arc;
 
@@ -196,12 +196,10 @@ impl SceneEvaluation {
     }
 }
 
-/// Runs one algorithm variant's prepared scene through an engine session
-/// (enhanced backend, record-only) and accumulates the per-viewpoint
-/// measurements. Taking the shared asset keeps the scene preparation a
-/// one-time cost even when several experiments revisit the same scene.
+/// Runs one algorithm variant's scene through an engine session (enhanced
+/// backend, record-only) and accumulates the per-viewpoint measurements.
 fn run_session(
-    scene: Arc<PreparedScene>,
+    scene: Arc<GaussianScene>,
     ctx: &ExperimentContext,
     desc: &gaurast_scene::nerf360::SceneDescriptor,
 ) -> Accum {
@@ -236,8 +234,8 @@ pub fn evaluate_scene(
     let full_len = full_scene.len();
     let mini_len = mini_scene.len();
 
-    let acc_orig = run_session(Arc::new(PreparedScene::prepare(full_scene)), ctx, &desc);
-    let acc_mini = run_session(Arc::new(PreparedScene::prepare(mini_scene)), ctx, &desc);
+    let acc_orig = run_session(Arc::new(full_scene), ctx, &desc);
+    let acc_mini = run_session(Arc::new(mini_scene), ctx, &desc);
 
     // Paper-scale work: both algorithms use the calibrated per-scene
     // constants (back-derived from Table III); the Mini-Splatting

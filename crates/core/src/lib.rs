@@ -18,10 +18,11 @@
 //!
 //! * unified entry point: [`engine::EngineBuilder`] →
 //!   [`engine::Engine::render_frame`] / `render_sequence` / `compare`;
-//! * shared-scene serving: [`scene::PreparedScene`] (one immutable
-//!   precomputed asset behind an `Arc`, any number of sessions) and
-//!   [`service::RenderService`] (named scenes, a `std::thread` worker
-//!   pool, in-order batch rendering with aggregate accounting);
+//! * shared-scene serving: one [`scene::GaussianScene`] behind an `Arc`
+//!   (it carries its world covariances, so any number of sessions render
+//!   it without copies) and [`service::RenderService`] (named scenes, a
+//!   `std::thread` worker pool, in-order batch rendering with aggregate
+//!   accounting);
 //! * execution substrates: [`backend`] (software reference, enhanced
 //!   rasterizer, CUDA baselines, GSCore, one `match` in
 //!   [`backend::BackendKind::execute`]);

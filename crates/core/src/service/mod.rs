@@ -1,13 +1,12 @@
-//! The shared-scene render service: many sessions, one prepared asset per
-//! scene.
+//! The shared-scene render service: many sessions, one shared scene per
+//! name.
 //!
 //! The [`Engine`] is a single session. A
 //! [`RenderService`] is the serving layer above it: it owns one
-//! `Arc<`[`PreparedScene`]`>` per named scene (prepared exactly once) and
-//! spawns per-thread engine sessions on demand, so N concurrent render
-//! jobs share one immutable scene asset instead of carrying N copies —
-//! the same fan-one-configuration-out-to-many-channels pattern
-//! high-channel-count DAQ systems use for their readout front-ends.
+//! `Arc<`[`GaussianScene`]`>` per named scene and spawns per-thread engine
+//! sessions on demand, so N concurrent render jobs share one scene instead
+//! of carrying N copies — the same fan-one-configuration-out-to-many-channels
+//! pattern high-channel-count DAQ systems use for their readout front-ends.
 //!
 //! Two entry points:
 //!
@@ -66,7 +65,7 @@ use gaurast_gpu::{device, CudaGpuModel};
 use gaurast_hw::RasterizerConfig;
 use gaurast_render::pool::resolve_workers;
 use gaurast_render::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, CameraKey, GaussianScene, PreparedScene};
+use gaurast_scene::{Camera, CameraKey, GaussianScene};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -241,7 +240,7 @@ impl std::fmt::Display for BatchReport {
 /// The worker count defaults to the machine's available parallelism.
 #[derive(Clone, Debug)]
 pub struct RenderServiceBuilder {
-    scenes: Vec<(String, Arc<PreparedScene>)>,
+    scenes: Vec<(String, Arc<GaussianScene>)>,
     workers: Option<usize>,
     frame_workers: Option<usize>,
     tile_size: u32,
@@ -270,13 +269,13 @@ impl RenderServiceBuilder {
         }
     }
 
-    /// Registers a raw scene under a name, preparing it once here.
+    /// Registers a scene under a name.
     pub fn scene(self, name: impl Into<String>, scene: GaussianScene) -> Self {
-        self.prepared(name, Arc::new(PreparedScene::prepare(scene)))
+        self.prepared(name, Arc::new(scene))
     }
 
-    /// Registers an already-prepared shared scene asset under a name.
-    pub fn prepared(mut self, name: impl Into<String>, scene: Arc<PreparedScene>) -> Self {
+    /// Registers a shared scene under a name (no copy).
+    pub fn prepared(mut self, name: impl Into<String>, scene: Arc<GaussianScene>) -> Self {
         self.scenes.push((name.into(), scene));
         self
     }
@@ -360,8 +359,8 @@ impl RenderServiceBuilder {
                 .unwrap_or(1)
         });
         let mut scenes = HashMap::with_capacity(self.scenes.len());
-        for (name, prepared) in self.scenes {
-            if scenes.insert(name.clone(), prepared).is_some() {
+        for (name, scene) in self.scenes {
+            if scenes.insert(name.clone(), scene).is_some() {
                 return Err(ServiceError::DuplicateScene(name));
             }
         }
@@ -377,12 +376,12 @@ impl RenderServiceBuilder {
     }
 }
 
-/// A concurrent multi-session render service over shared prepared scenes.
+/// A concurrent multi-session render service over shared scenes.
 /// See the [module docs](self) for the serving model and
 /// [`RenderServiceBuilder`] for construction.
 #[derive(Debug)]
 pub struct RenderService {
-    scenes: HashMap<String, Arc<PreparedScene>>,
+    scenes: HashMap<String, Arc<GaussianScene>>,
     workers: usize,
     frame_workers: Option<usize>,
     tile_size: u32,
@@ -397,8 +396,7 @@ impl RenderService {
         RenderServiceBuilder::new()
     }
 
-    /// Registers a raw scene under a name on a running service, preparing
-    /// it once.
+    /// Registers a scene under a name on a running service.
     ///
     /// # Errors
     /// [`ServiceError::DuplicateScene`] when the name is taken.
@@ -407,18 +405,18 @@ impl RenderService {
         name: impl Into<String>,
         scene: GaussianScene,
     ) -> Result<(), ServiceError> {
-        self.register_prepared(name, Arc::new(PreparedScene::prepare(scene)))
+        self.register_prepared(name, Arc::new(scene))
     }
 
-    /// Registers an already-prepared shared scene asset under a name on a
-    /// running service.
+    /// Registers a shared scene under a name on a running service (no
+    /// copy).
     ///
     /// # Errors
     /// [`ServiceError::DuplicateScene`] when the name is taken.
     pub fn register_prepared(
         &mut self,
         name: impl Into<String>,
-        scene: Arc<PreparedScene>,
+        scene: Arc<GaussianScene>,
     ) -> Result<(), ServiceError> {
         let name = name.into();
         if self.scenes.contains_key(&name) {
@@ -435,8 +433,8 @@ impl RenderService {
         names
     }
 
-    /// The shared prepared asset of a registered scene.
-    pub fn prepared(&self, name: &str) -> Option<&Arc<PreparedScene>> {
+    /// The shared scene registered under `name`.
+    pub fn prepared(&self, name: &str) -> Option<&Arc<GaussianScene>> {
         self.scenes.get(name)
     }
 
@@ -466,8 +464,8 @@ impl RenderService {
     /// # Errors
     /// [`ServiceError::UnknownScene`] when the name is not registered.
     pub fn session(&self, scene: &str, backend: BackendKind) -> Result<Engine, ServiceError> {
-        let prepared = self.lookup(scene)?;
-        self.open_session(Arc::clone(prepared), backend, self.frame_worker_budget(1))
+        let shared = self.lookup(scene)?;
+        self.open_session(Arc::clone(shared), backend, self.frame_worker_budget(1))
     }
 
     /// Renders one request on the calling thread (with the full
@@ -498,7 +496,7 @@ impl RenderService {
     /// ([`Engine::render_shared`]). Workers claim distinct frames from an
     /// atomic cursor, so an expensive frame on one worker never stalls the
     /// others, and each worker holds one engine session per scene it
-    /// encounters, all sharing the service's prepared assets. Per-request
+    /// encounters, all sharing the service's scenes. Per-request
     /// reports — images included — are bit-identical with what a dedicated
     /// single-thread session of the request's backend would produce.
     ///
@@ -606,9 +604,9 @@ impl RenderService {
                 break;
             };
             if !sessions.contains_key(frame.scene) {
-                let prepared = self.lookup(frame.scene)?;
+                let shared = self.lookup(frame.scene)?;
                 let session =
-                    self.open_session(Arc::clone(prepared), BackendKind::Enhanced, frame_budget)?;
+                    self.open_session(Arc::clone(shared), BackendKind::Enhanced, frame_budget)?;
                 sessions.insert(frame.scene, session);
             }
             let Some(engine) = sessions.get_mut(frame.scene) else {
@@ -633,7 +631,7 @@ impl RenderService {
         Ok(rendered)
     }
 
-    fn lookup(&self, name: &str) -> Result<&Arc<PreparedScene>, ServiceError> {
+    fn lookup(&self, name: &str) -> Result<&Arc<GaussianScene>, ServiceError> {
         self.scenes
             .get(name)
             .ok_or_else(|| ServiceError::UnknownScene(name.to_string()))
@@ -645,11 +643,11 @@ impl RenderService {
     /// panic on a serving path.
     fn open_session(
         &self,
-        prepared: Arc<PreparedScene>,
+        scene: Arc<GaussianScene>,
         backend: BackendKind,
         frame_workers: usize,
     ) -> Result<Engine, ServiceError> {
-        EngineBuilder::shared(prepared)
+        EngineBuilder::shared(scene)
             .backend(backend)
             .tile_size(self.tile_size)
             .workers(frame_workers)

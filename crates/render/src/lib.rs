@@ -6,20 +6,23 @@
 //! the GauRast paper:
 //!
 //! 1. **Preprocessing** ([`preprocess`]) — project every 3D Gaussian to a 2D
-//!    splat (EWA covariance projection), convert spherical harmonics to RGB,
-//!    compute depth;
-//! 2. **Sorting** ([`sort`], [`tile`]) — sort the splats once by depth,
-//!    then scatter each into every tile it covers with one counting pass
-//!    by tile, yielding a flat CSR workload (one value buffer + per-tile
-//!    offsets, each tile front to back) whose buffers live in a
-//!    per-session [`FrameArena`];
+//!    splat (EWA projection of the world covariance the scene stores),
+//!    convert spherical harmonics to RGB, compute depth;
+//! 2. **Sorting** ([`sort`], [`tile`]) — one pass over the splats keys
+//!    each by depth and totals its pairs per tile, which lays out a flat
+//!    CSR workload (one value buffer + per-tile offsets) whose buffers
+//!    live in a per-session [`FrameArena`]; the keys are then
+//!    depth-ordered and each splat scattered into every tile it covers,
+//!    so each tile's list runs front to back;
 //! 3. **Gaussian rasterization** ([`rasterize`]) — per pixel, front-to-back
 //!    alpha blending of the covering splats, one job per sorted CSR range.
 //!
-//! The frame driver runs the scatter in rounds of growing depth-order
-//! chunks and resumes Stage 3 after each, skipping tiles that have already
-//! saturated, so a tile's list is written only as far as Stage 3 reads it
-//! (its *processed prefix*, which is all the workload holds afterwards).
+//! The frame driver scatters in rounds of growing depth-order chunks, each
+//! round depth-ordering only its own keys, and resumes Stage 3 after each,
+//! skipping tiles that have already saturated, so a tile's list is written
+//! only as far as Stage 3 reads it (its *processed prefix*, which is all
+//! the workload holds afterwards) and keys no round reaches are never
+//! sorted.
 //!
 //! It also implements the triangle pipeline ([`triangle`]) that the original
 //! rasterizer hardware supports, with the same four subtasks the paper's

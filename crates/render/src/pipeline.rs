@@ -11,15 +11,13 @@
 use crate::framebuffer::Framebuffer;
 use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
-use crate::preprocess::{
-    preprocess_pooled_level, preprocess_prepared_pooled_level, PreprocessOutput, Splat2D,
-};
+use crate::preprocess::{preprocess_pooled_level, PreprocessOutput, Splat2D};
 use crate::rasterize::{RasterStats, Stage3};
 use crate::simd::{detected_level, SimdLevel};
 use crate::tile::{bin_splats_pooled, Binning, BIN_CHUNK};
 use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
-use gaurast_scene::{Camera, GaussianScene, PreparedScene};
+use gaurast_scene::{Camera, GaussianScene};
 
 /// Stage 2 as a method: [`Stage2Mode::bin`] forwards to
 /// [`bin_splats_pooled`], Stage 2 in one scatter round (the frame driver
@@ -143,18 +141,6 @@ pub struct WorkloadOutput {
     pub raster: RasterStats,
 }
 
-/// Where one frame's Stage 1 reads its Gaussians from. Stage 1 runs over
-/// every Gaussian of the scene either way, and both inputs render
-/// bit-identical frames for the same scene and camera.
-#[derive(Clone, Copy, Debug)]
-pub enum Stage1Input<'a> {
-    /// A raw scene: Stage 1 builds each Gaussian's world covariance from
-    /// its rotation and scale, so nothing is prepared up front.
-    Raw(&'a GaussianScene),
-    /// A prepared scene: Stage 1 reads its precomputed covariances.
-    Prepared(&'a PreparedScene),
-}
-
 /// One of the three stages [`run_frame`] runs, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
@@ -170,7 +156,8 @@ pub enum Stage {
     Rasterize,
 }
 
-/// Runs one frame: Stage 1 over `input`, then Stage 2 and the reference
+/// Runs one frame: Stage 1 over every Gaussian of `scene`, reading the
+/// world covariances it stores, then Stage 2 and the reference
 /// Stage-3 pass out of `arena` in saturation-aware rounds
 /// ([`bin_and_rasterize_chunked`] with [`BIN_CHUNK`]), fanned over
 /// `pool`. Stages 1 and 3 run the kernels of SIMD `level`, clamped to
@@ -203,7 +190,7 @@ pub enum Stage {
 #[allow(clippy::too_many_arguments)]
 // gaurast-check: hot-path
 pub fn run_frame(
-    input: Stage1Input<'_>,
+    scene: &GaussianScene,
     camera: &Camera,
     tile_size: u32,
     level: SimdLevel,
@@ -212,12 +199,7 @@ pub fn run_frame(
     image: Option<&mut Framebuffer>,
     mut on_stage_done: impl FnMut(Stage),
 ) -> WorkloadOutput {
-    let pre = match input {
-        Stage1Input::Raw(scene) => preprocess_pooled_level(scene, camera, pool, level),
-        Stage1Input::Prepared(prepared) => {
-            preprocess_prepared_pooled_level(prepared, camera, pool, level)
-        }
-    };
+    let pre = preprocess_pooled_level(scene, camera, pool, level);
     let preprocess = PreprocessStats::from(&pre);
     on_stage_done(Stage::Preprocess);
     let (workload, raster) = bin_and_rasterize_chunked(
@@ -348,7 +330,7 @@ pub fn render_with_pool(
 ) -> RenderOutput {
     let mut image = Framebuffer::new(camera.width(), camera.height());
     let out = run_frame(
-        Stage1Input::Raw(scene),
+        scene,
         camera,
         config.tile_size,
         detected_level(),
@@ -379,7 +361,7 @@ pub fn render_record_only(
     config: &RenderConfig,
 ) -> WorkloadOutput {
     run_frame(
-        Stage1Input::Raw(scene),
+        scene,
         camera,
         config.tile_size,
         detected_level(),

@@ -15,7 +15,7 @@ use crate::ops::OpCounts;
 use crate::pool::WorkerPool;
 use crate::simd::SimdLevel;
 use gaurast_math::{exp_f32, Mat2, Mat3, Vec2, Vec3};
-use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene, VisibleSet};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene, VisibleSet};
 use std::ops::Range;
 
 /// Gaussians per parallel Stage-1 job. The chunking is *fixed-size*, not
@@ -108,81 +108,21 @@ pub fn preprocess(scene: &GaussianScene, camera: &Camera) -> PreprocessOutput {
 
 /// [`preprocess`] with the per-Gaussian loop split into
 /// [`PREPROCESS_CHUNK`]-sized chunks fanned over `pool`, running the
-/// kernels of the given [`SimdLevel`]. Chunk outputs are stitched back in
-/// index order, so splat order, `source` ids, cull counts, and FP-op
-/// tallies are bit-identical to the serial scalar pass for every worker
-/// count and level (see [`crate::simd`]). A `level` above
-/// [`crate::simd::detected_level`] is clamped down.
+/// kernels of the given [`SimdLevel`]. Each Gaussian's world covariance is
+/// read from [`GaussianScene::covariances`], never rebuilt. Chunk outputs
+/// are stitched back in index order, so splat order, `source` ids, cull
+/// counts, and FP-op tallies are bit-identical to the serial scalar pass
+/// for every worker count and level (see [`crate::simd`]). A `level` above
+/// [`crate::simd::detected_level`] is clamped down. A serial pool (or a
+/// scene that fits one chunk) runs the single loop on the calling thread.
 pub fn preprocess_pooled_level(
     scene: &GaussianScene,
     camera: &Camera,
     pool: &WorkerPool,
     level: SimdLevel,
 ) -> PreprocessOutput {
-    preprocess_chunked(scene, camera, |_, g| g.covariance(), pool, level)
-}
-
-/// Runs Stage 1 over a [`PreparedScene`], reusing its precomputed
-/// world-space covariances instead of rebuilding `R diag(s²) Rᵀ` from the
-/// quaternion for every Gaussian on every frame. Output is bit-identical
-/// with [`preprocess`] over the same scene, at every worker count and
-/// level.
-///
-/// # Example
-/// ```
-/// use gaurast_render::preprocess::{preprocess, preprocess_prepared_pooled_level};
-/// use gaurast_render::{SimdLevel, WorkerPool};
-/// use gaurast_scene::{Camera, GaussianScene, Gaussian3, PreparedScene};
-/// use gaurast_math::Vec3;
-///
-/// let scene = GaussianScene::from_gaussians(vec![
-///     Gaussian3::isotropic(Vec3::zero(), 0.2, 0.9, Vec3::new(1.0, 0.0, 0.0)),
-/// ])?;
-/// let cam = Camera::look_at(Vec3::new(0.0, 0.0, -4.0), Vec3::zero(),
-///                           Vec3::new(0.0, 1.0, 0.0), 128, 128, 1.0)?;
-/// let raw = preprocess(&scene, &cam);
-/// let prepared = PreparedScene::prepare(scene);
-/// let pool = WorkerPool::serial();
-/// assert_eq!(preprocess_prepared_pooled_level(&prepared, &cam, &pool, SimdLevel::Scalar), raw);
-/// # Ok::<(), gaurast_scene::SceneError>(())
-/// ```
-pub fn preprocess_prepared_pooled_level(
-    prepared: &PreparedScene,
-    camera: &Camera,
-    pool: &WorkerPool,
-    level: SimdLevel,
-) -> PreprocessOutput {
-    let covariances = prepared.covariances();
-    preprocess_chunked(prepared.scene(), camera, |i, _| covariances[i], pool, level)
-}
-
-/// [`preprocess_prepared_pooled_level`] under the name the benchmark
-/// harness's traced replay calls: a [`VisibleSet`] stands for the whole
-/// scene, so this runs Stage 1 over every Gaussian. Kept for that replay
-/// until ROADMAP item 4b deletes it.
-pub fn preprocess_prepared_visible_pooled_level(
-    prepared: &PreparedScene,
-    camera: &Camera,
-    _visible: &VisibleSet,
-    pool: &WorkerPool,
-    level: SimdLevel,
-) -> PreprocessOutput {
-    preprocess_prepared_pooled_level(prepared, camera, pool, level)
-}
-
-/// The shared chunked Stage-1 driver: splits the Gaussian index space into
-/// [`PREPROCESS_CHUNK`]-sized jobs, runs them over `pool`, and stitches
-/// the chunk outputs back in index order. A serial pool (or a scene that
-/// fits one chunk) runs the historical single loop on the calling thread.
-fn preprocess_chunked(
-    scene: &GaussianScene,
-    camera: &Camera,
-    covariance_of: impl Fn(usize, &Gaussian3) -> Mat3 + Sync,
-    pool: &WorkerPool,
-    level: SimdLevel,
-) -> PreprocessOutput {
     if pool.is_serial() || scene.len() <= PREPROCESS_CHUNK {
-        return preprocess_over_level(scene, camera, &covariance_of, 0..scene.len(), level);
+        return preprocess_over_level(scene, camera, 0..scene.len(), level);
     }
     let n_chunks = scene.len().div_ceil(PREPROCESS_CHUNK);
     // gaurast-check: allow(alloc): one output slot per Stage-1 chunk,
@@ -192,9 +132,23 @@ fn preprocess_chunked(
     pool.run_mut(&mut chunks, |i, chunk| {
         let start = i * PREPROCESS_CHUNK;
         let end = (start + PREPROCESS_CHUNK).min(scene.len());
-        *chunk = preprocess_over_level(scene, camera, &covariance_of, start..end, level);
+        *chunk = preprocess_over_level(scene, camera, start..end, level);
     });
     stitch(chunks)
+}
+
+/// [`preprocess_pooled_level`] under the name the benchmark harness's
+/// traced replay calls: a [`VisibleSet`] stands for the whole scene, so
+/// this runs Stage 1 over every Gaussian. Kept for that replay until
+/// ROADMAP item 4b deletes it.
+pub fn preprocess_prepared_visible_pooled_level(
+    scene: &GaussianScene,
+    camera: &Camera,
+    _visible: &VisibleSet,
+    pool: &WorkerPool,
+    level: SimdLevel,
+) -> PreprocessOutput {
+    preprocess_pooled_level(scene, camera, pool, level)
 }
 
 /// Merges chunk outputs in index order: splat order and `source` ids match
@@ -222,30 +176,28 @@ fn stitch(chunks: Vec<PreprocessOutput>) -> PreprocessOutput {
 fn preprocess_over_level(
     scene: &GaussianScene,
     camera: &Camera,
-    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
-    range: Range<usize>,
+    Range { start, end }: Range<usize>,
     level: SimdLevel,
 ) -> PreprocessOutput {
-    let first = range.start;
-    let gaussians = scene.as_slice().get(range).unwrap_or_default();
+    let gaussians = scene.as_slice().get(start..end).unwrap_or_default();
+    let covariances = scene.covariances().get(start..end).unwrap_or_default();
     match level.min(crate::simd::detected_level()) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
-            crate::simd::stage1::preprocess_over_avx2(gaussians, first, camera, covariance_of)
+            crate::simd::stage1::preprocess_over_avx2(gaussians, covariances, start, camera)
         }
-        _ => preprocess_over(gaussians, first, camera, covariance_of),
+        _ => preprocess_over(gaussians, covariances, start, camera),
     }
 }
 
 /// The scalar Stage-1 loop over `gaussians`, the scene's Gaussians from
-/// index `first` on, parameterised over where each Gaussian's world-space
-/// covariance comes from (computed on the fly for a raw scene, read back
-/// for a prepared one). Emitted `source` ids are global scene indices.
+/// index `first` on, with `covariances` their world-space covariances.
+/// Emitted `source` ids are global scene indices.
 fn preprocess_over(
     gaussians: &[Gaussian3],
+    covariances: &[Mat3],
     first: usize,
     camera: &Camera,
-    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
 ) -> PreprocessOutput {
     let mut out = PreprocessOutput::default();
     out.splats.reserve(gaussians.len());
@@ -258,7 +210,7 @@ fn preprocess_over(
     let tan_half_x = 0.5 * w / focal.x;
     let tan_half_y = 0.5 * h / focal.y;
 
-    for (i, g) in (first..).zip(gaussians) {
+    for ((i, g), &cov3) in (first..).zip(gaussians).zip(covariances) {
         let p_cam = camera.world_to_camera(g.position);
         // Near-plane cull (reference: z <= 0.2 in scene units scaled; we use
         // the camera's configured near plane).
@@ -297,7 +249,6 @@ fn preprocess_over(
         out.ops.cmp += 2;
 
         // Σ' = J W Σ Wᵀ Jᵀ (take the 2×2 block), plus the low-pass filter.
-        let cov3 = covariance_of(i, g);
         let t = j * view_rot;
         let cov2_full = t * cov3 * t.transposed();
         // Two 3×3 matrix products ≈ 2 × 27 mul + 2 × 18 add, plus covariance
@@ -493,25 +444,6 @@ mod tests {
         let out = preprocess(&scene, &camera());
         assert!(out.ops.mul > 50);
         assert!(out.ops.div >= 2);
-    }
-
-    #[test]
-    fn prepared_path_is_bit_identical() {
-        use gaurast_math::Quat;
-        use gaurast_scene::PreparedScene;
-        let mut a = Gaussian3::isotropic(Vec3::zero(), 0.3, 0.9, Vec3::one());
-        a.scale = Vec3::new(0.8, 0.1, 0.3);
-        a.rotation = Quat::from_axis_angle(Vec3::new(0.0, 1.0, 0.0), 0.7);
-        let b = Gaussian3::isotropic(Vec3::new(1.0, 0.5, 1.0), 0.2, 0.5, Vec3::one());
-        let scene = GaussianScene::from_gaussians(vec![a, b]).unwrap();
-        let cam = camera();
-        let raw = preprocess(&scene, &cam);
-        let prepared = PreparedScene::prepare(scene);
-        let serial = WorkerPool::serial();
-        assert_eq!(
-            preprocess_prepared_pooled_level(&prepared, &cam, &serial, SimdLevel::Scalar),
-            raw
-        );
     }
 
     #[test]

@@ -136,8 +136,9 @@ impl FrameConsts {
 }
 
 /// AVX2 twin of `preprocess::preprocess_over`: projects `gaussians`, the
-/// scene's Gaussians from index `first` on, in lane groups of 8, the last
-/// group partial when the count is not a multiple of 8.
+/// scene's Gaussians from index `first` on, with `covariances` their
+/// world-space covariances, in lane groups of 8, the last group partial
+/// when the count is not a multiple of 8.
 ///
 /// The host must support AVX2: `preprocess::preprocess_over_level`, the
 /// one Stage-1 dispatch, reaches this kernel only at a level clamped to
@@ -145,9 +146,9 @@ impl FrameConsts {
 // gaurast-check: hot-path
 pub(crate) fn preprocess_over_avx2(
     gaussians: &[Gaussian3],
+    covariances: &[Mat3],
     first: usize,
     camera: &Camera,
-    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
 ) -> PreprocessOutput {
     debug_assert_eq!(
         detected_level(),
@@ -158,27 +159,22 @@ pub(crate) fn preprocess_over_avx2(
     out.splats.reserve(gaussians.len());
     let fc = FrameConsts::new(camera);
     let cam_pos = camera.position();
-    for (g, group) in gaussians.chunks(LANES).enumerate() {
-        run_group(
-            &mut out,
-            group,
-            first + g * LANES,
-            covariance_of,
-            &fc,
-            cam_pos,
-        );
+    let groups = gaussians.chunks(LANES).zip(covariances.chunks(LANES));
+    for (g, (group, covs)) in groups.enumerate() {
+        run_group(&mut out, group, covs, first + g * LANES, &fc, cam_pos);
     }
     out
 }
 
-/// Gathers a group of up to 8 Gaussians, the first at scene index
-/// `first`, into lanes (a partial group leaves its unused lanes zero),
-/// runs the vector kernel, and finalizes the gathered lanes in lane order.
+/// Gathers a group of up to 8 Gaussians and their covariances, the first
+/// at scene index `first`, into lanes (a partial group leaves its unused
+/// lanes zero), runs the vector kernel, and finalizes the gathered lanes
+/// in lane order.
 fn run_group(
     out: &mut PreprocessOutput,
     group: &[Gaussian3],
+    covs: &[Mat3],
     first: usize,
-    covariance_of: &(impl Fn(usize, &Gaussian3) -> Mat3 + Sync),
     fc: &FrameConsts,
     cam_pos: Vec3,
 ) {
@@ -187,12 +183,7 @@ fn run_group(
     // Column-major 3×3 covariance, one lane row per element:
     // `cov[c * 3 + r][lane] = cov3.at(r, c)`.
     let mut cov = [[0.0f32; LANES]; 9];
-    for (lane, g) in group.iter().enumerate() {
-        // Hoisted ahead of the depth cull (the reference evaluates it
-        // after); `covariance_of` is pure, so the extra evaluation on
-        // depth-culled lanes changes no output. Gathering whole lane
-        // groups needs the hoist.
-        let cov3 = covariance_of(first + lane, g);
+    for (lane, (g, cov3)) in group.iter().zip(covs).enumerate() {
         pos[0][lane] = g.position.x;
         pos[1][lane] = g.position.y;
         pos[2][lane] = g.position.z;

@@ -175,11 +175,12 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
     )
 }
 
-/// Stage 2: the five steps of the module docs, in [`BIN_CHUNK`]-splat
-/// chunks over `pool`. All scratch comes from `arena`, so steady-state
-/// frames make no data-path allocations (and the persistent pool's
-/// workers are parked, not respawned, between `run`s); give the buffers
-/// back with [`RasterWorkload::recycle_into`].
+/// Stage 2: the two steps of the module docs, the splat pass and then one
+/// round that scatters every chunk, in [`BIN_CHUNK`]-splat chunks over
+/// `pool`. All scratch comes from `arena`, so steady-state frames make no
+/// data-path allocations (and the persistent pool's workers are parked,
+/// not respawned, between `run`s); give the buffers back with
+/// [`RasterWorkload::recycle_into`].
 ///
 /// # Panics
 /// Panics when `tile_size` is zero, the image is empty, or the frame has

@@ -6,12 +6,12 @@
 //! bit-identical between the serial and parallel paths.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_record_only, run_frame, RenderConfig, Stage1Input};
+use gaurast_render::pipeline::{render, render_record_only, run_frame, RenderConfig};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::preprocess_prepared_pooled_level;
+use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::rasterize_with_level;
 use gaurast_render::{FrameArena, Framebuffer, SimdLevel, DEFAULT_TILE_SIZE};
-use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
 
 /// Gaussians spanning ten orders of magnitude in scale and far-flung
@@ -93,7 +93,7 @@ proptest! {
         let frame = |level: SimdLevel, imaged: bool| {
             let mut image = imaged.then(|| Framebuffer::new(camera.width(), camera.height()));
             let out = run_frame(
-                Stage1Input::Raw(&scene),
+                &scene,
                 &camera,
                 DEFAULT_TILE_SIZE,
                 level,
@@ -213,7 +213,6 @@ fn non_tile_multiple_framebuffer_matches_serial() {
 fn camera_facing_away_renders_empty_frame() {
     use gaurast_scene::generator::SceneParams;
     let scene = SceneParams::new(300).seed(6).generate().unwrap();
-    let prepared = PreparedScene::prepare(scene);
     // Camera facing directly away: Stage 1 over the whole scene culls
     // every Gaussian, and the rest of the pipeline renders nothing.
     let camera = Camera::look_at(
@@ -226,9 +225,9 @@ fn camera_facing_away_renders_empty_frame() {
     )
     .unwrap();
     let pool = WorkerPool::new(4);
-    let pre = preprocess_prepared_pooled_level(&prepared, &camera, &pool, SimdLevel::Scalar);
+    let pre = preprocess_pooled_level(&scene, &camera, &pool, SimdLevel::Scalar);
     assert!(pre.splats.is_empty());
-    assert_eq!(pre.culled, prepared.len());
+    assert_eq!(pre.culled, scene.len());
     let mut workload = gaurast_render::tile::bin_splats_pooled(
         pre.splats,
         camera.width(),

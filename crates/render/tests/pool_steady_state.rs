@@ -9,10 +9,10 @@
 //! test creating pools in the same binary.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{run_frame, Stage1Input, WorkloadOutput};
+use gaurast_render::pipeline::{run_frame, WorkloadOutput};
 use gaurast_render::pool::{construction_count, spawned_thread_count, WorkerPool};
 use gaurast_render::{FrameArena, Framebuffer, VectorMode, DEFAULT_TILE_SIZE};
-use gaurast_scene::{Camera, PreparedScene};
+use gaurast_scene::Camera;
 
 #[test]
 fn hundred_frame_session_spawns_nothing_in_steady_state() {
@@ -20,7 +20,6 @@ fn hundred_frame_session_spawns_nothing_in_steady_state() {
         .seed(23)
         .generate()
         .expect("generator scene");
-    let prepared = PreparedScene::prepare(scene);
     let camera = Camera::look_at(
         Vec3::new(0.0, 6.0, -28.0),
         Vec3::zero(),
@@ -43,12 +42,12 @@ fn hundred_frame_session_spawns_nothing_in_steady_state() {
     assert_eq!(spawned_thread_count(), spawned + 3);
     let mut arena = FrameArena::new();
 
-    // The engine's frame shape: a prepared scene, imaged, through one pool
+    // The engine's frame shape: one shared scene, imaged, through one pool
     // and one recycled arena.
     let frame = |arena: &mut FrameArena| -> (Framebuffer, WorkloadOutput) {
         let mut image = Framebuffer::new(camera.width(), camera.height());
         let out = run_frame(
-            Stage1Input::Prepared(&prepared),
+            &scene,
             &camera,
             DEFAULT_TILE_SIZE,
             level,

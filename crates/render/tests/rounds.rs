@@ -11,7 +11,7 @@
 //! faint ones; directed cases pin the round boundaries.
 
 use gaurast_math::{Vec2, Vec3};
-use gaurast_render::pipeline::{bin_and_rasterize_chunked, run_frame, Stage1Input};
+use gaurast_render::pipeline::{bin_and_rasterize_chunked, run_frame};
 use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::{rasterize_with_level, RasterStats};
 use gaurast_render::tile::{bin_splats_chunked, bin_splats_pooled, BIN_CHUNK};
@@ -41,13 +41,24 @@ fn assert_same(got: &Frame, want: &Frame, what: &str) {
 /// returns. Each width keeps one arena per path and recycles every
 /// workload into it, so later frames run over stale slots.
 fn check_rounds(splats: &[Splat2D], width: u32, height: u32, tile_size: u32) -> Frame {
+    check_rounds_at(&[1, 7, BIN_CHUNK], splats, width, height, tile_size)
+}
+
+/// [`check_rounds`] at the given chunk sizes only.
+fn check_rounds_at(
+    chunks: &[usize],
+    splats: &[Splat2D],
+    width: u32,
+    height: u32,
+    tile_size: u32,
+) -> Frame {
     let mut reference: Option<Frame> = None;
     for workers in 1..=4 {
         let pool = WorkerPool::new(workers);
         let (mut fused_arena, mut two_arena) = (FrameArena::new(), FrameArena::new());
         for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
             for imaged in [true, false] {
-                for chunk in [1, 7, BIN_CHUNK] {
+                for &chunk in chunks {
                     let what =
                         format!("width {workers}, {level:?}, imaged {imaged}, chunk {chunk}");
                     let mut image = imaged.then(|| Framebuffer::new(width, height));
@@ -191,7 +202,7 @@ proptest! {
                     let what = format!("width {workers}, {level:?}, imaged {imaged}");
                     let mut image = imaged.then(|| Framebuffer::new(72, 56));
                     let out = run_frame(
-                        Stage1Input::Raw(&scene),
+                        &scene,
                         &camera,
                         DEFAULT_TILE_SIZE,
                         level,
@@ -240,6 +251,42 @@ fn no_tile_saturates_so_every_round_runs() {
     let (w, stats, _) = check_rounds(&splats, 48, 40, 16);
     assert_eq!(stats.tiles_early_terminated, 0);
     assert!(w.total_pairs() > 40, "boxes must span several tiles");
+    for t in w.tiles() {
+        let len = w.offsets()[t.index + 1] - w.offsets()[t.index];
+        assert_eq!(
+            t.processed, len,
+            "tile {} must read its whole list",
+            t.index
+        );
+    }
+}
+
+/// The same at the production chunk size: more than three `BIN_CHUNK`s of
+/// faint splats, whose depths are scrambled against their submission
+/// order, so rounds 0, 1 and 2 all run and round 1 must select its keys
+/// from what round 0 left unsorted.
+#[test]
+fn no_tile_saturates_so_round_two_runs_at_bin_chunk() {
+    let n = 3 * BIN_CHUNK as u32 + 1000;
+    let splats: Vec<Splat2D> = (0..n)
+        .map(|i| Splat2D {
+            source: i,
+            ..splat(
+                (i * 37 % 256) as f32,
+                (i * 101 % 192) as f32,
+                4.0,
+                1.0 + (i.wrapping_mul(2_654_435_761) % 1000) as f32 * 0.01,
+                0.02,
+                false,
+            )
+        })
+        .collect();
+    let (w, stats, _) = check_rounds_at(&[BIN_CHUNK], &splats, 256, 192, 16);
+    assert_eq!(stats.tiles_early_terminated, 0);
+    assert!(
+        w.total_pairs() > u64::from(n),
+        "boxes must span several tiles"
+    );
     for t in w.tiles() {
         let len = w.offsets()[t.index + 1] - w.offsets()[t.index];
         assert_eq!(

@@ -9,14 +9,14 @@
 //! its runner has AVX2, so both levels are exercised there.
 
 use gaurast_math::{Vec2, Vec3};
-use gaurast_render::pipeline::{render, run_frame, RenderConfig, Stage1Input, WorkloadOutput};
+use gaurast_render::pipeline::{render, run_frame, RenderConfig, WorkloadOutput};
 use gaurast_render::pool::WorkerPool;
-use gaurast_render::preprocess::{preprocess_pooled_level, preprocess_prepared_pooled_level};
+use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::rasterize_with_level;
 use gaurast_render::tile::bin_splats;
 use gaurast_render::{FrameArena, Framebuffer, SimdLevel, Splat2D, DEFAULT_TILE_SIZE};
 use gaurast_scene::generator::SceneParams;
-use gaurast_scene::{Camera, Gaussian3, GaussianScene, PreparedScene};
+use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
 
 const LEVELS: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
@@ -36,7 +36,7 @@ fn camera(width: u32, height: u32) -> Camera {
 /// One frame through the frame driver at `level` over `pool`, into a
 /// fresh framebuffer when `imaged`, record-only otherwise.
 fn frame(
-    input: Stage1Input<'_>,
+    scene: &GaussianScene,
     cam: &Camera,
     level: SimdLevel,
     pool: &WorkerPool,
@@ -44,7 +44,7 @@ fn frame(
 ) -> (Option<Framebuffer>, WorkloadOutput) {
     let mut image = imaged.then(|| Framebuffer::new(cam.width(), cam.height()));
     let out = run_frame(
-        input,
+        scene,
         cam,
         DEFAULT_TILE_SIZE,
         level,
@@ -56,17 +56,16 @@ fn frame(
     (image, out)
 }
 
-/// Renders one raw scene at every SIMD level, with and without a
+/// Renders one scene at every SIMD level, with and without a
 /// framebuffer, and asserts the complete output — image, workload, stats,
 /// op tallies — is bit-identical to the scalar imaged reference. The free
 /// [`render`] path (the host's detected level) must agree too.
 fn assert_levels_identical(scene: &GaussianScene, cam: &Camera, workers: usize) {
     let pool = WorkerPool::new(workers);
-    let input = Stage1Input::Raw(scene);
-    let (reference_image, reference) = frame(input, cam, SimdLevel::Scalar, &pool, true);
+    let (reference_image, reference) = frame(scene, cam, SimdLevel::Scalar, &pool, true);
     for level in LEVELS {
         for imaged in [true, false] {
-            let (image, out) = frame(input, cam, level, &pool, imaged);
+            let (image, out) = frame(scene, cam, level, &pool, imaged);
             if imaged {
                 assert_eq!(
                     reference_image, image,
@@ -151,8 +150,8 @@ proptest! {
         assert_levels_identical(&scene, &cam, workers);
     }
 
-    /// Stage 1 in isolation: the raw and prepared `_level` entry points
-    /// must agree across levels on splats, cull counts, and op tallies.
+    /// Stage 1 in isolation: the `_level` entry point must agree across
+    /// levels on splats, cull counts, and op tallies.
     #[test]
     fn preprocess_levels_agree(
         n in 1usize..900,
@@ -163,12 +162,9 @@ proptest! {
         let cam = camera(128, 96);
         let pool = WorkerPool::new(workers);
         let reference = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
-        let prepared = PreparedScene::prepare(scene.clone());
         for level in LEVELS {
-            let raw = preprocess_pooled_level(&scene, &cam, &pool, level);
-            prop_assert_eq!(&reference, &raw, "raw at {:?}", level);
-            let full = preprocess_prepared_pooled_level(&prepared, &cam, &pool, level);
-            prop_assert_eq!(&reference, &full, "prepared at {:?}", level);
+            let out = preprocess_pooled_level(&scene, &cam, &pool, level);
+            prop_assert_eq!(&reference, &out, "at {:?}", level);
         }
     }
 }
@@ -259,14 +255,14 @@ fn empty_visible_set_is_bit_identical() {
     assert_levels_identical(&scene, &cam, 2);
     let pool = WorkerPool::new(2);
     for level in LEVELS {
-        let (_, out) = frame(Stage1Input::Raw(&scene), &cam, level, &pool, false);
+        let (_, out) = frame(&scene, &cam, level, &pool, false);
         assert_eq!(out.workload.splats().len(), 0, "level {level:?}");
     }
 }
 
 /// Stage 1 clamps a requested level to the host's, the way Stage 3 does:
-/// `Avx2` handed to each Stage-1 `_level` entry and to `run_frame` over
-/// every input is sound on any host and reproduces the scalar output.
+/// `Avx2` handed to the Stage-1 `_level` entry and to `run_frame` is
+/// sound on any host and reproduces the scalar output.
 #[test]
 fn stage1_clamps_a_level_above_the_host() {
     let scene = SceneParams::new(1500)
@@ -274,31 +270,15 @@ fn stage1_clamps_a_level_above_the_host() {
         .generate()
         .expect("valid scene");
     let cam = camera(96, 64);
-    let prepared = PreparedScene::prepare(scene.clone());
     for workers in [1, 3] {
         let pool = WorkerPool::new(workers);
         let scalar = preprocess_pooled_level(&scene, &cam, &pool, SimdLevel::Scalar);
         let avx2 = SimdLevel::Avx2;
         assert_eq!(preprocess_pooled_level(&scene, &cam, &pool, avx2), scalar);
-        assert_eq!(
-            preprocess_prepared_pooled_level(&prepared, &cam, &pool, avx2),
-            scalar
-        );
-        let (reference_image, reference) = frame(
-            Stage1Input::Raw(&scene),
-            &cam,
-            SimdLevel::Scalar,
-            &pool,
-            true,
-        );
-        for (label, input) in [
-            ("raw", Stage1Input::Raw(&scene)),
-            ("prepared", Stage1Input::Prepared(&prepared)),
-        ] {
-            let (image, out) = frame(input, &cam, avx2, &pool, true);
-            assert_eq!(image, reference_image, "{label} (workers {workers})");
-            assert_eq!(out, reference, "{label} (workers {workers})");
-        }
+        let (reference_image, reference) = frame(&scene, &cam, SimdLevel::Scalar, &pool, true);
+        let (image, out) = frame(&scene, &cam, avx2, &pool, true);
+        assert_eq!(image, reference_image, "workers {workers}");
+        assert_eq!(out, reference, "workers {workers}");
     }
 }
 

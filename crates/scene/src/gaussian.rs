@@ -4,7 +4,9 @@
 //! as in the 3DGS paper (Kerbl et al., SIGGRAPH 2023): center `µ`, per-axis
 //! standard deviations `s`, orientation quaternion `q`, opacity `o`, and a
 //! spherical-harmonics color. The world-space covariance is
-//! `Σ = R(q) · diag(s²) · R(q)ᵀ`.
+//! `Σ = R(q) · diag(s²) · R(q)ᵀ`; a [`GaussianScene`] computes it once per
+//! Gaussian, when it validates the Gaussian, and Stage 1 reads it back on
+//! every frame.
 
 use crate::SceneError;
 use gaurast_math::{sh, Aabb3, Mat3, Quat, Vec3};
@@ -148,10 +150,23 @@ impl Gaussian3 {
 /// An owned collection of 3D Gaussians — the 3DGS scene representation.
 ///
 /// Construction validates every Gaussian so the rendering and hardware
-/// crates can assume well-formed input.
-#[derive(Clone, Debug, PartialEq, Default)]
+/// crates can assume well-formed input, and stores its world-space
+/// covariance ([`Gaussian3::covariance`]) next to it, the one
+/// camera-independent value Stage 1 needs per Gaussian. The scene hands
+/// out no `&mut` Gaussian, so the two can never disagree.
+#[derive(Clone, Debug, Default)]
 pub struct GaussianScene {
     gaussians: Vec<Gaussian3>,
+    /// `covariances[i]` is `gaussians[i].covariance()`.
+    covariances: Vec<Mat3>,
+}
+
+/// Two scenes are equal when their Gaussians are: the covariances are a
+/// function of them.
+impl PartialEq for GaussianScene {
+    fn eq(&self, other: &Self) -> bool {
+        self.gaussians == other.gaussians
+    }
 }
 
 impl GaussianScene {
@@ -161,7 +176,8 @@ impl GaussianScene {
         Self::default()
     }
 
-    /// Builds a scene from Gaussians, validating each one.
+    /// Builds a scene from Gaussians, validating each one and computing
+    /// its world-space covariance.
     ///
     /// # Errors
     /// Returns the first validation failure with its index.
@@ -174,7 +190,20 @@ impl GaussianScene {
                 other => other,
             })?;
         }
-        Ok(Self { gaussians })
+        let covariances = gaussians.iter().map(Gaussian3::covariance).collect();
+        Ok(Self {
+            gaussians,
+            covariances,
+        })
+    }
+
+    /// Returns `scene` unchanged: every scene carries its covariances from
+    /// construction on. A harness name: the benchmark harness calls it as
+    /// `PreparedScene::prepare`, and it stays until ROADMAP item 4b
+    /// retires it. Nothing in the workspace calls it.
+    #[inline]
+    pub fn prepare(scene: Self) -> Self {
+        scene
     }
 
     /// Number of Gaussians.
@@ -212,6 +241,7 @@ impl GaussianScene {
             },
             other => other,
         })?;
+        self.covariances.push(g.covariance());
         self.gaussians.push(g);
         Ok(())
     }
@@ -232,6 +262,14 @@ impl GaussianScene {
     #[inline]
     pub fn as_slice(&self) -> &[Gaussian3] {
         &self.gaussians
+    }
+
+    /// World-space covariances `R diag(s²) Rᵀ`, one per Gaussian in scene
+    /// order: entry `i` holds the bits [`Gaussian3::covariance`] gives for
+    /// Gaussian `i`.
+    #[inline]
+    pub fn covariances(&self) -> &[Mat3] {
+        &self.covariances
     }
 }
 
@@ -342,6 +380,39 @@ mod tests {
         assert!(ShColor::from_coeffs(1, vec![Vec3::zero(); 3]).is_err());
         assert!(ShColor::from_coeffs(1, vec![Vec3::zero(); 4]).is_ok());
         assert!(ShColor::from_coeffs(5, vec![Vec3::zero(); 36]).is_err());
+    }
+
+    #[test]
+    fn covariances_match_per_gaussian_computation() {
+        let bits = |m: Mat3| -> [u32; 9] { std::array::from_fn(|k| m.at(k / 3, k % 3).to_bits()) };
+        let assert_stored = |scene: &GaussianScene, what: &str| {
+            assert_eq!(scene.covariances().len(), scene.len(), "{what}");
+            for (i, (g, cov)) in scene.iter().zip(scene.covariances()).enumerate() {
+                assert_eq!(bits(*cov), bits(g.covariance()), "{what}: Gaussian {i}");
+            }
+        };
+        let mut rotated = unit_gaussian();
+        rotated.scale = Vec3::new(0.1, 1.5, 0.7);
+        rotated.rotation = Quat::from_axis_angle(Vec3::new(0.6, 0.0, 0.8), 1.2);
+
+        let built = GaussianScene::from_gaussians(vec![unit_gaussian(), rotated.clone()]).unwrap();
+        assert_stored(&built, "from_gaussians");
+
+        let mut pushed = GaussianScene::new();
+        pushed.push(rotated).unwrap();
+        let mut bad = unit_gaussian();
+        bad.opacity = 0.0;
+        assert!(pushed.push(bad).is_err());
+        pushed.push(unit_gaussian()).unwrap();
+        assert_stored(&pushed, "push, a rejected Gaussian between");
+
+        let generated = crate::generator::SceneParams::new(64)
+            .seed(4)
+            .sh_degree(1)
+            .generate()
+            .unwrap();
+        let bytes = crate::ply::to_ply(&generated).unwrap();
+        assert_stored(&crate::ply::from_ply(&bytes).unwrap(), "PLY round trip");
     }
 
     #[test]

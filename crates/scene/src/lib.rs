@@ -9,14 +9,13 @@
 //!
 //! * [`GaussianScene`] / [`Gaussian3`] — the 3D Gaussian representation with
 //!   exactly the parameters of the 3DGS paper (position, anisotropic scale,
-//!   rotation quaternion, opacity, spherical-harmonics color);
-//! * [`PreparedScene`] — the immutable share-ready asset: a validated scene
-//!   plus every camera-independent precomputation (bounds, world
-//!   covariances, summary statistics), built once and served to any number
-//!   of sessions behind an `Arc`;
-//! * [`visibility`] — names the benchmark harness's traced replay still
-//!   calls, standing for the whole scene until ROADMAP item 4b deletes
-//!   them;
+//!   rotation quaternion, opacity, spherical-harmonics color). A scene
+//!   validates each Gaussian and stores its world covariance as it is
+//!   added, so any number of sessions render it behind an `Arc` and Stage 1
+//!   reads the covariances instead of rebuilding them per frame;
+//! * [`visibility`] and [`PreparedScene`] — names the benchmark harness
+//!   still calls, standing for the whole scene until ROADMAP item 4b
+//!   deletes them;
 //! * [`TriangleMesh`] — the classic representation handled by the original
 //!   triangle rasterizer that GauRast extends;
 //! * [`Camera`] and orbit trajectories;
@@ -49,7 +48,6 @@ mod mesh;
 pub mod mini_splatting;
 pub mod nerf360;
 pub mod ply;
-pub mod prepared;
 pub mod stats;
 pub mod visibility;
 
@@ -57,5 +55,9 @@ pub use camera::{Camera, CameraKey, OrbitTrajectory};
 pub use error::SceneError;
 pub use gaussian::{Gaussian3, GaussianScene, ShColor};
 pub use mesh::{Triangle, TriangleMesh, Vertex};
-pub use prepared::PreparedScene;
 pub use visibility::{VisibilityCache, VisibleSet};
+
+/// The scene type under the name the benchmark harness still calls, with
+/// [`GaussianScene::prepare`]; kept until ROADMAP item 4b retires both.
+/// Nothing in the workspace names it.
+pub type PreparedScene = GaussianScene;

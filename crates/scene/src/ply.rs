@@ -208,9 +208,20 @@ pub fn from_ply(bytes: &[u8]) -> Result<GaussianScene, SceneError> {
         .collect::<Result<_, _>>()?;
 
     // --- Payload ---
+    // The header's count is untrusted: check it against the bytes present
+    // before sizing anything by it. The lookups above put at least the 14
+    // standard properties in a row.
     let stride = props.len();
+    let row_bytes = stride * 4;
+    let payload = bytes.len().saturating_sub(cursor.position() as usize);
+    if vertex_count > payload / row_bytes {
+        return Err(bad(format!(
+            "truncated payload: {vertex_count} vertices of {row_bytes} bytes declared, \
+             {payload} payload bytes present"
+        )));
+    }
     let mut row = vec![0.0f32; stride];
-    let mut buf = vec![0u8; stride * 4];
+    let mut buf = vec![0u8; row_bytes];
     let mut gaussians = Vec::with_capacity(vertex_count);
     for v in 0..vertex_count {
         cursor
@@ -396,6 +407,38 @@ mod tests {
         bytes.truncate(bytes.len() - 7);
         let err = from_ply(&bytes).unwrap_err();
         assert!(err.to_string().contains("truncated"));
+    }
+
+    /// A header with the 14 standard properties and no payload, declaring
+    /// `count` vertices.
+    fn header_only(count: &str) -> Vec<u8> {
+        let mut header = format!("ply\nformat binary_little_endian 1.0\nelement vertex {count}\n");
+        for name in [
+            "x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity", "scale_0", "scale_1",
+            "scale_2", "rot_0", "rot_1", "rot_2", "rot_3",
+        ] {
+            header += &format!("property float {name}\n");
+        }
+        header += "end_header\n";
+        header.into_bytes()
+    }
+
+    #[test]
+    fn hostile_vertex_counts_rejected_before_allocating() {
+        // Regression: the count was trusted to size the Gaussian vector,
+        // so `u64::MAX` overflowed the capacity (a panic) and 4e9 asked
+        // for 320 GB (an abort). Neither count fits an empty payload.
+        for (count, header_len) in [("18446744073709551615", 376), ("4000000000", 366)] {
+            let bytes = header_only(count);
+            assert_eq!(bytes.len(), header_len);
+            match from_ply(&bytes) {
+                Err(SceneError::InvalidParameter(m)) => {
+                    assert!(m.contains("truncated"), "{count}: {m}");
+                }
+                other => panic!("{count}: expected a typed error, got {other:?}"),
+            }
+        }
+        assert_eq!(from_ply(&header_only("0")).unwrap().len(), 0);
     }
 
     #[test]

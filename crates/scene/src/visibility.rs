@@ -1,13 +1,13 @@
 //! Names kept for the benchmark harness's traced replay, which still
 //! calls them; ROADMAP item 4b deletes them with that replay.
 //!
-//! Stage 1 runs over the whole [`PreparedScene`] on every frame and culls
+//! Stage 1 runs over the whole [`GaussianScene`] on every frame and culls
 //! each Gaussian by depth and screen bounds inside its projection loop, as
 //! the 3DGS reference's per-Gaussian `in_frustum` test does. There is no
 //! visible-set prefilter in front of it, so these names stand for the
 //! whole scene and cache nothing.
 
-use crate::{Camera, CameraKey, PreparedScene};
+use crate::{Camera, CameraKey, GaussianScene};
 
 /// The key the harness files a camera under: [`Camera::key`]. Kept for
 /// the harness's tests until ROADMAP item 4b.
@@ -34,7 +34,7 @@ impl VisibilityCache {
     }
 
     /// The whole-scene [`VisibleSet`] and `false` (never a cache hit).
-    pub fn get_or_build(&self, _prepared: &PreparedScene, _camera: &Camera) -> (VisibleSet, bool) {
+    pub fn get_or_build(&self, _scene: &GaussianScene, _camera: &Camera) -> (VisibleSet, bool) {
         (VisibleSet, false)
     }
 }

@@ -1,5 +1,5 @@
 //! Shared-scene batch rendering through the [`RenderService`]: two scenes
-//! prepared once into immutable `Arc<PreparedScene>` assets, a mixed batch
+//! behind `Arc<GaussianScene>`s that every session shares, a mixed batch
 //! of render jobs fanned across a worker pool, responses returned in
 //! request order with aggregate throughput and energy accounting, and one
 //! pose sent to every backend, which the batch renders with a single
@@ -14,7 +14,7 @@
 use gaurast::backend::BackendKind;
 use gaurast::scene::generator::SceneParams;
 use gaurast::scene::stats::SceneStats;
-use gaurast::scene::{Camera, PreparedScene};
+use gaurast::scene::Camera;
 use gaurast::service::{RenderRequest, RenderService};
 use gaurast_math::Vec3;
 use std::error::Error;
@@ -33,25 +33,23 @@ fn orbit_camera(theta: f32) -> Result<Camera, Box<dyn Error>> {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    // 1. Two synthetic scenes, each prepared exactly once. A prepared
-    //    scene is immutable and sits behind an Arc, so every session the
-    //    service spawns shares the same asset — no copies, no redundant
+    // 1. Two synthetic scenes, each computing its world covariances once
+    //    as it is built. A scene sits behind an Arc, so every session the
+    //    service spawns shares it — no copies, no redundant
     //    precomputation.
-    let town = Arc::new(PreparedScene::prepare(
-        SceneParams::new(12_000).seed(7).extent(10.0).generate()?,
-    ));
-    let museum = Arc::new(PreparedScene::prepare(
+    let town = Arc::new(SceneParams::new(12_000).seed(7).extent(10.0).generate()?);
+    let museum = Arc::new(
         SceneParams::new(6_000)
             .seed(41)
             .extent(8.0)
             .clusters(6)
             .generate()?,
-    ));
+    );
     println!(
-        "prepared assets: town ({} gaussians, extent {:.1}), museum ({} gaussians, extent {:.1})",
-        SceneStats::compute(town.scene()).count,
+        "shared scenes: town ({} gaussians, extent {:.1}), museum ({} gaussians, extent {:.1})",
+        SceneStats::compute(&town).count,
         town.bounds().diagonal(),
-        SceneStats::compute(museum.scene()).count,
+        SceneStats::compute(&museum).count,
         museum.bounds().diagonal()
     );
 

@@ -415,12 +415,10 @@ fn render_sequence_matches_hand_built_pipeline_schedule() {
 
 #[test]
 fn two_sessions_over_one_prepared_scene_are_bit_identical() {
-    use gaurast::scene::PreparedScene;
-
     let desc = Nerf360Scene::Garden.descriptor();
     let scene = desc.synthesize(SceneScale::UNIT_TEST);
     let cam = desc.camera(SceneScale::UNIT_TEST, 0.5).unwrap();
-    let shared = Arc::new(PreparedScene::prepare(scene));
+    let shared = Arc::new(scene);
 
     let mut a = EngineBuilder::shared(Arc::clone(&shared))
         .image_policy(ImagePolicy::Retain)
@@ -432,7 +430,7 @@ fn two_sessions_over_one_prepared_scene_are_bit_identical() {
         .unwrap();
     assert!(
         Arc::ptr_eq(a.prepared(), b.prepared()),
-        "one asset, no copies"
+        "one scene, no copies"
     );
 
     let img_a = a.render_frame(&cam).image.unwrap();
@@ -440,7 +438,7 @@ fn two_sessions_over_one_prepared_scene_are_bit_identical() {
     assert_eq!(
         img_a.mean_abs_diff(&img_b),
         0.0,
-        "sessions sharing one Arc<PreparedScene> must render identically"
+        "sessions sharing one Arc<GaussianScene> must render identically"
     );
     assert!(img_a.coverage() > 0.0, "frame must not be empty");
 }
